@@ -102,6 +102,15 @@ def _closed_loop_objective(scenario: Scenario, traj) -> tuple[float, float]:
                              controls[:n])
 
 
+def _non_optimal_solves(log, label: str) -> int:
+    """Count horizon solves applied without an optimality certificate; warn if any."""
+    count = sum(r.non_optimal_solves for r in log)
+    if count:
+        logger.warning("%s: %d non-optimal horizon solves were applied",
+                       label, count)
+    return count
+
+
 def cmd_simulate(args) -> int:
     scenario = _load(args)
     cfg = _with_regime(scenario.mpc, args.regime or "cc")
@@ -130,7 +139,8 @@ def cmd_mpc(args) -> int:
     _emit_common(out, scenario, traj, effort, performance,
                  extra={"mean_sqp_iterations":
                         float(np.mean([r.sqp_iterations for r in log]))
-                        if log else 0.0},
+                        if log else 0.0,
+                        "non_optimal_solves": _non_optimal_solves(log, "mpc")},
                  tag="mpc")
     logger.info("mpc: wrote %s", out)
     return EXIT_OK
@@ -160,14 +170,17 @@ def cmd_compare(args) -> int:
     results = {}
     for key in ("cc", "cv", "vc", "vv"):
         cfg = _with_regime(scenario.mpc, key)
-        traj, _log = receding_horizon_run(
+        traj, log = receding_horizon_run(
             scenario.grid, scenario.initial_state(), cfg,
             scenario.sim_duration, scenario.events,
             scenario.clamp_storage_power_at_energy_limit,
             name=f"{scenario.name}_{key}")
         effort, performance = _closed_loop_objective(
             replace(scenario, mpc=cfg), traj)
-        _emit_common(out, scenario, traj, effort, performance, tag=key)
+        _emit_common(out, scenario, traj, effort, performance,
+                     extra={"non_optimal_solves":
+                            _non_optimal_solves(log, f"compare {key}")},
+                     tag=key)
         results[key] = traj.frequency_integral()
         logger.info("compare: regime %s frequency integral %.6g", key, results[key])
     ranking = sorted(results, key=results.get)

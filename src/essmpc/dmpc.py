@@ -18,8 +18,8 @@ import numpy as np
 
 from .dynamics import ControlInput, SystemState, Trajectory, euler_step, simulate
 from .grid import DisturbanceEvent, GridModel, Line
-from .mpc import (MpcConfig, _control_boxes, _energy_rows_feasible,
-                  _REGULARIZATION, horizon_objective)
+from .mpc import (MpcConfig, _energy_rows_feasible, _REGULARIZATION,
+                  horizon_objective)
 from .qp import ConvexProgram, QpWorkspace
 
 __all__ = [

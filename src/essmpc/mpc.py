@@ -34,7 +34,11 @@ __all__ = [
     "receding_horizon_run",
 ]
 
-_REGULARIZATION = 1e-8   # tiny diagonal cost keeping the subproblem strictly convex
+# Tiny diagonal cost keeping the subproblem strictly convex, so a non-unique
+# LP optimum resolves to one deterministic point.  A tie-break at or below
+# qp_tol is what the splitting iteration cannot resolve; the QP solver
+# finishes such programs from an exact LP vertex instead (see qp.py).
+_REGULARIZATION = 1e-8
 
 
 class MpcConfigError(ValueError):
@@ -346,8 +350,7 @@ def assemble_horizon_program(grid: GridModel, ltv: LtvModel,
                                              np.full(k_steps, p_lo),
                                              np.full(k_steps, p_hi), ltv.ts):
                     saturated.append(s)
-                    pinned[s] = min(max(0.0, p_lo), p_hi) if e0 <= e_lo else \
-                        min(max(0.0, p_lo), p_hi)
+                    pinned[s] = min(max(0.0, p_lo), p_hi)
         else:
             pin = float(cfg.reference_power[s])
             pinned[s] = pin
@@ -481,6 +484,7 @@ class MpcStepResult:
     qp_report: SolveReport
     saturated: tuple[int, ...]
     converged: bool
+    non_optimal_solves: int        # SQP subproblems applied without certificate
 
 
 def _project_controls(grid: GridModel, controls: np.ndarray) -> np.ndarray:
@@ -538,6 +542,7 @@ def mpc_solve_horizon(grid: GridModel, state: SystemState, cfg: MpcConfig,
     hp: Optional[HorizonProgram] = None
     converged = False
     iterations = 0
+    non_optimal = 0
     for _ in range(cfg.sqp.outer_iterations):
         iterations += 1
         ltv = linearize_dynamics(grid, state, nominal, cfg.step, events)
@@ -551,6 +556,7 @@ def mpc_solve_horizon(grid: GridModel, state: SystemState, cfg: MpcConfig,
         report = ws.solve(tol=cfg.qp_tol, max_iter=cfg.qp_max_iter, x0=x0, y0=y0)
         if report.status == "infeasible":
             raise RuntimeError("horizon subproblem reported infeasible")
+        non_optimal += report.status != "optimal"
         if warm_qp is not None:
             warm_qp.update(n=hp.prog.n, m=ws.m, x=report.x.copy(),
                            y=report.y_stacked.copy())
@@ -567,7 +573,7 @@ def mpc_solve_horizon(grid: GridModel, state: SystemState, cfg: MpcConfig,
     applied = ControlInput(nominal[0, :n_s].copy(), nominal[0, n_s:].copy())
     return MpcStepResult(applied, nominal.copy(), predicted, effort, performance,
                          effort + performance, iterations, report,
-                         hp.saturated, converged)
+                         hp.saturated, converged, non_optimal)
 
 
 class MpcController:

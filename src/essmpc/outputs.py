@@ -100,13 +100,14 @@ def frequency_integral(traj: Trajectory) -> float:
 
 def objective_summary_text(effort: float, performance: float,
                            extra: Optional[dict[str, float]] = None) -> str:
+    """Key/value lines; integer extras (counts) are written as integers."""
     lines = [
         f"effort_term {_fmt(effort)}",
         f"performance_term {_fmt(performance)}",
         f"total {_fmt(effort + performance)}",
     ]
     for key, value in (extra or {}).items():
-        lines.append(f"{key} {_fmt(value)}")
+        lines.append(f"{key} {value if isinstance(value, int) else _fmt(value)}")
     return "\n".join(lines) + "\n"
 
 

@@ -1,12 +1,21 @@
 """Convex quadratic programming by operator splitting.
 
 Solves  min 0.5 x'Qx + q'x  subject to  A_eq x = b_eq, A_in x <= b_in,
-lb <= x <= ub.  The iteration is an ADMM splitting with over-relaxation,
+lb <= x <= ub.  The workhorse is an ADMM splitting with over-relaxation,
 per-row penalties, Ruiz equilibration of the problem data, and a cached KKT
-factorization.  At checkpoints the solver attempts an exact active-set
-refinement ("polish"); a refined point is accepted only when its exactly
-recomputed KKT residuals meet the tolerance.  Residuals in the report are
-always recomputed from the returned point, never taken from the iteration.
+factorization.  An exact active-set refinement ("polish") finishes a solve
+from a seed point; a refined point is accepted only when its exactly
+recomputed KKT residuals meet the tolerance.
+
+A solve tries, in order, and stops at the first certified point:
+
+1. the exact step from a caller's warm start (x0, y0);
+2. when max|Q| <= tol (an LP up to a tie-break the splitting cannot
+   resolve), the exact step from the HiGHS optimum of the linear part;
+3. the splitting iteration, polished at checkpoints and at its end.
+
+Residuals in the report are always recomputed from the returned point,
+never taken from the iteration or from HiGHS.
 """
 
 from __future__ import annotations
@@ -16,6 +25,7 @@ from typing import Optional
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
+from scipy.optimize import linprog
 
 __all__ = [
     "QpError",
@@ -33,6 +43,10 @@ _RHO_EQ_SCALE = 1e3
 _CHECK_EVERY = 25
 _ADAPT_EVERY = 100
 _RUIZ_ITERS = 10
+# HiGHS's default 1e-7 feasibility tolerances leave a primal residual the
+# exact step cannot certify at 1e-8; the seed has to be tighter than tol.
+_HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10,
+                  "dual_feasibility_tolerance": 1e-10}
 
 
 class QpError(ValueError):
@@ -196,6 +210,7 @@ class QpWorkspace:
         self.m = self.C.shape[0]
         self._m_eq, self._m_in = m_eq, m_in
         self._Qs = 0.5 * (prog.Q + prog.Q.T)
+        self._q_max = float(np.max(np.abs(self._Qs), initial=0.0))
         self._scaled_ready = False
         self._rho = rho
         self._rho_vec = self._make_rho_vec(rho)
@@ -307,6 +322,12 @@ class QpWorkspace:
     def solve(self, tol: float = 1e-8, max_iter: int = 20000,
               x0: Optional[np.ndarray] = None, y0: Optional[np.ndarray] = None,
               polish: bool = True, adaptive_rho: bool = True) -> SolveReport:
+        """Solve to `tol` on the exactly recomputed KKT residuals.
+
+        Order: the exact step from (x0, y0); then, if max|Q| <= tol, the
+        exact step from the HiGHS optimum of the linear part; then the
+        splitting iteration.  With `polish=False` only the splitting runs.
+        """
         prog, n, m = self.prog, self.prog.n, self.m
         if m == 0:
             return self._solve_unconstrained(tol)
@@ -321,6 +342,16 @@ class QpWorkspace:
                                        np.asarray(y0, dtype=float), tol, 0)
             if refined is not None:
                 return refined
+        # A quadratic term at or below tol is a tie-break the splitting
+        # cannot resolve to tol; an exact LP vertex seeds the exact step.
+        if polish and self._q_max <= tol:
+            seed = self._lp_seed()
+            if seed is not None:
+                # HiGHS multipliers are exact: any non-zero one marks a row
+                # at its bound, however small the program's cost scale.
+                refined = self._try_polish(*seed, tol, 0, act_tol=0.0)
+                if refined is not None:
+                    return refined
 
         self._ensure_scaled()
         d, e, c = self._d, self._e, self._c
@@ -452,12 +483,34 @@ class QpWorkspace:
         support = float(u_f @ pos + l_f @ neg)
         return support < -1e-10
 
+    # -- LP seed -------------------------------------------------------------------
+
+    def _lp_seed(self) -> Optional[tuple[np.ndarray, np.ndarray]]:
+        """(x, stacked y) from HiGHS on the linear part; None unless optimal."""
+        prog = self.prog
+        res = linprog(prog.q,
+                      A_ub=prog.A_in if self._m_in else None,
+                      b_ub=prog.b_in if self._m_in else None,
+                      A_eq=prog.A_eq if self._m_eq else None,
+                      b_eq=prog.b_eq if self._m_eq else None,
+                      bounds=np.column_stack([prog.lb, prog.ub]),
+                      method="highs", options=_HIGHS_OPTIONS)
+        if res.status != 0:
+            return None
+        # HiGHS marginals are d(objective)/d(rhs); the stacked multipliers
+        # enter the stationarity condition with the opposite sign.
+        y = -np.concatenate([res.eqlin.marginals, res.ineqlin.marginals,
+                             (res.lower.marginals
+                              + res.upper.marginals)[self._box_vars]])
+        return np.asarray(res.x, dtype=float), y
+
     # -- active-set polish ---------------------------------------------------------
 
     def _try_polish(self, x: np.ndarray, y: np.ndarray, tol: float,
-                    iterations: int) -> Optional[SolveReport]:
+                    iterations: int, act_tol: float = 1e-5
+                    ) -> Optional[SolveReport]:
         """Exact refinement seeded by (x, y); accept only a tol-true result."""
-        refined = self._active_set_refine(x, y)
+        refined = self._active_set_refine(x, y, act_tol)
         if refined is None:
             return None
         xp, yp = refined

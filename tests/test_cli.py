@@ -57,6 +57,15 @@ class TestSimulateCommand:
         assert data[0, 0] == 0.0
 
 
+class TestMpcCommand:
+    def test_objective_file_counts_non_optimal_solves(self, two_bus_path,
+                                                       tmp_path):
+        out = tmp_path / "run"
+        assert main(["mpc", two_bus_path, f"--out={out}", "--ttotal=0.2"]) == 0
+        lines = (out / "mpc_objective.txt").read_text().splitlines()
+        assert "non_optimal_solves 0" in lines
+
+
 class TestExitCodes:
     def test_missing_file_is_io_error(self, tmp_path):
         assert main(["simulate", str(tmp_path / "nope.scn")]) == 4

@@ -1,14 +1,19 @@
 """Centralized MPC: linearization, horizon assembly, solving, closed loop."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import linprog
 
 from essmpc.dynamics import ControlInput, SystemState, euler_step, simulate, swing_rhs
 from essmpc.grid import DisturbanceEvent, solve_equilibrium
-from essmpc.mpc import (MpcConfig, MpcConfigError, SqpSettings, StorageRegime,
-                        assemble_horizon_program, linearize_dynamics,
-                        mpc_solve_horizon, receding_horizon_run)
-from essmpc.qp import QpWorkspace
+from essmpc.mpc import (_REGULARIZATION, MpcConfig, MpcConfigError, SqpSettings,
+                        StorageRegime, assemble_horizon_program,
+                        linearize_dynamics, mpc_solve_horizon,
+                        receding_horizon_run)
+from essmpc.qp import QpWorkspace, kkt_residual
 
 
 def equilibrium_state(grid, storage_power):
@@ -211,6 +216,68 @@ class TestSolveHorizon:
         assert objectives["vc"] <= objectives["cc"] + 1e-6
         assert objectives["vv"] <= objectives["cv"] + 1e-6
         assert objectives["vv"] <= objectives["vc"] + 1e-6
+
+
+class TestTwelveBusHorizon:
+    def test_step_zero_solve_is_certified(self, twelve_bus_scenario):
+        sc = twelve_bus_scenario
+        result = mpc_solve_horizon(sc.grid, sc.initial_state(), sc.mpc, sc.events)
+        rep = result.qp_report
+        assert rep.status == "optimal"
+        hp = assemble_horizon_program(
+            sc.grid, linearize_dynamics(sc.grid, sc.initial_state(),
+                                        sc.mpc.reference_matrix(), sc.mpc.step,
+                                        sc.events), sc.mpc)
+        assert max(kkt_residual(hp.prog, rep.x, rep.duals)) <= sc.mpc.qp_tol
+        # The optimum pushes every storage to the edge of its inertia trust
+        # region below the 7 s reference.
+        assert np.allclose(result.applied.inertia, 5.0, rtol=0.0, atol=1e-6)
+        assert result.non_optimal_solves == 0
+
+
+def _lp_solution(prog):
+    """Independent HiGHS optimum of the program's linear part."""
+    res = linprog(prog.q, A_ub=prog.A_in, b_ub=prog.b_in, A_eq=prog.A_eq,
+                  b_eq=prog.b_eq, bounds=np.column_stack([prog.lb, prog.ub]),
+                  method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    assert res.status == 0, res.message
+    return res.fun, res.x
+
+
+class TestLpSeededSolve:
+    @settings(max_examples=16, deadline=None, derandomize=True)
+    @given(twelve=st.booleans(),
+           regime=st.sampled_from([StorageRegime(p, m) for p in (False, True)
+                                   for m in (False, True)]),
+           omega_amp=st.floats(0.0, 0.05),
+           disturbance_scale=st.floats(0.0, 3.0),
+           seed=st.integers(0, 2 ** 16))
+    def test_matches_highs_on_perturbed_horizon_programs(
+            self, two_bus_scenario, twelve_bus_scenario, twelve, regime,
+            omega_amp, disturbance_scale, seed):
+        sc = twelve_bus_scenario if twelve else two_bus_scenario
+        cfg = replace(sc.mpc, regimes=tuple(regime for _ in sc.mpc.regimes))
+        state = sc.initial_state()
+        rng = np.random.default_rng(seed)
+        state.omega = state.omega + omega_amp * rng.uniform(-1.0, 1.0,
+                                                            state.omega.size)
+        events = [DisturbanceEvent(e.bus, e.time, e.delta_p * disturbance_scale)
+                  for e in sc.events]
+        ltv = linearize_dynamics(sc.grid, state, cfg.reference_matrix(),
+                                 cfg.step, events)
+        prog = assemble_horizon_program(sc.grid, ltv, cfg).prog
+        rep = QpWorkspace(prog).solve(tol=cfg.qp_tol, max_iter=cfg.qp_max_iter)
+        assert rep.status == "optimal"
+        assert rep.iterations == 0          # finished by the exact step
+        assert max(kkt_residual(prog, rep.x, rep.duals)) <= cfg.qp_tol
+        # Optimality of x for q'x + eps/2 |x|^2 against the feasible LP
+        # optimum x_lp bounds the linear objective from both sides.
+        lp_value, x_lp = _lp_solution(prog)
+        gap = float(prog.q @ rep.x) - lp_value
+        assert -1e-9 <= gap <= 0.5 * _REGULARIZATION * float(
+            x_lp @ x_lp - rep.x @ rep.x) + 1e-9
 
 
 class TestClosedLoop:

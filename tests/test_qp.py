@@ -88,6 +88,23 @@ class TestHandCases:
         report = solve_qp(prog, max_iter=5000)
         assert report.status == "infeasible"
 
+    def test_infeasible_lp_falls_back_to_certificate(self):
+        # HiGHS reports infeasible; the splitting iteration certifies it.
+        prog = ConvexProgram(q=np.zeros(1), A_in=np.array([[-1.0], [1.0]]),
+                             b_in=np.array([-1.0, 0.0]))
+        report = solve_qp(prog, max_iter=5000)
+        assert report.status == "infeasible"
+
+    def test_lp_tie_break_is_kept(self):
+        # Every point of x1 + x2 = 1 in the unit box is an LP optimum; the
+        # 1e-8 diagonal picks the least-norm one, not the HiGHS vertex.
+        prog = ConvexProgram(q=np.array([-1.0, -1.0]), Q=1e-8 * np.eye(2),
+                             A_in=np.array([[1.0, 1.0]]), b_in=np.array([1.0]),
+                             lb=np.zeros(2), ub=np.ones(2))
+        report = solve_qp(prog)
+        assert report.status == "optimal" and report.iterations == 0
+        assert np.allclose(report.x, [0.5, 0.5], atol=1e-9)
+
 
 class TestOracleSweep:
     def test_fifty_random_qps_match_enumeration(self):
