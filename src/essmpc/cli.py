@@ -103,7 +103,7 @@ def _closed_loop_objective(scenario: Scenario, traj) -> tuple[float, float]:
 
 
 def _non_optimal_solves(log, label: str) -> int:
-    """Count horizon solves applied without an optimality certificate; warn if any."""
+    """Count horizon or area solves applied without an optimality certificate; warn if any."""
     count = sum(r.non_optimal_solves for r in log)
     if count:
         logger.warning("%s: %d non-optimal horizon solves were applied",
@@ -158,7 +158,9 @@ def cmd_dmpc(args) -> int:
         scenario.sim_duration, scenario.admm, scenario.events,
         scenario.clamp_storage_power_at_energy_limit, name=scenario.name)
     effort, performance = _closed_loop_objective(replace(scenario, mpc=cfg), traj)
-    _emit_common(out, scenario, traj, effort, performance, tag="dmpc")
+    _emit_common(out, scenario, traj, effort, performance,
+                 extra={"non_optimal_solves": _non_optimal_solves(reports, "dmpc")},
+                 tag="dmpc")
     outputs.write_text(out / "dmpc_admm.csv", outputs.admm_log_csv(reports))
     logger.info("dmpc: wrote %s", out)
     return EXIT_OK

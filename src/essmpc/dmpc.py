@@ -1,25 +1,28 @@
 """Distributed receding-horizon control by boundary-angle consensus ADMM.
 
-The grid is split into non-overlapping areas.  Each area keeps local copies
-of the boundary angles it needs from its neighbours, solves its own horizon
-subproblem with dual and quadratic penalty terms on the copies plus a
-proximal term, and the areas exchange only boundary-angle trajectories and
-multipliers between rounds.  Rounds are Jacobi style: every area solves
-against the previous round's exchange, so the outcome is independent of the
-order in which areas are processed.
+The grid is split into non-overlapping areas.  Each area's horizon program
+is the centralized one (`mpc`) posed for that area: its own states, plus
+copy columns for the angles of the foreign buses it needs from its
+neighbours.  With a single area there are no copies and the program is the
+centralized program.  Per round each area adds dual and quadratic penalty
+terms on its copies and on its own boundary angles, plus a proximal term,
+and the areas exchange only boundary-angle trajectories and multipliers.
+Rounds are Jacobi style: every area solves against the previous round's
+exchange, so the outcome is independent of the order in which areas are
+processed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .dynamics import ControlInput, SystemState, Trajectory, euler_step, simulate
+from .dynamics import ControlInput, SystemState, Trajectory, simulate
 from .grid import DisturbanceEvent, GridModel, Line
-from .mpc import (MpcConfig, _energy_rows_feasible, _REGULARIZATION,
-                  horizon_objective)
+from .mpc import (HorizonProgram, MpcConfig, _AreaView, _assemble_program,
+                  _project_controls, _stage_cost, linearize_dynamics)
 from .qp import ConvexProgram, QpWorkspace
 
 __all__ = [
@@ -189,7 +192,6 @@ class AreaProgram:
     prog: ConvexProgram
     own_entries: list[tuple[int, int, float]] = field(default_factory=list)
     copy_entries: list[tuple[int, int, float]] = field(default_factory=list)
-    objective_eval: Optional[Callable[[np.ndarray], float]] = None
 
     @property
     def has_coupling(self) -> bool:
@@ -233,7 +235,10 @@ def area_subproblem_solve(program: AreaProgram, consensus: ConsensusState,
                           workspace: Optional[QpWorkspace] = None,
                           warm: Optional[dict] = None,
                           tol: float = 1e-8, max_iter: int = 20000) -> np.ndarray:
-    """Minimize F_a plus coupling dual, penalty, and proximal terms."""
+    """Minimize F_a plus coupling dual, penalty, and proximal terms.
+
+    `warm`, if given, seeds the solve and records its x, y and status.
+    """
     if x_prev is None:
         x_prev = np.zeros(program.prog.n)
     if workspace is None:
@@ -246,8 +251,8 @@ def area_subproblem_solve(program: AreaProgram, consensus: ConsensusState,
     if report.status == "infeasible":
         raise RuntimeError(f"area {program.area} subproblem reported infeasible")
     if warm is not None:
-        warm["x"] = report.x.copy()
-        warm["y"] = report.y_stacked.copy()
+        warm.update(x=report.x.copy(), y=report.y_stacked.copy(),
+                    status=report.status)
     return report.x
 
 
@@ -291,6 +296,7 @@ class AdmmReport:
     residual_history: list[float]
     area_objectives: list[float]
     converged: bool
+    non_optimal_solves: int   # area solves passed on without a certificate
 
     @property
     def final_residual(self) -> float:
@@ -300,293 +306,6 @@ class AdmmReport:
 # ---------------------------------------------------------------------------
 # Closed-loop distributed controller
 # ---------------------------------------------------------------------------
-
-
-class _AreaView:
-    """Index bookkeeping for one area's slice of the grid."""
-
-    def __init__(self, grid: GridModel, partition: AreaPartition, area: int):
-        self.area = area
-        self.buses = list(partition.owned[area])
-        self.foreign = list(partition.boundary_foreign[area])
-        self.bus_pos = {b: i for i, b in enumerate(self.buses)}
-        self.foreign_pos = {b: i for i, b in enumerate(self.foreign)}
-        self.inertia = [b for b in grid.inertia_buses if b in self.bus_pos]
-        self.inertia_pos = {b: i for i, b in enumerate(self.inertia)}
-        self.storages = [s for s, b in enumerate(grid.storage_buses)
-                         if b in self.bus_pos]   # global storage indices
-        self.n = len(self.buses)
-        self.n_w = len(self.inertia)
-        self.n_f = len(self.foreign)
-        self.n_s = len(self.storages)
-        self.nx = self.n + self.n_w
-        self.nu = 2 * self.n_s
-        # Rows/cols of this area inside the full-grid state vector.
-        n_all = grid.n_buses
-        omega_index = {b: n_all + k for k, b in enumerate(grid.inertia_buses)}
-        self.full_rows = [b for b in self.buses] + [omega_index[b] for b in self.inertia]
-        self.full_foreign_cols = [b for b in self.foreign]
-        self.full_u_cols = ([s for s in self.storages]
-                            + [len(grid.storage_buses) + s for s in self.storages])
-
-@dataclass
-class _AreaLtv:
-    """Deviation model of one area driven by boundary-angle forcing."""
-
-    A_own: np.ndarray      # (K, nxa, nxa)
-    A_foreign: np.ndarray  # (K, nxa, nf)
-    B: np.ndarray          # (K, nxa, nua)
-    states: np.ndarray     # (K+1, nxa) nominal [own angles, own omegas]
-    energies: np.ndarray   # (K+1, n_sa)
-    controls: np.ndarray   # (K, nua) nominal
-    forcing: np.ndarray    # (K+1, nf) boundary angles used for the rollout
-    ts: float
-
-
-def _area_ltv(grid: GridModel, view: _AreaView, state: SystemState,
-              controls: np.ndarray, forcing: np.ndarray, ts: float,
-              events: Sequence[DisturbanceEvent]) -> _AreaLtv:
-    """Nominal rollout of the area with frozen foreign angles, plus Jacobians.
-
-    The area's buses are embedded in a full-grid state whose non-neighbour
-    entries are irrelevant (zero susceptance), so the full-grid dynamics
-    routines serve unchanged; foreign angles are overwritten with the forcing
-    trajectory after every step.
-    """
-    from .dynamics import swing_jacobian  # local import avoids cycle at module load
-
-    n_all = grid.n_buses
-    n_s_all = len(grid.storage_buses)
-    k_steps = controls.shape[0]
-    storage_pos = {b: i for i, b in enumerate(grid.storage_buses)}
-
-    angles = np.zeros(n_all)
-    omega = np.zeros(len(grid.inertia_buses))
-    energy = np.zeros(n_s_all)
-    inertia_pos_all = {b: i for i, b in enumerate(grid.inertia_buses)}
-    for i, b in enumerate(view.buses):
-        angles[b] = state.angles[i] if state.angles.shape == (view.n,) else state.angles[b]
-    for b in view.inertia:
-        k_all = inertia_pos_all[b]
-        omega[k_all] = state.omega[view.inertia_pos[b]] \
-            if state.omega.shape == (view.n_w,) else state.omega[k_all]
-    for j, s in enumerate(view.storages):
-        energy[s] = state.energy[j] if state.energy.shape == (view.n_s,) \
-            else state.energy[s]
-    for f, b in enumerate(view.foreign):
-        angles[b] = forcing[0, f]
-    full = SystemState(angles, omega, energy, state.t)
-
-    a_own = np.empty((k_steps, view.nx, view.nx))
-    a_for = np.empty((k_steps, view.nx, view.n_f))
-    b_mat = np.empty((k_steps, view.nx, view.nu))
-    states = np.empty((k_steps + 1, view.nx))
-    energies = np.empty((k_steps + 1, view.n_s))
-    rows = np.array(view.full_rows, dtype=int)
-    u_cols = np.array(view.full_u_cols, dtype=int)
-    f_cols = np.array(view.full_foreign_cols, dtype=int)
-    eye = np.eye(n_all + len(grid.inertia_buses))
-
-    def pack(fs: SystemState) -> np.ndarray:
-        vec = np.concatenate([fs.angles, fs.omega])
-        return vec[rows]
-
-    states[0] = pack(full)
-    energies[0] = full.energy[view.storages] if view.n_s else np.zeros(0)
-    for k in range(k_steps):
-        u_full = ControlInput(np.zeros(n_s_all), np.ones(n_s_all))
-        for j, s in enumerate(view.storages):
-            u_full.power[s] = controls[k, j]
-            u_full.inertia[s] = controls[k, view.n_s + j]
-        j_x, j_u = swing_jacobian(grid, full, u_full, full.t, events)
-        a_full = eye + ts * j_x
-        a_own[k] = a_full[np.ix_(rows, rows)]
-        a_for[k] = a_full[np.ix_(rows, f_cols)] if view.n_f else \
-            np.zeros((view.nx, 0))
-        b_mat[k] = ts * j_u[np.ix_(rows, u_cols)] if view.n_s else \
-            np.zeros((view.nx, 0))
-        full = euler_step(grid, full, u_full, ts, events)
-        for f, b in enumerate(view.foreign):
-            full.angles[b] = forcing[k + 1, f]
-        states[k + 1] = pack(full)
-        energies[k + 1] = full.energy[view.storages] if view.n_s else np.zeros(0)
-    return _AreaLtv(a_own, a_for, b_mat, states, energies, controls.copy(),
-                    forcing.copy(), ts)
-
-
-def _assemble_area_program(grid: GridModel, view: _AreaView, cfg: MpcConfig,
-                           ltv: _AreaLtv,
-                           coupling_index: dict[tuple[int, int, int], int],
-                           area: int) -> tuple[AreaProgram, dict]:
-    """Area analogue of the central horizon program, plus coupling hooks.
-
-    Layout: [controls | own states | copies | frequency slacks].  With a
-    single all-bus area the copies vanish and the matrices coincide with the
-    centralized assembly.
-    """
-    k_steps = cfg.k_steps
-    n_sa, n_u, n_x, n_f = view.n_s, view.nu, view.nx, view.n_f
-    mon = view.inertia
-    n_mon = len(mon)
-    p_base, m_base = cfg.resolved_bases(grid)
-    ts = cfg.step
-
-    off_x = k_steps * n_u
-    off_copy = off_x + k_steps * n_x
-    off_slack = off_copy + k_steps * n_f
-    n_total = off_slack + k_steps * n_mon
-
-    regimes = [cfg.regimes[s] for s in view.storages]
-    ref_p = cfg.reference_power[view.storages] if n_sa else np.zeros(0)
-    ref_m = cfg.reference_inertia[view.storages] if n_sa else np.zeros(0)
-    c_p = cfg.power_cost[view.storages] if n_sa else np.zeros(0)
-    c_m = cfg.inertia_cost[view.storages] if n_sa else np.zeros(0)
-
-    # Energy feasibility / pins, mirroring the central assembler.
-    relax_trust: set[int] = set()
-    pinned: dict[int, float] = {}
-    saturated: list[int] = []
-    for j, s in enumerate(view.storages):
-        bus = grid.storage_buses[s]
-        role = grid.storage_role(bus)
-        p_lo, p_hi = role.power_bounds
-        e_lo, e_hi = role.energy_bounds
-        e0 = float(ltv.energies[0, j])
-        if regimes[j].power_free:
-            nomin = ltv.controls[:, j]
-            r_p = cfg.sqp.power_trust_region
-            box_lo = np.maximum(p_lo, nomin - r_p)
-            box_hi = np.minimum(p_hi, nomin + r_p)
-            if not _energy_rows_feasible(e0, (e_lo, e_hi), box_lo, box_hi, ts):
-                relax_trust.add(j)
-                if not _energy_rows_feasible(e0, (e_lo, e_hi),
-                                             np.full(k_steps, p_lo),
-                                             np.full(k_steps, p_hi), ts):
-                    saturated.append(j)
-                    pinned[j] = min(max(0.0, p_lo), p_hi)
-        else:
-            pin = float(ref_p[j])
-            pinned[j] = pin
-            if not _energy_rows_feasible(e0, (e_lo, e_hi),
-                                         np.full(k_steps, pin),
-                                         np.full(k_steps, pin), ts):
-                saturated.append(j)
-                pinned[j] = min(max(0.0, p_lo), p_hi)
-
-    q = np.zeros(n_total)
-    for k in range(k_steps):
-        for j in range(n_sa):
-            q[k * n_u + j] = c_p[j] * ts / p_base
-            q[k * n_u + n_sa + j] = c_m[j] * ts / m_base
-        for i in range(n_mon):
-            q[off_slack + k * n_mon + i] = cfg.frequency_cost * ts
-    q_mat = _REGULARIZATION * np.eye(n_total)
-
-    m_eq = k_steps * n_x + k_steps * len(pinned) \
-        + k_steps * sum(1 for r in regimes if not r.inertia_free)
-    a_eq = np.zeros((m_eq, n_total))
-    b_eq = np.zeros(m_eq)
-    row = 0
-    for k in range(k_steps):
-        rows_sl = slice(row, row + n_x)
-        a_eq[rows_sl, off_x + k * n_x: off_x + (k + 1) * n_x] = np.eye(n_x)
-        if k > 0:
-            a_eq[rows_sl, off_x + (k - 1) * n_x: off_x + k * n_x] = -ltv.A_own[k]
-            if n_f:
-                a_eq[rows_sl, off_copy + (k - 1) * n_f: off_copy + k * n_f] = \
-                    -ltv.A_foreign[k]
-        if n_sa:
-            a_eq[rows_sl, k * n_u: (k + 1) * n_u] = -ltv.B[k]
-        row += n_x
-    for j in sorted(pinned):
-        for k in range(k_steps):
-            a_eq[row, k * n_u + j] = 1.0
-            b_eq[row] = pinned[j] - ltv.controls[k, j]
-            row += 1
-    for j in range(n_sa):
-        if not regimes[j].inertia_free:
-            for k in range(k_steps):
-                a_eq[row, k * n_u + n_sa + j] = 1.0
-                b_eq[row] = ref_m[j] - ltv.controls[k, n_sa + j]
-                row += 1
-
-    omega_off = view.n
-    ineq_rows: list[np.ndarray] = []
-    ineq_rhs: list[float] = []
-
-    def add_row(cols: dict[int, float], rhs: float) -> None:
-        r = np.zeros(n_total)
-        for c, v in cols.items():
-            r[c] = v
-        ineq_rows.append(r)
-        ineq_rhs.append(rhs)
-
-    for k in range(1, k_steps + 1):
-        for i in range(n_mon):
-            w_col = off_x + (k - 1) * n_x + omega_off + i
-            s_col = off_slack + (k - 1) * n_mon + i
-            w_nom = ltv.states[k, omega_off + i]
-            add_row({w_col: 1.0, s_col: -1.0}, -w_nom)
-            add_row({w_col: -1.0, s_col: -1.0}, w_nom)
-            bus = mon[i]
-            if bus in cfg.omega_limits:
-                lim = cfg.omega_limits[bus]
-                add_row({w_col: 1.0}, lim - w_nom)
-                add_row({w_col: -1.0}, lim + w_nom)
-    for j, s in enumerate(view.storages):
-        if j in saturated:
-            continue
-        bus = grid.storage_buses[s]
-        e_lo, e_hi = grid.storage_role(bus).energy_bounds
-        for k in range(1, k_steps + 1):
-            e_nom = float(ltv.energies[k, j])
-            cols = {kk * n_u + j: ts for kk in range(k)}
-            if np.isfinite(e_hi):
-                add_row(dict(cols), e_hi - e_nom)
-            if np.isfinite(e_lo):
-                add_row({c: -v for c, v in cols.items()}, e_nom - e_lo)
-
-    a_in = np.vstack(ineq_rows) if ineq_rows else None
-    b_in = np.array(ineq_rhs) if ineq_rows else None
-
-    lb = np.full(n_total, -np.inf)
-    ub = np.full(n_total, np.inf)
-    for j, s in enumerate(view.storages):
-        bus = grid.storage_buses[s]
-        role = grid.storage_role(bus)
-        p_lo, p_hi = role.power_bounds
-        m_lo, m_hi = role.inertia_bounds
-        for k in range(k_steps):
-            p_nom = ltv.controls[k, j]
-            m_nom = ltv.controls[k, n_sa + j]
-            if j in pinned:
-                lb[k * n_u + j] = ub[k * n_u + j] = pinned[j] - p_nom
-            else:
-                r_p = np.inf if j in relax_trust else cfg.sqp.power_trust_region
-                lb[k * n_u + j] = max(p_lo - p_nom, -r_p)
-                ub[k * n_u + j] = min(p_hi - p_nom, r_p)
-            r_m = cfg.sqp.inertia_trust_region
-            lb[k * n_u + n_sa + j] = max(m_lo - m_nom, -r_m)
-            ub[k * n_u + n_sa + j] = min(m_hi - m_nom, r_m)
-    lb[off_slack:] = 0.0
-
-    prog = ConvexProgram(q=q, Q=q_mat, A_eq=a_eq, b_eq=b_eq, A_in=a_in,
-                         b_in=b_in, lb=lb, ub=ub)
-    own_entries: list[tuple[int, int, float]] = []
-    copy_entries: list[tuple[int, int, float]] = []
-    for (bus, copy_area, k), idx in coupling_index.items():
-        if copy_area == area and bus in view.foreign_pos:
-            col = off_copy + (k - 1) * n_f + view.foreign_pos[bus]
-            copy_entries.append((idx, col, float(ltv.forcing[k, view.foreign_pos[bus]])))
-        elif copy_area != area and bus in view.bus_pos:
-            # This area owns `bus`; the entry exists for each neighbour copy.
-            col = off_x + (k - 1) * n_x + view.bus_pos[bus]
-            own_entries.append((idx, col, float(ltv.states[k, view.bus_pos[bus]])))
-
-    program = AreaProgram(area, prog, own_entries, copy_entries)
-    meta = {"off_x": off_x, "off_copy": off_copy, "off_slack": off_slack,
-            "saturated": tuple(saturated), "pinned": dict(pinned)}
-    return program, meta
 
 
 class DistributedMpcController:
@@ -602,7 +321,8 @@ class DistributedMpcController:
         self.partition = partition
         self.settings = settings
         self.events = tuple(events)
-        self.views = [_AreaView(grid, partition, a)
+        self.areas = [_AreaView(grid, partition.owned[a],
+                                partition.boundary_foreign[a], a)
                       for a in range(partition.n_areas)]
         self.couplings = build_coupling(partition, cfg.k_steps)
         # Lookup: (bus, copy_area, k) -> coupling row (own_area implied by bus).
@@ -610,52 +330,39 @@ class DistributedMpcController:
                                for i, c in enumerate(self.couplings)}
         self.log: list[AdmmReport] = []
         self._consensus: Optional[ConsensusState] = None
-        self._plans: dict[int, np.ndarray] = {}
-        self._warm: dict[int, dict] = {v.area: {} for v in self.views}
-        self._storage_owner = {s: self.partition.assignment[b]
-                               for s, b in enumerate(grid.storage_buses)}
+        self._plan: Optional[np.ndarray] = None   # whole-grid (K, 2*n_s) warm plan
+        self._warm: dict[int, dict] = {a.index: {} for a in self.areas}
 
     # -- helpers ---------------------------------------------------------
 
-    def _area_state(self, view: _AreaView, state: SystemState) -> SystemState:
-        inertia_pos_all = {b: i for i, b in enumerate(self.grid.inertia_buses)}
-        return SystemState(
-            angles=np.array([state.angles[b] for b in view.buses]),
-            omega=np.array([state.omega[inertia_pos_all[b]] for b in view.inertia]),
-            energy=np.array([state.energy[s] for s in view.storages]),
-            t=state.t)
+    def _forcing(self, area: _AreaView) -> np.ndarray:
+        """Foreign angles (K, n_f) at steps 1..K: the owners' published values."""
+        rows = [[self.coupling_index[(bus, area.index, k)] for bus in area.foreign]
+                for k in range(1, self.cfg.k_steps + 1)]
+        return self._consensus.own_values[np.array(rows, dtype=int)
+                                          .reshape(self.cfg.k_steps, area.n_f)]
 
-    def _forcing(self, view: _AreaView, state: SystemState) -> np.ndarray:
-        """Boundary-angle trajectory for the area's nominal rollout."""
-        k_steps = self.cfg.k_steps
-        out = np.empty((k_steps + 1, view.n_f))
-        for f, bus in enumerate(view.foreign):
-            out[0, f] = state.angles[bus]
-            for k in range(1, k_steps + 1):
-                idx = self.coupling_index[(bus, view.area, k)]
-                out[k, f] = self._consensus.own_values[idx]
-        return out
-
-    def _reference_plan(self, view: _AreaView) -> np.ndarray:
-        row = np.concatenate([self.cfg.reference_power[view.storages],
-                              self.cfg.reference_inertia[view.storages]]) \
-            if view.n_s else np.zeros(0)
-        return np.tile(row, (self.cfg.k_steps, 1))
-
-    def _project_plan(self, view: _AreaView, plan: np.ndarray) -> np.ndarray:
-        out = plan.copy()
-        for j, s in enumerate(view.storages):
-            role = self.grid.storage_role(self.grid.storage_buses[s])
-            out[:, j] = np.clip(out[:, j], *role.power_bounds)
-            out[:, view.n_s + j] = np.clip(out[:, view.n_s + j],
-                                           *role.inertia_bounds)
-        return out
+    def _area_program(self, hp: HorizonProgram) -> AreaProgram:
+        """The area's horizon program with its copies and own boundary angles
+        tied to the coupling equalities."""
+        area = hp.area
+        own_entries: list[tuple[int, int, float]] = []
+        copy_entries: list[tuple[int, int, float]] = []
+        for (bus, copy_area, k), idx in self.coupling_index.items():
+            if copy_area == area.index:
+                f = area.foreign_pos[bus]
+                copy_entries.append((idx, hp.copy_col(k, f),
+                                     float(hp.ltv.forcing[k - 1, f])))
+            elif bus in area.bus_pos:
+                # This area owns `bus`; the entry exists for each neighbour copy.
+                i = area.bus_pos[bus]
+                own_entries.append((idx, hp.x_col(k, i), float(hp.ltv.states[k, i])))
+        return AreaProgram(area.index, hp.prog, own_entries, copy_entries)
 
     # -- one control step ---------------------------------------------------
 
     def __call__(self, step: int, state: SystemState) -> ControlInput:
         cfg, settings = self.cfg, self.settings
-        k_steps = cfg.k_steps
         if self._consensus is None:
             self._consensus = ConsensusState.initialize(
                 self.couplings, state.angles, settings.rho, settings.tau)
@@ -664,27 +371,21 @@ class DistributedMpcController:
             self._consensus.rho = settings.rho
             self._consensus.tau = settings.tau
 
-        plans = {v.area: self._plans.get(v.area, self._reference_plan(v))
-                 for v in self.views}
+        plan = cfg.reference_matrix() if self._plan is None else self._plan
         residual_history: list[float] = []
         total_rounds = 0
+        non_optimal = 0
         converged = False
         solutions: dict[int, np.ndarray] = {}
-        programs: list[AreaProgram] = []
-        ltvs: dict[int, _AreaLtv] = {}
+        horizons: list[HorizonProgram] = []
 
         for _outer in range(cfg.sqp.outer_iterations):
-            programs = []
-            ltvs = {}
-            for view in self.views:
-                forcing = self._forcing(view, state)
-                area_state = self._area_state(view, state)
-                ltv = _area_ltv(self.grid, view, area_state, plans[view.area],
-                                forcing, cfg.step, self.events)
-                program, _meta = _assemble_area_program(
-                    self.grid, view, cfg, ltv, self.coupling_index, view.area)
-                programs.append(program)
-                ltvs[view.area] = ltv
+            horizons = [_assemble_program(
+                self.grid, area,
+                linearize_dynamics(self.grid, state, plan, cfg.step, self.events,
+                                   area, self._forcing(area)), cfg)
+                for area in self.areas]
+            programs = [self._area_program(hp) for hp in horizons]
             workspaces = {p.area: _augmented_workspace(p, self._consensus)
                           for p in programs}
             x_prev: dict[int, np.ndarray] = {p.area: np.zeros(p.prog.n)
@@ -697,6 +398,8 @@ class DistributedMpcController:
                 solutions, resid = pdc_admm_step(
                     programs, self._consensus, x_prev, workspaces, self._warm,
                     tol=cfg.qp_tol, max_iter=cfg.qp_max_iter)
+                non_optimal += sum(self._warm[p.area]["status"] != "optimal"
+                                   for p in programs)
                 x_prev = solutions
                 z_new = self._consensus.consensus_values()
                 dual_move = settings.rho * float(
@@ -711,64 +414,29 @@ class DistributedMpcController:
                     break
             total_rounds += rounds
 
-            change = 0.0
-            for program in programs:
-                view = self.views[program.area]
-                if view.n_s == 0:
-                    continue
-                du = solutions[program.area][: k_steps * view.nu] \
-                    .reshape(k_steps, view.nu)
-                new_plan = self._project_plan(view, plans[view.area] + du)
-                change = max(change, float(np.max(np.abs(new_plan
-                                                         - plans[view.area]))))
-                plans[view.area] = new_plan
+            new_plan = plan.copy()
+            for hp in horizons:
+                new_plan[:, hp.area.u_cols] = hp.controls_from(solutions[hp.area.index])
+            new_plan = _project_controls(self.grid, new_plan)
+            change = float(np.max(np.abs(new_plan - plan), initial=0.0))
+            plan = new_plan
             if change < cfg.sqp.tolerance:
                 converged = resid < settings.tolerance
                 break
         converged = converged or (residual_history
                                   and residual_history[-1] < settings.tolerance)
 
-        area_objectives = []
-        for program in programs:
-            view = self.views[program.area]
-            obj = self._area_objective(view, ltvs[view.area],
-                                       solutions.get(program.area), plans[view.area])
-            area_objectives.append(obj)
+        # F_a on the area's solved horizon: the accepted plan and the
+        # QP-predicted frequencies.
+        area_objectives = [sum(_stage_cost(self.grid, cfg, hp.area,
+                                           plan[:, hp.area.u_cols],
+                                           hp.omega_from(solutions[hp.area.index])))
+                           for hp in horizons]
         self.log.append(AdmmReport(total_rounds, residual_history,
-                                   area_objectives, bool(converged)))
-        self._plans = {a: np.vstack([p[1:], p[-1:]]) if p.size else p
-                       for a, p in plans.items()}
-
+                                   area_objectives, bool(converged), non_optimal))
+        self._plan = np.vstack([plan[1:], plan[-1:]])
         n_s = len(self.grid.storage_buses)
-        power = np.zeros(n_s)
-        inertia = np.zeros(n_s)
-        for view in self.views:
-            for j, s in enumerate(view.storages):
-                power[s] = plans[view.area][0, j]
-                inertia[s] = plans[view.area][0, view.n_s + j]
-        return ControlInput(power, inertia)
-
-    def _area_objective(self, view: _AreaView, ltv: _AreaLtv,
-                        solution: Optional[np.ndarray], plan: np.ndarray) -> float:
-        """F_a evaluated on the area's solved horizon (QP-predicted states)."""
-        cfg = self.cfg
-        k_steps = cfg.k_steps
-        p_base, m_base = cfg.resolved_bases(self.grid)
-        effort = 0.0
-        for k in range(k_steps):
-            for j, s in enumerate(view.storages):
-                effort += (cfg.power_cost[s] * plan[k, j] / p_base
-                           + cfg.inertia_cost[s] * plan[k, view.n_s + j] / m_base) \
-                    * cfg.step
-        perf = 0.0
-        if solution is not None and view.n_w:
-            off_x = k_steps * view.nu
-            for k in range(1, k_steps + 1):
-                base = off_x + (k - 1) * view.nx + view.n
-                dw = solution[base: base + view.n_w]
-                w_nom = ltv.states[k, view.n: view.n + view.n_w]
-                perf += cfg.frequency_cost * cfg.step * float(np.sum(np.abs(w_nom + dw)))
-        return effort + perf
+        return ControlInput(plan[0, :n_s].copy(), plan[0, n_s:].copy())
 
 
 def distributed_mpc_run(grid: GridModel, partition: AreaPartition, cfg: MpcConfig,

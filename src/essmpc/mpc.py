@@ -1,10 +1,17 @@
-"""Centralized receding-horizon control of storage power and virtual inertia.
+"""Receding-horizon control of storage power and virtual inertia.
 
 Each control step linearizes the discretized dynamics around a nominal
 rollout, solves a convex program for the storage set-points over K steps
 (sequential linearization with trust regions), applies the first step, and
 repeats.  Frequency magnitudes enter the cost through epigraph slacks; the
 energy allowance is enforced with running-sum rows.
+
+The horizon program is posed for an area: a set of own buses, plus the
+foreign buses at the far end of its tie lines, whose angles drive it as a
+given forcing.  The centralized controller here solves the one-area case,
+the whole grid with no foreign buses.  The distributed controller (`dmpc`)
+assembles the same program per area, where the foreign angles become copy
+columns that its consensus terms tie to the neighbours' own angles.
 """
 
 from __future__ import annotations
@@ -177,40 +184,85 @@ class MpcConfig:
         return np.tile(row, (self.k_steps, 1))
 
 
-@dataclass
-class LtvModel:
-    """Linear time-varying deviation model around a nominal Euler rollout.
-
-    x(k+1) = nominal(k+1) + A[k] dx(k) + B[k] du(k), with dx(0) = 0 by
-    construction.  `states` holds the nominal trajectory (K+1 entries) and
-    `energies` the exactly integrated nominal storage energy.
-    """
-
-    A: np.ndarray          # (K, nx, nx)
-    B: np.ndarray          # (K, nx, nu)
-    states: np.ndarray     # (K+1, nx) nominal [angles, omega]
-    energies: np.ndarray   # (K+1, n_s)
-    controls: np.ndarray   # (K, nu) nominal [power, inertia]
-    ts: float
-    t0: float
-
-
 def _state_vector(grid: GridModel, state: SystemState) -> np.ndarray:
     return np.concatenate([state.angles, state.omega])
 
 
+class _AreaView:
+    """Index maps of one area: its own buses and storages, and its foreign buses.
+
+    Foreign buses are the other areas' ends of its tie lines.  `rows` and
+    `u_cols` are the area's positions in the whole-grid state [angles, omega]
+    and control [power, inertia].  The whole grid is the one area that owns
+    every bus and has no foreign buses.
+    """
+
+    def __init__(self, grid: GridModel, buses: Optional[Sequence[int]] = None,
+                 foreign: Sequence[int] = (), index: int = 0):
+        self.index = index
+        self.buses = list(range(grid.n_buses)) if buses is None else list(buses)
+        self.foreign = np.array(foreign, dtype=int)
+        self.bus_pos = {b: i for i, b in enumerate(self.buses)}
+        self.foreign_pos = {b: f for f, b in enumerate(foreign)}
+        omega_pos = [k for k, b in enumerate(grid.inertia_buses) if b in self.bus_pos]
+        self.monitored = [grid.inertia_buses[k] for k in omega_pos]
+        self.storages = np.array([s for s, b in enumerate(grid.storage_buses)
+                                  if b in self.bus_pos], dtype=int)
+        self.n, self.n_w = len(self.buses), len(omega_pos)
+        self.n_f, self.n_s = self.foreign.size, self.storages.size
+        self.nx, self.nu = self.n + self.n_w, 2 * self.n_s
+        self.rows = np.array(self.buses + [grid.n_buses + k for k in omega_pos],
+                             dtype=int)
+        self.u_cols = np.concatenate([self.storages,
+                                      len(grid.storage_buses) + self.storages])
+
+
+@dataclass
+class LtvModel:
+    """Linear time-varying deviation model of one area around a nominal Euler rollout.
+
+    x(k+1) = nominal(k+1) + A[k] dx(k) + A_foreign[k] df(k) + B[k] du(k), with
+    dx(0) = 0 and df(0) = 0 by construction; df(k) is the deviation of the
+    foreign angles from `forcing` at step k.  `states` holds the area's
+    nominal trajectory (K+1 entries) and `energies` the exactly integrated
+    nominal storage energy.  For the whole grid `A_foreign` and `forcing`
+    have no columns.
+    """
+
+    A: np.ndarray          # (K, nx, nx)
+    A_foreign: np.ndarray  # (K, nx, nf)
+    B: np.ndarray          # (K, nx, nu)
+    states: np.ndarray     # (K+1, nx) nominal [own angles, own omega]
+    energies: np.ndarray   # (K+1, n_s)
+    controls: np.ndarray   # (K, nu) nominal [power, inertia] of the area's storages
+    forcing: np.ndarray    # (K, nf) foreign angles at steps 1..K
+    ts: float
+    t0: float
+
+
 def linearize_dynamics(grid: GridModel, state: SystemState,
                        controls: np.ndarray, ts: float,
-                       events: Sequence[DisturbanceEvent] = ()) -> LtvModel:
-    """Roll out the nominal controls and differentiate each Euler step."""
+                       events: Sequence[DisturbanceEvent] = (),
+                       area: Optional[_AreaView] = None,
+                       forcing: Optional[np.ndarray] = None) -> LtvModel:
+    """Roll out the nominal controls and differentiate each Euler step.
+
+    `state` and `controls` (K, 2*n_s) cover the whole grid; the model keeps
+    the rows and storages of `area` (default: the whole grid).  After each
+    step the foreign angles are overwritten with `forcing` (K, n_f), so the
+    area sees its neighbours only through them.  Buses outside the area and
+    its foreign set have no line to it and do not enter its rows.
+    """
+    area = _AreaView(grid) if area is None else area
     n_s = len(grid.storage_buses)
     controls = np.asarray(controls, dtype=float)
     k_steps = controls.shape[0]
+    forcing = np.zeros((k_steps, 0)) if forcing is None \
+        else np.asarray(forcing, dtype=float)
     nx = grid.n_buses + len(grid.inertia_buses)
-    nu = 2 * n_s
 
     a_mats = np.empty((k_steps, nx, nx))
-    b_mats = np.empty((k_steps, nx, nu))
+    b_mats = np.empty((k_steps, nx, 2 * n_s))
     states = np.empty((k_steps + 1, nx))
     energies = np.empty((k_steps + 1, n_s))
     current = state.copy()
@@ -223,26 +275,37 @@ def linearize_dynamics(grid: GridModel, state: SystemState,
         a_mats[k] = eye + ts * j_x
         b_mats[k] = ts * j_u
         current = euler_step(grid, current, u, ts, events)
+        current.angles[area.foreign] = forcing[k]
         states[k + 1] = _state_vector(grid, current)
         energies[k + 1] = current.energy
-    return LtvModel(a_mats, b_mats, states, energies, controls.copy(), ts, state.t)
+    rows = area.rows[:, None]
+    return LtvModel(a_mats[:, rows, area.rows], a_mats[:, rows, area.foreign],
+                    b_mats[:, rows, area.u_cols], states[:, area.rows],
+                    energies[:, area.storages], controls[:, area.u_cols],
+                    forcing.copy(), ts, state.t)
 
 
 @dataclass
 class HorizonProgram:
-    """Assembled convex subproblem plus the index maps back to physical names."""
+    """Assembled convex subproblem of one area plus the index maps back to physical names.
+
+    Columns: [controls du(0..K-1) | own states dx(1..K) | foreign-angle
+    copies df(1..K) | frequency slacks | effort slacks (absolute effort only)].
+    """
 
     prog: ConvexProgram
     ltv: LtvModel
     grid: GridModel
     cfg: MpcConfig
+    area: _AreaView
     n_u: int
     n_x: int
     n_mon: int
     off_x: int
+    off_copy: int
     off_slack: int
-    saturated: tuple[int, ...]   # storage indices whose energy rows were dropped
-    pinned_power: dict[int, float]  # storage index -> overridden pin value
+    saturated: tuple[int, ...]   # area storage indices whose energy rows were dropped
+    pinned_power: dict[int, float]  # area storage index -> overridden pin value
 
     def u_col(self, k: int, j: int) -> int:
         return k * self.n_u + j
@@ -251,6 +314,11 @@ class HorizonProgram:
         if k < 1:
             raise IndexError("state deviations start at k=1")
         return self.off_x + (k - 1) * self.n_x + i
+
+    def copy_col(self, k: int, f: int) -> int:
+        if k < 1:
+            raise IndexError("foreign-angle copies start at k=1")
+        return self.off_copy + (k - 1) * self.area.n_f + f
 
     def slack_col(self, k: int, i_mon: int) -> int:
         return self.off_slack + (k - 1) * self.n_mon + i_mon
@@ -261,31 +329,10 @@ class HorizonProgram:
         du = z[: k_steps * self.n_u].reshape(k_steps, self.n_u)
         return self.ltv.controls + du
 
-
-def _control_boxes(grid: GridModel, cfg: MpcConfig, nominal: np.ndarray,
-                   relax_power_trust: set[int],
-                   pinned_power: dict[int, float]) -> tuple[np.ndarray, np.ndarray]:
-    """Per-step deviation bounds combining physical boxes and trust regions."""
-    k_steps, n_s = cfg.k_steps, len(grid.storage_buses)
-    lb = np.empty((k_steps, 2 * n_s))
-    ub = np.empty((k_steps, 2 * n_s))
-    for s, bus in enumerate(grid.storage_buses):
-        role = grid.storage_role(bus)
-        p_lo, p_hi = role.power_bounds
-        m_lo, m_hi = role.inertia_bounds
-        for k in range(k_steps):
-            p_nom = nominal[k, s]
-            m_nom = nominal[k, n_s + s]
-            if s in pinned_power:
-                lb[k, s] = ub[k, s] = pinned_power[s] - p_nom
-            else:
-                r_p = np.inf if s in relax_power_trust else cfg.sqp.power_trust_region
-                lb[k, s] = max(p_lo - p_nom, -r_p)
-                ub[k, s] = min(p_hi - p_nom, r_p)
-            r_m = cfg.sqp.inertia_trust_region
-            lb[k, n_s + s] = max(m_lo - m_nom, -r_m)
-            ub[k, n_s + s] = min(m_hi - m_nom, r_m)
-    return lb, ub
+    def omega_from(self, z: np.ndarray) -> np.ndarray:
+        """Predicted frequency deviations (K, n_mon) at steps 1..K from a solution vector."""
+        dx = z[self.off_x: self.off_copy].reshape(self.cfg.k_steps, self.n_x)
+        return (self.ltv.states[1:] + dx)[:, self.area.n:]
 
 
 def _energy_rows_feasible(e0: float, bounds: tuple[float, float],
@@ -301,173 +348,184 @@ def _energy_rows_feasible(e0: float, bounds: tuple[float, float],
     return True
 
 
-def assemble_horizon_program(grid: GridModel, ltv: LtvModel,
-                             cfg: MpcConfig) -> HorizonProgram:
-    """Build the K-step convex program in deviation variables.
+def _assemble_program(grid: GridModel, area: _AreaView, ltv: LtvModel,
+                      cfg: MpcConfig) -> HorizonProgram:
+    """Build the K-step convex program of one area in deviation variables.
 
-    Layout: [controls du(0..K-1) | states dx(1..K) | frequency slacks |
-    optional effort slacks].  Dynamics enter as one equality row per state
-    per step; the energy allowance as running-sum inequality pairs.
+    Dynamics enter as one equality row per own state per step, and each
+    pinned set-point as one equality per step.  Inequality rows come in this
+    order: frequency epigraph and limit rows (by step, then monitored bus),
+    energy running sums (by storage, then step), and absolute-effort
+    epigraph rows (by step, then storage).
     """
-    k_steps = cfg.k_steps
-    n_s = len(grid.storage_buses)
-    n_u = 2 * n_s
-    n_x = grid.n_buses + len(grid.inertia_buses)
-    mon = list(grid.inertia_buses)
-    n_mon = len(mon)
+    k_steps, ts = cfg.k_steps, ltv.ts
+    n_s, n_u, n_x, n_f, n_mon = area.n_s, area.nu, area.nx, area.n_f, area.n_w
+    roles = [grid.storage_role(grid.storage_buses[s]) for s in area.storages]
     p_base, m_base = cfg.resolved_bases(grid)
 
     off_x = k_steps * n_u
-    off_slack = off_x + k_steps * n_x
-    n_core = off_slack + k_steps * n_mon
-    n_total = n_core
-    off_ep = off_em = -1
-    if cfg.absolute_effort:
-        off_ep = n_total
-        n_total += k_steps * n_s
-        off_em = n_total
-        n_total += k_steps * n_s
+    off_copy = off_x + k_steps * n_x
+    off_slack = off_copy + k_steps * n_f
+    off_ep = off_slack + k_steps * n_mon
+    off_em = off_ep + k_steps * n_s
+    n_total = off_em + k_steps * n_s if cfg.absolute_effort else off_ep
 
     # -- resolve energy-row feasibility and power pins -------------------
     relax_trust: set[int] = set()
     pinned: dict[int, float] = {}
     saturated: list[int] = []
-    for s, bus in enumerate(grid.storage_buses):
-        role = grid.storage_role(bus)
-        p_lo, p_hi = role.power_bounds
-        e_lo, e_hi = role.energy_bounds
-        e0 = float(ltv.energies[0, s])
+    for j, s in enumerate(area.storages):
+        p_lo, p_hi = roles[j].power_bounds
+        e_bounds = roles[j].energy_bounds
+        e0 = float(ltv.energies[0, j])
         if cfg.regimes[s].power_free:
-            nomin = ltv.controls[:, s]
+            nomin = ltv.controls[:, j]
             r_p = cfg.sqp.power_trust_region
             box_lo = np.maximum(p_lo, nomin - r_p)
             box_hi = np.minimum(p_hi, nomin + r_p)
-            if not _energy_rows_feasible(e0, (e_lo, e_hi), box_lo, box_hi, ltv.ts):
+            if not _energy_rows_feasible(e0, e_bounds, box_lo, box_hi, ts):
                 # Trust regions never get to make the energy rows infeasible:
                 # the power channel is linear in the model, so widen it first.
-                relax_trust.add(s)
-                if not _energy_rows_feasible(e0, (e_lo, e_hi),
-                                             np.full(k_steps, p_lo),
-                                             np.full(k_steps, p_hi), ltv.ts):
-                    saturated.append(s)
-                    pinned[s] = min(max(0.0, p_lo), p_hi)
+                relax_trust.add(j)
+                if not _energy_rows_feasible(e0, e_bounds, np.full(k_steps, p_lo),
+                                             np.full(k_steps, p_hi), ts):
+                    saturated.append(j)
+                    pinned[j] = min(max(0.0, p_lo), p_hi)
         else:
             pin = float(cfg.reference_power[s])
-            pinned[s] = pin
-            if not _energy_rows_feasible(e0, (e_lo, e_hi),
-                                         np.full(k_steps, pin),
-                                         np.full(k_steps, pin), ltv.ts):
-                saturated.append(s)
-                pinned[s] = min(max(0.0, p_lo), p_hi)
+            pinned[j] = pin
+            if not _energy_rows_feasible(e0, e_bounds, np.full(k_steps, pin),
+                                         np.full(k_steps, pin), ts):
+                saturated.append(j)
+                pinned[j] = min(max(0.0, p_lo), p_hi)
 
     # -- cost -------------------------------------------------------------
+    step = cfg.step
+    c_p = cfg.power_cost[area.storages] * step / p_base
+    c_m = cfg.inertia_cost[area.storages] * step / m_base
     q = np.zeros(n_total)
-    ts = cfg.step
-    for k in range(k_steps):
-        for s in range(n_s):
-            if cfg.absolute_effort:
-                q[off_ep + k * n_s + s] = cfg.power_cost[s] * ts / p_base
-                q[off_em + k * n_s + s] = cfg.inertia_cost[s] * ts / m_base
-            else:
-                q[k * n_u + s] = cfg.power_cost[s] * ts / p_base
-                q[k * n_u + n_s + s] = cfg.inertia_cost[s] * ts / m_base
-        for i in range(n_mon):
-            q[off_slack + k * n_mon + i] = cfg.frequency_cost * ts
+    if cfg.absolute_effort:
+        q[off_ep:] = np.concatenate([np.tile(c_p, k_steps), np.tile(c_m, k_steps)])
+    else:
+        q[:off_x] = np.tile(np.concatenate([c_p, c_m]), k_steps)
+    q[off_slack:off_ep] = cfg.frequency_cost * step
     q_mat = _REGULARIZATION * np.eye(n_total)
 
-    # -- dynamics equalities ------------------------------------------------
-    m_eq = k_steps * n_x + sum(k_steps for s in pinned) \
-        + sum(k_steps for s in range(n_s) if not cfg.regimes[s].inertia_free)
-    a_eq = np.zeros((m_eq, n_total))
-    b_eq = np.zeros(m_eq)
-    row = 0
+    # -- equalities: dynamics, then pinned power and fixed inertia ---------
+    fixed = [(j, pinned[j]) for j in sorted(pinned)] \
+        + [(n_s + j, cfg.reference_inertia[s]) for j, s in enumerate(area.storages)
+           if not cfg.regimes[s].inertia_free]
+    n_dyn = k_steps * n_x
+    a_eq = np.zeros((n_dyn + k_steps * len(fixed), n_total))
+    b_eq = np.zeros(a_eq.shape[0])
+    a_eq[:n_dyn, off_x:off_copy] = np.eye(n_dyn)
     for k in range(k_steps):
-        rows = slice(row, row + n_x)
-        a_eq[rows, off_x + k * n_x: off_x + (k + 1) * n_x] = np.eye(n_x)
+        rows = slice(k * n_x, (k + 1) * n_x)
         if k > 0:
             a_eq[rows, off_x + (k - 1) * n_x: off_x + k * n_x] = -ltv.A[k]
+            a_eq[rows, off_copy + (k - 1) * n_f: off_copy + k * n_f] = -ltv.A_foreign[k]
         a_eq[rows, k * n_u: (k + 1) * n_u] = -ltv.B[k]
-        row += n_x
-    for s in sorted(pinned):
-        for k in range(k_steps):
-            a_eq[row, k * n_u + s] = 1.0
-            b_eq[row] = pinned[s] - ltv.controls[k, s]
-            row += 1
-    for s in range(n_s):
-        if not cfg.regimes[s].inertia_free:
-            for k in range(k_steps):
-                a_eq[row, k * n_u + n_s + s] = 1.0
-                b_eq[row] = cfg.reference_inertia[s] - ltv.controls[k, n_s + s]
-                row += 1
+    if fixed:
+        cols = np.array([c for c, _ in fixed])
+        target = np.array([v for _, v in fixed])
+        a_eq[n_dyn + np.arange(cols.size * k_steps),
+             (cols[:, None] + n_u * np.arange(k_steps)).ravel()] = 1.0
+        b_eq[n_dyn:] = (target[:, None] - ltv.controls[:, cols].T).ravel()
 
-    # -- inequalities ---------------------------------------------------------
-    omega_off = grid.n_buses
-    ineq_rows: list[np.ndarray] = []
-    ineq_rhs: list[float] = []
+    # -- inequalities, one block at a time from index arrays ---------------
+    entries: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (row, col, value)
+    rhs: list[np.ndarray] = []
+    m_in = 0
 
-    def add_row(cols: dict[int, float], rhs: float) -> None:
-        r = np.zeros(n_total)
-        for c, v in cols.items():
-            r[c] = v
-        ineq_rows.append(r)
-        ineq_rhs.append(rhs)
+    def add_block(rows, cols, values, b) -> None:
+        nonlocal m_in
+        entries.append((m_in + rows, cols, values))
+        rhs.append(b)
+        m_in += b.size
 
-    for k in range(1, k_steps + 1):
-        for i in range(n_mon):
-            w_col = off_x + (k - 1) * n_x + omega_off + i
-            s_col = off_slack + (k - 1) * n_mon + i
-            w_nom = ltv.states[k, omega_off + i]
-            add_row({w_col: 1.0, s_col: -1.0}, -w_nom)
-            add_row({w_col: -1.0, s_col: -1.0}, w_nom)
-            bus = mon[i]
-            if bus in cfg.omega_limits:
-                lim = cfg.omega_limits[bus]
-                add_row({w_col: 1.0}, lim - w_nom)
-                add_row({w_col: -1.0}, lim + w_nom)
+    # Per step and monitored bus: |w| <= slack, then |w| <= limit if set.
+    pattern = []    # (monitored index, sign, epigraph row?) for one step
+    limit = np.zeros(n_mon)
+    for i, bus in enumerate(area.monitored):
+        pattern += [(i, 1.0, True), (i, -1.0, True)]
+        if bus in cfg.omega_limits:
+            limit[i] = cfg.omega_limits[bus]
+            pattern += [(i, 1.0, False), (i, -1.0, False)]
+    if pattern:
+        i_mon, sign, epi = (np.tile(np.array(v), k_steps) for v in zip(*pattern))
+        k = np.repeat(np.arange(k_steps), len(pattern))     # step k + 1
+        w_nom = ltv.states[k + 1, area.n + i_mon]
+        r = np.arange(i_mon.size)
+        add_block(np.concatenate([r, r[epi]]),
+                  np.concatenate([off_x + k * n_x + area.n + i_mon,
+                                  off_slack + (k * n_mon + i_mon)[epi]]),
+                  np.concatenate([sign, -np.ones(int(epi.sum()))]),
+                  np.where(epi, -sign * w_nom, limit[i_mon] - sign * w_nom))
 
-    for s, bus in enumerate(grid.storage_buses):
-        if s in saturated:
+    # Per storage and step k: +-ts * sum(du_p(0..k-1)) <= +-(E bound - E_nom(k)).
+    k_row, k_term = np.tril_indices(k_steps)
+    for j in range(n_s):
+        if j in saturated:
             continue
-        e_lo, e_hi = grid.storage_role(bus).energy_bounds
-        for k in range(1, k_steps + 1):
-            e_nom = float(ltv.energies[k, s])
-            cols = {j * n_u + s: ltv.ts for j in range(k)}
-            if np.isfinite(e_hi):
-                add_row(dict(cols), e_hi - e_nom)
-            if np.isfinite(e_lo):
-                add_row({c: -v for c, v in cols.items()}, e_nom - e_lo)
+        e_lo, e_hi = roles[j].energy_bounds
+        sides = [(sgn, e) for sgn, e in ((1.0, e_hi), (-1.0, e_lo)) if np.isfinite(e)]
+        if not sides:
+            continue
+        sign, bound = np.array(sides).T
+        add_block((k_row[:, None] * sign.size + np.arange(sign.size)).ravel(),
+                  np.repeat(k_term * n_u + j, sign.size),
+                  np.tile(sign * ts, k_row.size),
+                  (sign * (bound - ltv.energies[1:, j, None])).ravel())
 
+    # Per step and storage: |p| <= e_p and |m - m_ref| <= e_m.
     if cfg.absolute_effort:
-        for k in range(k_steps):
-            for s in range(n_s):
-                p_col = k * n_u + s
-                ep_col = off_ep + k * n_s + s
-                p_nom = ltv.controls[k, s]
-                add_row({p_col: 1.0, ep_col: -1.0}, -p_nom)
-                add_row({p_col: -1.0, ep_col: -1.0}, p_nom)
-                m_col = k * n_u + n_s + s
-                em_col = off_em + k * n_s + s
-                m_dev_nom = ltv.controls[k, n_s + s] - cfg.reference_inertia[s]
-                add_row({m_col: 1.0, em_col: -1.0}, -m_dev_nom)
-                add_row({m_col: -1.0, em_col: -1.0}, m_dev_nom)
+        k, j, t = (a.ravel() for a in np.meshgrid(
+            np.arange(k_steps), np.arange(n_s), np.arange(4), indexing="ij"))
+        inertia = t >= 2
+        sign = np.where(t % 2 == 0, 1.0, -1.0)
+        nominal = np.where(inertia, ltv.controls[k, n_s + j]
+                           - cfg.reference_inertia[area.storages][j],
+                           ltv.controls[k, j])
+        r = np.arange(k.size)
+        add_block(np.concatenate([r, r]),
+                  np.concatenate([k * n_u + j + n_s * inertia,
+                                  np.where(inertia, off_em, off_ep) + k * n_s + j]),
+                  np.concatenate([sign, -np.ones(r.size)]),
+                  -sign * nominal)
 
-    a_in = np.vstack(ineq_rows) if ineq_rows else None
-    b_in = np.array(ineq_rhs) if ineq_rows else None
+    a_in = np.zeros((m_in, n_total))
+    for rows, cols, values in entries:
+        a_in[rows, cols] = values
+    b_in = np.concatenate(rhs) if rhs else np.zeros(0)
 
     # -- boxes ------------------------------------------------------------------
+    nom = ltv.controls
+    phys_lo = np.array([r.power_bounds[0] for r in roles]
+                       + [r.inertia_bounds[0] for r in roles])
+    phys_hi = np.array([r.power_bounds[1] for r in roles]
+                       + [r.inertia_bounds[1] for r in roles])
+    radius = np.array([np.inf if j in relax_trust else cfg.sqp.power_trust_region
+                       for j in range(n_s)] + [cfg.sqp.inertia_trust_region] * n_s)
+    box_lo = np.maximum(phys_lo - nom, -radius)
+    box_hi = np.minimum(phys_hi - nom, radius)
+    for j, pin in pinned.items():
+        box_lo[:, j] = box_hi[:, j] = pin - nom[:, j]
     lb = np.full(n_total, -np.inf)
     ub = np.full(n_total, np.inf)
-    box_lo, box_hi = _control_boxes(grid, cfg, ltv.controls, relax_trust, pinned)
-    lb[: k_steps * n_u] = box_lo.ravel()
-    ub[: k_steps * n_u] = box_hi.ravel()
-    lb[off_slack: off_slack + k_steps * n_mon] = 0.0
-    if cfg.absolute_effort:
-        lb[off_ep:] = 0.0
+    lb[:off_x] = box_lo.ravel()
+    ub[:off_x] = box_hi.ravel()
+    lb[off_slack:] = 0.0
 
     prog = ConvexProgram(q=q, Q=q_mat, A_eq=a_eq, b_eq=b_eq, A_in=a_in,
                          b_in=b_in, lb=lb, ub=ub)
-    return HorizonProgram(prog, ltv, grid, cfg, n_u, n_x, n_mon, off_x,
-                          off_slack, tuple(saturated), pinned)
+    return HorizonProgram(prog, ltv, grid, cfg, area, n_u, n_x, n_mon, off_x,
+                          off_copy, off_slack, tuple(saturated), pinned)
+
+
+def assemble_horizon_program(grid: GridModel, ltv: LtvModel,
+                             cfg: MpcConfig) -> HorizonProgram:
+    """Build the centralized K-step program: the one area that is the whole grid."""
+    return _assemble_program(grid, _AreaView(grid), ltv, cfg)
 
 
 @dataclass
@@ -509,26 +567,37 @@ def _rollout(grid: GridModel, state: SystemState, controls: np.ndarray,
     return out
 
 
-def horizon_objective(grid: GridModel, cfg: MpcConfig, states: list[SystemState],
-                      controls: np.ndarray) -> tuple[float, float]:
-    """(effort, performance) terms of the stage cost on a rollout."""
-    n_s = len(grid.storage_buses)
+def _stage_cost(grid: GridModel, cfg: MpcConfig, area: _AreaView,
+                controls: np.ndarray, omega: np.ndarray) -> tuple[float, float]:
+    """(effort, performance) terms of the stage cost of one area over a horizon.
+
+    `controls` (K, 2*n_s) are the area's [power, inertia] set-points and
+    `omega` (K, n_w) its frequency deviations after each of the K steps.
+    """
+    n_s = area.n_s
     p_base, m_base = cfg.resolved_bases(grid)
     ts = cfg.step
+    c_p = cfg.power_cost[area.storages]
+    c_m = cfg.inertia_cost[area.storages]
+    m_ref = cfg.reference_inertia[area.storages]
     effort = 0.0
     for k in range(controls.shape[0]):
         p = controls[k, :n_s]
         m = controls[k, n_s:]
         if cfg.absolute_effort:
-            effort += float(np.sum(cfg.power_cost * np.abs(p)) / p_base * ts
-                            + np.sum(cfg.inertia_cost
-                                     * np.abs(m - cfg.reference_inertia)) / m_base * ts)
-        else:
-            effort += float(np.sum(cfg.power_cost * p) / p_base * ts
-                            + np.sum(cfg.inertia_cost * m) / m_base * ts)
+            p, m = np.abs(p), np.abs(m - m_ref)
+        effort += float(np.sum(c_p * p) / p_base * ts
+                        + np.sum(c_m * m) / m_base * ts)
     performance = cfg.frequency_cost * ts * float(
-        sum(np.sum(np.abs(st.omega)) for st in states[1:]))
+        sum(np.sum(np.abs(w)) for w in omega))
     return effort, performance
+
+
+def horizon_objective(grid: GridModel, cfg: MpcConfig, states: list[SystemState],
+                      controls: np.ndarray) -> tuple[float, float]:
+    """(effort, performance) terms of the stage cost on a whole-grid rollout."""
+    return _stage_cost(grid, cfg, _AreaView(grid), controls,
+                       [st.omega for st in states[1:]])
 
 
 def mpc_solve_horizon(grid: GridModel, state: SystemState, cfg: MpcConfig,

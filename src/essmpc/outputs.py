@@ -18,7 +18,6 @@ __all__ = [
     "constraint_report_text",
     "objective_summary_text",
     "admm_log_csv",
-    "frequency_integral",
 ]
 
 
@@ -92,10 +91,6 @@ def constraint_report_text(report: ConstraintReport) -> str:
             f"step {v.step} t={v.t:.6g} {v.kind} bus {v.bus}: "
             f"value {v.value:.9g} vs limit {v.limit:.9g}")
     return "\n".join(lines) + "\n"
-
-
-def frequency_integral(traj: Trajectory) -> float:
-    return traj.frequency_integral()
 
 
 def objective_summary_text(effort: float, performance: float,

@@ -58,11 +58,16 @@ class TestSimulateCommand:
 
 
 class TestMpcCommand:
-    def test_objective_file_counts_non_optimal_solves(self, two_bus_path,
-                                                       tmp_path):
+    @pytest.mark.parametrize("command, scenario, ttotal",
+                             [("mpc", "two_bus", "0.2"),
+                              ("dmpc", "twelve_bus", "0.1")],
+                             ids=["mpc-two_bus", "dmpc-twelve_bus"])
+    def test_objective_file_counts_non_optimal_solves(self, command, scenario,
+                                                       ttotal, tmp_path):
         out = tmp_path / "run"
-        assert main(["mpc", two_bus_path, f"--out={out}", "--ttotal=0.2"]) == 0
-        lines = (out / "mpc_objective.txt").read_text().splitlines()
+        assert main([command, str(bundled_scenario_path(scenario)),
+                     f"--out={out}", f"--ttotal={ttotal}"]) == 0
+        lines = (out / f"{command}_objective.txt").read_text().splitlines()
         assert "non_optimal_solves 0" in lines
 
 

@@ -1,5 +1,7 @@
 """Distributed consensus MPC: partitioning, coupling, ADMM, equivalence."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -219,10 +221,11 @@ class TestAreaSubproblem:
 
 
 class TestClosedLoopEquivalence:
-    def test_single_area_matches_centralized(self, two_bus_scenario):
+    @pytest.mark.parametrize("absolute_effort", [False, True])
+    def test_single_area_matches_centralized(self, two_bus_scenario, absolute_effort):
         sc = two_bus_scenario
         st = sc.initial_state()
-        cfg = sc.mpc
+        cfg = replace(sc.mpc, absolute_effort=absolute_effort)
         traj_c, _ = receding_horizon_run(sc.grid, st, cfg, 1.0, sc.events)
         partition = partition_grid(sc.grid, [0, 0])
         traj_d, reports = distributed_mpc_run(sc.grid, partition, cfg, st, 1.0,
@@ -231,6 +234,11 @@ class TestClosedLoopEquivalence:
             assert np.max(np.abs(a.angles - b.angles)) <= 1e-8
             assert np.max(np.abs(a.omega - b.omega)) <= 1e-8
             assert np.max(np.abs(a.energy - b.energy)) <= 1e-8
+        # The storage bus starts balanced, so its inertia barely moves the
+        # states: compare the applied set-points too.
+        assert np.max(np.abs(traj_c.power_matrix() - traj_d.power_matrix())) <= 1e-8
+        assert np.max(np.abs(traj_c.inertia_matrix()
+                             - traj_d.inertia_matrix())) <= 1e-8
 
     def test_two_area_split_tracks_centralized(self, two_bus_scenario):
         sc = two_bus_scenario

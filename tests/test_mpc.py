@@ -9,10 +9,11 @@ from scipy.optimize import linprog
 
 from essmpc.dynamics import ControlInput, SystemState, euler_step, simulate, swing_rhs
 from essmpc.grid import DisturbanceEvent, solve_equilibrium
+from essmpc.dmpc import partition_grid
 from essmpc.mpc import (_REGULARIZATION, MpcConfig, MpcConfigError, SqpSettings,
-                        StorageRegime, assemble_horizon_program,
-                        linearize_dynamics, mpc_solve_horizon,
-                        receding_horizon_run)
+                        StorageRegime, _AreaView, _assemble_program, _stage_cost,
+                        assemble_horizon_program, linearize_dynamics,
+                        mpc_solve_horizon, receding_horizon_run)
 from essmpc.qp import QpWorkspace, kkt_residual
 
 
@@ -176,6 +177,82 @@ class TestAssemble:
         result = mpc_solve_horizon(two_bus_grid, st, cfg)
         assert result.saturated == (0,)
         assert result.applied.power[0] == pytest.approx(0.0, abs=1e-9)
+
+
+class TestProgramMeaning:
+    """The assembled rows and costs mean what they claim, whatever the layout.
+
+    A point is built from the program's index maps alone: controls drawn in
+    their boxes, copies drawn freely, states by the LTV recursion, and every
+    other column (the epigraph slacks) at the least value its rows allow.
+    """
+
+    @pytest.mark.parametrize("absolute_effort", [False, True])
+    @pytest.mark.parametrize("case", ["two_bus", "twelve_bus_area_1"])
+    def test_predicted_trajectory_satisfies_rows_and_prices_stage_cost(
+            self, two_bus_scenario, twelve_bus_scenario, case, absolute_effort):
+        sc = two_bus_scenario if case == "two_bus" else twelve_bus_scenario
+        grid = sc.grid
+        rng = np.random.default_rng(3)
+        n_s = len(grid.storage_buses)
+        cfg = replace(sc.mpc, absolute_effort=absolute_effort,
+                      power_cost=rng.uniform(0.1, 1.0, n_s),
+                      inertia_cost=rng.uniform(0.1, 1.0, n_s))
+        state = sc.initial_state()
+        state.omega = state.omega + rng.uniform(-0.05, 0.05, state.omega.size)
+        area = _AreaView(grid)
+        if case != "two_bus":
+            partition = partition_grid(grid, sc.areas)
+            area = _AreaView(grid, partition.owned[1],
+                             partition.boundary_foreign[1], 1)
+        k_steps = cfg.k_steps
+        forcing = state.angles[area.foreign] \
+            + rng.uniform(-0.01, 0.01, (k_steps, area.n_f))
+        ltv = linearize_dynamics(grid, state, cfg.reference_matrix(), cfg.step,
+                                 sc.events, area, forcing)
+        hp = _assemble_program(grid, area, ltv, cfg)
+        prog = hp.prog
+
+        z = np.full(prog.n, np.nan)
+        dx = np.zeros(area.nx)
+        for k in range(k_steps):
+            cols = [hp.u_col(k, j) for j in range(area.nu)]
+            du = rng.uniform(prog.lb[cols], prog.ub[cols])
+            df = np.zeros(area.n_f) if k == 0 else \
+                z[[hp.copy_col(k, f) for f in range(area.n_f)]]
+            z[cols] = du
+            z[[hp.copy_col(k + 1, f) for f in range(area.n_f)]] = \
+                rng.uniform(-0.01, 0.01, area.n_f)
+            dx = ltv.A[k] @ dx + ltv.A_foreign[k] @ df + ltv.B[k] @ du
+            z[[hp.x_col(k + 1, i) for i in range(area.nx)]] = dx
+        # Each remaining column is an epigraph slack: -1 in each of its rows.
+        slacks = np.flatnonzero(np.isnan(z))
+        assert np.all(prog.A_in[:, slacks][prog.A_in[:, slacks] != 0] == -1.0)
+        known = np.nan_to_num(z)
+        for c in slacks:
+            rows = prog.A_in[:, c] == -1.0
+            z[c] = max(np.max(prog.A_in[rows] @ known - prog.b_in[rows]), 0.0)
+
+        assert np.max(np.abs(prog.A_eq @ z - prog.b_eq)) <= 1e-12
+        assert np.all(prog.A_in @ z <= prog.b_in + 1e-12)
+        assert np.all(z >= prog.lb) and np.all(z <= prog.ub)
+        controls, omega = hp.controls_from(z), hp.omega_from(z)
+        expected = sum(_stage_cost(grid, cfg, area, controls, omega))
+        if not absolute_effort:
+            expected -= _stage_cost(grid, cfg, area, ltv.controls, omega)[0]
+        assert float(prog.q @ z) == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
+        # Frequency limits add rows only.  At each monitored bus's predicted
+        # peak |w| they all hold; 0.1% below it one row per bus fails.
+        peak = np.max(np.abs(omega), axis=0)
+        for scale, holds in ((1.0, True), (0.999, False)):
+            limits = dict(zip(area.monitored, scale * peak))
+            limited = _assemble_program(grid, area, ltv,
+                                        replace(cfg, omega_limits=limits)).prog
+            assert limited.n == prog.n
+            met = limited.A_in @ z <= limited.b_in + 1e-12
+            assert met.all() == holds
+            assert np.sum(~met) == (0 if holds else area.n_w)
 
 
 class TestSolveHorizon:
