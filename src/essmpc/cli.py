@@ -64,10 +64,14 @@ def _load(args) -> Scenario:
     scenario = parse_scenario(Path(args.scenario))
     ts = getattr(args, "ts", None)
     if ts is not None:
+        if not ts > 0:
+            raise ScenarioError(f"--ts: step must be > 0, got {ts}")
         scenario.sim_step = ts
         scenario.mpc.step = ts
     ttotal = getattr(args, "ttotal", None)
     if ttotal is not None:
+        if not ttotal >= 0:
+            raise ScenarioError(f"--ttotal: duration must be >= 0, got {ttotal}")
         scenario.sim_duration = ttotal
     return scenario
 
@@ -208,7 +212,15 @@ def cmd_plot_data(args) -> int:
     if names != expected:
         raise ScenarioError(
             f"trajectory columns {names[:3]}... do not match scenario grid")
-    data = np.array([[float(tok) for tok in row.split(",")] for row in rows])
+    values = []
+    for line_no, row in enumerate(rows, start=2):
+        try:
+            values.append([float(tok) for tok in row.split(",")])
+            if len(values[-1]) != len(names):
+                raise ValueError(f"{len(values[-1])} values, expected {len(names)}")
+        except ValueError as exc:
+            raise ScenarioError(f"{csv_path} line {line_no}: {exc}") from exc
+    data = np.array(values)
     n, n_w, n_s = grid.n_buses, len(grid.inertia_buses), len(grid.storage_buses)
     states = []
     inputs = []

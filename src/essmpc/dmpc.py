@@ -380,6 +380,8 @@ class DistributedMpcController:
         horizons: list[HorizonProgram] = []
 
         for _outer in range(cfg.sqp.outer_iterations):
+            if total_rounds >= settings.max_iterations:
+                break   # no round left to solve a new linearization: keep the last plan
             horizons = [_assemble_program(
                 self.grid, area,
                 linearize_dynamics(self.grid, state, plan, cfg.step, self.events,

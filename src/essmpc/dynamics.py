@@ -4,6 +4,9 @@ State layout: one angle per bus, one frequency deviation per second-order
 (generator or storage) bus, one cumulative-energy entry per storage bus.
 Energy tracks the time integral of the storage injection, so charging
 (negative power) drives it toward the lower allowance bound.
+
+The flow law (`GridModel.outflow`, `outflow_jacobian`) and the per-bus
+arrays live in `GridModel`; the functions here are array expressions over them.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .grid import DisturbanceEvent, GeneratorBus, GridModel, LoadBus, StorageBus
+from .grid import DisturbanceEvent, GridModel
 
 __all__ = [
     "SystemState",
@@ -72,18 +75,21 @@ class ControlInput:
         n_s = len(grid.storage_buses)
         if self.power.shape != (n_s,) or self.inertia.shape != (n_s,):
             raise ValueError("control arrays mismatch the number of storage buses")
-        for s, bus in enumerate(grid.storage_buses):
-            role = grid.storage_role(bus)
-            p_lo, p_hi = role.power_bounds
-            if not p_lo - 1e-9 <= self.power[s] <= p_hi + 1e-9:
+        for what, values, bounds in (("storage power", self.power, grid.power_bounds),
+                                     ("virtual inertia", self.inertia,
+                                      grid.inertia_bounds)):
+            s = _first_outside(values, bounds, 1e-9)
+            if s is not None:
                 raise ValueError(
-                    f"storage power {self.power[s]} at bus {bus} outside "
-                    f"[{p_lo}, {p_hi}]")
-            m_lo, m_hi = role.inertia_bounds
-            if not m_lo - 1e-9 <= self.inertia[s] <= m_hi + 1e-9:
-                raise ValueError(
-                    f"virtual inertia {self.inertia[s]} at bus {bus} outside "
-                    f"[{m_lo}, {m_hi}]")
+                    f"{what} {values[s]} at bus {grid.storage_buses[s]} outside "
+                    f"[{bounds[0, s]}, {bounds[1, s]}]")
+
+
+def _first_outside(values: np.ndarray, bounds: np.ndarray,
+                   tol: float = 0.0) -> Optional[int]:
+    """First storage whose value is not within (2, n_s) `bounds` +- tol (NaN is not)."""
+    bad = np.flatnonzero(~((bounds[0] - tol <= values) & (values <= bounds[1] + tol)))
+    return int(bad[0]) if bad.size else None
 
 
 @dataclass
@@ -174,30 +180,21 @@ def swing_rhs(grid: GridModel, state: SystemState, u: ControlInput,
     if t is None:
         t = state.t
     p = grid.injections_at(t, events)
-    outflow = np.sum(grid.susceptance_matrix
-                     * np.sin(state.angles[:, None] - state.angles[None, :]), axis=1)
-
+    p[grid.storage_idx] += u.power
     d_angles = np.zeros(grid.n_buses)
-    d_omega = np.zeros(len(grid.inertia_buses))
-    omega_of = {bus: w for bus, w in zip(grid.inertia_buses, state.omega)}
+    d_angles[grid.inertia_idx] = state.omega
+    # Net power of every bus over its divisor; a load bus has w = 0 here.
+    rate = (p - grid.damping * d_angles - grid.outflow(state.angles)) / _divisors(grid, u)
+    d_angles[grid.load_idx] = rate[grid.load_idx]
+    return SystemState(d_angles, rate[grid.inertia_idx], u.power.copy(), t)
 
-    storage_index = {bus: s for s, bus in enumerate(grid.storage_buses)}
-    for k, bus in enumerate(grid.inertia_buses):
-        role = grid.roles[bus]
-        w = omega_of[bus]
-        d_angles[bus] = w
-        if isinstance(role, GeneratorBus):
-            d_omega[k] = (p[bus] - role.damping * w - outflow[bus]) / role.inertia
-        else:
-            s = storage_index[bus]
-            m_e = u.inertia[s]
-            d_omega[k] = (p[bus] + u.power[s] - role.damping * w
-                          - outflow[bus]) / m_e
-    for bus in grid.load_buses:
-        role = grid.roles[bus]
-        d_angles[bus] = (p[bus] - outflow[bus]) / role.damping
 
-    return SystemState(d_angles, d_omega, u.power.copy(), t)
+def _divisors(grid: GridModel, u: ControlInput) -> np.ndarray:
+    """Per bus: the inertia of an inertia bus (storages: the set-point), else the damping."""
+    div = grid.damping.copy()
+    div[grid.inertia_idx] = grid.generator_inertia
+    div[grid.storage_idx] = u.inertia
+    return div
 
 
 def swing_jacobian(grid: GridModel, state: SystemState, u: ControlInput,
@@ -211,47 +208,26 @@ def swing_jacobian(grid: GridModel, state: SystemState, u: ControlInput,
     """
     if t is None:
         t = state.t
-    n = grid.n_buses
-    n_w = len(grid.inertia_buses)
-    n_s = len(grid.storage_buses)
+    n, n_w, n_s = grid.n_buses, len(grid.inertia_buses), len(grid.storage_buses)
+    inertia, storage = grid.inertia_idx, grid.storage_idx
+    div = _divisors(grid, u)
+    w_rows = np.arange(n, n + n_w)
+    rows = np.arange(n)         # the row of each bus's power balance
+    rows[inertia] = w_rows
+
+    j_x = np.zeros((n + n_w, n + n_w))
+    j_x[rows, :n] = grid.outflow_jacobian(state.angles) / -div[:, None]
+    j_x[inertia, w_rows] = 1.0
+    j_x[w_rows, w_rows] = -grid.damping[inertia] / div[inertia]
+
+    # Storage rows: w_dot = f / M_e, so 1/M_e per unit power, -f/M_e^2 per unit inertia.
     p = grid.injections_at(t, events)
-
-    diff = state.angles[:, None] - state.angles[None, :]
-    w_mat = grid.susceptance_matrix * np.cos(diff)   # d outflow_i / d angle_j = -w_mat[i, j], j != i
-    row_sum = np.sum(w_mat, axis=1)                  # d outflow_i / d angle_i
-    outflow = np.sum(grid.susceptance_matrix * np.sin(diff), axis=1)
-
-    nx = n + n_w
-    nu = 2 * n_s
-    j_x = np.zeros((nx, nx))
-    j_u = np.zeros((nx, nu))
-    omega_col = {bus: n + k for k, bus in enumerate(grid.inertia_buses)}
-    storage_index = {bus: s for s, bus in enumerate(grid.storage_buses)}
-
-    for k, bus in enumerate(grid.inertia_buses):
-        j_x[bus, omega_col[bus]] = 1.0
-        role = grid.roles[bus]
-        w = state.omega[k]
-        if isinstance(role, GeneratorBus):
-            m, d = role.inertia, role.damping
-            f_val = None
-        else:
-            s = storage_index[bus]
-            m, d = u.inertia[s], role.damping
-            f_val = p[bus] + u.power[s] - d * w - outflow[bus]
-        row = n + k
-        j_x[row, :n] = w_mat[bus] / m
-        j_x[row, bus] = -row_sum[bus] / m
-        j_x[row, omega_col[bus]] += -d / m
-        if f_val is not None:
-            s = storage_index[bus]
-            j_u[row, s] = 1.0 / m
-            j_u[row, n_s + s] = -f_val / (m * m)
-    for bus in grid.load_buses:
-        role = grid.roles[bus]
-        j_x[bus, :n] = w_mat[bus] / role.damping
-        j_x[bus, bus] = -row_sum[bus] / role.damping
-
+    f = (p[storage] + u.power - grid.damping[storage] * state.omega[grid.storage_pos]
+         - grid.outflow(state.angles)[storage])
+    s_rows, cols = w_rows[grid.storage_pos], np.arange(n_s)
+    j_u = np.zeros((n + n_w, 2 * n_s))
+    j_u[s_rows, cols] = 1.0 / u.inertia
+    j_u[s_rows, n_s + cols] = -f / (u.inertia * u.inertia)
     return j_x, j_u
 
 
@@ -272,12 +248,9 @@ def euler_step(grid: GridModel, state: SystemState, u: ControlInput, ts: float,
 def _clamp_power(grid: GridModel, state: SystemState, u: ControlInput) -> ControlInput:
     """Zero any storage power that keeps pushing energy past its bound."""
     power = u.power.copy()
-    for s, bus in enumerate(grid.storage_buses):
-        e_lo, e_hi = grid.storage_role(bus).energy_bounds
-        if power[s] < 0.0 and state.energy[s] <= e_lo + ENERGY_CLAMP_TOL:
-            power[s] = 0.0
-        elif power[s] > 0.0 and state.energy[s] >= e_hi - ENERGY_CLAMP_TOL:
-            power[s] = 0.0
+    e_lo, e_hi = grid.energy_bounds
+    power[((power < 0.0) & (state.energy <= e_lo + ENERGY_CLAMP_TOL))
+          | ((power > 0.0) & (state.energy >= e_hi - ENERGY_CLAMP_TOL))] = 0.0
     return ControlInput(power, u.inertia.copy())
 
 
@@ -337,6 +310,7 @@ def monitor_constraints(grid: GridModel, traj: Trajectory,
     report = ConstraintReport()
     omega_limits = omega_limits or {}
     inertia_pos = {bus: k for k, bus in enumerate(grid.inertia_buses)}
+    (e_lo, e_hi), (p_lo, p_hi) = grid.energy_bounds.tolist(), grid.power_bounds.tolist()
     for step, state in enumerate(traj.states):
         for bus, limit in omega_limits.items():
             if bus in inertia_pos:
@@ -345,20 +319,17 @@ def monitor_constraints(grid: GridModel, traj: Trajectory,
                     report.violations.append(
                         Violation(step, state.t, "frequency", bus, w, limit))
         for s, bus in enumerate(grid.storage_buses):
-            role = grid.storage_role(bus)
             e = float(state.energy[s])
-            e_lo, e_hi = role.energy_bounds
-            if e <= e_lo + ENERGY_CLAMP_TOL or e >= e_hi - ENERGY_CLAMP_TOL:
+            if e <= e_lo[s] + ENERGY_CLAMP_TOL or e >= e_hi[s] - ENERGY_CLAMP_TOL:
                 report.violations.append(
                     Violation(step, state.t, "energy", bus, e,
-                              e_lo if e - e_lo <= e_hi - e else e_hi))
+                              e_lo[s] if e - e_lo[s] <= e_hi[s] - e else e_hi[s]))
             if step < len(traj.inputs):
                 p = float(traj.inputs[step].power[s])
-                p_lo, p_hi = role.power_bounds
-                if p < p_lo - 1e-9 or p > p_hi + 1e-9:
+                if p < p_lo[s] - 1e-9 or p > p_hi[s] + 1e-9:
                     report.violations.append(
                         Violation(step, state.t, "power", bus, p,
-                                  p_lo if p < p_lo else p_hi))
+                                  p_lo[s] if p < p_lo[s] else p_hi[s]))
     return report
 
 

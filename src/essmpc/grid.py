@@ -5,11 +5,15 @@ and motor loads) obey second-order rotor dynamics, plain load buses are
 first-order, and storage buses are second-order with a controllable power
 injection and virtual inertia. Angles are in radians, powers in p.u.,
 inertias in seconds, energies in p.u.*s.
+
+`GridModel` holds the network physics: read-only per-line and per-bus arrays
+(damping, inertia, index arrays, storage bounds), and `outflow` and
+`outflow_jacobian`, the flow law sum_j b_ij sin(d_i - d_j) and its Jacobian.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -197,22 +201,51 @@ class GridModel:
 
         self._validate()
 
-        # Dense symmetric susceptance matrix; zero for non-adjacent pairs.
-        self._b = np.zeros((n, n))
-        for ln in self.lines:
-            self._b[ln.from_bus, ln.to_bus] = ln.susceptance
-            self._b[ln.to_bus, ln.from_bus] = ln.susceptance
-        self._b.flags.writeable = False
+        def frozen(values, dtype=float) -> np.ndarray:
+            a = np.array(values, dtype=dtype)
+            a.flags.writeable = False
+            return a
+
+        def storage_bounds(name: str) -> np.ndarray:   # (2, n_s): lower, upper
+            return frozen(np.reshape([getattr(self.roles[i], name)
+                                      for i in self.storage_buses], (-1, 2)).T)
+
+        # Every line once from each end, sorted by bus and then neighbour: each
+        # bus adds up its flows in neighbour order.  Runs that lose synchronism
+        # amplify rounding, so the summation order is fixed on purpose.
+        edges = sorted((i, j, ln.susceptance) for ln in self.lines
+                       for i, j in ((ln.from_bus, ln.to_bus), (ln.to_bus, ln.from_bus)))
+        bus, nbr, b = np.reshape(edges, (-1, 3)).T
+        self.edge_bus = frozen(bus, int)
+        self.edge_nbr = frozen(nbr, int)
+        self.edge_b = frozen(b)
+        if n > 1 and not self._connected():
+            raise GridError("network graph is not connected")
+        self.damping = frozen([r.damping for r in self.roles])
+        self.inertia_idx = frozen(self.inertia_buses, int)
+        self.load_idx = frozen(self.load_buses, int)
+        self.storage_idx = frozen(self.storage_buses, int)
+        # Each storage's position in omega (storage buses are inertia buses).
+        self.storage_pos = frozen(np.searchsorted(self.inertia_idx, self.storage_idx), int)
+        # Machine inertia per inertia bus.  A storage's inertia is a control
+        # input, so its entry is a 0 placeholder the caller must overwrite.
+        self.generator_inertia = frozen([getattr(self.roles[i], "inertia", 0.0)
+                                         for i in self.inertia_buses])
+        self.power_bounds = storage_bounds("power_bounds")
+        self.inertia_bounds = storage_bounds("inertia_bounds")
+        self.energy_bounds = storage_bounds("energy_bounds")
+        self.initial_energy = frozen([self.roles[i].initial_energy
+                                      for i in self.storage_buses])
+        # Flat (N, N) positions of each end's Jacobian entries: -b cos at
+        # (bus, neighbour), then +b cos on the bus's diagonal.
+        self._jac_index = np.concatenate([self.edge_bus * n + self.edge_nbr,
+                                          self.edge_bus * (n + 1)])
 
     # -- structure -----------------------------------------------------
 
     @property
     def n_buses(self) -> int:
         return len(self.roles)
-
-    @property
-    def susceptance_matrix(self) -> np.ndarray:
-        return self._b
 
     def storage_role(self, bus: int) -> StorageBus:
         role = self.roles[bus]
@@ -236,26 +269,18 @@ class GridModel:
                     f"duplicate line between buses {ln.from_bus} and {ln.to_bus}; "
                     "parallel lines must be pre-aggregated")
             seen.add(key)
-        if n > 0:
-            if self.reference_bus is None or not 0 <= self.reference_bus < n:
-                raise GridError(f"reference bus {self.reference_bus} is not a valid bus")
-            if n > 1 and not self._connected():
-                raise GridError("network graph is not connected")
+        if n > 0 and (self.reference_bus is None or not 0 <= self.reference_bus < n):
+            raise GridError(f"reference bus {self.reference_bus} is not a valid bus")
 
     def _connected(self) -> bool:
-        n = self.n_buses
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for ln in self.lines:
-            adj[ln.from_bus].append(ln.to_bus)
-            adj[ln.to_bus].append(ln.from_bus)
-        seen = {0}
-        stack = [0]
+        start = np.searchsorted(self.edge_bus, np.arange(self.n_buses + 1))
+        seen, stack = {0}, [0]
         while stack:
-            for j in adj[stack.pop()]:
-                if j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        return len(seen) == n
+            i = stack.pop()
+            new = set(self.edge_nbr[start[i]:start[i + 1]].tolist()) - seen
+            seen |= new
+            stack.extend(new)
+        return len(seen) == self.n_buses
 
     # -- injections ----------------------------------------------------
 
@@ -276,9 +301,21 @@ class GridModel:
                 raise GridError(
                     f"storage_power has shape {sp.shape}, expected "
                     f"({len(self.storage_buses)},)")
-            for s, bus in enumerate(self.storage_buses):
-                p[bus] += sp[s]
+            p[self.storage_idx] += sp
         return p
+
+    # -- flows ---------------------------------------------------------
+
+    def outflow(self, angles: np.ndarray) -> np.ndarray:
+        """Power each bus sends into the network: sum_j b_ij sin(d_i - d_j)."""
+        flow = self.edge_b * np.sin(angles[self.edge_bus] - angles[self.edge_nbr])
+        return np.bincount(self.edge_bus, flow, self.n_buses)
+
+    def outflow_jacobian(self, angles: np.ndarray) -> np.ndarray:
+        """(N, N) derivative of `outflow` with respect to the angles."""
+        n = self.n_buses
+        c = self.edge_b * np.cos(angles[self.edge_bus] - angles[self.edge_nbr])
+        return np.bincount(self._jac_index, np.concatenate([-c, c]), n * n).reshape(n, n)
 
 
 def network_injection(grid: GridModel, angles: np.ndarray, bus: int) -> float:
@@ -286,13 +323,7 @@ def network_injection(grid: GridModel, angles: np.ndarray, bus: int) -> float:
     angles = np.asarray(angles, dtype=float)
     if angles.shape != (grid.n_buses,):
         raise GridError(f"angles has shape {angles.shape}, expected ({grid.n_buses},)")
-    row = grid.susceptance_matrix[bus]
-    return float(np.sum(row * np.sin(angles[bus] - angles)))
-
-
-def _all_outflows(grid: GridModel, angles: np.ndarray) -> np.ndarray:
-    diff = angles[:, None] - angles[None, :]
-    return np.sum(grid.susceptance_matrix * np.sin(diff), axis=1)
+    return float(grid.outflow(angles)[bus])
 
 
 def solve_equilibrium(grid: GridModel, storage_power: Optional[np.ndarray] = None,
@@ -319,17 +350,13 @@ def solve_equilibrium(grid: GridModel, storage_power: Optional[np.ndarray] = Non
         return angles
 
     def residual(a: np.ndarray) -> np.ndarray:
-        return (p - _all_outflows(grid, a))[free]
+        return (p - grid.outflow(a))[free]
 
     r = residual(angles)
     for _ in range(max_iter):
         if float(np.max(np.abs(r))) < tol:
             return angles
-        # Jacobian of the outflow at the free buses.
-        diff = angles[:, None] - angles[None, :]
-        w = grid.susceptance_matrix * np.cos(diff)
-        jac = -w[np.ix_(free, free)]
-        jac[np.diag_indices_from(jac)] = np.sum(w, axis=1)[free]
+        jac = grid.outflow_jacobian(angles)[np.ix_(free, free)]
         try:
             step = np.linalg.solve(jac, r)
         except np.linalg.LinAlgError as exc:

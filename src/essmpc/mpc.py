@@ -21,8 +21,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dynamics import (ControlInput, SystemState, Trajectory, euler_step,
-                       simulate, swing_jacobian)
+from .dynamics import (ControlInput, SystemState, Trajectory, _first_outside,
+                       euler_step, simulate, swing_jacobian)
 from .grid import DisturbanceEvent, GridModel
 from .qp import ConvexProgram, QpWorkspace, SolveReport
 
@@ -145,18 +145,14 @@ class MpcConfig:
         if self.inertia_base is not None and self.inertia_base <= 0.0:
             raise MpcConfigError("inertia base must be > 0")
         self.sqp.validate()
-        for s, bus in enumerate(grid.storage_buses):
-            role = grid.storage_role(bus)
-            p_lo, p_hi = role.power_bounds
-            m_lo, m_hi = role.inertia_bounds
-            if not p_lo <= self.reference_power[s] <= p_hi:
+        for what, values, bounds in (("power", self.reference_power, grid.power_bounds),
+                                     ("inertia", self.reference_inertia,
+                                      grid.inertia_bounds)):
+            s = _first_outside(values, bounds)
+            if s is not None:
                 raise MpcConfigError(
-                    f"reference power {self.reference_power[s]} for bus {bus} "
-                    f"outside bounds [{p_lo}, {p_hi}]")
-            if not m_lo <= self.reference_inertia[s] <= m_hi:
-                raise MpcConfigError(
-                    f"reference inertia {self.reference_inertia[s]} for bus {bus} "
-                    f"outside bounds [{m_lo}, {m_hi}]")
+                    f"reference {what} {values[s]} for bus {grid.storage_buses[s]} "
+                    f"outside bounds [{bounds[0, s]}, {bounds[1, s]}]")
         for bus, lim in self.omega_limits.items():
             if bus not in grid.inertia_buses:
                 raise MpcConfigError(f"omega limit on bus {bus}, which has no "
@@ -167,15 +163,10 @@ class MpcConfig:
     def resolved_bases(self, grid: GridModel) -> tuple[float, float]:
         p_b = self.power_base
         if p_b is None:
-            bounds = [max(abs(b) for b in grid.storage_role(bus).power_bounds)
-                      for bus in grid.storage_buses]
-            p_b = max(bounds) if bounds else 1.0
-            p_b = p_b if p_b > 0 else 1.0
+            p_b = float(np.max(np.abs(grid.power_bounds), initial=0.0)) or 1.0
         m_b = self.inertia_base
         if m_b is None:
-            tops = [grid.storage_role(bus).inertia_bounds[1]
-                    for bus in grid.storage_buses]
-            m_b = max(tops) if tops else 1.0
+            m_b = float(np.max(grid.inertia_bounds[1], initial=0.0)) or 1.0
         return p_b, m_b
 
     def reference_matrix(self) -> np.ndarray:
@@ -360,7 +351,9 @@ def _assemble_program(grid: GridModel, area: _AreaView, ltv: LtvModel,
     """
     k_steps, ts = cfg.k_steps, ltv.ts
     n_s, n_u, n_x, n_f, n_mon = area.n_s, area.nu, area.nx, area.n_f, area.n_w
-    roles = [grid.storage_role(grid.storage_buses[s]) for s in area.storages]
+    power_bounds = grid.power_bounds[:, area.storages]
+    inertia_bounds = grid.inertia_bounds[:, area.storages]
+    energy_bounds = grid.energy_bounds[:, area.storages]
     p_base, m_base = cfg.resolved_bases(grid)
 
     off_x = k_steps * n_u
@@ -375,8 +368,8 @@ def _assemble_program(grid: GridModel, area: _AreaView, ltv: LtvModel,
     pinned: dict[int, float] = {}
     saturated: list[int] = []
     for j, s in enumerate(area.storages):
-        p_lo, p_hi = roles[j].power_bounds
-        e_bounds = roles[j].energy_bounds
+        p_lo, p_hi = power_bounds[:, j]
+        e_bounds = energy_bounds[:, j]
         e0 = float(ltv.energies[0, j])
         if cfg.regimes[s].power_free:
             nomin = ltv.controls[:, j]
@@ -467,7 +460,7 @@ def _assemble_program(grid: GridModel, area: _AreaView, ltv: LtvModel,
     for j in range(n_s):
         if j in saturated:
             continue
-        e_lo, e_hi = roles[j].energy_bounds
+        e_lo, e_hi = energy_bounds[:, j]
         sides = [(sgn, e) for sgn, e in ((1.0, e_hi), (-1.0, e_lo)) if np.isfinite(e)]
         if not sides:
             continue
@@ -500,10 +493,7 @@ def _assemble_program(grid: GridModel, area: _AreaView, ltv: LtvModel,
 
     # -- boxes ------------------------------------------------------------------
     nom = ltv.controls
-    phys_lo = np.array([r.power_bounds[0] for r in roles]
-                       + [r.inertia_bounds[0] for r in roles])
-    phys_hi = np.array([r.power_bounds[1] for r in roles]
-                       + [r.inertia_bounds[1] for r in roles])
+    phys_lo, phys_hi = np.hstack([power_bounds, inertia_bounds])
     radius = np.array([np.inf if j in relax_trust else cfg.sqp.power_trust_region
                        for j in range(n_s)] + [cfg.sqp.inertia_trust_region] * n_s)
     box_lo = np.maximum(phys_lo - nom, -radius)
@@ -546,13 +536,7 @@ class MpcStepResult:
 
 
 def _project_controls(grid: GridModel, controls: np.ndarray) -> np.ndarray:
-    n_s = len(grid.storage_buses)
-    out = controls.copy()
-    for s, bus in enumerate(grid.storage_buses):
-        role = grid.storage_role(bus)
-        out[:, s] = np.clip(out[:, s], *role.power_bounds)
-        out[:, n_s + s] = np.clip(out[:, n_s + s], *role.inertia_bounds)
-    return out
+    return np.clip(controls, *np.hstack([grid.power_bounds, grid.inertia_bounds]))
 
 
 def _rollout(grid: GridModel, state: SystemState, controls: np.ndarray,
@@ -606,7 +590,7 @@ def mpc_solve_horizon(grid: GridModel, state: SystemState, cfg: MpcConfig,
                       warm_qp: Optional[dict] = None) -> MpcStepResult:
     """Sequential linearization around the current state; returns the first input."""
     nominal = cfg.reference_matrix() if warm_controls is None \
-        else _project_controls(grid, np.asarray(warm_controls, dtype=float).copy())
+        else _project_controls(grid, np.asarray(warm_controls, dtype=float))
     report: Optional[SolveReport] = None
     hp: Optional[HorizonProgram] = None
     converged = False

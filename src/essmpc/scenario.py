@@ -83,10 +83,8 @@ class Scenario:
     def initial_state(self) -> SystemState:
         """Equilibrium angles under the reference storage powers."""
         angles = solve_equilibrium(self.grid, self.reference_power)
-        energy = np.array([self.grid.storage_role(b).initial_energy
-                           for b in self.grid.storage_buses])
         return SystemState(angles, np.zeros(len(self.grid.inertia_buses)),
-                           energy, 0.0)
+                           self.grid.initial_energy.copy(), 0.0)
 
 
 # -- grid section -----------------------------------------------------------

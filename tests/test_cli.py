@@ -85,6 +85,15 @@ class TestExitCodes:
         bad.write_text("{::not yaml::")
         assert main(["simulate", str(bad)]) == 2
 
+    @pytest.mark.parametrize("command", ["simulate", "mpc"])
+    @pytest.mark.parametrize("flag", ["--ts=0", "--ts=-0.01", "--ttotal=-1"])
+    def test_bad_time_override_is_validation_error(self, command, flag,
+                                                   two_bus_path, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main([command, two_bus_path, f"--out={out}", flag]) == 2
+        assert flag.split("=")[0] in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestPlotData:
     def test_three_column_selection(self, two_bus_scenario):
@@ -143,6 +152,22 @@ class TestPlotData:
         names, data = parse_plot_data(target.read_text())
         assert names == ["t", "omega_0", "omega_1"]
         assert data.shape[0] == 101
+
+    @pytest.mark.parametrize("mangle", [
+        lambda tokens: tokens[:-1] + ["0.1x"],
+        lambda tokens: tokens[:-1],
+    ], ids=["non_numeric", "short_row"])
+    def test_cli_plot_data_malformed_row_names_the_line(self, mangle, two_bus_path,
+                                                        tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["simulate", two_bus_path, f"--out={out}",
+                     "--ttotal=0.05"]) == 0
+        csv = out / "simulate_trajectory.csv"
+        lines = csv.read_text().splitlines()
+        lines[2] = ",".join(mangle(lines[2].split(",")))
+        csv.write_text("\n".join(lines) + "\n")
+        assert main(["plot-data", two_bus_path, str(csv), "t", "omega_0"]) == 2
+        assert "line 3" in capsys.readouterr().err
 
     def test_cli_plot_data_unknown_column_exit_code(self, two_bus_path, tmp_path):
         out = tmp_path / "run2"

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from essmpc.dmpc import (AdmmSettings, AreaProgram, ConsensusState,
-                         CouplingEquality, PartitionError,
-                         area_subproblem_solve, build_coupling,
+                         CouplingEquality, DistributedMpcController,
+                         PartitionError, area_subproblem_solve, build_coupling,
                          distributed_mpc_run, partition_grid, pdc_admm_step)
 from essmpc.dynamics import SystemState
 from essmpc.grid import solve_equilibrium
@@ -267,3 +267,26 @@ class TestClosedLoopEquivalence:
                              traj.ts, sc.events)
             assert np.max(np.abs(nxt.angles - traj.states[k + 1].angles)) < 1e-12
             assert np.max(np.abs(nxt.omega - traj.states[k + 1].omega)) < 1e-12
+
+
+class TestRoundBudget:
+    def test_spent_budget_applies_the_last_solved_plan(self, two_bus_scenario):
+        # One round in total: later SQP iterations have nothing to solve
+        # with, so they must not move the applied set-points.
+        sc = two_bus_scenario
+        st = sc.initial_state()
+        st.omega = st.omega + np.array([0.02, -0.01])
+        partition = partition_grid(sc.grid, [0, 1])
+        settings = replace(sc.admm, max_iterations=1)
+        applied = []
+        for outer in (1, 2, 3):
+            cfg = replace(sc.mpc, sqp=replace(sc.mpc.sqp, outer_iterations=outer,
+                                              tolerance=0.0))
+            controller = DistributedMpcController(sc.grid, cfg, partition, settings,
+                                                  sc.events)
+            u = controller(0, st)
+            assert controller.log[0].iterations == 1
+            applied.append((u.power, u.inertia))
+        for power, inertia in applied[1:]:
+            assert np.array_equal(power, applied[0][0])
+            assert np.array_equal(inertia, applied[0][1])

@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from essmpc.dynamics import ControlInput, SystemState, swing_jacobian, swing_rhs
 from essmpc.grid import (BalanceReport, GeneratorBus, GridError, GridModel,
                          Line, LoadBus, StorageBus, check_power_balance,
                          line_susceptance, network_injection,
@@ -46,13 +48,99 @@ class TestNetworkInjection:
 
     def test_per_line_antisymmetry(self, three_bus_grid):
         angles = np.array([0.3, -0.1, 0.2])
-        b = three_bus_grid.susceptance_matrix
         for ln in three_bus_grid.lines:
-            f_ij = b[ln.from_bus, ln.to_bus] * math.sin(
-                angles[ln.from_bus] - angles[ln.to_bus])
-            f_ji = b[ln.to_bus, ln.from_bus] * math.sin(
-                angles[ln.to_bus] - angles[ln.from_bus])
+            f_ij = ln.susceptance * math.sin(angles[ln.from_bus] - angles[ln.to_bus])
+            f_ji = ln.susceptance * math.sin(angles[ln.to_bus] - angles[ln.from_bus])
             assert f_ij == pytest.approx(-f_ji, abs=1e-15)
+
+
+@st.composite
+def connected_grids(draw):
+    """A random spanning tree plus extra lines, each drawn in a random direction,
+    over 2-8 buses of mixed roles with at least one generator."""
+    n = draw(st.integers(2, 8))
+    value = st.floats(0.5, 10.0)
+    kinds = draw(st.lists(st.sampled_from("gls"), min_size=n, max_size=n))
+    kinds[draw(st.integers(0, n - 1))] = "g"
+    roles = [GeneratorBus(draw(value), draw(value)) if k == "g"
+             else LoadBus(draw(value)) if k == "l"
+             else StorageBus(draw(value), (1.0, 15.0), (-4.0, 4.0), (-45.0, 10.0))
+             for k in kinds]
+    order = draw(st.permutations(range(n)))
+    pairs = {frozenset((order[i], order[draw(st.integers(0, i - 1))]))
+             for i in range(1, n)}
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=n)):
+        if i != j:
+            pairs.add(frozenset((i, j)))
+    lines = []
+    for pair in sorted(pairs, key=sorted):
+        i, j = sorted(pair)
+        if draw(st.booleans()):
+            i, j = j, i
+        lines.append(Line(i, j, draw(st.floats(1.0, 50.0))))
+    grid = GridModel(roles, lines, draw(st.lists(value, min_size=n, max_size=n)))
+    n_w, n_s = len(grid.inertia_buses), len(grid.storage_buses)
+    angle = st.floats(-1.0, 1.0)
+    state = SystemState(np.array(draw(st.lists(angle, min_size=n, max_size=n))),
+                        np.array(draw(st.lists(angle, min_size=n_w, max_size=n_w))),
+                        np.zeros(n_s))
+    u = ControlInput(np.array(draw(st.lists(st.floats(-4.0, 4.0), min_size=n_s,
+                                            max_size=n_s))),
+                     np.array(draw(st.lists(st.floats(1.0, 15.0), min_size=n_s,
+                                            max_size=n_s))))
+    return grid, state, u
+
+
+def rhs_vector(grid, state, u):
+    d = swing_rhs(grid, state, u)
+    return np.concatenate([d.angles, d.omega])
+
+
+class TestFlowLawOnRandomGrids:
+    @settings(max_examples=60, deadline=None)
+    @given(connected_grids())
+    def test_injections_match_a_per_line_sum(self, case):
+        grid, state, _u = case
+        angles = state.angles
+        expected = np.zeros(grid.n_buses)
+        for ln in grid.lines:
+            expected[ln.from_bus] += ln.susceptance * math.sin(
+                angles[ln.from_bus] - angles[ln.to_bus])
+            expected[ln.to_bus] += ln.susceptance * math.sin(
+                angles[ln.to_bus] - angles[ln.from_bus])
+        got = np.array([network_injection(grid, angles, i)
+                        for i in range(grid.n_buses)])
+        assert np.max(np.abs(got - expected)) <= 1e-12
+        assert abs(float(np.sum(got))) <= 1e-12 * sum(ln.susceptance for ln in grid.lines)
+
+    @settings(max_examples=60, deadline=None)
+    @given(connected_grids())
+    def test_jacobian_matches_central_differences(self, case):
+        grid, state, u = case
+        n, n_s = grid.n_buses, len(grid.storage_buses)
+        j_x, j_u = swing_jacobian(grid, state, u)
+        h = 1e-6
+        fd_x = np.zeros_like(j_x)
+        for j in range(j_x.shape[1]):
+            up, dn = state.copy(), state.copy()
+            part_up, part_dn, k = ((up.angles, dn.angles, j) if j < n
+                                   else (up.omega, dn.omega, j - n))
+            part_up[k] += h
+            part_dn[k] -= h
+            fd_x[:, j] = (rhs_vector(grid, up, u) - rhs_vector(grid, dn, u)) / (2 * h)
+        fd_u = np.zeros_like(j_u)
+        for j in range(2 * n_s):
+            up, dn = u.copy(), u.copy()
+            part_up, part_dn, k = ((up.power, dn.power, j) if j < n_s
+                                   else (up.inertia, dn.inertia, j - n_s))
+            part_up[k] += h
+            part_dn[k] -= h
+            fd_u[:, j] = (rhs_vector(grid, state, up)
+                          - rhs_vector(grid, state, dn)) / (2 * h)
+        assert np.max(np.abs(j_x - fd_x)) / max(1.0, np.max(np.abs(j_x))) < 1e-6
+        assert np.max(np.abs(j_u - fd_u), initial=0.0) \
+            / max(1.0, np.max(np.abs(j_u), initial=0.0)) < 1e-6
 
 
 class TestEquilibrium:
