@@ -11,10 +11,10 @@ from .dynamics import (ConstraintReport, ControlInput, SimulationAbort,
 from .qp import (ConvexProgram, DualSet, QpError, QpWorkspace, SolveReport,
                  kkt_residual, solve_qp)
 from .mpc import (HorizonProgram, LtvModel, MpcConfig, MpcConfigError,
-                  MpcController, MpcStepResult, SqpSettings, StorageRegime,
+                  MpcController, SqpSettings, StepRecord, StorageRegime,
                   assemble_horizon_program, linearize_dynamics,
-                  mpc_solve_horizon, receding_horizon_run)
-from .dmpc import (AdmmReport, AdmmSettings, AreaPartition, AreaProgram,
+                  receding_horizon_run)
+from .dmpc import (AdmmSettings, AreaPartition, AreaProgram,
                    ConsensusState, CouplingEquality, DistributedMpcController,
                    PartitionError, area_subproblem_solve, build_coupling,
                    distributed_mpc_run, partition_grid, pdc_admm_step)

@@ -10,6 +10,10 @@ and the areas exchange only boundary-angle trajectories and multipliers.
 Rounds are Jacobi style: every area solves against the previous round's
 exchange, so the outcome is independent of the order in which areas are
 processed.
+
+The controller runs the SQP outer loop of `mpc` unchanged; its solve step
+is the consensus iteration on the linearized areas, and it logs the same
+`StepRecord` as the centralized controller.
 """
 
 from __future__ import annotations
@@ -19,10 +23,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dynamics import ControlInput, SystemState, Trajectory, simulate
+from .dynamics import SystemState, Trajectory, simulate
 from .grid import DisturbanceEvent, GridModel, Line
-from .mpc import (HorizonProgram, MpcConfig, _AreaView, _assemble_program,
-                  _project_controls, _stage_cost, linearize_dynamics)
+from .mpc import (HorizonProgram, LtvModel, MpcConfig, StepRecord, _AreaView,
+                  _SqpController, _assemble_program)
 from .qp import ConvexProgram, QpWorkspace
 
 __all__ = [
@@ -36,7 +40,6 @@ __all__ = [
     "AreaProgram",
     "area_subproblem_solve",
     "pdc_admm_step",
-    "AdmmReport",
     "DistributedMpcController",
     "distributed_mpc_run",
 ]
@@ -234,7 +237,7 @@ def area_subproblem_solve(program: AreaProgram, consensus: ConsensusState,
                           x_prev: Optional[np.ndarray] = None,
                           workspace: Optional[QpWorkspace] = None,
                           warm: Optional[dict] = None,
-                          tol: float = 1e-8, max_iter: int = 20000) -> np.ndarray:
+                          tol: float = 1e-8) -> np.ndarray:
     """Minimize F_a plus coupling dual, penalty, and proximal terms.
 
     `warm`, if given, seeds the solve and records its x, y and status.
@@ -244,10 +247,8 @@ def area_subproblem_solve(program: AreaProgram, consensus: ConsensusState,
     if workspace is None:
         workspace = _augmented_workspace(program, consensus)
     workspace.update_linear(q=_round_linear_term(program, consensus, x_prev))
-    x0 = y0 = None
-    if warm is not None and warm.get("x") is not None:
-        x0, y0 = warm.get("x"), warm.get("y")
-    report = workspace.solve(tol=tol, max_iter=max_iter, x0=x0, y0=y0)
+    x0, y0 = (None, None) if warm is None else (warm.get("x"), warm.get("y"))
+    report = workspace.solve(tol=tol, x0=x0, y0=y0)
     if report.status == "infeasible":
         raise RuntimeError(f"area {program.area} subproblem reported infeasible")
     if warm is not None:
@@ -261,8 +262,7 @@ def pdc_admm_step(programs: Sequence[AreaProgram], consensus: ConsensusState,
                   workspaces: Optional[dict[int, QpWorkspace]] = None,
                   warm: Optional[dict[int, dict]] = None,
                   order: Optional[Sequence[int]] = None,
-                  tol: float = 1e-8, max_iter: int = 20000
-                  ) -> tuple[dict[int, np.ndarray], float]:
+                  tol: float = 1e-8) -> tuple[dict[int, np.ndarray], float]:
     """One synchronous round: all areas solve, then values and duals update.
 
     Every area reads the same consensus snapshot, so any processing order
@@ -276,7 +276,7 @@ def pdc_admm_step(programs: Sequence[AreaProgram], consensus: ConsensusState,
         ws = None if workspaces is None else workspaces.get(program.area)
         wm = None if warm is None else warm.setdefault(program.area, {})
         solutions[program.area] = area_subproblem_solve(
-            program, consensus, prev, ws, wm, tol=tol, max_iter=max_iter)
+            program, consensus, prev, ws, wm, tol=tol)
     # Barrier: publish boundary values, then ascend the duals.
     for program in programs:
         x = solutions[program.area]
@@ -288,52 +288,41 @@ def pdc_admm_step(programs: Sequence[AreaProgram], consensus: ConsensusState,
     return solutions, consensus.residual()
 
 
-@dataclass
-class AdmmReport:
-    """Per-control-step record of the consensus iteration."""
-
-    iterations: int
-    residual_history: list[float]
-    area_objectives: list[float]
-    converged: bool
-    non_optimal_solves: int   # area solves passed on without a certificate
-
-    @property
-    def final_residual(self) -> float:
-        return self.residual_history[-1] if self.residual_history else 0.0
-
-
 # ---------------------------------------------------------------------------
 # Closed-loop distributed controller
 # ---------------------------------------------------------------------------
 
 
-class DistributedMpcController:
-    """Closed-loop plant controller running the per-step consensus iteration."""
+class DistributedMpcController(_SqpController):
+    """Closed-loop controller whose SQP solve step is the consensus iteration.
+
+    One round budget (`AdmmSettings.max_iterations`) covers the whole
+    control step; once it is spent, later SQP iterations have nothing to
+    solve with and the last plan stands.
+    """
 
     def __init__(self, grid: GridModel, cfg: MpcConfig, partition: AreaPartition,
                  settings: AdmmSettings = AdmmSettings(),
                  events: Sequence[DisturbanceEvent] = ()):
-        cfg.validate(grid)
+        super().__init__(grid, cfg, events,
+                         [_AreaView(grid, partition.owned[a],
+                                    partition.boundary_foreign[a], a)
+                          for a in range(partition.n_areas)])
         settings.validate()
-        self.grid = grid
-        self.cfg = cfg
-        self.partition = partition
         self.settings = settings
-        self.events = tuple(events)
-        self.areas = [_AreaView(grid, partition.owned[a],
-                                partition.boundary_foreign[a], a)
-                      for a in range(partition.n_areas)]
         self.couplings = build_coupling(partition, cfg.k_steps)
         # Lookup: (bus, copy_area, k) -> coupling row (own_area implied by bus).
         self.coupling_index = {(c.bus, c.copy_area, c.k): i
                                for i, c in enumerate(self.couplings)}
-        self.log: list[AdmmReport] = []
         self._consensus: Optional[ConsensusState] = None
-        self._plan: Optional[np.ndarray] = None   # whole-grid (K, 2*n_s) warm plan
         self._warm: dict[int, dict] = {a.index: {} for a in self.areas}
 
-    # -- helpers ---------------------------------------------------------
+    def _start(self, state: SystemState) -> None:
+        if self._consensus is None:
+            self._consensus = ConsensusState.initialize(
+                self.couplings, state.angles, self.settings.rho, self.settings.tau)
+        else:
+            self._consensus = self._consensus.shifted()
 
     def _forcing(self, area: _AreaView) -> np.ndarray:
         """Foreign angles (K, n_f) at steps 1..K: the owners' published values."""
@@ -359,86 +348,40 @@ class DistributedMpcController:
                 own_entries.append((idx, hp.x_col(k, i), float(hp.ltv.states[k, i])))
         return AreaProgram(area.index, hp.prog, own_entries, copy_entries)
 
-    # -- one control step ---------------------------------------------------
-
-    def __call__(self, step: int, state: SystemState) -> ControlInput:
-        cfg, settings = self.cfg, self.settings
-        if self._consensus is None:
-            self._consensus = ConsensusState.initialize(
-                self.couplings, state.angles, settings.rho, settings.tau)
-        else:
-            self._consensus = self._consensus.shifted()
-            self._consensus.rho = settings.rho
-            self._consensus.tau = settings.tau
-
-        plan = cfg.reference_matrix() if self._plan is None else self._plan
-        residual_history: list[float] = []
-        total_rounds = 0
-        non_optimal = 0
-        converged = False
-        solutions: dict[int, np.ndarray] = {}
-        horizons: list[HorizonProgram] = []
-
-        for _outer in range(cfg.sqp.outer_iterations):
-            if total_rounds >= settings.max_iterations:
-                break   # no round left to solve a new linearization: keep the last plan
-            horizons = [_assemble_program(
-                self.grid, area,
-                linearize_dynamics(self.grid, state, plan, cfg.step, self.events,
-                                   area, self._forcing(area)), cfg)
-                for area in self.areas]
-            programs = [self._area_program(hp) for hp in horizons]
-            workspaces = {p.area: _augmented_workspace(p, self._consensus)
-                          for p in programs}
-            x_prev: dict[int, np.ndarray] = {p.area: np.zeros(p.prog.n)
-                                             for p in programs}
-            rounds = 0
-            resid = np.inf
-            z_prev = self._consensus.consensus_values()
-            # One iteration budget covers the whole control step.
-            while total_rounds + rounds < settings.max_iterations:
-                solutions, resid = pdc_admm_step(
-                    programs, self._consensus, x_prev, workspaces, self._warm,
-                    tol=cfg.qp_tol, max_iter=cfg.qp_max_iter)
-                non_optimal += sum(self._warm[p.area]["status"] != "optimal"
-                                   for p in programs)
-                x_prev = solutions
-                z_new = self._consensus.consensus_values()
-                dual_move = settings.rho * float(
-                    np.max(np.abs(z_new - z_prev), initial=0.0))
-                z_prev = z_new
-                rounds += 1
-                residual_history.append(resid)
-                # Two-block stopping: boundary disagreement (primal) and the
-                # movement of the agreed values (dual) both below tolerance.
-                if resid < settings.tolerance \
-                        and dual_move < settings.tolerance:
-                    break
-            total_rounds += rounds
-
-            new_plan = plan.copy()
-            for hp in horizons:
-                new_plan[:, hp.area.u_cols] = hp.controls_from(solutions[hp.area.index])
-            new_plan = _project_controls(self.grid, new_plan)
-            change = float(np.max(np.abs(new_plan - plan), initial=0.0))
-            plan = new_plan
-            if change < cfg.sqp.tolerance:
-                converged = resid < settings.tolerance
+    def _solve(self, ltvs: list[LtvModel], record: StepRecord
+               ) -> Optional[list[tuple[HorizonProgram, np.ndarray]]]:
+        """Consensus rounds on the area programs, within the round budget."""
+        settings = self.settings
+        if record.iterations >= settings.max_iterations:
+            return None
+        horizons = [_assemble_program(self.grid, area, ltv, self.cfg)
+                    for area, ltv in zip(self.areas, ltvs)]
+        programs = [self._area_program(hp) for hp in horizons]
+        workspaces = {p.area: _augmented_workspace(p, self._consensus)
+                      for p in programs}
+        x_prev: dict[int, np.ndarray] = {p.area: np.zeros(p.prog.n)
+                                         for p in programs}
+        z_prev = self._consensus.consensus_values()
+        while record.iterations < settings.max_iterations:
+            x_prev, resid = pdc_admm_step(programs, self._consensus, x_prev,
+                                          workspaces, self._warm, tol=self.cfg.qp_tol)
+            record.non_optimal_solves += sum(self._warm[p.area]["status"] != "optimal"
+                                             for p in programs)
+            z_new = self._consensus.consensus_values()
+            dual_move = settings.rho * float(np.max(np.abs(z_new - z_prev), initial=0.0))
+            z_prev = z_new
+            record.iterations += 1
+            record.residual_history.append(resid)
+            # Two-block stopping: boundary disagreement (primal) and the
+            # movement of the agreed values (dual) both below tolerance.
+            if resid < settings.tolerance and dual_move < settings.tolerance:
                 break
-        converged = converged or (residual_history
-                                  and residual_history[-1] < settings.tolerance)
+        return [(hp, x_prev[hp.area.index]) for hp in horizons]
 
-        # F_a on the area's solved horizon: the accepted plan and the
-        # QP-predicted frequencies.
-        area_objectives = [sum(_stage_cost(self.grid, cfg, hp.area,
-                                           plan[:, hp.area.u_cols],
-                                           hp.omega_from(solutions[hp.area.index])))
-                           for hp in horizons]
-        self.log.append(AdmmReport(total_rounds, residual_history,
-                                   area_objectives, bool(converged), non_optimal))
-        self._plan = np.vstack([plan[1:], plan[-1:]])
-        n_s = len(self.grid.storage_buses)
-        return ControlInput(plan[0, :n_s].copy(), plan[0, n_s:].copy())
+    def _converged(self, record: StepRecord, sqp_converged: bool) -> bool:
+        # The consensus verdict: the boundary angles agreed in the last round.
+        return bool(record.residual_history) \
+            and record.final_residual < self.settings.tolerance
 
 
 def distributed_mpc_run(grid: GridModel, partition: AreaPartition, cfg: MpcConfig,
@@ -446,7 +389,7 @@ def distributed_mpc_run(grid: GridModel, partition: AreaPartition, cfg: MpcConfi
                         settings: AdmmSettings = AdmmSettings(),
                         events: Sequence[DisturbanceEvent] = (),
                         clamp_storage_power_at_energy_limit: bool = True,
-                        name: str = "") -> tuple[Trajectory, list[AdmmReport]]:
+                        name: str = "") -> tuple[Trajectory, list[StepRecord]]:
     """Closed-loop simulation with the distributed controller in the loop."""
     controller = DistributedMpcController(grid, cfg, partition, settings, events)
     traj = simulate(grid, initial, controller, t_total, cfg.step, events,

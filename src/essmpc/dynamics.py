@@ -108,9 +108,6 @@ class Trajectory:
     def times(self) -> np.ndarray:
         return np.array([s.t for s in self.states])
 
-    def angle_matrix(self) -> np.ndarray:
-        return np.array([s.angles for s in self.states])
-
     def omega_matrix(self) -> np.ndarray:
         return np.array([s.omega for s in self.states])
 

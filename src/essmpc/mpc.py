@@ -8,10 +8,13 @@ energy allowance is enforced with running-sum rows.
 
 The horizon program is posed for an area: a set of own buses, plus the
 foreign buses at the far end of its tie lines, whose angles drive it as a
-given forcing.  The centralized controller here solves the one-area case,
-the whole grid with no foreign buses.  The distributed controller (`dmpc`)
-assembles the same program per area, where the foreign angles become copy
-columns that its consensus terms tie to the neighbours' own angles.
+given forcing.  The SQP outer loop is written once (`_SqpController`), over
+a list of areas; a controller supplies only the solve of the linearized
+areas.  The centralized controller here is the one-area case: the whole
+grid, with no foreign buses, solved as one program.  The distributed
+controller (`dmpc`) assembles the same program per area, where the foreign
+angles become copy columns that its consensus rounds tie to the
+neighbours' own angles.  Both log one `StepRecord` per control step.
 """
 
 from __future__ import annotations
@@ -33,10 +36,9 @@ __all__ = [
     "MpcConfig",
     "LtvModel",
     "HorizonProgram",
-    "MpcStepResult",
+    "StepRecord",
     "linearize_dynamics",
     "assemble_horizon_program",
-    "mpc_solve_horizon",
     "MpcController",
     "receding_horizon_run",
 ]
@@ -92,7 +94,6 @@ class MpcConfig:
     sqp: SqpSettings = field(default_factory=SqpSettings)
     absolute_effort: bool = False
     qp_tol: float = 1e-8
-    qp_max_iter: int = 20000
 
     @property
     def k_steps(self) -> int:
@@ -175,10 +176,6 @@ class MpcConfig:
         return np.tile(row, (self.k_steps, 1))
 
 
-def _state_vector(grid: GridModel, state: SystemState) -> np.ndarray:
-    return np.concatenate([state.angles, state.omega])
-
-
 class _AreaView:
     """Index maps of one area: its own buses and storages, and its foreign buses.
 
@@ -228,7 +225,6 @@ class LtvModel:
     controls: np.ndarray   # (K, nu) nominal [power, inertia] of the area's storages
     forcing: np.ndarray    # (K, nf) foreign angles at steps 1..K
     ts: float
-    t0: float
 
 
 def linearize_dynamics(grid: GridModel, state: SystemState,
@@ -257,7 +253,7 @@ def linearize_dynamics(grid: GridModel, state: SystemState,
     states = np.empty((k_steps + 1, nx))
     energies = np.empty((k_steps + 1, n_s))
     current = state.copy()
-    states[0] = _state_vector(grid, current)
+    states[0] = np.concatenate([current.angles, current.omega])
     energies[0] = current.energy
     eye = np.eye(nx)
     for k in range(k_steps):
@@ -267,13 +263,13 @@ def linearize_dynamics(grid: GridModel, state: SystemState,
         b_mats[k] = ts * j_u
         current = euler_step(grid, current, u, ts, events)
         current.angles[area.foreign] = forcing[k]
-        states[k + 1] = _state_vector(grid, current)
+        states[k + 1] = np.concatenate([current.angles, current.omega])
         energies[k + 1] = current.energy
     rows = area.rows[:, None]
     return LtvModel(a_mats[:, rows, area.rows], a_mats[:, rows, area.foreign],
                     b_mats[:, rows, area.u_cols], states[:, area.rows],
                     energies[:, area.storages], controls[:, area.u_cols],
-                    forcing.copy(), ts, state.t)
+                    forcing.copy(), ts)
 
 
 @dataclass
@@ -286,17 +282,13 @@ class HorizonProgram:
 
     prog: ConvexProgram
     ltv: LtvModel
-    grid: GridModel
     cfg: MpcConfig
     area: _AreaView
     n_u: int
     n_x: int
-    n_mon: int
     off_x: int
     off_copy: int
-    off_slack: int
     saturated: tuple[int, ...]   # area storage indices whose energy rows were dropped
-    pinned_power: dict[int, float]  # area storage index -> overridden pin value
 
     def u_col(self, k: int, j: int) -> int:
         return k * self.n_u + j
@@ -310,9 +302,6 @@ class HorizonProgram:
         if k < 1:
             raise IndexError("foreign-angle copies start at k=1")
         return self.off_copy + (k - 1) * self.area.n_f + f
-
-    def slack_col(self, k: int, i_mon: int) -> int:
-        return self.off_slack + (k - 1) * self.n_mon + i_mon
 
     def controls_from(self, z: np.ndarray) -> np.ndarray:
         """Physical control sequence (K, nu) from a solution vector."""
@@ -508,8 +497,8 @@ def _assemble_program(grid: GridModel, area: _AreaView, ltv: LtvModel,
 
     prog = ConvexProgram(q=q, Q=q_mat, A_eq=a_eq, b_eq=b_eq, A_in=a_in,
                          b_in=b_in, lb=lb, ub=ub)
-    return HorizonProgram(prog, ltv, grid, cfg, area, n_u, n_x, n_mon, off_x,
-                          off_copy, off_slack, tuple(saturated), pinned)
+    return HorizonProgram(prog, ltv, cfg, area, n_u, n_x, off_x, off_copy,
+                          tuple(saturated))
 
 
 def assemble_horizon_program(grid: GridModel, ltv: LtvModel,
@@ -518,37 +507,8 @@ def assemble_horizon_program(grid: GridModel, ltv: LtvModel,
     return _assemble_program(grid, _AreaView(grid), ltv, cfg)
 
 
-@dataclass
-class MpcStepResult:
-    """Outcome of one receding-horizon solve."""
-
-    applied: ControlInput
-    plan: np.ndarray               # accepted control sequence (K, 2*n_s)
-    predicted_states: list[SystemState]
-    effort: float
-    performance: float
-    objective: float
-    sqp_iterations: int
-    qp_report: SolveReport
-    saturated: tuple[int, ...]
-    converged: bool
-    non_optimal_solves: int        # SQP subproblems applied without certificate
-
-
 def _project_controls(grid: GridModel, controls: np.ndarray) -> np.ndarray:
     return np.clip(controls, *np.hstack([grid.power_bounds, grid.inertia_bounds]))
-
-
-def _rollout(grid: GridModel, state: SystemState, controls: np.ndarray,
-             ts: float, events: Sequence[DisturbanceEvent]) -> list[SystemState]:
-    n_s = len(grid.storage_buses)
-    out = [state.copy()]
-    current = state
-    for k in range(controls.shape[0]):
-        u = ControlInput(controls[k, :n_s].copy(), controls[k, n_s:].copy())
-        current = euler_step(grid, current, u, ts, events)
-        out.append(current)
-    return out
 
 
 def _stage_cost(grid: GridModel, cfg: MpcConfig, area: _AreaView,
@@ -584,79 +544,134 @@ def horizon_objective(grid: GridModel, cfg: MpcConfig, states: list[SystemState]
                        [st.omega for st in states[1:]])
 
 
-def mpc_solve_horizon(grid: GridModel, state: SystemState, cfg: MpcConfig,
-                      events: Sequence[DisturbanceEvent] = (),
-                      warm_controls: Optional[np.ndarray] = None,
-                      warm_qp: Optional[dict] = None) -> MpcStepResult:
-    """Sequential linearization around the current state; returns the first input."""
-    nominal = cfg.reference_matrix() if warm_controls is None \
-        else _project_controls(grid, np.asarray(warm_controls, dtype=float))
-    report: Optional[SolveReport] = None
-    hp: Optional[HorizonProgram] = None
-    converged = False
-    iterations = 0
-    non_optimal = 0
-    for _ in range(cfg.sqp.outer_iterations):
-        iterations += 1
-        ltv = linearize_dynamics(grid, state, nominal, cfg.step, events)
-        hp = assemble_horizon_program(grid, ltv, cfg)
-        ws = QpWorkspace(hp.prog)
-        x0 = y0 = None
-        if warm_qp is not None and warm_qp.get("n") == hp.prog.n \
-                and warm_qp.get("m") is not None:
-            x0 = warm_qp.get("x")
-            y0 = warm_qp.get("y") if warm_qp.get("m") == ws.m else None
-        report = ws.solve(tol=cfg.qp_tol, max_iter=cfg.qp_max_iter, x0=x0, y0=y0)
-        if report.status == "infeasible":
-            raise RuntimeError("horizon subproblem reported infeasible")
-        non_optimal += report.status != "optimal"
-        if warm_qp is not None:
-            warm_qp.update(n=hp.prog.n, m=ws.m, x=report.x.copy(),
-                           y=report.y_stacked.copy())
-        new_controls = _project_controls(grid, hp.controls_from(report.x))
-        change = float(np.max(np.abs(new_controls - nominal)))
-        nominal = new_controls
-        if change < cfg.sqp.tolerance:
-            converged = True
-            break
+@dataclass
+class StepRecord:
+    """What one control step of either controller did.
 
-    predicted = _rollout(grid, state, nominal, cfg.step, events)
-    effort, performance = horizon_objective(grid, cfg, predicted, nominal)
-    n_s = len(grid.storage_buses)
-    applied = ControlInput(nominal[0, :n_s].copy(), nominal[0, n_s:].copy())
-    return MpcStepResult(applied, nominal.copy(), predicted, effort, performance,
-                         effort + performance, iterations, report,
-                         hp.saturated, converged, non_optimal)
+    The consensus fields (`iterations`, `residual_history`) stay empty for
+    the centralized controller, and `qp_report` stays None for the
+    distributed one.
+    """
+
+    applied: Optional[ControlInput] = None
+    plan: Optional[np.ndarray] = None      # accepted control sequence (K, 2*n_s)
+    sqp_iterations: int = 0                # SQP iterations that solved
+    converged: bool = False
+    non_optimal_solves: int = 0            # solves applied without a certificate
+    saturated: tuple[int, ...] = ()        # grid storage indices whose energy rows were dropped
+    iterations: int = 0                    # consensus rounds
+    residual_history: list[float] = field(default_factory=list)
+    area_objectives: list[float] = field(default_factory=list)  # F_a per area
+    qp_report: Optional[SolveReport] = None    # the whole-grid solve's report
+
+    @property
+    def final_residual(self) -> float:
+        return self.residual_history[-1] if self.residual_history else 0.0
 
 
-class MpcController:
-    """Stateful closed-loop controller: warm starts carry across steps."""
+class _SqpController:
+    """The SQP outer loop over a controller's areas; subclasses supply `_solve`.
+
+    Each iteration linearizes every area against its forcing, has `_solve`
+    return one (program, solution) pair per area, or None to keep the last
+    plan, and writes the areas' controls back into the projected plan.
+    """
 
     def __init__(self, grid: GridModel, cfg: MpcConfig,
-                 events: Sequence[DisturbanceEvent] = ()):
+                 events: Sequence[DisturbanceEvent], areas: list[_AreaView]):
         cfg.validate(grid)
         self.grid = grid
         self.cfg = cfg
         self.events = tuple(events)
-        self.log: list[MpcStepResult] = []
-        self._warm: Optional[np.ndarray] = None
-        self._warm_qp: dict = {}
+        self.areas = areas
+        self.log: list[StepRecord] = []
+        self._plan: Optional[np.ndarray] = None
+
+    def _start(self, state: SystemState) -> None:
+        """Set-up of one control step, before its first linearization."""
+
+    def _forcing(self, area: _AreaView) -> Optional[np.ndarray]:
+        return None
+
+    def _solve(self, ltvs: list[LtvModel], record: StepRecord
+               ) -> Optional[list[tuple[HorizonProgram, np.ndarray]]]:
+        raise NotImplementedError
+
+    def _converged(self, record: StepRecord, sqp_converged: bool) -> bool:
+        return sqp_converged
 
     def __call__(self, step: int, state: SystemState) -> ControlInput:
-        result = mpc_solve_horizon(self.grid, state, self.cfg, self.events,
-                                   warm_controls=self._warm,
-                                   warm_qp=self._warm_qp)
-        self.log.append(result)
-        # Shift the accepted plan one step for the next warm start.
-        self._warm = np.vstack([result.plan[1:], result.plan[-1:]])
-        return result.applied
+        grid, cfg = self.grid, self.cfg
+        self._start(state)
+        plan = cfg.reference_matrix() if self._plan is None else self._plan
+        record = StepRecord()
+        solved: list[tuple[HorizonProgram, np.ndarray]] = []
+        sqp_converged = False
+        for _ in range(cfg.sqp.outer_iterations):
+            ltvs = [linearize_dynamics(grid, state, plan, cfg.step, self.events,
+                                       area, self._forcing(area))
+                    for area in self.areas]
+            result = self._solve(ltvs, record)
+            if result is None:
+                break
+            solved = result
+            record.sqp_iterations += 1
+            new_plan = plan.copy()
+            for hp, x in solved:
+                new_plan[:, hp.area.u_cols] = hp.controls_from(x)
+            new_plan = _project_controls(grid, new_plan)
+            change = float(np.max(np.abs(new_plan - plan), initial=0.0))
+            plan = new_plan
+            if change < cfg.sqp.tolerance:
+                sqp_converged = True
+                break
+
+        record.converged = self._converged(record, sqp_converged)
+        record.saturated = tuple(sorted(int(hp.area.storages[j])
+                                        for hp, _ in solved for j in hp.saturated))
+        # F_a on the area's solved horizon: the accepted plan and the
+        # QP-predicted frequencies.
+        record.area_objectives = [
+            sum(_stage_cost(grid, cfg, hp.area, plan[:, hp.area.u_cols],
+                            hp.omega_from(x)))
+            for hp, x in solved]
+        n_s = len(grid.storage_buses)
+        record.plan = plan
+        record.applied = ControlInput(plan[0, :n_s].copy(), plan[0, n_s:].copy())
+        self.log.append(record)
+        self._plan = np.vstack([plan[1:], plan[-1:]])
+        return record.applied
+
+
+class MpcController(_SqpController):
+    """Centralized controller: one warm-started solve of the whole-grid program.
+
+    The last solution and multipliers warm-start the next solve; the solver
+    drops multipliers whose row count no longer matches.
+    """
+
+    def __init__(self, grid: GridModel, cfg: MpcConfig,
+                 events: Sequence[DisturbanceEvent] = ()):
+        super().__init__(grid, cfg, events, [_AreaView(grid)])
+        self._warm_qp: dict = {}
+
+    def _solve(self, ltvs: list[LtvModel], record: StepRecord
+               ) -> list[tuple[HorizonProgram, np.ndarray]]:
+        hp = assemble_horizon_program(self.grid, ltvs[0], self.cfg)
+        report = QpWorkspace(hp.prog).solve(tol=self.cfg.qp_tol, **self._warm_qp)
+        if report.status == "infeasible":
+            raise RuntimeError("horizon subproblem reported infeasible")
+        record.non_optimal_solves += report.status != "optimal"
+        record.qp_report = report
+        self._warm_qp = {"x0": report.x, "y0": report.y_stacked}
+        return [(hp, report.x)]
 
 
 def receding_horizon_run(grid: GridModel, initial: SystemState, cfg: MpcConfig,
                          t_total: float,
                          events: Sequence[DisturbanceEvent] = (),
                          clamp_storage_power_at_energy_limit: bool = True,
-                         name: str = "") -> tuple[Trajectory, list[MpcStepResult]]:
+                         name: str = "") -> tuple[Trajectory, list[StepRecord]]:
     """Closed-loop simulation with the centralized controller in the loop."""
     controller = MpcController(grid, cfg, events)
     traj = simulate(grid, initial, controller, t_total, cfg.step, events,

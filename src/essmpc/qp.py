@@ -39,6 +39,7 @@ __all__ = [
 
 _SIGMA = 1e-6      # primal regularization inside the splitting
 _ALPHA = 1.6       # over-relaxation
+_RHO = 0.1         # initial splitting penalty, adapted during the iteration
 _RHO_EQ_SCALE = 1e3
 _CHECK_EVERY = 25
 _ADAPT_EVERY = 100
@@ -193,7 +194,7 @@ class QpWorkspace:
     programs cheap.
     """
 
-    def __init__(self, prog: ConvexProgram, rho: float = 0.1):
+    def __init__(self, prog: ConvexProgram):
         self.prog = prog
         n = prog.n
         self._box_vars = np.where(np.isfinite(prog.lb) | np.isfinite(prog.ub))[0]
@@ -212,9 +213,7 @@ class QpWorkspace:
         self._Qs = 0.5 * (prog.Q + prog.Q.T)
         self._q_max = float(np.max(np.abs(self._Qs), initial=0.0))
         self._scaled_ready = False
-        self._rho = rho
-        self._rho_vec = self._make_rho_vec(rho)
-        self._factor = None
+        self._set_rho(_RHO)
 
     # -- scaling -----------------------------------------------------------
 
@@ -267,14 +266,10 @@ class QpWorkspace:
 
     # -- factorization -----------------------------------------------------
 
-    def _make_rho_vec(self, rho: float) -> np.ndarray:
-        rho_vec = np.full(self.m, rho)
-        rho_vec[: self._m_eq] = rho * _RHO_EQ_SCALE
-        return rho_vec
-
     def _set_rho(self, rho: float) -> None:
         self._rho = rho
-        self._rho_vec = self._make_rho_vec(rho)
+        self._rho_vec = np.full(self.m, rho)
+        self._rho_vec[: self._m_eq] = rho * _RHO_EQ_SCALE
         self._factor = None
 
     def _factorize(self) -> None:
@@ -320,13 +315,13 @@ class QpWorkspace:
     # -- main iteration ------------------------------------------------------
 
     def solve(self, tol: float = 1e-8, max_iter: int = 20000,
-              x0: Optional[np.ndarray] = None, y0: Optional[np.ndarray] = None,
-              polish: bool = True, adaptive_rho: bool = True) -> SolveReport:
+              x0: Optional[np.ndarray] = None, y0: Optional[np.ndarray] = None
+              ) -> SolveReport:
         """Solve to `tol` on the exactly recomputed KKT residuals.
 
         Order: the exact step from (x0, y0); then, if max|Q| <= tol, the
         exact step from the HiGHS optimum of the linear part; then the
-        splitting iteration.  With `polish=False` only the splitting runs.
+        splitting iteration.
         """
         prog, n, m = self.prog, self.prog.n, self.m
         if m == 0:
@@ -337,14 +332,14 @@ class QpWorkspace:
             y0 = None
         # Warm starts usually carry the previous active set: one exact solve
         # often lands on the new optimum immediately.
-        if polish and x0 is not None and y0 is not None:
+        if x0 is not None and y0 is not None:
             refined = self._try_polish(np.asarray(x0, dtype=float),
                                        np.asarray(y0, dtype=float), tol, 0)
             if refined is not None:
                 return refined
         # A quadratic term at or below tol is a tie-break the splitting
         # cannot resolve to tol; an exact LP vertex seeds the exact step.
-        if polish and self._q_max <= tol:
+        if self._q_max <= tol:
             seed = self._lp_seed()
             if seed is not None:
                 # HiGHS multipliers are exact: any non-zero one marks a row
@@ -396,8 +391,7 @@ class QpWorkspace:
                     break
                 res = max(r_prim, r_dual)
                 forced = k >= next_forced_polish
-                if polish and (forced or (res <= polish_trigger
-                                          and res < 0.5 * last_polish_res)):
+                if forced or (res <= polish_trigger and res < 0.5 * last_polish_res):
                     last_polish_res = min(last_polish_res, res)
                     if forced:
                         next_forced_polish *= 2
@@ -408,7 +402,7 @@ class QpWorkspace:
                     status = "infeasible"
                     iterations = k
                     break
-                if adaptive_rho and k % _ADAPT_EVERY == 0:
+                if k % _ADAPT_EVERY == 0:
                     scale = np.sqrt(r_prim / max(r_dual, 1e-16))
                     if scale > 5.0 or scale < 0.2:
                         new_rho = float(np.clip(self._rho * np.clip(scale, 0.02, 50.0),
@@ -422,7 +416,7 @@ class QpWorkspace:
         x_u = self._d * x
         y_u = self._e * y / self._c
         report = self._finish(x_u, y_u, status, iterations)
-        if polish and status in ("optimal", "max_iter"):
+        if status in ("optimal", "max_iter"):
             refined = self._try_polish(x_u, y_u, tol, iterations)
             if refined is not None:
                 return refined
@@ -575,8 +569,7 @@ class QpWorkspace:
 
 
 def solve_qp(prog: ConvexProgram, tol: float = 1e-8, max_iter: int = 20000,
-             x0: Optional[np.ndarray] = None, y0: Optional[np.ndarray] = None,
-             polish: bool = True) -> SolveReport:
+             x0: Optional[np.ndarray] = None, y0: Optional[np.ndarray] = None
+             ) -> SolveReport:
     """One-shot solve; see QpWorkspace for warm-started repeat solves."""
-    return QpWorkspace(prog).solve(tol=tol, max_iter=max_iter, x0=x0, y0=y0,
-                                   polish=polish)
+    return QpWorkspace(prog).solve(tol=tol, max_iter=max_iter, x0=x0, y0=y0)

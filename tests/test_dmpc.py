@@ -226,10 +226,18 @@ class TestClosedLoopEquivalence:
         sc = two_bus_scenario
         st = sc.initial_state()
         cfg = replace(sc.mpc, absolute_effort=absolute_effort)
-        traj_c, _ = receding_horizon_run(sc.grid, st, cfg, 1.0, sc.events)
+        traj_c, log_c = receding_horizon_run(sc.grid, st, cfg, 1.0, sc.events)
         partition = partition_grid(sc.grid, [0, 0])
         traj_d, reports = distributed_mpc_run(sc.grid, partition, cfg, st, 1.0,
                                               sc.admm, sc.events)
+        # Both controllers run the same SQP loop: step by step it takes the
+        # same iterations, certifies the same solves and saturates the same
+        # storages.
+        assert len(log_c) == len(reports)
+        for c, d in zip(log_c, reports):
+            assert d.sqp_iterations == c.sqp_iterations
+            assert d.non_optimal_solves == c.non_optimal_solves
+            assert d.saturated == c.saturated
         for a, b in zip(traj_c.states, traj_d.states):
             assert np.max(np.abs(a.angles - b.angles)) <= 1e-8
             assert np.max(np.abs(a.omega - b.omega)) <= 1e-8

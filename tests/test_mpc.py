@@ -9,11 +9,11 @@ from scipy.optimize import linprog
 
 from essmpc.dynamics import ControlInput, SystemState, euler_step, simulate, swing_rhs
 from essmpc.grid import DisturbanceEvent, solve_equilibrium
-from essmpc.dmpc import partition_grid
-from essmpc.mpc import (_REGULARIZATION, MpcConfig, MpcConfigError, SqpSettings,
-                        StorageRegime, _AreaView, _assemble_program, _stage_cost,
-                        assemble_horizon_program, linearize_dynamics,
-                        mpc_solve_horizon, receding_horizon_run)
+from essmpc.dmpc import DistributedMpcController, partition_grid
+from essmpc.mpc import (_REGULARIZATION, MpcConfig, MpcConfigError, MpcController,
+                        SqpSettings, StorageRegime, _AreaView, _assemble_program,
+                        _stage_cost, assemble_horizon_program, linearize_dynamics,
+                        receding_horizon_run)
 from essmpc.qp import QpWorkspace, kkt_residual
 
 
@@ -37,6 +37,23 @@ def stack_state(state):
 def rhs_vector(grid, state, u, events=()):
     d = swing_rhs(grid, state, u, state.t, events)
     return np.concatenate([d.angles, d.omega])
+
+
+def first_step(grid, state, cfg, events=()):
+    """Step record of one control step of a fresh centralized controller."""
+    ctrl = MpcController(grid, cfg, events)
+    ctrl(0, state)
+    return ctrl.log[-1]
+
+
+def rollout(grid, state, plan, ts, events=()):
+    """Nonlinear Euler states under a (K, 2*n_s) plan, the initial one first."""
+    n_s = len(grid.storage_buses)
+    states = [state]
+    for row in plan:
+        states.append(euler_step(grid, states[-1],
+                                 ControlInput(row[:n_s], row[n_s:]), ts, events))
+    return states
 
 
 class TestLinearize:
@@ -157,8 +174,9 @@ class TestAssemble:
         angles = solve_equilibrium(two_bus_grid, np.array([-3.0]))
         st = SystemState(angles, np.zeros(2), np.array([-44.9]), 0.0)
         cfg = base_config(two_bus_grid)
-        result = mpc_solve_horizon(two_bus_grid, st, cfg)
-        energies = np.array([s.energy[0] for s in result.predicted_states])
+        record = first_step(two_bus_grid, st, cfg)
+        predicted = rollout(two_bus_grid, st, record.plan, cfg.step)
+        energies = np.array([s.energy[0] for s in predicted])
         assert np.all(energies >= -45.0 - 1e-6)
 
     def test_pinned_value_outside_box_rejected(self, two_bus_grid):
@@ -166,17 +184,26 @@ class TestAssemble:
             MpcConfig.create(two_bus_grid, horizon=0.1, step=0.01,
                              reference_power=-5.0, reference_inertia=8.0)
 
-    def test_saturated_pin_overridden_to_feasible_extreme(self, two_bus_grid):
+    @pytest.mark.parametrize("split", [None, [0, 1]],
+                             ids=["centralized", "two_area"])
+    def test_saturated_pin_overridden_to_feasible_extreme(self, two_bus_grid,
+                                                          split):
         # Pinned charging at the lower energy bound cannot continue; the
-        # assembler reports saturation and moves the pin to zero.
+        # assembler reports saturation and moves the pin to zero.  Either
+        # controller reports it in grid storage indices.
         angles = solve_equilibrium(two_bus_grid, np.array([-3.0]))
         st = SystemState(angles, np.zeros(2), np.array([-45.0]), 0.0)
         cfg = base_config(two_bus_grid,
                           regimes=StorageRegime(power_free=False,
                                                 inertia_free=False))
-        result = mpc_solve_horizon(two_bus_grid, st, cfg)
-        assert result.saturated == (0,)
-        assert result.applied.power[0] == pytest.approx(0.0, abs=1e-9)
+        if split is None:
+            ctrl = MpcController(two_bus_grid, cfg)
+        else:
+            ctrl = DistributedMpcController(two_bus_grid, cfg,
+                                            partition_grid(two_bus_grid, split))
+        applied = ctrl(0, st)
+        assert ctrl.log[-1].saturated == (0,)
+        assert applied.power[0] == pytest.approx(0.0, abs=1e-9)
 
 
 class TestProgramMeaning:
@@ -259,17 +286,18 @@ class TestSolveHorizon:
     def test_null_case_applies_reference(self, two_bus_grid):
         st = equilibrium_state(two_bus_grid, np.array([-3.0]))
         cfg = base_config(two_bus_grid)
-        result = mpc_solve_horizon(two_bus_grid, st, cfg)
+        result = first_step(two_bus_grid, st, cfg)
         assert result.applied.power[0] == pytest.approx(-3.0, abs=1e-9)
         assert result.applied.inertia[0] == pytest.approx(8.0, abs=1e-9)
-        worst = max(np.max(np.abs(s.omega)) for s in result.predicted_states)
+        predicted = rollout(two_bus_grid, st, result.plan, cfg.step)
+        worst = max(np.max(np.abs(s.omega)) for s in predicted)
         assert worst < 1e-9
 
     def test_applied_controls_respect_boxes_exactly(self, two_bus_grid):
         st = equilibrium_state(two_bus_grid, np.array([-3.0]))
         events = [DisturbanceEvent(0, 0.0, 1.5)]
         cfg = base_config(two_bus_grid)
-        result = mpc_solve_horizon(two_bus_grid, st, cfg, events)
+        result = first_step(two_bus_grid, st, cfg, events)
         role = two_bus_grid.storage_role(1)
         assert role.power_bounds[0] <= result.applied.power[0] <= role.power_bounds[1]
         assert role.inertia_bounds[0] <= result.applied.inertia[0] \
@@ -287,7 +315,7 @@ class TestSolveHorizon:
         }.items():
             cfg = base_config(two_bus_grid, regimes=regime,
                               sqp=SqpSettings(outer_iterations=1))
-            result = mpc_solve_horizon(two_bus_grid, st, cfg, events)
+            result = first_step(two_bus_grid, st, cfg, events)
             objectives[key] = result.qp_report.objective
         assert objectives["cv"] <= objectives["cc"] + 1e-6
         assert objectives["vc"] <= objectives["cc"] + 1e-6
@@ -298,7 +326,7 @@ class TestSolveHorizon:
 class TestTwelveBusHorizon:
     def test_step_zero_solve_is_certified(self, twelve_bus_scenario):
         sc = twelve_bus_scenario
-        result = mpc_solve_horizon(sc.grid, sc.initial_state(), sc.mpc, sc.events)
+        result = first_step(sc.grid, sc.initial_state(), sc.mpc, sc.events)
         rep = result.qp_report
         assert rep.status == "optimal"
         hp = assemble_horizon_program(
@@ -345,7 +373,7 @@ class TestLpSeededSolve:
         ltv = linearize_dynamics(sc.grid, state, cfg.reference_matrix(),
                                  cfg.step, events)
         prog = assemble_horizon_program(sc.grid, ltv, cfg).prog
-        rep = QpWorkspace(prog).solve(tol=cfg.qp_tol, max_iter=cfg.qp_max_iter)
+        rep = QpWorkspace(prog).solve(tol=cfg.qp_tol)
         assert rep.status == "optimal"
         assert rep.iterations == 0          # finished by the exact step
         assert max(kkt_residual(prog, rep.x, rep.duals)) <= cfg.qp_tol
@@ -384,7 +412,7 @@ class TestClosedLoop:
                                reference_power=-3.0, reference_inertia=8.0,
                                regimes=StorageRegime(power_free=True,
                                                      inertia_free=False))
-        result = mpc_solve_horizon(two_bus_grid, st, cfg, events)
+        result = first_step(two_bus_grid, st, cfg, events)
         assert result.applied.power[0] == pytest.approx(-3.2, abs=1e-3)
 
     def test_free_power_moves_toward_disturbance_balance(self, two_bus_grid):
