@@ -240,20 +240,18 @@ def area_subproblem_solve(program: AreaProgram, consensus: ConsensusState,
                           tol: float = 1e-8) -> np.ndarray:
     """Minimize F_a plus coupling dual, penalty, and proximal terms.
 
-    `warm`, if given, seeds the solve and records its x, y and status.
+    `warm`, if given, seeds the solve and records its multipliers y and status.
     """
     if x_prev is None:
         x_prev = np.zeros(program.prog.n)
     if workspace is None:
         workspace = _augmented_workspace(program, consensus)
     workspace.update_linear(q=_round_linear_term(program, consensus, x_prev))
-    x0, y0 = (None, None) if warm is None else (warm.get("x"), warm.get("y"))
-    report = workspace.solve(tol=tol, x0=x0, y0=y0)
+    report = workspace.solve(tol=tol, y0=None if warm is None else warm.get("y"))
     if report.status == "infeasible":
         raise RuntimeError(f"area {program.area} subproblem reported infeasible")
     if warm is not None:
-        warm.update(x=report.x.copy(), y=report.y_stacked.copy(),
-                    status=report.status)
+        warm.update(y=report.y_stacked.copy(), status=report.status)
     return report.x
 
 

@@ -44,9 +44,9 @@ __all__ = [
 ]
 
 # Tiny diagonal cost keeping the subproblem strictly convex, so a non-unique
-# LP optimum resolves to one deterministic point.  A tie-break at or below
-# qp_tol is what the splitting iteration cannot resolve; the QP solver
-# finishes such programs from an exact LP vertex instead (see qp.py).
+# LP optimum resolves to one deterministic point and the dual active set of
+# qp.py applies.  At or below qp_tol it also makes the QP solver seed the
+# exact step from the HiGHS vertex of the linear part (see qp.py).
 _REGULARIZATION = 1e-8
 
 
@@ -646,24 +646,24 @@ class _SqpController:
 class MpcController(_SqpController):
     """Centralized controller: one warm-started solve of the whole-grid program.
 
-    The last solution and multipliers warm-start the next solve; the solver
-    drops multipliers whose row count no longer matches.
+    The last multipliers warm-start the next solve; the solver drops
+    multipliers whose row count no longer matches.
     """
 
     def __init__(self, grid: GridModel, cfg: MpcConfig,
                  events: Sequence[DisturbanceEvent] = ()):
         super().__init__(grid, cfg, events, [_AreaView(grid)])
-        self._warm_qp: dict = {}
+        self._warm_y: Optional[np.ndarray] = None
 
     def _solve(self, ltvs: list[LtvModel], record: StepRecord
                ) -> list[tuple[HorizonProgram, np.ndarray]]:
         hp = assemble_horizon_program(self.grid, ltvs[0], self.cfg)
-        report = QpWorkspace(hp.prog).solve(tol=self.cfg.qp_tol, **self._warm_qp)
+        report = QpWorkspace(hp.prog).solve(tol=self.cfg.qp_tol, y0=self._warm_y)
         if report.status == "infeasible":
             raise RuntimeError("horizon subproblem reported infeasible")
         record.non_optimal_solves += report.status != "optimal"
         record.qp_report = report
-        self._warm_qp = {"x0": report.x, "y0": report.y_stacked}
+        self._warm_y = report.y_stacked
         return [(hp, report.x)]
 
 

@@ -1,21 +1,29 @@
-"""Convex quadratic programming by operator splitting.
+"""Convex quadratic programming by exact active sets.
 
 Solves  min 0.5 x'Qx + q'x  subject to  A_eq x = b_eq, A_in x <= b_in,
-lb <= x <= ub.  The workhorse is an ADMM splitting with over-relaxation,
-per-row penalties, Ruiz equilibration of the problem data, and a cached KKT
-factorization.  An exact active-set refinement ("polish") finishes a solve
-from a seed point; a refined point is accepted only when its exactly
-recomputed KKT residuals meet the tolerance.
+lb <= x <= ub.  The rows are stacked as l <= C x <= u.  A working set pins
+rows at one of their bounds, and the KKT system of the pinned rows is
+solved exactly.  A point is accepted only when its exactly recomputed KKT
+residuals meet the tolerance.
 
 A solve tries, in order, and stops at the first certified point:
 
-1. the exact step from a caller's warm start (x0, y0);
-2. when max|Q| <= tol (an LP up to a tie-break the splitting cannot
-   resolve), the exact step from the HiGHS optimum of the linear part;
-3. the splitting iteration, polished at checkpoints and at its end.
+1. the bulk exact step from a caller's warm multipliers y0: each round
+   adds every violated row and drops every wrong-sign multiplier;
+2. when max|Q| <= tol (an LP up to a tie-break), the bulk exact step from
+   the HiGHS optimum of the linear part; HiGHS proving the rows
+   infeasible ends the solve as "infeasible";
+3. the Goldfarb-Idnani dual active set (Math. Prog. 27, 1983), which
+   needs Q positive definite.  It starts from the HiGHS rows, or from the
+   equality rows, and adds one violated row at a time, dropping working
+   rows whose multiplier reaches zero on the way.  The objective rises at
+   every step, so it ends after finitely many: at the optimum, or
+   "infeasible" when no finite step can satisfy a violated row.  The
+   exact pinned solve of its final working set is the returned point.
 
+A solve that certifies no point ends "max_iter" with its best point.
 Residuals in the report are always recomputed from the returned point,
-never taken from the iteration or from HiGHS.
+never taken from an iteration or from HiGHS.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import lu_factor, lu_solve, solve_triangular
 from scipy.optimize import linprog
 
 __all__ = [
@@ -37,13 +45,9 @@ __all__ = [
     "kkt_residual",
 ]
 
-_SIGMA = 1e-6      # primal regularization inside the splitting
-_ALPHA = 1.6       # over-relaxation
-_RHO = 0.1         # initial splitting penalty, adapted during the iteration
-_RHO_EQ_SCALE = 1e3
-_CHECK_EVERY = 25
-_ADAPT_EVERY = 100
-_RUIZ_ITERS = 10
+# A row a whose step z has curvature z'Qz below this share of a'Q^-1 a lies
+# in the span of the working set: adding it has no finite primal step.
+_DEPENDENT = 1e-12
 # HiGHS's default 1e-7 feasibility tolerances leave a primal residual the
 # exact step cannot certify at 1e-8; the seed has to be tighter than tol.
 _HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10,
@@ -143,14 +147,18 @@ class SolveReport:
     x: np.ndarray
     duals: DualSet
     status: str                 # "optimal" | "max_iter" | "infeasible"
-    iterations: int
+    iterations: int             # dual active-set steps; 0 if the bulk step certified
     stationarity: float
     primal_feasibility: float
     complementarity: float
     objective: float
-    polished: bool = False
-    # Raw stacked-row multipliers (unscaled), useful for warm starting.
+    # Stacked-row multipliers (> 0 at an upper bound), the warm start y0.
     y_stacked: np.ndarray = field(default_factory=lambda: np.zeros(0))
+
+    @property
+    def polished(self) -> bool:
+        """Every certified point is an exact solve of a pinned KKT system."""
+        return self.status == "optimal"
 
 
 def kkt_residual(prog: ConvexProgram, x: np.ndarray, duals: DualSet
@@ -187,11 +195,10 @@ def kkt_residual(prog: ConvexProgram, x: np.ndarray, duals: DualSet
 
 
 class QpWorkspace:
-    """Reusable solver state: stacked constraints, scaling, factorization.
+    """Reusable solver state: the program's rows stacked as l <= C x <= u.
 
-    Rebuilding only the linear data (`update_linear`) keeps the cached
-    factorization, which makes repeated solves of structurally identical
-    programs cheap.
+    `update_linear` swaps in a new linear cost, so repeated solves of
+    programs that differ only in q share one workspace.
     """
 
     def __init__(self, prog: ConvexProgram):
@@ -210,230 +217,46 @@ class QpWorkspace:
         self.u = np.concatenate([prog.b_eq, prog.b_in, prog.ub[self._box_vars]])
         self.m = self.C.shape[0]
         self._m_eq, self._m_in = m_eq, m_in
+        self._eq = np.arange(self.m) < m_eq
         self._Qs = 0.5 * (prog.Q + prog.Q.T)
         self._q_max = float(np.max(np.abs(self._Qs), initial=0.0))
-        self._scaled_ready = False
-        self._set_rho(_RHO)
 
-    # -- scaling -----------------------------------------------------------
+    def update_linear(self, q: np.ndarray) -> None:
+        self.prog.q = np.asarray(q, dtype=float).ravel()
 
-    def _ensure_scaled(self) -> None:
-        """Equilibration is deferred until the splitting iteration is needed."""
-        if not self._scaled_ready:
-            self._equilibrate()
-            self._scaled_ready = True
-
-    def _equilibrate(self) -> None:
-        """Modified Ruiz scaling of (Q, q, C, l, u); identity when m == 0."""
-        n, m = self.prog.n, self.m
-        d = np.ones(n)
-        e = np.ones(m)
-        c = 1.0
-        qs = self._Qs.copy()
-        cs = self.C.copy()
-        qv = self.prog.q.copy()
-        for _ in range(_RUIZ_ITERS if m else 0):
-            col_q = np.max(np.abs(qs), axis=0) if n else np.zeros(0)
-            col_c = np.max(np.abs(cs), axis=0) if m else np.zeros(n)
-            col = np.maximum(col_q, col_c)
-            col[col < 1e-12] = 1.0
-            delta_d = 1.0 / np.sqrt(col)
-            row = np.max(np.abs(cs), axis=1) if m else np.zeros(0)
-            row[row < 1e-12] = 1.0
-            delta_e = 1.0 / np.sqrt(row)
-            qs = qs * delta_d[:, None] * delta_d[None, :]
-            cs = cs * delta_e[:, None] * delta_d[None, :]
-            qv = qv * delta_d
-            d *= delta_d
-            e *= delta_e
-            # Cost scaling keeps the quadratic and linear parts comparable.
-            col_q = np.max(np.abs(qs), axis=0)
-            denom = max(float(np.mean(col_q)), float(np.max(np.abs(qv), initial=0.0)))
-            if denom > 1e-12:
-                gamma = 1.0 / denom
-                qs *= gamma
-                qv *= gamma
-                c *= gamma
-        self._d, self._e, self._c = d, e, c
-        self._Qs_s = qs
-        self._C_s = cs
-        self._refresh_scaled_vectors()
-
-    def _refresh_scaled_vectors(self) -> None:
-        self._q_s = self._c * self._d * self.prog.q
-        self._l_s = self._e * self.l
-        self._u_s = self._e * self.u
-
-    # -- factorization -----------------------------------------------------
-
-    def _set_rho(self, rho: float) -> None:
-        self._rho = rho
-        self._rho_vec = np.full(self.m, rho)
-        self._rho_vec[: self._m_eq] = rho * _RHO_EQ_SCALE
-        self._factor = None
-
-    def _factorize(self) -> None:
-        n, m = self.prog.n, self.m
-        kkt = np.zeros((n + m, n + m))
-        kkt[:n, :n] = self._Qs_s + _SIGMA * np.eye(n)
-        if m:
-            kkt[:n, n:] = self._C_s.T
-            kkt[n:, :n] = self._C_s
-            kkt[n:, n:] = -np.diag(1.0 / self._rho_vec)
-        self._factor = lu_factor(kkt, check_finite=False)
-
-    def update_linear(self, q: Optional[np.ndarray] = None,
-                      b_eq: Optional[np.ndarray] = None,
-                      b_in: Optional[np.ndarray] = None,
-                      lb: Optional[np.ndarray] = None,
-                      ub: Optional[np.ndarray] = None) -> None:
-        prog = self.prog
-        if q is not None:
-            prog.q = np.asarray(q, dtype=float).ravel()
-        if b_eq is not None:
-            prog.b_eq = np.asarray(b_eq, dtype=float).ravel()
-            self.l[: self._m_eq] = prog.b_eq
-            self.u[: self._m_eq] = prog.b_eq
-        if b_in is not None:
-            prog.b_in = np.asarray(b_in, dtype=float).ravel()
-            self.u[self._m_eq: self._m_eq + self._m_in] = prog.b_in
-        if lb is not None or ub is not None:
-            if lb is not None:
-                prog.lb = np.asarray(lb, dtype=float).ravel()
-            if ub is not None:
-                prog.ub = np.asarray(ub, dtype=float).ravel()
-            new_box = np.where(np.isfinite(prog.lb) | np.isfinite(prog.ub))[0]
-            if not np.array_equal(new_box, self._box_vars):
-                raise QpError("bound update changes the finite-bound pattern; "
-                              "build a fresh workspace instead")
-            off = self._m_eq + self._m_in
-            self.l[off:] = prog.lb[self._box_vars]
-            self.u[off:] = prog.ub[self._box_vars]
-        if self._scaled_ready:
-            self._refresh_scaled_vectors()
-
-    # -- main iteration ------------------------------------------------------
-
-    def solve(self, tol: float = 1e-8, max_iter: int = 20000,
-              x0: Optional[np.ndarray] = None, y0: Optional[np.ndarray] = None
+    def solve(self, tol: float = 1e-8, y0: Optional[np.ndarray] = None
               ) -> SolveReport:
         """Solve to `tol` on the exactly recomputed KKT residuals.
 
-        Order: the exact step from (x0, y0); then, if max|Q| <= tol, the
-        exact step from the HiGHS optimum of the linear part; then the
-        splitting iteration.
+        Order: the bulk exact step from the warm multipliers y0; then, if
+        max|Q| <= tol, the bulk exact step from the HiGHS optimum of the
+        linear part; then the dual active set.
         """
-        prog, n, m = self.prog, self.prog.n, self.m
-        if m == 0:
-            return self._solve_unconstrained(tol)
-        if x0 is not None and np.asarray(x0).shape != (n,):
-            x0 = None
-        if y0 is not None and np.asarray(y0).shape != (m,):
-            y0 = None
-        # Warm starts usually carry the previous active set: one exact solve
-        # often lands on the new optimum immediately.
-        if x0 is not None and y0 is not None:
-            refined = self._try_polish(np.asarray(x0, dtype=float),
-                                       np.asarray(y0, dtype=float), tol, 0)
+        n, m = self.prog.n, self.m
+        if y0 is not None and np.asarray(y0).shape == (m,):
+            # Warm multipliers usually carry the previous active set: one
+            # exact solve often lands on the new optimum immediately.
+            refined = self._try_polish(np.asarray(y0, dtype=float), tol)
             if refined is not None:
                 return refined
-        # A quadratic term at or below tol is a tie-break the splitting
-        # cannot resolve to tol; an exact LP vertex seeds the exact step.
+        x_best, y_seed = np.zeros(n), np.zeros(m)
+        # A quadratic term at or below tol is a tie-break: the exact LP
+        # vertex carries the active set of the program up to it.
         if self._q_max <= tol:
-            seed = self._lp_seed()
-            if seed is not None:
+            status, x_lp, y_lp = self._lp_seed()
+            if status == 2:
+                return self._finish(x_best, y_seed, "infeasible", 0)
+            if status == 0:
+                x_best, y_seed = x_lp, y_lp
                 # HiGHS multipliers are exact: any non-zero one marks a row
                 # at its bound, however small the program's cost scale.
-                refined = self._try_polish(*seed, tol, 0, act_tol=0.0)
+                refined = self._try_polish(y_seed, tol, act_tol=0.0)
                 if refined is not None:
                     return refined
-
-        self._ensure_scaled()
-        d, e, c = self._d, self._e, self._c
-        x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float) / d
-        y = np.zeros(m) if y0 is None else c * np.asarray(y0, dtype=float) / e
-        z = np.clip(self._C_s @ x, self._l_s, self._u_s)
-
-        if self._factor is None:
-            self._factorize()
-        rho_vec = self._rho_vec
-        status = "max_iter"
-        iterations = max_iter
-        dy_acc = np.zeros(m)
-        rhs = np.empty(n + m)
-        polish_trigger = max(100.0 * tol, 1e-4)
-        last_polish_res = np.inf
-        next_forced_polish = _CHECK_EVERY
-        q_s, l_s, u_s = self._q_s, self._l_s, self._u_s
-        c_s, qs_s = self._C_s, self._Qs_s
-        for k in range(1, max_iter + 1):
-            rhs[:n] = _SIGMA * x - q_s
-            rhs[n:] = z - y / rho_vec
-            sol = lu_solve(self._factor, rhs, check_finite=False)
-            x_t = sol[:n]
-            nu = sol[n:]
-            z_t = z + (nu - y) / rho_vec
-            x = _ALPHA * x_t + (1.0 - _ALPHA) * x
-            z_relaxed = _ALPHA * z_t + (1.0 - _ALPHA) * z
-            z_new = np.clip(z_relaxed + y / rho_vec, l_s, u_s)
-            dy = rho_vec * (z_relaxed - z_new)
-            y = y + dy
-            z = z_new
-            dy_acc += dy
-
-            if k % _CHECK_EVERY == 0:
-                # Residuals of the ORIGINAL problem, from unscaled iterates.
-                r_prim = float(np.max(np.abs((c_s @ x - z) / e)))
-                r_dual = float(np.max(np.abs((qs_s @ x + q_s + c_s.T @ y) / d))) / c
-                if r_prim <= tol and r_dual <= tol:
-                    status = "optimal"
-                    iterations = k
-                    break
-                res = max(r_prim, r_dual)
-                forced = k >= next_forced_polish
-                if forced or (res <= polish_trigger and res < 0.5 * last_polish_res):
-                    last_polish_res = min(last_polish_res, res)
-                    if forced:
-                        next_forced_polish *= 2
-                    refined = self._try_polish(d * x, e * y / c, tol, k)
-                    if refined is not None:
-                        return refined
-                if self._certify_infeasible(dy_acc):
-                    status = "infeasible"
-                    iterations = k
-                    break
-                if k % _ADAPT_EVERY == 0:
-                    scale = np.sqrt(r_prim / max(r_dual, 1e-16))
-                    if scale > 5.0 or scale < 0.2:
-                        new_rho = float(np.clip(self._rho * np.clip(scale, 0.02, 50.0),
-                                                1e-4, 1e4))
-                        if new_rho != self._rho:
-                            self._set_rho(new_rho)
-                            self._factorize()
-                            rho_vec = self._rho_vec
-                    dy_acc[:] = 0.0
-
-        x_u = self._d * x
-        y_u = self._e * y / self._c
-        report = self._finish(x_u, y_u, status, iterations)
-        if status in ("optimal", "max_iter"):
-            refined = self._try_polish(x_u, y_u, tol, iterations)
-            if refined is not None:
-                return refined
+        report = self._dual_active_set(y_seed, tol)
+        if report is None:
+            return self._finish(x_best, y_seed, "max_iter", 0)
         return report
-
-    def _solve_unconstrained(self, tol: float) -> SolveReport:
-        prog = self.prog
-        shifted = self._Qs + _SIGMA * np.eye(prog.n)
-        x = np.linalg.solve(shifted, -prog.q)
-        # Refine away the sigma shift against the true stationarity system.
-        for _ in range(3):
-            x = x - np.linalg.solve(shifted, self._Qs @ x + prog.q)
-        duals = DualSet(np.zeros(0), np.zeros(0), np.zeros(prog.n), np.zeros(prog.n))
-        stat, feas, comp = kkt_residual(prog, x, duals)
-        status = "optimal" if stat <= max(tol, 1e-6) else "max_iter"
-        return SolveReport(x, duals, status, 1, stat, feas, comp,
-                           prog.objective(x), y_stacked=np.zeros(0))
 
     # -- reporting -------------------------------------------------------------
 
@@ -450,37 +273,24 @@ class QpWorkspace:
         return DualSet(lam, mu, lower, upper)
 
     def _finish(self, x: np.ndarray, y: np.ndarray, status: str,
-                iterations: int, polished: bool = False) -> SolveReport:
+                iterations: int) -> SolveReport:
         duals = self._split_duals(y)
         stat, feas, comp = kkt_residual(self.prog, x, duals)
         return SolveReport(x.copy(), duals, status, iterations, stat, feas, comp,
-                           self.prog.objective(x), polished=polished,
-                           y_stacked=y.copy())
+                           self.prog.objective(x), y_stacked=y.copy())
 
-    # -- infeasibility certificate ----------------------------------------------
-
-    def _certify_infeasible(self, dy: np.ndarray, eps: float = 1e-10) -> bool:
-        norm = float(np.max(np.abs(dy), initial=0.0))
-        if norm <= eps:
-            return False
-        d = dy / norm
-        if float(np.max(np.abs(self._C_s.T @ d))) > 1e-8:
-            return False
-        pos = np.maximum(d, 0.0)
-        neg = np.minimum(d, 0.0)
-        # A valid certificate cannot push on an infinite bound.
-        if np.any(pos[np.isinf(self._u_s)] > 1e-10) \
-                or np.any(neg[np.isinf(self._l_s)] < -1e-10):
-            return False
-        u_f = np.where(np.isfinite(self._u_s), self._u_s, 0.0)
-        l_f = np.where(np.isfinite(self._l_s), self._l_s, 0.0)
-        support = float(u_f @ pos + l_f @ neg)
-        return support < -1e-10
+    def _certified(self, x: np.ndarray, y: np.ndarray, tol: float,
+                   iterations: int) -> Optional[SolveReport]:
+        """The exact point as an optimal report, or None above tol."""
+        rp = self._finish(x, y, "optimal", iterations)
+        if max(rp.stationarity, rp.primal_feasibility, rp.complementarity) <= tol:
+            return rp
+        return None
 
     # -- LP seed -------------------------------------------------------------------
 
-    def _lp_seed(self) -> Optional[tuple[np.ndarray, np.ndarray]]:
-        """(x, stacked y) from HiGHS on the linear part; None unless optimal."""
+    def _lp_seed(self) -> tuple[int, Optional[np.ndarray], Optional[np.ndarray]]:
+        """HiGHS on the linear part: (status, x, stacked y), x and y if optimal."""
         prog = self.prog
         res = linprog(prog.q,
                       A_ub=prog.A_in if self._m_in else None,
@@ -490,41 +300,62 @@ class QpWorkspace:
                       bounds=np.column_stack([prog.lb, prog.ub]),
                       method="highs", options=_HIGHS_OPTIONS)
         if res.status != 0:
-            return None
+            return res.status, None, None
         # HiGHS marginals are d(objective)/d(rhs); the stacked multipliers
         # enter the stationarity condition with the opposite sign.
         y = -np.concatenate([res.eqlin.marginals, res.ineqlin.marginals,
                              (res.lower.marginals
                               + res.upper.marginals)[self._box_vars]])
-        return np.asarray(res.x, dtype=float), y
+        return 0, np.asarray(res.x, dtype=float), y
 
-    # -- active-set polish ---------------------------------------------------------
+    # -- bulk exact step -------------------------------------------------------------
 
-    def _try_polish(self, x: np.ndarray, y: np.ndarray, tol: float,
-                    iterations: int, act_tol: float = 1e-5
+    def _try_polish(self, y: np.ndarray, tol: float, act_tol: float = 1e-5
                     ) -> Optional[SolveReport]:
-        """Exact refinement seeded by (x, y); accept only a tol-true result."""
-        refined = self._active_set_refine(x, y, act_tol)
+        """Exact refinement seeded by y; accept only a tol-true result."""
+        refined = self._active_set_refine(y, act_tol)
         if refined is None:
             return None
-        xp, yp = refined
-        rp = self._finish(xp, yp, "optimal", iterations, polished=True)
-        if max(rp.stationarity, rp.primal_feasibility, rp.complementarity) <= tol:
-            return rp
-        return None
+        return self._certified(*refined, tol, 0)
 
-    def _active_set_refine(self, x: np.ndarray, y: np.ndarray,
-                           act_tol: float = 1e-5, max_rounds: int = 25
+    def _pinned_solve(self, at_upper: np.ndarray, at_lower: np.ndarray
+                      ) -> Optional[tuple[np.ndarray, np.ndarray]]:
+        """Exact (x, y) with the equality and working-set rows pinned.
+
+        The +-1e-12 shift keeps an over-determined working set solvable.
+        """
+        n, m = self.prog.n, self.m
+        idx = np.where(self._eq | at_upper | at_lower)[0]
+        bound = np.where(at_lower, self.l, self.u)
+        k = idx.size
+        kkt = np.zeros((n + k, n + k))
+        kkt[:n, :n] = self._Qs + 1e-12 * np.eye(n)
+        if k:
+            kkt[:n, n:] = self.C[idx].T
+            kkt[n:, :n] = self.C[idx]
+            kkt[n:, n:] = -1e-12 * np.eye(k)
+        rhs = np.concatenate([-self.prog.q, bound[idx]])
+        try:
+            sol = np.linalg.solve(kkt, rhs)
+        except np.linalg.LinAlgError:
+            return None
+        xp = sol[:n]
+        if not np.all(np.isfinite(xp)):
+            return None
+        yp = np.zeros(m)
+        yp[idx] = sol[n:]
+        return xp, yp
+
+    def _active_set_refine(self, y: np.ndarray, act_tol: float = 1e-5,
+                           max_rounds: int = 25
                            ) -> Optional[tuple[np.ndarray, np.ndarray]]:
         """Iteratively fix the working set: add violated rows, drop wrong duals.
 
         Each round solves the equality-pinned KKT system exactly.  The seed
-        working set comes from the splitting iterate; a repeat of a previous
+        working set comes from the multipliers y; a repeat of a previous
         working set aborts (cycle guard).
         """
-        n, m = self.prog.n, self.m
-        eq = np.zeros(m, dtype=bool)
-        eq[: self._m_eq] = True
+        eq = self._eq
         # Seed from dual magnitudes: constraints that were active stay
         # recognizable even after the linear data moved under the iterate.
         at_upper = (~eq) & (y > act_tol)
@@ -536,28 +367,14 @@ class QpWorkspace:
             if key in seen:
                 return None
             seen.add(key)
-            idx = np.where(eq | at_upper | at_lower)[0]
-            bound = np.where(at_lower, self.l, self.u)
-            k = idx.size
-            kkt = np.zeros((n + k, n + k))
-            kkt[:n, :n] = self._Qs + 1e-12 * np.eye(n)
-            if k:
-                kkt[:n, n:] = self.C[idx].T
-                kkt[n:, :n] = self.C[idx]
-                kkt[n:, n:] = -1e-12 * np.eye(k)
-            rhs = np.concatenate([-self.prog.q, bound[idx]])
-            try:
-                sol = np.linalg.solve(kkt, rhs)
-            except np.linalg.LinAlgError:
+            solved = self._pinned_solve(at_upper, at_lower)
+            if solved is None:
                 return None
-            xp = sol[:n]
-            if not np.all(np.isfinite(xp)):
-                return None
-            yp = np.zeros(m)
-            yp[idx] = sol[n:]
+            xp, yp = solved
             z = self.C @ xp
-            viol_u = (~eq) & ~at_upper & ~at_lower & (z > self.u + ftol)
-            viol_l = (~eq) & ~at_upper & ~at_lower & (z < self.l - ftol)
+            free = ~eq & ~at_upper & ~at_lower
+            viol_u = free & (z > self.u + ftol)
+            viol_l = free & (z < self.l - ftol)
             wrong_u = at_upper & (yp < -dtol)
             wrong_l = at_lower & (yp > dtol)
             if not (np.any(viol_u) or np.any(viol_l)
@@ -567,9 +384,106 @@ class QpWorkspace:
             at_lower = (at_lower & ~wrong_l) | viol_l
         return None
 
+    # -- dual active set -------------------------------------------------------------
 
-def solve_qp(prog: ConvexProgram, tol: float = 1e-8, max_iter: int = 20000,
-             x0: Optional[np.ndarray] = None, y0: Optional[np.ndarray] = None
-             ) -> SolveReport:
+    def _factor_working_set(self, work: np.ndarray):
+        """(rows, LU) of the unshifted KKT matrix of the working-set rows."""
+        n = self.prog.n
+        idx = np.where(work)[0]
+        kkt = np.zeros((n + idx.size, n + idx.size))
+        kkt[:n, :n] = self._Qs
+        kkt[:n, n:] = self.C[idx].T
+        kkt[n:, :n] = self.C[idx]
+        return idx, lu_factor(kkt, check_finite=False)
+
+    def _dual_active_set(self, y_seed: np.ndarray, tol: float
+                         ) -> Optional[SolveReport]:
+        """Goldfarb-Idnani dual active set; None unless Q is positive definite.
+
+        Every iterate minimizes the objective on its working set with
+        multipliers of the right sign.  Each iteration moves toward the most
+        violated row: a full step makes it active and adds it, a partial
+        step stops where a working multiplier reaches zero and drops that
+        row.  The objective rises monotonically, so no working set repeats.
+        """
+        prog, n, m = self.prog, self.prog.n, self.m
+        try:
+            chol = np.linalg.cholesky(self._Qs)
+        except np.linalg.LinAlgError:
+            return None
+        eq, C = self._eq, self.C
+        at_upper = ~eq & (y_seed > 0.0)
+        at_lower = ~eq & (y_seed < 0.0)
+        # Start at the minimum on the seed rows; drop wrong-sign rows until
+        # the working set is dual feasible (the equality rows alone are).
+        while True:
+            idx, lu = self._factor_working_set(eq | at_upper | at_lower)
+            bound = np.where(at_lower, self.l, self.u)
+            sol = lu_solve(lu, np.concatenate([-prog.q, bound[idx]]),
+                           check_finite=False)
+            x, y = sol[:n], np.zeros(m)
+            y[idx] = sol[n:]
+            wrong = (at_upper & (y < 0.0)) | (at_lower & (y > 0.0))
+            if not wrong.any():
+                break
+            at_upper &= ~wrong
+            at_lower &= ~wrong
+        ftol = 0.1 * tol
+        # Finite in exact arithmetic; the limit only stops rounding cycles.
+        limit = 3 * (n + m)
+        iterations = 0
+        while iterations < limit:
+            cx = C @ x
+            over, under = cx - self.u, self.l - cx
+            viol = np.where(eq | at_upper | at_lower, 0.0, np.maximum(over, under))
+            if np.max(viol, initial=0.0) <= ftol:
+                pinned = self._pinned_solve(at_upper, at_lower)
+                done = None if pinned is None \
+                    else self._certified(*pinned, tol, iterations)
+                return done or self._finish(x, y, "max_iter", iterations)
+            p = int(np.argmax(viol))
+            side = 1.0 if over[p] > under[p] else -1.0
+            a_p = side * C[p]
+            b_p = side * (self.u[p] if side > 0.0 else self.l[p])
+            # a_p' Q^-1 a_p: the curvature of a row independent of the set.
+            h_p = float(np.sum(solve_triangular(chol, a_p, lower=True) ** 2))
+            t_p = 0.0
+            while iterations < limit:
+                iterations += 1
+                sol = lu_solve(lu, np.concatenate([-a_p, np.zeros(idx.size)]),
+                               check_finite=False)
+                step, r = sol[:n], sol[n:]
+                sign = at_upper[idx].astype(float) - at_lower[idx]
+                falling = sign * r < 0.0
+                t1, drop = np.inf, -1
+                if falling.any():
+                    ratios = np.maximum(sign * y[idx], 0.0)[falling] \
+                        / -(sign * r)[falling]
+                    j = int(np.argmin(ratios))
+                    t1, drop = float(ratios[j]), int(idx[falling][j])
+                curvature = -float(a_p @ step)
+                t2 = np.inf
+                if curvature > _DEPENDENT * h_p:
+                    t2 = max(float(a_p @ x) - b_p, 0.0) / curvature
+                t = min(t1, t2)
+                if not np.isfinite(t):
+                    return self._finish(x, y, "infeasible", iterations)
+                x = x + t * step
+                y[idx] += t * r
+                t_p += t
+                if t2 <= t1:
+                    y[p] = side * t_p
+                    (at_upper if side > 0.0 else at_lower)[p] = True
+                else:
+                    y[drop] = 0.0
+                    at_upper[drop] = at_lower[drop] = False
+                idx, lu = self._factor_working_set(eq | at_upper | at_lower)
+                if t2 <= t1:
+                    break
+        return self._finish(x, y, "max_iter", iterations)
+
+
+def solve_qp(prog: ConvexProgram, tol: float = 1e-8,
+             y0: Optional[np.ndarray] = None) -> SolveReport:
     """One-shot solve; see QpWorkspace for warm-started repeat solves."""
-    return QpWorkspace(prog).solve(tol=tol, max_iter=max_iter, x0=x0, y0=y0)
+    return QpWorkspace(prog).solve(tol=tol, y0=y0)

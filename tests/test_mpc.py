@@ -339,6 +339,15 @@ class TestTwelveBusHorizon:
         assert np.allclose(result.applied.inertia, 5.0, rtol=0.0, atol=1e-6)
         assert result.non_optimal_solves == 0
 
+    def test_first_four_steps_are_certified(self, twelve_bus_scenario):
+        # The bulk exact step cycles on step 3 from both its warm and its
+        # HiGHS seed; the dual active set has to certify it.
+        sc = twelve_bus_scenario
+        _, log = receding_horizon_run(sc.grid, sc.initial_state(), sc.mpc,
+                                      4 * sc.mpc.step, sc.events,
+                                      sc.clamp_storage_power_at_energy_limit)
+        assert [r.non_optimal_solves for r in log] == [0, 0, 0, 0]
+
 
 def _lp_solution(prog):
     """Independent HiGHS optimum of the program's linear part."""

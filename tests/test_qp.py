@@ -9,35 +9,40 @@ from essmpc.qp import (ConvexProgram, DualSet, QpError, QpWorkspace,
                        kkt_residual, solve_qp)
 
 
-def enumerate_qp_oracle(Q, q, A, b, tol=1e-8):
+def enumerate_qp_oracle(Q, q, A, b, A_eq=None, b_eq=None, tol=1e-8):
     """Brute force over inequality active sets for a strictly convex QP.
 
-    Solves min 0.5 x'Qx + q'x s.t. Ax <= b by testing every subset of rows
-    as the active set: solve the equality KKT system, keep the point iff it
-    is primal feasible with nonnegative multipliers on the active rows.
+    Solves min 0.5 x'Qx + q'x s.t. Ax <= b, A_eq x = b_eq by testing every
+    subset of inequality rows as the active set, with the equality rows
+    always active: solve the equality KKT system, keep the point iff it is
+    primal feasible with nonnegative multipliers on the active inequality
+    rows.
     """
     n = q.size
     m = A.shape[0]
+    if A_eq is None:
+        A_eq, b_eq = np.zeros((0, n)), np.zeros(0)
+    m_eq = A_eq.shape[0]
     best = None
-    for r in range(0, min(m, n) + 1):
+    for r in range(0, min(m, n - m_eq) + 1):
         for subset in itertools.combinations(range(m), r):
-            idx = list(subset)
-            k = len(idx)
+            rows = np.vstack([A_eq, A[list(subset)]])
+            k = rows.shape[0]
             kkt = np.zeros((n + k, n + k))
             kkt[:n, :n] = Q
             if k:
-                kkt[:n, n:] = A[idx].T
-                kkt[n:, :n] = A[idx]
-            rhs = np.concatenate([-q, b[idx]])
+                kkt[:n, n:] = rows.T
+                kkt[n:, :n] = rows
+            rhs = np.concatenate([-q, b_eq, b[list(subset)]])
             try:
                 sol = np.linalg.solve(kkt, rhs)
             except np.linalg.LinAlgError:
                 continue
             x = sol[:n]
-            mu = sol[n:]
+            mu = sol[n + m_eq:]
             if np.any(A @ x - b > tol):
                 continue
-            if k and np.any(mu < -tol):
+            if r and np.any(mu < -tol):
                 continue
             obj = 0.5 * x @ Q @ x + q @ x
             if best is None or obj < best[1] - 1e-12:
@@ -46,16 +51,34 @@ def enumerate_qp_oracle(Q, q, A, b, tol=1e-8):
     return best[0]
 
 
-def random_qp(rng, n, m):
-    """Strictly convex QP with inequality rows only (box folded into A)."""
+def random_qp(rng, n, m, m_eq=0, box=False):
+    """ConvexProgram fields of a feasible, strictly convex QP.
+
+    m inequality rows, m_eq equality rows and, with `box`, finite bounds on
+    about half of the variables, all satisfied by one random point.
+    """
     Q = rng.normal(size=(n, n))
     Q = Q @ Q.T + n * np.eye(n)
     q = rng.normal(size=n) * 2.0
     A = rng.normal(size=(m, n))
-    # Keep the feasible set nonempty: offset rhs from a random point.
     x_feas = rng.normal(size=n) * 0.5
-    b = A @ x_feas + rng.uniform(0.1, 1.5, size=m)
-    return Q, q, A, b
+    A_eq = rng.normal(size=(m_eq, n))
+    lb, ub = np.full(n, -np.inf), np.full(n, np.inf)
+    if box:
+        boxed = rng.random(n) < 0.5
+        lb[boxed] = x_feas[boxed] - rng.uniform(0.05, 1.0, size=boxed.sum())
+        ub[boxed] = x_feas[boxed] + rng.uniform(0.05, 1.0, size=boxed.sum())
+    return dict(Q=Q, q=q, A_in=A, b_in=A @ x_feas + rng.uniform(0.1, 1.5, size=m),
+                A_eq=A_eq, b_eq=A_eq @ x_feas, lb=lb, ub=ub)
+
+
+def oracle_rows(kw):
+    """Inequality rows of the program with its finite bounds folded in."""
+    eye = np.eye(kw["q"].size)
+    lo, hi = np.isfinite(kw["lb"]), np.isfinite(kw["ub"])
+    A = np.vstack([kw["A_in"], -eye[lo], eye[hi]])
+    b = np.concatenate([kw["b_in"], -kw["lb"][lo], kw["ub"][hi]])
+    return A, b
 
 
 class TestHandCases:
@@ -85,14 +108,14 @@ class TestHandCases:
         prog = ConvexProgram(q=np.zeros(1), Q=2.0 * np.eye(1),
                              A_in=np.array([[-1.0], [1.0]]),
                              b_in=np.array([-1.0, 0.0]))
-        report = solve_qp(prog, max_iter=5000)
+        report = solve_qp(prog)
         assert report.status == "infeasible"
 
     def test_infeasible_lp_falls_back_to_certificate(self):
-        # HiGHS reports infeasible; the splitting iteration certifies it.
+        # HiGHS phase 1 proves the rows infeasible.
         prog = ConvexProgram(q=np.zeros(1), A_in=np.array([[-1.0], [1.0]]),
                              b_in=np.array([-1.0, 0.0]))
-        report = solve_qp(prog, max_iter=5000)
+        report = solve_qp(prog)
         assert report.status == "infeasible"
 
     def test_lp_tie_break_is_kept(self):
@@ -112,15 +135,29 @@ class TestOracleSweep:
         for trial in range(50):
             n = int(rng.integers(1, 9))
             m = int(rng.integers(1, 9))
-            Q, q, A, b = random_qp(rng, n, m)
-            expected = enumerate_qp_oracle(Q, q, A, b)
-            prog = ConvexProgram(q=q, Q=Q, A_in=A, b_in=b)
-            report = solve_qp(prog, tol=1e-9)
+            kw = random_qp(rng, n, m)
+            expected = enumerate_qp_oracle(kw["Q"], kw["q"], kw["A_in"], kw["b_in"])
+            report = solve_qp(ConvexProgram(**kw), tol=1e-9)
             assert report.status == "optimal", f"trial {trial}"
             assert np.max(np.abs(report.x - expected)) < 1e-6, f"trial {trial}"
             assert report.stationarity < 1e-6
             assert report.primal_feasibility < 1e-6
             assert report.complementarity < 1e-6
+
+    def test_equality_rows_and_boxes_match_enumeration(self):
+        rng = np.random.default_rng(43)
+        for trial in range(50):
+            n = int(rng.integers(1, 7))
+            m_eq = int(rng.integers(0, min(n, 3)))
+            kw = random_qp(rng, n, int(rng.integers(0, 6)), m_eq, box=True)
+            A, b = oracle_rows(kw)
+            expected = enumerate_qp_oracle(kw["Q"], kw["q"], A, b,
+                                           kw["A_eq"], kw["b_eq"])
+            report = solve_qp(ConvexProgram(**kw), tol=1e-9)
+            assert report.status == "optimal", f"trial {trial}"
+            assert np.max(np.abs(report.x - expected)) < 1e-6, f"trial {trial}"
+            assert max(report.stationarity, report.primal_feasibility,
+                       report.complementarity) < 1e-9, f"trial {trial}"
 
 
 class TestKktResidual:
@@ -141,8 +178,7 @@ class TestKktResidual:
 
     def test_solver_reports_match_recomputation(self):
         rng = np.random.default_rng(3)
-        Q, q, A, b = random_qp(rng, 5, 6)
-        prog = ConvexProgram(q=q, Q=Q, A_in=A, b_in=b)
+        prog = ConvexProgram(**random_qp(rng, 5, 6))
         report = solve_qp(prog, tol=1e-9)
         stat, feas, comp = kkt_residual(prog, report.x, report.duals)
         assert stat == pytest.approx(report.stationarity, abs=1e-12)
@@ -154,9 +190,9 @@ class TestKktResidual:
 class TestProperties:
     def test_resolve_is_deterministic(self):
         rng = np.random.default_rng(11)
-        Q, q, A, b = random_qp(rng, 6, 7)
-        prog1 = ConvexProgram(q=q.copy(), Q=Q.copy(), A_in=A.copy(), b_in=b.copy())
-        prog2 = ConvexProgram(q=q.copy(), Q=Q.copy(), A_in=A.copy(), b_in=b.copy())
+        kw = random_qp(rng, 6, 7)
+        prog1 = ConvexProgram(**{k: v.copy() for k, v in kw.items()})
+        prog2 = ConvexProgram(**{k: v.copy() for k, v in kw.items()})
         r1 = solve_qp(prog1)
         r2 = solve_qp(prog2)
         assert r1.status == r2.status
@@ -165,15 +201,16 @@ class TestProperties:
 
     def test_cost_scaling_invariance(self):
         rng = np.random.default_rng(12)
-        Q, q, A, b = random_qp(rng, 5, 5)
-        base = solve_qp(ConvexProgram(q=q, Q=Q, A_in=A, b_in=b), tol=1e-10)
-        scaled = solve_qp(ConvexProgram(q=7.3 * q, Q=7.3 * Q, A_in=A, b_in=b),
-                          tol=1e-10)
+        kw = random_qp(rng, 5, 5)
+        base = solve_qp(ConvexProgram(**kw), tol=1e-10)
+        scaled = solve_qp(ConvexProgram(**{**kw, "q": 7.3 * kw["q"],
+                                           "Q": 7.3 * kw["Q"]}), tol=1e-10)
         assert np.max(np.abs(base.x - scaled.x)) < 1e-7
 
     def test_redundant_inequality_changes_nothing(self):
         rng = np.random.default_rng(13)
-        Q, q, A, b = random_qp(rng, 4, 4)
+        kw = random_qp(rng, 4, 4)
+        Q, q, A, b = kw["Q"], kw["q"], kw["A_in"], kw["b_in"]
         lb, ub = -3.0 * np.ones(4), 3.0 * np.ones(4)
         base = solve_qp(ConvexProgram(q=q, Q=Q, A_in=A, b_in=b, lb=lb, ub=ub),
                         tol=1e-10)
@@ -188,23 +225,22 @@ class TestProperties:
 
     def test_warm_start_accepted(self):
         rng = np.random.default_rng(14)
-        Q, q, A, b = random_qp(rng, 5, 5)
-        prog = ConvexProgram(q=q, Q=Q, A_in=A, b_in=b)
-        cold = solve_qp(prog)
-        ws = QpWorkspace(ConvexProgram(q=q, Q=Q, A_in=A, b_in=b))
-        warm = ws.solve(x0=cold.x, y0=cold.y_stacked)
+        kw = random_qp(rng, 5, 5)
+        cold = solve_qp(ConvexProgram(**kw))
+        ws = QpWorkspace(ConvexProgram(**kw))
+        warm = ws.solve(y0=cold.y_stacked)
         assert warm.status == "optimal"
         assert np.max(np.abs(warm.x - cold.x)) < 1e-7
 
     def test_workspace_linear_update_reuses_structure(self):
         rng = np.random.default_rng(15)
-        Q, q, A, b = random_qp(rng, 5, 5)
-        ws = QpWorkspace(ConvexProgram(q=q, Q=Q, A_in=A, b_in=b))
+        kw = random_qp(rng, 5, 5)
+        ws = QpWorkspace(ConvexProgram(**kw))
         first = ws.solve(tol=1e-9)
-        q2 = q + 0.1
+        q2 = kw["q"] + 0.1
         ws.update_linear(q=q2)
-        second = ws.solve(tol=1e-9, x0=first.x, y0=first.y_stacked)
-        direct = solve_qp(ConvexProgram(q=q2, Q=Q, A_in=A, b_in=b), tol=1e-9)
+        second = ws.solve(tol=1e-9, y0=first.y_stacked)
+        direct = solve_qp(ConvexProgram(**{**kw, "q": q2}), tol=1e-9)
         assert np.max(np.abs(second.x - direct.x)) < 1e-6
 
 
