@@ -556,6 +556,9 @@ class StepRecord:
     applied: Optional[ControlInput] = None
     plan: Optional[np.ndarray] = None      # accepted control sequence (K, 2*n_s)
     sqp_iterations: int = 0                # SQP iterations that solved
+    # Centralized: the SQP test (the plan moved less than
+    # SqpSettings.tolerance).  Distributed: the last consensus round's
+    # residual is below AdmmSettings.tolerance, whatever the SQP did.
     converged: bool = False
     non_optimal_solves: int = 0            # solves applied without a certificate
     saturated: tuple[int, ...] = ()        # grid storage indices whose energy rows were dropped

@@ -4,7 +4,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from essmpc import qp
 from essmpc.qp import (ConvexProgram, DualSet, QpError, QpWorkspace,
                        kkt_residual, solve_qp)
 
@@ -117,6 +119,16 @@ class TestHandCases:
                              b_in=np.array([-1.0, 0.0]))
         report = solve_qp(prog)
         assert report.status == "infeasible"
+
+    def test_dependent_equality_rows(self):
+        # Both rows say x1 + x2 = 1, so the unshifted KKT matrix is exactly
+        # singular; the shifted pinned solve of the same rows certifies.
+        prog = ConvexProgram(q=np.zeros(2), Q=np.eye(2),
+                             A_eq=np.array([[1.0, 1.0], [1.0, 1.0]]),
+                             b_eq=np.array([1.0, 1.0]))
+        report = solve_qp(prog)
+        assert report.status == "optimal"
+        assert np.allclose(report.x, [0.5, 0.5], atol=1e-9)
 
     def test_lp_tie_break_is_kept(self):
         # Every point of x1 + x2 = 1 in the unit box is an LP optimum; the
@@ -244,10 +256,98 @@ class TestProperties:
         assert np.max(np.abs(second.x - direct.x)) < 1e-6
 
 
+@st.composite
+def pinned_cases(draw):
+    """A strictly convex program with sparse rows and a working set of them.
+
+    Half the cases pin every inequality row of a program with more of them
+    than variables, so the working set is over-determined (k > n).
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, m_eq = draw(st.integers(1, 6)), draw(st.integers(0, 2))
+    over = draw(st.booleans())
+    m_in = n + draw(st.integers(1, 4)) if over else draw(st.integers(0, n + 4))
+    G = rng.normal(size=(n, n))
+    x0 = rng.normal(size=n)
+    A_eq = rng.normal(size=(m_eq, n))
+    A_in = rng.normal(size=(m_in, n)) * (rng.random((m_in, n)) < 0.6)
+    consistent = draw(st.booleans())
+    boxed = rng.random(n) < 0.5 if draw(st.booleans()) else np.zeros(n, dtype=bool)
+    prog = ConvexProgram(
+        q=rng.normal(size=n), Q=G @ G.T + draw(st.floats(0.01, 2.0)) * np.eye(n),
+        A_eq=A_eq, b_eq=A_eq @ x0 if consistent else rng.normal(size=m_eq),
+        A_in=A_in, b_in=A_in @ x0 if consistent else rng.normal(size=m_in),
+        lb=np.where(boxed, x0 - 1.0, -np.inf), ub=np.where(boxed, x0 + 1.0, np.inf))
+    ws = QpWorkspace(prog)
+    picked = (np.ones(ws.m, dtype=bool) if over
+              else rng.random(ws.m) < draw(st.floats(0, 1)))
+    upper = np.where(np.isfinite(ws.l), rng.random(ws.m) < 0.5, True)
+    at_upper = ~ws._eq & picked & upper & np.isfinite(ws.u)
+    at_lower = ~ws._eq & picked & ~at_upper & np.isfinite(ws.l)
+    return ws, at_upper, at_lower
+
+
+def dense_pinned_system(ws, at_upper, at_lower):
+    """Reference: (KKT matrix, rhs, pinned rows, solution) of the same
+    +-1e-12-shifted system, assembled dense and solved by np.linalg.solve."""
+    n = ws.prog.n
+    idx = np.flatnonzero(ws._eq | at_upper | at_lower)
+    kkt = np.zeros((n + idx.size, n + idx.size))
+    kkt[:n, :n] = ws._Qs + 1e-12 * np.eye(n)
+    kkt[:n, n:] = ws.C[idx].T
+    kkt[n:, :n] = ws.C[idx]
+    kkt[n:, n:] = -1e-12 * np.eye(idx.size)
+    rhs = np.concatenate([-ws.prog.q, np.where(at_lower, ws.l, ws.u)[idx]])
+    return kkt, rhs, idx, np.linalg.solve(kkt, rhs)
+
+
+class TestKeptFactor:
+    @settings(max_examples=150, deadline=None)
+    @given(pinned_cases())
+    def test_pinned_solve_matches_dense_reference(self, case):
+        ws, at_upper, at_lower = case
+        kkt, rhs, idx, ref = dense_pinned_system(ws, at_upper, at_lower)
+        x, y = ws._pinned_solve(at_upper, at_lower)
+        got = np.concatenate([x, y[idx]])
+        assert not np.any(np.delete(y, idx))
+        # Two backward-stable solves of one system agree to its condition
+        # number times the unit roundoff, large as that is when k > n.
+        bound = 10 * kkt.shape[0] * np.finfo(float).eps * np.linalg.cond(kkt)
+        assert np.max(np.abs(got - ref)) <= bound * np.max(np.abs(ref))
+        assert np.max(np.abs(kkt @ got - rhs)) <= 1e-14 * (
+            np.max(np.abs(kkt)) * np.max(np.abs(got)) + np.max(np.abs(rhs)))
+
+    def test_repeat_working_set_reuses_the_factor(self, monkeypatch):
+        rng = np.random.default_rng(16)
+        kw = random_qp(rng, 6, 8, box=True)
+        calls = []
+        splu = qp.splu
+        monkeypatch.setattr(qp, "splu", lambda *a, **k: calls.append(a) or splu(*a, **k))
+        ws = QpWorkspace(ConvexProgram(**kw))
+        first = ws.solve(tol=1e-9)
+        assert first.status == "optimal" and calls
+        calls.clear()
+        q2 = kw["q"] + 1e-3
+        ws.update_linear(q=q2)
+        second = ws.solve(tol=1e-9, y0=first.y_stacked)
+        assert second.status == "optimal" and not calls
+        fresh = QpWorkspace(ConvexProgram(**{**kw, "q": q2})).solve(
+            tol=1e-9, y0=first.y_stacked)
+        assert np.max(np.abs(second.x - fresh.x)) <= 1e-12
+        assert np.max(np.abs(second.y_stacked - fresh.y_stacked)) <= 1e-12
+
+
 class TestValidation:
     def test_asymmetric_q_rejected(self):
         with pytest.raises(QpError, match="symmetric"):
             ConvexProgram(q=np.zeros(2), Q=np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+    def test_rounding_asymmetry_accepted(self):
+        ConvexProgram(q=np.zeros(2), Q=np.array([[1.0, 0.0], [1e-11, 1.0]]))
+
+    def test_visible_asymmetry_rejected(self):
+        with pytest.raises(QpError, match="symmetric"):
+            ConvexProgram(q=np.zeros(2), Q=np.array([[1.0, 0.0], [1e-6, 1.0]]))
 
     def test_indefinite_q_rejected(self):
         with pytest.raises(QpError, match="semidefinite"):
