@@ -45,8 +45,8 @@ __all__ = [
 
 # Tiny diagonal cost keeping the subproblem strictly convex, so a non-unique
 # LP optimum resolves to one deterministic point and the dual active set of
-# qp.py applies.  At or below qp_tol it also makes the QP solver seed the
-# exact step from the HiGHS vertex of the linear part (see qp.py).
+# qp.py applies.  At or below qp_tol it also makes a cold solve seed the
+# dual active set from the HiGHS vertex of the linear part (see qp.py).
 _REGULARIZATION = 1e-8
 
 

@@ -1,4 +1,4 @@
-"""Convex quadratic programming by exact active sets.
+"""Convex quadratic programming by an exact dual active set.
 
 Solves  min 0.5 x'Qx + q'x  subject to  A_eq x = b_eq, A_in x <= b_in,
 lb <= x <= ub.  The rows are stacked as l <= C x <= u.  A working set pins
@@ -7,23 +7,24 @@ solved exactly.  A point is accepted only when its exactly recomputed KKT
 residuals meet the tolerance.  Each working set's KKT matrix is built in
 CSC form from the nonzeros of Q and C and factored once by SuperLU.
 
-A solve tries, in order, and stops at the first certified point:
+A solve is one sequence: seed, dual active set, settle.
 
-1. the bulk exact step from a caller's warm multipliers y0: each round
-   adds every violated row and drops every wrong-sign multiplier;
-2. when max|Q| <= tol (an LP up to a tie-break), the bulk exact step from
-   the HiGHS optimum of the linear part; HiGHS proving the rows
-   infeasible ends the solve as "infeasible";
-3. the Goldfarb-Idnani dual active set (Math. Prog. 27, 1983), which
-   needs Q positive definite.  It starts from the HiGHS rows, or from the
-   equality rows, and adds one violated row at a time, dropping working
-   rows whose multiplier reaches zero on the way.  The objective rises at
-   every step, so it ends after finitely many: at the optimum, or
-   "infeasible" when no finite step can satisfy a violated row.  Its
-   factors are unshifted, so a dependent row shows zero curvature.  The
-   exact pinned solve of its final working set is the returned point.
+* The seed is the rows with non-zero warm multipliers y0.  Without y0 it
+  is the rows of the HiGHS optimum of the linear part when max|Q| <= tol
+  (an LP up to a tie-break; HiGHS proving the rows infeasible ends the
+  solve "infeasible"), and otherwise the equality rows.
+* The Goldfarb-Idnani dual active set (Math. Prog. 27, 1983) starts at
+  the minimum on the seed rows, less any of wrong sign, and adds one
+  violated row at a time, dropping a working row whose multiplier reaches
+  zero on the way.  The objective rises at every step, so it ends after
+  finitely many: at the optimum, or "infeasible" when no finite step can
+  satisfy a violated row.  Its factors are unshifted, so a dependent row
+  shows zero curvature and a dependent seed restarts from the equality rows.
+* The settle is the exact solve of the final working set; for a Q that
+  is not positive definite there is no iteration, and the seed's rows are
+  settled.  Only a singular working set is solved with a +-1e-12 shift.
 
-A solve that certifies no point ends "max_iter" with its best point.
+A solve that certifies no point ends "max_iter" with its last iterate.
 Residuals in the report are always recomputed from the returned point,
 never taken from an iteration or from HiGHS.
 """
@@ -154,7 +155,7 @@ class SolveReport:
     x: np.ndarray
     duals: DualSet
     status: str                 # "optimal" | "max_iter" | "infeasible"
-    iterations: int             # dual active-set steps; 0 if the bulk step certified
+    iterations: int             # dual active-set steps; 0 if the seed was optimal
     stationarity: float
     primal_feasibility: float
     complementarity: float
@@ -235,35 +236,23 @@ class QpWorkspace:
               ) -> SolveReport:
         """Solve to `tol` on the exactly recomputed KKT residuals.
 
-        Order: the bulk exact step from the warm multipliers y0; then, if
-        max|Q| <= tol, the bulk exact step from the HiGHS optimum of the
-        linear part; then the dual active set.
+        The working set is seeded from the rows with non-zero warm
+        multipliers y0; without y0, from the HiGHS optimum of the linear part
+        if max|Q| <= tol, else from the equality rows.  The dual active set
+        finishes the solve from there.
         """
-        n, m = self.prog.n, self.m
-        if y0 is not None and np.asarray(y0).shape == (m,):
-            # Warm multipliers usually carry the previous active set: one
-            # exact solve often lands on the new optimum immediately.
-            refined = self._try_polish(np.asarray(y0, dtype=float), tol)
-            if refined is not None:
-                return refined
-        x_best, y_seed = np.zeros(n), np.zeros(m)
-        # A quadratic term at or below tol is a tie-break: the exact LP
-        # vertex carries the active set of the program up to it.
-        if self._q_max <= tol:
-            status, x_lp, y_lp = self._lp_seed()
+        y_seed = np.zeros(self.m)
+        if y0 is not None and np.asarray(y0).shape == (self.m,):
+            y_seed = np.asarray(y0, dtype=float)
+        elif self._q_max <= tol:
+            # A quadratic term at or below tol is a tie-break: the exact LP
+            # vertex carries the active set of the program up to it.
+            status, y_lp = self._lp_seed()
             if status == 2:
-                return self._finish(x_best, y_seed, "infeasible", 0)
+                return self._finish(np.zeros(self.prog.n), y_seed, "infeasible", 0)
             if status == 0:
-                x_best, y_seed = x_lp, y_lp
-                # HiGHS multipliers are exact: any non-zero one marks a row
-                # at its bound, however small the program's cost scale.
-                refined = self._try_polish(y_seed, tol, act_tol=0.0)
-                if refined is not None:
-                    return refined
-        report = self._dual_active_set(y_seed, tol)
-        if report is None:
-            return self._finish(x_best, y_seed, "max_iter", 0)
-        return report
+                y_seed = y_lp
+        return self._dual_active_set(y_seed, tol)
 
     # -- reporting -------------------------------------------------------------
 
@@ -296,8 +285,12 @@ class QpWorkspace:
 
     # -- LP seed -------------------------------------------------------------------
 
-    def _lp_seed(self) -> tuple[int, Optional[np.ndarray], Optional[np.ndarray]]:
-        """HiGHS on the linear part: (status, x, stacked y), x and y if optimal."""
+    def _lp_seed(self) -> tuple[int, Optional[np.ndarray]]:
+        """HiGHS on the linear part: (status, stacked y if optimal).
+
+        HiGHS multipliers are exact: any non-zero one marks a row at its
+        bound, however small the program's cost scale.
+        """
         prog = self.prog
         res = linprog(prog.q,
                       A_ub=prog.A_in if self._m_in else None,
@@ -307,13 +300,13 @@ class QpWorkspace:
                       bounds=np.column_stack([prog.lb, prog.ub]),
                       method="highs", options=_HIGHS_OPTIONS)
         if res.status != 0:
-            return res.status, None, None
+            return res.status, None
         # HiGHS marginals are d(objective)/d(rhs); the stacked multipliers
         # enter the stationarity condition with the opposite sign.
         y = -np.concatenate([res.eqlin.marginals, res.ineqlin.marginals,
                              (res.lower.marginals
                               + res.upper.marginals)[self._box_vars]])
-        return 0, np.asarray(res.x, dtype=float), y
+        return 0, y
 
     # -- KKT factor ------------------------------------------------------------------
 
@@ -322,20 +315,24 @@ class QpWorkspace:
         """(rows W, LU or None if singular) of [[Q + shift I, C_W'], [C_W, -shift I]]."""
         key = (work.tobytes(), shift)
         if self._kept[0] != key:
-            owner, row, val, sign, ends = self._kkt_entries
-            live = np.concatenate((np.ones(self.prog.n, dtype=bool), work))
-            keep = live[owner]
-            new = np.cumsum(live, dtype=np.intc) - 1
-            indptr = np.zeros(new[-1] + 2, dtype=np.intc)
-            indptr[1:] = np.cumsum(keep, dtype=np.intc)[ends[live]]
-            kkt = csc_array(((val + shift * sign)[keep], new[row[keep]], indptr),
-                            shape=(indptr.size - 1,) * 2)
-            try:
-                # One-column panels, no relaxed supernodes: 15-30% faster here.
-                lu = splu(kkt, panel_size=1, relax=1)
-            except RuntimeError:    # "Factor is exactly singular"
-                lu = None
-            self._kept = (key, np.flatnonzero(work), lu)
+            idx, lu = np.flatnonzero(work), None
+            # More rows than variables are dependent: singular unless shifted,
+            # whatever pivots rounding leaves.
+            if shift or idx.size <= self.prog.n:
+                owner, row, val, sign, ends = self._kkt_entries
+                live = np.concatenate((np.ones(self.prog.n, dtype=bool), work))
+                keep = live[owner]
+                new = np.cumsum(live, dtype=np.intc) - 1
+                indptr = np.zeros(new[-1] + 2, dtype=np.intc)
+                indptr[1:] = np.cumsum(keep, dtype=np.intc)[ends[live]]
+                kkt = csc_array(((val + shift * sign)[keep], new[row[keep]], indptr),
+                                shape=(indptr.size - 1,) * 2)
+                try:
+                    # One-column panels, no relaxed supernodes: 15-30% faster here.
+                    lu = splu(kkt, panel_size=1, relax=1)
+                except RuntimeError:    # "Factor is exactly singular"
+                    pass
+            self._kept = (key, idx, lu)
         return self._kept[1], self._kept[2]
 
     @cached_property
@@ -362,15 +359,29 @@ class QpWorkspace:
         ends = np.searchsorted(col, np.arange(n + m), side="right") - 1
         return np.maximum(row, col), row, val, sign, ends
 
-    # -- bulk exact step -------------------------------------------------------------
+    @cached_property
+    def _q_root(self) -> Optional[np.ndarray]:
+        """R with Q = R R' (a diagonal Q keeps its square root as a vector),
+        or None if Q is not positive definite."""
+        d = np.diag(self._Qs)
+        if np.count_nonzero(self._Qs) == np.count_nonzero(d):
+            return np.sqrt(d) if np.all(d > 0.0) else None
+        try:
+            return np.linalg.cholesky(self._Qs)
+        except np.linalg.LinAlgError:
+            return None
 
-    def _pinned_solve(self, at_upper: np.ndarray, at_lower: np.ndarray
+    # -- exact solves ------------------------------------------------------------------
+
+    def _pinned_solve(self, at_upper: np.ndarray, at_lower: np.ndarray,
+                      shift: float = 1e-12
                       ) -> Optional[tuple[np.ndarray, np.ndarray]]:
-        """Exact (x, y) with the equality and working-set rows pinned.
+        """Exact (x, y) with the equality and working-set rows pinned, or None
+        if the KKT matrix is singular.
 
-        The +-1e-12 shift keeps an over-determined working set solvable.
+        The default +-1e-12 shift keeps an over-determined working set solvable.
         """
-        idx, lu = self._factor(self._eq | at_upper | at_lower, 1e-12)
+        idx, lu = self._factor(self._eq | at_upper | at_lower, shift)
         if lu is None:
             return None
         sol = lu.solve(np.concatenate([-self.prog.q,
@@ -381,74 +392,37 @@ class QpWorkspace:
         yp[idx] = sol[self.prog.n:]
         return xp, yp
 
-    def _try_polish(self, y: np.ndarray, tol: float, act_tol: float = 1e-5,
-                    max_rounds: int = 25) -> Optional[SolveReport]:
-        """Bulk exact step seeded by y; the certified report, or None.
-
-        Each round solves the equality-pinned KKT system exactly, then adds
-        every violated row and drops every wrong-sign multiplier.  A repeat
-        of a previous working set aborts (cycle guard).
-        """
-        eq = self._eq
-        # Seed from dual magnitudes: constraints that were active stay
-        # recognizable even after the linear data moved under the iterate.
-        at_upper = (~eq) & (y > act_tol)
-        at_lower = (~eq) & (y < -act_tol)
-        ftol, dtol = 1e-9, 1e-9
-        seen: set[bytes] = set()
-        for _ in range(max_rounds):
-            key = at_upper.tobytes() + at_lower.tobytes()
-            if key in seen:
-                return None
-            seen.add(key)
-            solved = self._pinned_solve(at_upper, at_lower)
-            if solved is None:
-                return None
-            xp, yp = solved
-            z = self.C @ xp
-            free = ~eq & ~at_upper & ~at_lower
-            viol_u = free & (z > self.u + ftol)
-            viol_l = free & (z < self.l - ftol)
-            wrong_u = at_upper & (yp < -dtol)
-            wrong_l = at_lower & (yp > dtol)
-            if not (np.any(viol_u) or np.any(viol_l)
-                    or np.any(wrong_u) or np.any(wrong_l)):
-                return self._certified(xp, yp, tol, 0)
-            at_upper = (at_upper & ~wrong_u) | viol_u
-            at_lower = (at_lower & ~wrong_l) | viol_l
-        return None
-
     # -- dual active set -------------------------------------------------------------
 
-    def _dual_active_set(self, y_seed: np.ndarray, tol: float
-                         ) -> Optional[SolveReport]:
-        """Goldfarb-Idnani dual active set; None unless Q is positive definite.
+    def _dual_active_set(self, y_seed: np.ndarray, tol: float) -> SolveReport:
+        """Goldfarb-Idnani dual active set from the rows the seed marks.
 
         Every iterate minimizes the objective on its working set with
         multipliers of the right sign.  Each iteration moves toward the most
         violated row: a full step makes it active and adds it, a partial
         step stops where a working multiplier reaches zero and drops that
         row.  The objective rises monotonically, so no working set repeats.
+        Without a positive definite Q there is no iteration: the seed's
+        working set is settled as it is.
         """
-        prog, n, m = self.prog, self.prog.n, self.m
-        try:
-            chol = np.linalg.cholesky(self._Qs)
-        except np.linalg.LinAlgError:
-            return None
-        eq, C = self._eq, self.C
+        n, m = self.prog.n, self.m
+        eq, C, root = self._eq, self.C, self._q_root
         at_upper = ~eq & (y_seed > 0.0)
         at_lower = ~eq & (y_seed < 0.0)
-        # Start at the minimum on the seed rows; drop wrong-sign rows until
-        # the working set is dual feasible (the equality rows alone are).
         x, y = np.zeros(n), np.zeros(m)
+        if root is None:
+            return self._settle(at_upper, at_lower, x, y, tol, 0)
+        # Start at the minimum on the seed rows and drop wrong-sign rows
+        # until the working set is dual feasible.  A singular seed restarts
+        # from the equality rows; singular equality rows are settled.
         while True:
-            idx, lu = self._factor(eq | at_upper | at_lower, 0.0)
-            if lu is None:
-                return self._settle(at_upper, at_lower, x, y, tol, 0)
-            sol = lu.solve(np.concatenate([-prog.q,
-                                           np.where(at_lower, self.l, self.u)[idx]]))
-            x, y = sol[:n], np.zeros(m)
-            y[idx] = sol[n:]
+            solved = self._pinned_solve(at_upper, at_lower, 0.0)
+            if solved is None:
+                if not (at_upper.any() or at_lower.any()):
+                    return self._settle(at_upper, at_lower, x, y, tol, 0)
+                at_upper[:] = at_lower[:] = False
+                continue
+            x, y = solved
             wrong = (at_upper & (y < 0.0)) | (at_lower & (y > 0.0))
             if not wrong.any():
                 break
@@ -469,7 +443,8 @@ class QpWorkspace:
             a_p = side * C[p]
             b_p = side * (self.u[p] if side > 0.0 else self.l[p])
             # a_p' Q^-1 a_p: the curvature of a row independent of the set.
-            h_p = float(np.sum(solve_triangular(chol, a_p, lower=True) ** 2))
+            w = a_p / root if root.ndim == 1 else solve_triangular(root, a_p, lower=True)
+            h_p = float(w @ w)
             t_p = 0.0
             while iterations < limit:
                 # The set the last step left; the start set's factor is kept.
@@ -507,8 +482,13 @@ class QpWorkspace:
 
     def _settle(self, at_upper: np.ndarray, at_lower: np.ndarray, x: np.ndarray,
                 y: np.ndarray, tol: float, iterations: int) -> SolveReport:
-        """The working set's pinned solve if certified, else max_iter at (x, y)."""
-        pinned = self._pinned_solve(at_upper, at_lower)
+        """The working set's exact solve if certified, else max_iter at (x, y).
+
+        The solve is unshifted, its factor kept for a repeat of the working
+        set; only a singular working set is solved with the shift.
+        """
+        pinned = (self._pinned_solve(at_upper, at_lower, 0.0)
+                  or self._pinned_solve(at_upper, at_lower))
         done = None if pinned is None else self._certified(*pinned, tol, iterations)
         return done or self._finish(x, y, "max_iter", iterations)
 

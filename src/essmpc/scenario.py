@@ -53,6 +53,18 @@ def _num(value: Any, path: str) -> float:
     return float(value)
 
 
+def _int(value: Any, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ScenarioError(f"{path}: expected an integer, got {value!r}")
+    return value
+
+
+def _bool(value: Any, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise ScenarioError(f"{path}: expected true or false, got {value!r}")
+    return value
+
+
 def _pair(value: Any, path: str) -> tuple[float, float]:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ScenarioError(f"{path}: expected [low, high]")
@@ -106,9 +118,7 @@ def _parse_bus(entry: Any, path: str) -> tuple[int, object, dict]:
     if role not in _BUS_KEYS:
         raise ScenarioError(f"{path}.role: unknown role {role!r}")
     _check_keys(entry, _BUS_KEYS[role], path)
-    bus_id = _require(entry, "id", path)
-    if not isinstance(bus_id, int) or isinstance(bus_id, bool):
-        raise ScenarioError(f"{path}.id: expected an integer")
+    bus_id = _int(_require(entry, "id", path), path + ".id")
     extras: dict = {}
     if role == "generator":
         bus = GeneratorBus(_num(_require(entry, "inertia", path), path + ".inertia"),
@@ -278,8 +288,10 @@ def parse_scenario(source: str | Path) -> Scenario:
     flags = doc.get("flags") or {}
     _check_keys(flags, {"clamp_storage_power_at_energy_limit",
                         "absolute_effort"}, "flags")
-    clamp = bool(flags.get("clamp_storage_power_at_energy_limit", True))
-    absolute_effort = bool(flags.get("absolute_effort", False))
+    clamp = _bool(flags.get("clamp_storage_power_at_energy_limit", True),
+                  "flags.clamp_storage_power_at_energy_limit")
+    absolute_effort = _bool(flags.get("absolute_effort", False),
+                            "flags.absolute_effort")
 
     n_storage = len(grid.storage_buses)
     ref_power = np.array([extras[b]["reference_power"]
@@ -296,7 +308,8 @@ def parse_scenario(source: str | Path) -> Scenario:
     _check_keys(sqp_sec, {"outer_iterations", "power_trust_region",
                           "inertia_trust_region", "tolerance"}, "mpc.sqp")
     sqp = SqpSettings(
-        outer_iterations=int(sqp_sec.get("outer_iterations", 3)),
+        outer_iterations=_int(sqp_sec.get("outer_iterations", 3),
+                              "mpc.sqp.outer_iterations"),
         power_trust_region=_num(sqp_sec.get("power_trust_region", 0.5),
                                 "mpc.sqp.power_trust_region"),
         inertia_trust_region=_num(sqp_sec.get("inertia_trust_region", 2.0),
@@ -354,18 +367,15 @@ def parse_scenario(source: str | Path) -> Scenario:
         if not isinstance(raw, list) or len(raw) != grid.n_buses:
             raise ScenarioError(
                 f"distributed.areas: expected {grid.n_buses} entries")
-        labels = []
-        for i, a in enumerate(raw):
-            if not isinstance(a, int) or isinstance(a, bool):
-                raise ScenarioError(f"distributed.areas[{i}]: expected an integer")
-            labels.append(a)
+        labels = [_int(a, f"distributed.areas[{i}]") for i, a in enumerate(raw)]
         order = {label: rank for rank, label in enumerate(sorted(set(labels)))}
         areas = tuple(order[a] for a in labels)
     admm = AdmmSettings(
         rho=_num(dist_sec.get("rho", 1.0), "distributed.rho"),
         tau=_num(dist_sec.get("tau", 0.1), "distributed.tau"),
         tolerance=_num(dist_sec.get("tolerance", 1e-4), "distributed.tolerance"),
-        max_iterations=int(dist_sec.get("max_iterations", 500)))
+        max_iterations=_int(dist_sec.get("max_iterations", 500),
+                            "distributed.max_iterations"))
     try:
         admm.validate()
     except Exception as exc:

@@ -83,6 +83,26 @@ def oracle_rows(kw):
     return A, b
 
 
+SEEDS = ("cold", "warm", "adversarial")
+
+
+def seeded_solve(kw, seed, rng, tol=1e-9):
+    """Solve the program from one of three seeds of the working set.
+
+    "cold" passes no multipliers; "warm" passes the optimal multipliers of
+    the same program with q perturbed; "adversarial" puts a random +-1 on
+    every row that is not an equality.
+    """
+    ws = QpWorkspace(ConvexProgram(**kw))
+    y0 = None
+    if seed == "warm":
+        near = {**kw, "q": kw["q"] + 0.5 * rng.normal(size=kw["q"].size)}
+        y0 = solve_qp(ConvexProgram(**near), tol=tol).y_stacked
+    elif seed == "adversarial":
+        y0 = np.where(ws._eq, 0.0, rng.choice([-1.0, 1.0], size=ws.m))
+    return ws.solve(tol=tol, y0=y0)
+
+
 class TestHandCases:
     def test_active_bound(self):
         prog = ConvexProgram(q=np.zeros(1), Q=2.0 * np.eye(1), lb=np.array([1.0]))
@@ -140,24 +160,39 @@ class TestHandCases:
         assert report.status == "optimal" and report.iterations == 0
         assert np.allclose(report.x, [0.5, 0.5], atol=1e-9)
 
+    def test_variable_pinned_twice_in_the_seed(self):
+        # x0 = 0.2 both by an equality row and by lb == ub; a seed holding
+        # the box row as well makes the working set's KKT matrix singular.
+        prog = ConvexProgram(q=np.array([1.0, -1.0]), Q=np.eye(2),
+                             A_eq=np.array([[1.0, 0.0]]), b_eq=np.array([0.2]),
+                             A_in=np.array([[1.0, 1.0]]), b_in=np.array([1.0]),
+                             lb=np.array([0.2, -np.inf]), ub=np.array([0.2, np.inf]))
+        ws = QpWorkspace(prog)
+        y0 = np.zeros(ws.m)
+        y0[2] = 1.0                      # the box row of x0, at its upper bound
+        report = ws.solve(tol=1e-9, y0=y0)
+        assert report.status == "optimal"
+        assert np.allclose(report.x, [0.2, 0.8], atol=1e-9)
+
 
 class TestOracleSweep:
     def test_fifty_random_qps_match_enumeration(self):
-        rng = np.random.default_rng(42)
+        rng, seed_rng = np.random.default_rng(42), np.random.default_rng(142)
         for trial in range(50):
             n = int(rng.integers(1, 9))
             m = int(rng.integers(1, 9))
             kw = random_qp(rng, n, m)
             expected = enumerate_qp_oracle(kw["Q"], kw["q"], kw["A_in"], kw["b_in"])
-            report = solve_qp(ConvexProgram(**kw), tol=1e-9)
-            assert report.status == "optimal", f"trial {trial}"
-            assert np.max(np.abs(report.x - expected)) < 1e-6, f"trial {trial}"
-            assert report.stationarity < 1e-6
-            assert report.primal_feasibility < 1e-6
-            assert report.complementarity < 1e-6
+            for seed in SEEDS:
+                report = seeded_solve(kw, seed, seed_rng)
+                assert report.status == "optimal", f"trial {trial}, {seed}"
+                assert np.max(np.abs(report.x - expected)) < 1e-6, f"trial {trial}, {seed}"
+                assert report.stationarity < 1e-6
+                assert report.primal_feasibility < 1e-6
+                assert report.complementarity < 1e-6
 
     def test_equality_rows_and_boxes_match_enumeration(self):
-        rng = np.random.default_rng(43)
+        rng, seed_rng = np.random.default_rng(43), np.random.default_rng(143)
         for trial in range(50):
             n = int(rng.integers(1, 7))
             m_eq = int(rng.integers(0, min(n, 3)))
@@ -165,11 +200,12 @@ class TestOracleSweep:
             A, b = oracle_rows(kw)
             expected = enumerate_qp_oracle(kw["Q"], kw["q"], A, b,
                                            kw["A_eq"], kw["b_eq"])
-            report = solve_qp(ConvexProgram(**kw), tol=1e-9)
-            assert report.status == "optimal", f"trial {trial}"
-            assert np.max(np.abs(report.x - expected)) < 1e-6, f"trial {trial}"
-            assert max(report.stationarity, report.primal_feasibility,
-                       report.complementarity) < 1e-9, f"trial {trial}"
+            for seed in SEEDS:
+                report = seeded_solve(kw, seed, seed_rng)
+                assert report.status == "optimal", f"trial {trial}, {seed}"
+                assert np.max(np.abs(report.x - expected)) < 1e-6, f"trial {trial}, {seed}"
+                assert max(report.stationarity, report.primal_feasibility,
+                           report.complementarity) < 1e-9, f"trial {trial}, {seed}"
 
 
 class TestKktResidual:

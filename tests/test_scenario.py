@@ -1,8 +1,11 @@
 """Scenario files: shipped cases, strict validation, round-trip."""
 
+import re
+
 import numpy as np
 import pytest
 
+from essmpc.cli import main
 from essmpc.grid import GeneratorBus, StorageBus
 from essmpc.scenario import (ScenarioError, parse_scenario, scenario_text,
                              write_scenario)
@@ -114,6 +117,35 @@ class TestValidationErrors:
                                                 "reference_power: -4.5")
         with pytest.raises(ScenarioError, match="reference power"):
             parse_scenario(text)
+
+    @pytest.mark.parametrize("old, new, field", [
+        ("max_iterations: 500", "max_iterations: many", "distributed.max_iterations"),
+        ("max_iterations: 500", "max_iterations: 2.9", "distributed.max_iterations"),
+        ("max_iterations: 500", "max_iterations: true", "distributed.max_iterations"),
+        ("outer_iterations: 2", "outer_iterations: 2.9", "mpc.sqp.outer_iterations"),
+        ("outer_iterations: 2", 'outer_iterations: "2"', "mpc.sqp.outer_iterations"),
+        ("absolute_effort: false", 'absolute_effort: "false"', "flags.absolute_effort"),
+        ("absolute_effort: false", "absolute_effort: 0", "flags.absolute_effort"),
+        ("clamp_storage_power_at_energy_limit: true",
+         "clamp_storage_power_at_energy_limit: yes please",
+         "flags.clamp_storage_power_at_energy_limit"),
+    ])
+    def test_mistyped_count_or_flag_rejected_with_path(self, old, new, field,
+                                                       tmp_path):
+        text = scenario_text("two_bus").replace(old, new)
+        assert text != scenario_text("two_bus")
+        with pytest.raises(ScenarioError, match=re.escape(field)):
+            parse_scenario(text)
+        bad = tmp_path / "bad.scn"
+        bad.write_text(text)
+        assert main(["simulate", str(bad)]) == 2
+
+    def test_counts_and_flags_read_as_written(self):
+        text = scenario_text("two_bus").replace(
+            "max_iterations: 500", "max_iterations: 7").replace(
+            "absolute_effort: false", "absolute_effort: true")
+        sc = parse_scenario(text)
+        assert sc.admm.max_iterations == 7 and sc.mpc.absolute_effort
 
 
 class TestRoundTrip:
