@@ -204,13 +204,13 @@ class AreaProgram:
 def _augmented_workspace(program: AreaProgram, consensus: ConsensusState) -> QpWorkspace:
     """Workspace whose quadratic part already carries penalty and prox terms."""
     base = program.prog
-    q_mat = base.Q.copy()
+    curvature = base.curvature.copy()
     if program.has_coupling:
-        n = base.n
-        q_mat = q_mat + consensus.tau * np.eye(n)
+        curvature += consensus.tau
         for _, col, _ in program.own_entries + program.copy_entries:
-            q_mat[col, col] += consensus.rho
-    prog = ConvexProgram(q=base.q.copy(), Q=q_mat, A_eq=base.A_eq, b_eq=base.b_eq,
+            curvature[col] += consensus.rho
+    prog = ConvexProgram(q=base.q.copy(), curvature=curvature,
+                         A_eq=base.A_eq, b_eq=base.b_eq,
                          A_in=base.A_in, b_in=base.b_in, lb=base.lb, ub=base.ub)
     return QpWorkspace(prog)
 

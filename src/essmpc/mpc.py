@@ -333,10 +333,10 @@ def _assemble_program(grid: GridModel, area: _AreaView, ltv: LtvModel,
     """Build the K-step convex program of one area in deviation variables.
 
     Dynamics enter as one equality row per own state per step, and each
-    pinned set-point as one equality per step.  Inequality rows come in this
-    order: frequency epigraph and limit rows (by step, then monitored bus),
-    energy running sums (by storage, then step), and absolute-effort
-    epigraph rows (by step, then storage).
+    pinned set-point as one equality per step, its column left unboxed.
+    Inequality rows come in this order: frequency epigraph and limit rows
+    (by step, then monitored bus), energy running sums (by storage, then
+    step), and absolute-effort epigraph rows (by step, then storage).
     """
     k_steps, ts = cfg.k_steps, ltv.ts
     n_s, n_u, n_x, n_f, n_mon = area.n_s, area.nu, area.nx, area.n_f, area.n_w
@@ -391,7 +391,7 @@ def _assemble_program(grid: GridModel, area: _AreaView, ltv: LtvModel,
     else:
         q[:off_x] = np.tile(np.concatenate([c_p, c_m]), k_steps)
     q[off_slack:off_ep] = cfg.frequency_cost * step
-    q_mat = _REGULARIZATION * np.eye(n_total)
+    curvature = np.full(n_total, _REGULARIZATION)
 
     # -- equalities: dynamics, then pinned power and fixed inertia ---------
     fixed = [(j, pinned[j]) for j in sorted(pinned)] \
@@ -407,12 +407,11 @@ def _assemble_program(grid: GridModel, area: _AreaView, ltv: LtvModel,
             a_eq[rows, off_x + (k - 1) * n_x: off_x + k * n_x] = -ltv.A[k]
             a_eq[rows, off_copy + (k - 1) * n_f: off_copy + k * n_f] = -ltv.A_foreign[k]
         a_eq[rows, k * n_u: (k + 1) * n_u] = -ltv.B[k]
-    if fixed:
-        cols = np.array([c for c, _ in fixed])
-        target = np.array([v for _, v in fixed])
-        a_eq[n_dyn + np.arange(cols.size * k_steps),
-             (cols[:, None] + n_u * np.arange(k_steps)).ravel()] = 1.0
-        b_eq[n_dyn:] = (target[:, None] - ltv.controls[:, cols].T).ravel()
+    fixed_cols = np.array([c for c, _ in fixed], dtype=int)
+    target = np.array([v for _, v in fixed])
+    a_eq[n_dyn + np.arange(fixed_cols.size * k_steps),
+         (fixed_cols[:, None] + n_u * np.arange(k_steps)).ravel()] = 1.0
+    b_eq[n_dyn:] = (target[:, None] - ltv.controls[:, fixed_cols].T).ravel()
 
     # -- inequalities, one block at a time from index arrays ---------------
     entries: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (row, col, value)
@@ -487,16 +486,18 @@ def _assemble_program(grid: GridModel, area: _AreaView, ltv: LtvModel,
                        for j in range(n_s)] + [cfg.sqp.inertia_trust_region] * n_s)
     box_lo = np.maximum(phys_lo - nom, -radius)
     box_hi = np.minimum(phys_hi - nom, radius)
-    for j, pin in pinned.items():
-        box_lo[:, j] = box_hi[:, j] = pin - nom[:, j]
+    # A fixed column is pinned by its equality rows alone: an lb == ub box
+    # would pin it twice and make a working set holding both dependent.
+    box_lo[:, fixed_cols] = -np.inf
+    box_hi[:, fixed_cols] = np.inf
     lb = np.full(n_total, -np.inf)
     ub = np.full(n_total, np.inf)
     lb[:off_x] = box_lo.ravel()
     ub[:off_x] = box_hi.ravel()
     lb[off_slack:] = 0.0
 
-    prog = ConvexProgram(q=q, Q=q_mat, A_eq=a_eq, b_eq=b_eq, A_in=a_in,
-                         b_in=b_in, lb=lb, ub=ub)
+    prog = ConvexProgram(q=q, curvature=curvature, A_eq=a_eq, b_eq=b_eq,
+                         A_in=a_in, b_in=b_in, lb=lb, ub=ub)
     return HorizonProgram(prog, ltv, cfg, area, n_u, n_x, off_x, off_copy,
                           tuple(saturated))
 

@@ -1,16 +1,17 @@
 """Convex quadratic programming by an exact dual active set.
 
-Solves  min 0.5 x'Qx + q'x  subject to  A_eq x = b_eq, A_in x <= b_in,
-lb <= x <= ub.  The rows are stacked as l <= C x <= u.  A working set pins
-rows at one of their bounds, and the KKT system of the pinned rows is
-solved exactly.  A point is accepted only when its exactly recomputed KKT
-residuals meet the tolerance.  Each working set's KKT matrix is built in
-CSC form from the nonzeros of Q and C and factored once by SuperLU.
+Solves  min 0.5 sum_i c_i x_i^2 + q'x  subject to  A_eq x = b_eq,
+A_in x <= b_in, lb <= x <= ub, with diagonal curvatures c >= 0.  The rows
+are stacked as l <= C x <= u.  A working set pins rows at one of their
+bounds, and the KKT system of the pinned rows is solved exactly.  A point is
+accepted only when its exactly recomputed KKT residuals meet the tolerance.
+Each working set's KKT matrix is built in CSC form from c and the nonzeros
+of C and factored once by SuperLU.
 
 A solve is one sequence: seed, dual active set, settle.
 
 * The seed is the rows with non-zero warm multipliers y0.  Without y0 it
-  is the rows of the HiGHS optimum of the linear part when max|Q| <= tol
+  is the rows of the HiGHS optimum of the linear part when max c <= tol
   (an LP up to a tie-break; HiGHS proving the rows infeasible ends the
   solve "infeasible"), and otherwise the equality rows.
 * The Goldfarb-Idnani dual active set (Math. Prog. 27, 1983) starts at
@@ -20,9 +21,9 @@ A solve is one sequence: seed, dual active set, settle.
   finitely many: at the optimum, or "infeasible" when no finite step can
   satisfy a violated row.  Its factors are unshifted, so a dependent row
   shows zero curvature and a dependent seed restarts from the equality rows.
-* The settle is the exact solve of the final working set; for a Q that
-  is not positive definite there is no iteration, and the seed's rows are
-  settled.  Only a singular working set is solved with a +-1e-12 shift.
+* The settle is the exact solve of the final working set; with a zero
+  curvature there is no iteration, and the seed's rows are settled.  Only a
+  singular working set is solved with a +-1e-12 shift.
 
 A solve that certifies no point ends "max_iter" with its last iterate.
 Residuals in the report are always recomputed from the returned point,
@@ -37,7 +38,7 @@ from typing import Optional
 
 import numpy as np
 # lu_factor is unused: perfbench/tests/test_trace.py checks that it stays bound.
-from scipy.linalg import lu_factor, solve_triangular  # noqa: F401
+from scipy.linalg import lu_factor  # noqa: F401
 from scipy.optimize import linprog
 from scipy.sparse import csc_array
 from scipy.sparse.linalg import SuperLU, splu
@@ -52,8 +53,9 @@ __all__ = [
     "kkt_residual",
 ]
 
-# A row a whose step z has curvature z'Qz below this share of a'Q^-1 a lies
-# in the span of the working set: adding it has no finite primal step.
+# A row a whose step z has curvature z'diag(c)z below this share of
+# a'diag(c)^-1 a lies in the span of the working set: adding it has no
+# finite primal step.
 _DEPENDENT = 1e-12
 # HiGHS's default 1e-7 feasibility tolerances leave a primal residual the
 # exact step cannot certify at 1e-8; the seed has to be tighter than tol.
@@ -85,10 +87,14 @@ def _as_1d(v: Optional[np.ndarray], m: int, name: str) -> np.ndarray:
 
 @dataclass
 class ConvexProgram:
-    """QP data.  Q may be omitted (pure LP) or any PSD matrix."""
+    """QP data: min 0.5 sum_i curvature_i x_i^2 + q'x over the rows.
+
+    `curvature` is the diagonal of the quadratic term, one finite entry
+    >= 0 per variable; omitted, it is zero (a pure LP).
+    """
 
     q: np.ndarray
-    Q: Optional[np.ndarray] = None
+    curvature: Optional[np.ndarray] = None
     A_eq: Optional[np.ndarray] = None
     b_eq: Optional[np.ndarray] = None
     A_in: Optional[np.ndarray] = None
@@ -99,26 +105,12 @@ class ConvexProgram:
     def __post_init__(self) -> None:
         self.q = np.asarray(self.q, dtype=float).ravel()
         n = self.q.size
-        if self.Q is None:
-            self.Q = np.zeros((n, n))
-        else:
-            self.Q = np.asarray(self.Q, dtype=float)
-            if self.Q.shape != (n, n):
-                raise QpError(f"Q has shape {self.Q.shape}, expected ({n}, {n})")
-            if not (np.array_equal(self.Q, self.Q.T)
-                    or np.allclose(self.Q, self.Q.T, atol=1e-10)):
-                raise QpError("Q must be symmetric")
-            diag = np.diag(self.Q)
-            if np.count_nonzero(self.Q) == np.count_nonzero(diag):
-                if np.any(diag < -1e-12):
-                    raise QpError("Q is not positive semidefinite")
-            else:
-                # PSD check by attempted factorization with a tiny shift.
-                try:
-                    np.linalg.cholesky(0.5 * (self.Q + self.Q.T)
-                                       + 1e-10 * np.eye(n))
-                except np.linalg.LinAlgError as exc:
-                    raise QpError("Q is not positive semidefinite") from exc
+        self.curvature = np.zeros(n) if self.curvature is None \
+            else np.asarray(self.curvature, dtype=float)
+        if self.curvature.shape != (n,):
+            raise QpError(f"curvature has shape {self.curvature.shape}, expected ({n},)")
+        if not np.all(np.isfinite(self.curvature) & (self.curvature >= 0.0)):
+            raise QpError("curvature must be finite and >= 0")
         self.A_eq = _as_2d(self.A_eq, n)
         self.b_eq = _as_1d(self.b_eq, self.A_eq.shape[0], "b_eq")
         self.A_in = _as_2d(self.A_in, n)
@@ -137,7 +129,7 @@ class ConvexProgram:
         return self.q.size
 
     def objective(self, x: np.ndarray) -> float:
-        return float(0.5 * x @ self.Q @ x + self.q @ x)
+        return float(0.5 * x * self.curvature @ x + self.q @ x)
 
 
 @dataclass
@@ -175,7 +167,7 @@ def kkt_residual(prog: ConvexProgram, x: np.ndarray, duals: DualSet
     x = np.asarray(x, dtype=float).ravel()
     if x.shape != (prog.n,):
         raise QpError(f"x has shape {x.shape}, expected ({prog.n},)")
-    grad = prog.Q @ x + prog.q
+    grad = prog.curvature * x + prog.q
     if prog.A_eq.shape[0]:
         grad = grad + prog.A_eq.T @ duals.eq
     if prog.A_in.shape[0]:
@@ -225,8 +217,6 @@ class QpWorkspace:
         self.m = self.C.shape[0]
         self._m_eq, self._m_in = m_eq, m_in
         self._eq = np.arange(self.m) < m_eq
-        self._Qs = 0.5 * (prog.Q + prog.Q.T)
-        self._q_max = float(np.max(np.abs(self._Qs), initial=0.0))
         self._kept = (None, None, None)   # (working set, shift), rows, LU: the last factor
 
     def update_linear(self, q: np.ndarray) -> None:
@@ -238,13 +228,13 @@ class QpWorkspace:
 
         The working set is seeded from the rows with non-zero warm
         multipliers y0; without y0, from the HiGHS optimum of the linear part
-        if max|Q| <= tol, else from the equality rows.  The dual active set
-        finishes the solve from there.
+        if max curvature <= tol, else from the equality rows.  The dual
+        active set finishes the solve from there.
         """
         y_seed = np.zeros(self.m)
         if y0 is not None and np.asarray(y0).shape == (self.m,):
             y_seed = np.asarray(y0, dtype=float)
-        elif self._q_max <= tol:
+        elif np.max(self.prog.curvature, initial=0.0) <= tol:
             # A quadratic term at or below tol is a tie-break: the exact LP
             # vertex carries the active set of the program up to it.
             status, y_lp = self._lp_seed()
@@ -312,7 +302,8 @@ class QpWorkspace:
 
     def _factor(self, work: np.ndarray, shift: float
                 ) -> tuple[np.ndarray, Optional[SuperLU]]:
-        """(rows W, LU or None if singular) of [[Q + shift I, C_W'], [C_W, -shift I]]."""
+        """(rows W, LU or None if singular) of
+        [[diag(c) + shift I, C_W'], [C_W, -shift I]]."""
         key = (work.tobytes(), shift)
         if self._kept[0] != key:
             idx, lu = np.flatnonzero(work), None
@@ -344,32 +335,23 @@ class QpWorkspace:
         each column's last entry.  Built at the first factor.
         """
         n, m = self.prog.n, self.m
-        # Column j < n holds Q's column j (diagonal always), then C's column j.
-        left = np.vstack([self._Qs, self.C])
-        nz = (left != 0.0) | np.eye(n + m, n, dtype=bool)
-        l_col, l_row = np.divmod(np.flatnonzero(nz.T), n + m)
+        # Column j < n holds the curvature c_j on the diagonal, then C's column j.
+        c_col, c_row = np.nonzero(self.C.T)
+        cols = np.concatenate([np.arange(n), c_col])
+        order = np.argsort(cols, kind="stable")
+        l_col = cols[order]
+        l_row = np.concatenate([np.arange(n), n + c_row])[order]
+        l_val = np.concatenate([self.prog.curvature, self.C[c_row, c_col]])[order]
         # Column n + r holds C's row r, then the diagonal (marker column n).
         r_col, r_row = np.divmod(np.flatnonzero(
             np.hstack([self.C != 0.0, np.ones((m, 1), dtype=bool)])), n + 1)
         diag = r_row == n
         row = np.concatenate([l_row, r_row + diag * r_col]).astype(np.intc)
         col = np.concatenate([l_col, n + r_col])
-        val = np.concatenate([left[l_row, l_col], self.C[r_col, r_row - diag] * ~diag])
+        val = np.concatenate([l_val, self.C[r_col, r_row - diag] * ~diag])
         sign = np.concatenate([l_row == l_col, -1.0 * diag])
         ends = np.searchsorted(col, np.arange(n + m), side="right") - 1
         return np.maximum(row, col), row, val, sign, ends
-
-    @cached_property
-    def _q_root(self) -> Optional[np.ndarray]:
-        """R with Q = R R' (a diagonal Q keeps its square root as a vector),
-        or None if Q is not positive definite."""
-        d = np.diag(self._Qs)
-        if np.count_nonzero(self._Qs) == np.count_nonzero(d):
-            return np.sqrt(d) if np.all(d > 0.0) else None
-        try:
-            return np.linalg.cholesky(self._Qs)
-        except np.linalg.LinAlgError:
-            return None
 
     # -- exact solves ------------------------------------------------------------------
 
@@ -402,16 +384,17 @@ class QpWorkspace:
         violated row: a full step makes it active and adds it, a partial
         step stops where a working multiplier reaches zero and drops that
         row.  The objective rises monotonically, so no working set repeats.
-        Without a positive definite Q there is no iteration: the seed's
-        working set is settled as it is.
+        With a zero curvature there is no iteration: the seed's working set
+        is settled as it is.
         """
         n, m = self.prog.n, self.m
-        eq, C, root = self._eq, self.C, self._q_root
+        eq, C, c = self._eq, self.C, self.prog.curvature
         at_upper = ~eq & (y_seed > 0.0)
         at_lower = ~eq & (y_seed < 0.0)
         x, y = np.zeros(n), np.zeros(m)
-        if root is None:
+        if not np.all(c > 0.0):
             return self._settle(at_upper, at_lower, x, y, tol, 0)
+        root = np.sqrt(c)
         # Start at the minimum on the seed rows and drop wrong-sign rows
         # until the working set is dual feasible.  A singular seed restarts
         # from the equality rows; singular equality rows are settled.
@@ -442,8 +425,8 @@ class QpWorkspace:
             side = 1.0 if over[p] > under[p] else -1.0
             a_p = side * C[p]
             b_p = side * (self.u[p] if side > 0.0 else self.l[p])
-            # a_p' Q^-1 a_p: the curvature of a row independent of the set.
-            w = a_p / root if root.ndim == 1 else solve_triangular(root, a_p, lower=True)
+            # a_p' diag(c)^-1 a_p: the curvature of a row independent of the set.
+            w = a_p / root
             h_p = float(w @ w)
             t_p = 0.0
             while iterations < limit:

@@ -47,10 +47,15 @@ def _require(mapping: dict, key: str, path: str) -> Any:
     return mapping[key]
 
 
-def _num(value: Any, path: str) -> float:
+def _num(value: Any, path: str, finite: bool = True) -> float:
+    """A number; NaN never, and +-inf only where `finite` is False."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{path}: expected a number, got {value!r}")
-    return float(value)
+    value = float(value)
+    if math.isnan(value) or (finite and math.isinf(value)):
+        raise ScenarioError(f"{path}: expected a {'finite ' if finite else ''}"
+                            f"number, got {value}")
+    return value
 
 
 def _int(value: Any, path: str) -> int:
@@ -65,10 +70,10 @@ def _bool(value: Any, path: str) -> bool:
     return value
 
 
-def _pair(value: Any, path: str) -> tuple[float, float]:
+def _pair(value: Any, path: str, finite: bool = True) -> tuple[float, float]:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ScenarioError(f"{path}: expected [low, high]")
-    return _num(value[0], path + "[0]"), _num(value[1], path + "[1]")
+    return _num(value[0], path + "[0]", finite), _num(value[1], path + "[1]", finite)
 
 
 @dataclass
@@ -132,8 +137,9 @@ def _parse_bus(entry: Any, path: str) -> tuple[int, object, dict]:
                                  path + ".inertia_bounds"),
             power_bounds=_pair(_require(entry, "power_bounds", path),
                                path + ".power_bounds"),
+            # An infinite side is no bound: the energy rows drop it.
             energy_bounds=_pair(_require(entry, "energy_bounds", path),
-                                path + ".energy_bounds"),
+                                path + ".energy_bounds", finite=False),
             initial_energy=_num(entry.get("initial_energy", 0.0),
                                 path + ".initial_energy"),
         )
@@ -150,8 +156,8 @@ def _parse_line(entry: Any, path: str) -> Line:
     allowed = {"from", "to", "susceptance", "reactance_per_km", "length_km",
                "transformer_reactance"}
     _check_keys(entry, allowed, path)
-    from_bus = _require(entry, "from", path)
-    to_bus = _require(entry, "to", path)
+    from_bus = _int(_require(entry, "from", path), path + ".from")
+    to_bus = _int(_require(entry, "to", path), path + ".to")
     if "susceptance" in entry:
         for k in ("reactance_per_km", "length_km", "transformer_reactance"):
             if k in entry:
@@ -256,9 +262,11 @@ def parse_scenario(source: str | Path) -> Scenario:
 
     injections = _parse_injections(_require(doc, "injections", "document"),
                                    len(roles))
+    reference_bus = grid_sec.get("reference_bus")
+    if reference_bus is not None:
+        reference_bus = _int(reference_bus, "grid.reference_bus")
     try:
-        grid = GridModel(roles, lines, injections,
-                         grid_sec.get("reference_bus"))
+        grid = GridModel(roles, lines, injections, reference_bus)
     except Exception as exc:
         raise ScenarioError(f"grid: {exc}") from exc
 
@@ -268,7 +276,7 @@ def parse_scenario(source: str | Path) -> Scenario:
         if not isinstance(entry, dict):
             raise ScenarioError(f"{path}: expected a mapping")
         _check_keys(entry, {"bus", "time", "delta_p"}, path)
-        ev = DisturbanceEvent(_require(entry, "bus", path),
+        ev = DisturbanceEvent(_int(_require(entry, "bus", path), path + ".bus"),
                               _num(_require(entry, "time", path), path + ".time"),
                               _num(_require(entry, "delta_p", path),
                                    path + ".delta_p"))

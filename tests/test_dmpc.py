@@ -75,8 +75,8 @@ def scalar_toy(a1, t1, a2, t2, rho, tau):
     a2/2 (w - t2)^2 over its duplicate; the single coupling equality enforces
     w = x.  Saddle point: x = (a1 t1 + a2 t2) / (a1 + a2).
     """
-    prog0 = ConvexProgram(q=np.array([-a1 * t1]), Q=np.array([[a1]]))
-    prog1 = ConvexProgram(q=np.array([-a2 * t2]), Q=np.array([[a2]]))
+    prog0 = ConvexProgram(q=np.array([-a1 * t1]), curvature=np.array([a1]))
+    prog1 = ConvexProgram(q=np.array([-a2 * t2]), curvature=np.array([a2]))
     programs = [AreaProgram(0, prog0, own_entries=[(0, 0, 0.0)]),
                 AreaProgram(1, prog1, copy_entries=[(0, 0, 0.0)])]
     couplings = (CouplingEquality(bus=0, own_area=0, copy_area=1, k=1),)
@@ -213,7 +213,7 @@ class TestAreaSubproblem:
 
     def test_no_coupling_solves_exact_local_problem(self):
         prog = AreaProgram(0, ConvexProgram(q=np.array([-2.0]),
-                                            Q=2.0 * np.eye(1)))
+                                            curvature=np.array([2.0])))
         consensus = ConsensusState((), np.zeros(0), np.zeros(0), np.zeros(0),
                                    1.0, 0.1)
         x = area_subproblem_solve(prog, consensus)

@@ -1,4 +1,4 @@
-"""Golden outputs: two short CLI runs reproduce the committed files.
+"""Golden outputs: short CLI runs reproduce the committed files.
 
 `tests/golden/<case>/` holds every file the command wrote when the case was
 recorded.  A run must write the same set of files; in each file the text
@@ -25,6 +25,8 @@ REL_TOL = 1e-12
 CASES = {
     "compare_two_bus": ["compare", "two_bus", "--ttotal", "0.3"],
     "dmpc_twelve_bus": ["dmpc", "twelve_bus", "--ttotal", "0.2"],
+    # The n = 252 centralized program.
+    "mpc_twelve_bus": ["mpc", "twelve_bus", "--ttotal", "0.04"],
 }
 
 

@@ -179,6 +179,28 @@ class TestAssemble:
         energies = np.array([s.energy[0] for s in predicted])
         assert np.all(energies >= -45.0 - 1e-6)
 
+    @pytest.mark.parametrize("regime", [StorageRegime(False, False),
+                                        StorageRegime(False, True)], ids=["cc", "vc"])
+    def test_fixed_set_points_are_pinned_once(self, two_bus_grid, regime):
+        # Each fixed column is pinned by its equality rows alone.  A box with
+        # lb == ub would pin it twice: HiGHS marks both rows, and the cold
+        # solve's seed is then dependent and restarts from the equality rows.
+        angles = solve_equilibrium(two_bus_grid, np.array([-3.0]))
+        st = SystemState(angles, np.array([0.05, -0.02]), np.zeros(1), 0.0)
+        events = [DisturbanceEvent(0, 0.0, 0.2)]
+        cfg = base_config(two_bus_grid, regimes=regime)
+        ltv = linearize_dynamics(two_bus_grid, st, cfg.reference_matrix(), 0.01,
+                                 events)
+        hp = assemble_horizon_program(two_bus_grid, ltv, cfg)
+        fixed = [0] if regime.inertia_free else [0, 1]
+        cols = [hp.u_col(k, j) for k in range(cfg.k_steps) for j in fixed]
+        assert np.all(hp.prog.lb[cols] == -np.inf)
+        assert np.all(hp.prog.ub[cols] == np.inf)
+        report = QpWorkspace(hp.prog).solve(tol=cfg.qp_tol)
+        assert report.status == "optimal" and report.iterations == 0
+        u = hp.controls_from(report.x)
+        assert np.allclose(u[:, fixed], cfg.reference_matrix()[:, fixed], atol=1e-9)
+
     def test_pinned_value_outside_box_rejected(self, two_bus_grid):
         with pytest.raises(MpcConfigError, match="reference power"):
             MpcConfig.create(two_bus_grid, horizon=0.1, step=0.01,

@@ -11,11 +11,11 @@ from essmpc.qp import (ConvexProgram, DualSet, QpError, QpWorkspace,
                        kkt_residual, solve_qp)
 
 
-def enumerate_qp_oracle(Q, q, A, b, A_eq=None, b_eq=None, tol=1e-8):
+def enumerate_qp_oracle(c, q, A, b, A_eq=None, b_eq=None, tol=1e-8):
     """Brute force over inequality active sets for a strictly convex QP.
 
-    Solves min 0.5 x'Qx + q'x s.t. Ax <= b, A_eq x = b_eq by testing every
-    subset of inequality rows as the active set, with the equality rows
+    Solves min 0.5 sum c_i x_i^2 + q'x s.t. Ax <= b, A_eq x = b_eq by testing
+    every subset of inequality rows as the active set, with the equality rows
     always active: solve the equality KKT system, keep the point iff it is
     primal feasible with nonnegative multipliers on the active inequality
     rows.
@@ -31,7 +31,7 @@ def enumerate_qp_oracle(Q, q, A, b, A_eq=None, b_eq=None, tol=1e-8):
             rows = np.vstack([A_eq, A[list(subset)]])
             k = rows.shape[0]
             kkt = np.zeros((n + k, n + k))
-            kkt[:n, :n] = Q
+            kkt[:n, :n] = np.diag(c)
             if k:
                 kkt[:n, n:] = rows.T
                 kkt[n:, :n] = rows
@@ -46,7 +46,7 @@ def enumerate_qp_oracle(Q, q, A, b, A_eq=None, b_eq=None, tol=1e-8):
                 continue
             if r and np.any(mu < -tol):
                 continue
-            obj = 0.5 * x @ Q @ x + q @ x
+            obj = 0.5 * c @ x**2 + q @ x
             if best is None or obj < best[1] - 1e-12:
                 best = (x, obj)
     assert best is not None, "oracle found no KKT point"
@@ -56,11 +56,11 @@ def enumerate_qp_oracle(Q, q, A, b, A_eq=None, b_eq=None, tol=1e-8):
 def random_qp(rng, n, m, m_eq=0, box=False):
     """ConvexProgram fields of a feasible, strictly convex QP.
 
-    m inequality rows, m_eq equality rows and, with `box`, finite bounds on
+    The curvature is the diagonal of G G' + n I for a normal G.  m
+    inequality rows, m_eq equality rows and, with `box`, finite bounds on
     about half of the variables, all satisfied by one random point.
     """
-    Q = rng.normal(size=(n, n))
-    Q = Q @ Q.T + n * np.eye(n)
+    curvature = np.sum(rng.normal(size=(n, n))**2, axis=1) + n
     q = rng.normal(size=n) * 2.0
     A = rng.normal(size=(m, n))
     x_feas = rng.normal(size=n) * 0.5
@@ -70,7 +70,8 @@ def random_qp(rng, n, m, m_eq=0, box=False):
         boxed = rng.random(n) < 0.5
         lb[boxed] = x_feas[boxed] - rng.uniform(0.05, 1.0, size=boxed.sum())
         ub[boxed] = x_feas[boxed] + rng.uniform(0.05, 1.0, size=boxed.sum())
-    return dict(Q=Q, q=q, A_in=A, b_in=A @ x_feas + rng.uniform(0.1, 1.5, size=m),
+    return dict(curvature=curvature, q=q, A_in=A,
+                b_in=A @ x_feas + rng.uniform(0.1, 1.5, size=m),
                 A_eq=A_eq, b_eq=A_eq @ x_feas, lb=lb, ub=ub)
 
 
@@ -105,7 +106,8 @@ def seeded_solve(kw, seed, rng, tol=1e-9):
 
 class TestHandCases:
     def test_active_bound(self):
-        prog = ConvexProgram(q=np.zeros(1), Q=2.0 * np.eye(1), lb=np.array([1.0]))
+        prog = ConvexProgram(q=np.zeros(1), curvature=np.array([2.0]),
+                             lb=np.array([1.0]))
         report = solve_qp(prog)
         assert report.status == "optimal"
         assert report.x[0] == pytest.approx(1.0, abs=1e-9)
@@ -121,13 +123,13 @@ class TestHandCases:
         assert report.x[1] == pytest.approx(0.3, abs=1e-9)
 
     def test_equality_constrained(self):
-        prog = ConvexProgram(q=np.array([1.0, 1.0]), Q=np.eye(2),
+        prog = ConvexProgram(q=np.array([1.0, 1.0]), curvature=np.ones(2),
                              A_eq=np.array([[1.0, 1.0]]), b_eq=np.array([2.0]))
         report = solve_qp(prog, tol=1e-10)
         assert np.allclose(report.x, [1.0, 1.0], atol=1e-8)
 
     def test_infeasible_detected(self):
-        prog = ConvexProgram(q=np.zeros(1), Q=2.0 * np.eye(1),
+        prog = ConvexProgram(q=np.zeros(1), curvature=np.array([2.0]),
                              A_in=np.array([[-1.0], [1.0]]),
                              b_in=np.array([-1.0, 0.0]))
         report = solve_qp(prog)
@@ -143,7 +145,7 @@ class TestHandCases:
     def test_dependent_equality_rows(self):
         # Both rows say x1 + x2 = 1, so the unshifted KKT matrix is exactly
         # singular; the shifted pinned solve of the same rows certifies.
-        prog = ConvexProgram(q=np.zeros(2), Q=np.eye(2),
+        prog = ConvexProgram(q=np.zeros(2), curvature=np.ones(2),
                              A_eq=np.array([[1.0, 1.0], [1.0, 1.0]]),
                              b_eq=np.array([1.0, 1.0]))
         report = solve_qp(prog)
@@ -153,7 +155,7 @@ class TestHandCases:
     def test_lp_tie_break_is_kept(self):
         # Every point of x1 + x2 = 1 in the unit box is an LP optimum; the
         # 1e-8 diagonal picks the least-norm one, not the HiGHS vertex.
-        prog = ConvexProgram(q=np.array([-1.0, -1.0]), Q=1e-8 * np.eye(2),
+        prog = ConvexProgram(q=np.array([-1.0, -1.0]), curvature=np.full(2, 1e-8),
                              A_in=np.array([[1.0, 1.0]]), b_in=np.array([1.0]),
                              lb=np.zeros(2), ub=np.ones(2))
         report = solve_qp(prog)
@@ -163,7 +165,7 @@ class TestHandCases:
     def test_variable_pinned_twice_in_the_seed(self):
         # x0 = 0.2 both by an equality row and by lb == ub; a seed holding
         # the box row as well makes the working set's KKT matrix singular.
-        prog = ConvexProgram(q=np.array([1.0, -1.0]), Q=np.eye(2),
+        prog = ConvexProgram(q=np.array([1.0, -1.0]), curvature=np.ones(2),
                              A_eq=np.array([[1.0, 0.0]]), b_eq=np.array([0.2]),
                              A_in=np.array([[1.0, 1.0]]), b_in=np.array([1.0]),
                              lb=np.array([0.2, -np.inf]), ub=np.array([0.2, np.inf]))
@@ -182,7 +184,8 @@ class TestOracleSweep:
             n = int(rng.integers(1, 9))
             m = int(rng.integers(1, 9))
             kw = random_qp(rng, n, m)
-            expected = enumerate_qp_oracle(kw["Q"], kw["q"], kw["A_in"], kw["b_in"])
+            expected = enumerate_qp_oracle(kw["curvature"], kw["q"],
+                                           kw["A_in"], kw["b_in"])
             for seed in SEEDS:
                 report = seeded_solve(kw, seed, seed_rng)
                 assert report.status == "optimal", f"trial {trial}, {seed}"
@@ -198,7 +201,7 @@ class TestOracleSweep:
             m_eq = int(rng.integers(0, min(n, 3)))
             kw = random_qp(rng, n, int(rng.integers(0, 6)), m_eq, box=True)
             A, b = oracle_rows(kw)
-            expected = enumerate_qp_oracle(kw["Q"], kw["q"], A, b,
+            expected = enumerate_qp_oracle(kw["curvature"], kw["q"], A, b,
                                            kw["A_eq"], kw["b_eq"])
             for seed in SEEDS:
                 report = seeded_solve(kw, seed, seed_rng)
@@ -211,14 +214,14 @@ class TestOracleSweep:
 class TestKktResidual:
     def test_hand_solved_optimum_is_exact(self):
         # min (x-2)^2 s.t. x <= 1: optimum x=1, dual mu = 2.
-        prog = ConvexProgram(q=np.array([-4.0]), Q=2.0 * np.eye(1),
+        prog = ConvexProgram(q=np.array([-4.0]), curvature=np.array([2.0]),
                              A_in=np.array([[1.0]]), b_in=np.array([1.0]))
         duals = DualSet(np.zeros(0), np.array([2.0]), np.zeros(1), np.zeros(1))
         stat, feas, comp = kkt_residual(prog, np.array([1.0]), duals)
         assert stat < 1e-12 and feas < 1e-12 and comp < 1e-12
 
     def test_perturbed_point_has_residual(self):
-        prog = ConvexProgram(q=np.array([-4.0]), Q=2.0 * np.eye(1),
+        prog = ConvexProgram(q=np.array([-4.0]), curvature=np.array([2.0]),
                              A_in=np.array([[1.0]]), b_in=np.array([1.0]))
         duals = DualSet(np.zeros(0), np.array([2.0]), np.zeros(1), np.zeros(1))
         stat, _feas, _comp = kkt_residual(prog, np.array([1.1]), duals)
@@ -252,21 +255,22 @@ class TestProperties:
         kw = random_qp(rng, 5, 5)
         base = solve_qp(ConvexProgram(**kw), tol=1e-10)
         scaled = solve_qp(ConvexProgram(**{**kw, "q": 7.3 * kw["q"],
-                                           "Q": 7.3 * kw["Q"]}), tol=1e-10)
+                                           "curvature": 7.3 * kw["curvature"]}),
+                         tol=1e-10)
         assert np.max(np.abs(base.x - scaled.x)) < 1e-7
 
     def test_redundant_inequality_changes_nothing(self):
         rng = np.random.default_rng(13)
         kw = random_qp(rng, 4, 4)
-        Q, q, A, b = kw["Q"], kw["q"], kw["A_in"], kw["b_in"]
+        c, q, A, b = kw["curvature"], kw["q"], kw["A_in"], kw["b_in"]
         lb, ub = -3.0 * np.ones(4), 3.0 * np.ones(4)
-        base = solve_qp(ConvexProgram(q=q, Q=Q, A_in=A, b_in=b, lb=lb, ub=ub),
-                        tol=1e-10)
+        base = solve_qp(ConvexProgram(q=q, curvature=c, A_in=A, b_in=b,
+                                      lb=lb, ub=ub), tol=1e-10)
         # x_0 <= 5 is implied by the box.
         extra_row = np.zeros((1, 4))
         extra_row[0, 0] = 1.0
         augmented = solve_qp(
-            ConvexProgram(q=q, Q=Q, A_in=np.vstack([A, extra_row]),
+            ConvexProgram(q=q, curvature=c, A_in=np.vstack([A, extra_row]),
                           b_in=np.concatenate([b, [5.0]]), lb=lb, ub=ub),
             tol=1e-10)
         assert np.max(np.abs(base.x - augmented.x)) < 1e-7
@@ -303,14 +307,14 @@ def pinned_cases(draw):
     n, m_eq = draw(st.integers(1, 6)), draw(st.integers(0, 2))
     over = draw(st.booleans())
     m_in = n + draw(st.integers(1, 4)) if over else draw(st.integers(0, n + 4))
-    G = rng.normal(size=(n, n))
+    g2 = np.sum(rng.normal(size=(n, n))**2, axis=1)     # diag(G G')
     x0 = rng.normal(size=n)
     A_eq = rng.normal(size=(m_eq, n))
     A_in = rng.normal(size=(m_in, n)) * (rng.random((m_in, n)) < 0.6)
     consistent = draw(st.booleans())
     boxed = rng.random(n) < 0.5 if draw(st.booleans()) else np.zeros(n, dtype=bool)
     prog = ConvexProgram(
-        q=rng.normal(size=n), Q=G @ G.T + draw(st.floats(0.01, 2.0)) * np.eye(n),
+        q=rng.normal(size=n), curvature=g2 + draw(st.floats(0.01, 2.0)),
         A_eq=A_eq, b_eq=A_eq @ x0 if consistent else rng.normal(size=m_eq),
         A_in=A_in, b_in=A_in @ x0 if consistent else rng.normal(size=m_in),
         lb=np.where(boxed, x0 - 1.0, -np.inf), ub=np.where(boxed, x0 + 1.0, np.inf))
@@ -329,7 +333,7 @@ def dense_pinned_system(ws, at_upper, at_lower):
     n = ws.prog.n
     idx = np.flatnonzero(ws._eq | at_upper | at_lower)
     kkt = np.zeros((n + idx.size, n + idx.size))
-    kkt[:n, :n] = ws._Qs + 1e-12 * np.eye(n)
+    kkt[:n, :n] = np.diag(ws.prog.curvature + 1e-12)
     kkt[:n, n:] = ws.C[idx].T
     kkt[n:, :n] = ws.C[idx]
     kkt[n:, n:] = -1e-12 * np.eye(idx.size)
@@ -374,20 +378,21 @@ class TestKeptFactor:
 
 
 class TestValidation:
-    def test_asymmetric_q_rejected(self):
-        with pytest.raises(QpError, match="symmetric"):
-            ConvexProgram(q=np.zeros(2), Q=np.array([[1.0, 1.0], [0.0, 1.0]]))
+    def test_omitted_curvature_is_zero(self):
+        prog = ConvexProgram(q=np.array([1.0, -2.0]))
+        assert np.array_equal(prog.curvature, np.zeros(2))
+        assert prog.objective(np.array([3.0, 1.0])) == 1.0
 
-    def test_rounding_asymmetry_accepted(self):
-        ConvexProgram(q=np.zeros(2), Q=np.array([[1.0, 0.0], [1e-11, 1.0]]))
+    @pytest.mark.parametrize("curvature", [np.eye(2), np.ones(3), np.ones((2, 1))],
+                             ids=["matrix", "long", "column"])
+    def test_wrong_shape_curvature_rejected(self, curvature):
+        with pytest.raises(QpError, match="curvature has shape"):
+            ConvexProgram(q=np.zeros(2), curvature=curvature)
 
-    def test_visible_asymmetry_rejected(self):
-        with pytest.raises(QpError, match="symmetric"):
-            ConvexProgram(q=np.zeros(2), Q=np.array([[1.0, 0.0], [1e-6, 1.0]]))
-
-    def test_indefinite_q_rejected(self):
-        with pytest.raises(QpError, match="semidefinite"):
-            ConvexProgram(q=np.zeros(2), Q=np.array([[1.0, 0.0], [0.0, -1.0]]))
+    @pytest.mark.parametrize("bad", [-1e-12, np.nan, np.inf])
+    def test_negative_or_non_finite_curvature_rejected(self, bad):
+        with pytest.raises(QpError, match="curvature must be finite and >= 0"):
+            ConvexProgram(q=np.zeros(2), curvature=np.array([1.0, bad]))
 
     def test_crossed_box_rejected(self):
         with pytest.raises(QpError, match="box"):

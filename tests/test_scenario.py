@@ -129,6 +129,34 @@ class TestValidationErrors:
         ("clamp_storage_power_at_energy_limit: true",
          "clamp_storage_power_at_energy_limit: yes please",
          "flags.clamp_storage_power_at_energy_limit"),
+        # Bus ids are integers.
+        ("{from: 0, to: 1,", "{from: 0.5, to: 1,", "grid.lines[0].from"),
+        ("{from: 0, to: 1,", "{from: 0, to: a,", "grid.lines[0].to"),
+        ("{bus: 0, time: 0.0", "{bus: 0.7, time: 0.0", "disturbances[0].bus"),
+        ("{bus: 0, time: 0.0", "{bus: true, time: 0.0", "disturbances[0].bus"),
+        ("reference_bus: 1", "reference_bus: true", "grid.reference_bus"),
+        # No number is NaN, and only an energy bound may be infinite.
+        ("time: 0.0, delta_p", "time: .nan, delta_p", "disturbances[0].time"),
+        ("delta_p: 0.2", "delta_p: .nan", "disturbances[0].delta_p"),
+        ("inertia: 3.0", "inertia: .inf", "grid.buses[0].inertia"),
+        ("damping: 1.0        #", "damping: .nan        #", "grid.buses[0].damping"),
+        ("power_bounds: [-4.0, 4.0]", "power_bounds: [-.inf, 4.0]",
+         "grid.buses[1].power_bounds[0]"),
+        ("energy_bounds: [-45.0, 10.0]", "energy_bounds: [-45.0, .nan]",
+         "grid.buses[1].energy_bounds[1]"),
+        ("susceptance: 50.0", "susceptance: .inf", "grid.lines[0].susceptance"),
+        ("values: [3.0, 0.0]", "values: [3.0, .nan]", "injections.values[1]"),
+        ("step: 0.01", "step: .nan", "sim.step"),
+        ("horizon: 0.1 ", "horizon: .nan ", "mpc.horizon"),
+        ("frequency_cost: 1.0", "frequency_cost: .nan", "mpc.frequency_cost"),
+        ("frequency_cost: 1.0", "frequency_cost: 1.0\n  omega_limits: {0: .nan}",
+         "mpc.omega_limits[0]"),
+        ("frequency_cost: 1.0", "frequency_cost: 1.0\n  qp_tolerance: .nan",
+         "mpc.qp_tolerance"),
+        ("power_trust_region: 0.5", "power_trust_region: .nan",
+         "mpc.sqp.power_trust_region"),
+        ("    tolerance: 1.0e-5", "    tolerance: .nan", "mpc.sqp.tolerance"),
+        ("rho: 20.0", "rho: .inf", "distributed.rho"),
     ])
     def test_mistyped_count_or_flag_rejected_with_path(self, old, new, field,
                                                        tmp_path):
@@ -139,6 +167,16 @@ class TestValidationErrors:
         bad = tmp_path / "bad.scn"
         bad.write_text(text)
         assert main(["simulate", str(bad)]) == 2
+
+    def test_infinite_energy_bound_is_no_bound(self, tmp_path):
+        text = scenario_text("two_bus").replace("energy_bounds: [-45.0, 10.0]",
+                                                "energy_bounds: [-.inf, 10.0]")
+        sc = parse_scenario(text)
+        assert sc.grid.storage_role(1).energy_bounds == (-np.inf, 10.0)
+        path = tmp_path / "open.scn"
+        path.write_text(text)
+        assert main(["mpc", str(path), f"--out={tmp_path / 'out'}",
+                     "--ttotal", "0.05"]) == 0
 
     def test_counts_and_flags_read_as_written(self):
         text = scenario_text("two_bus").replace(
