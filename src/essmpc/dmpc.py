@@ -201,18 +201,17 @@ class AreaProgram:
         return bool(self.own_entries or self.copy_entries)
 
 
-def _augmented_workspace(program: AreaProgram, consensus: ConsensusState) -> QpWorkspace:
-    """Workspace whose quadratic part already carries penalty and prox terms."""
+def _augmented_program(program: AreaProgram, consensus: ConsensusState) -> ConvexProgram:
+    """The area program whose quadratic part carries the penalty and prox terms."""
     base = program.prog
     curvature = base.curvature.copy()
     if program.has_coupling:
         curvature += consensus.tau
         for _, col, _ in program.own_entries + program.copy_entries:
             curvature[col] += consensus.rho
-    prog = ConvexProgram(q=base.q.copy(), curvature=curvature,
+    return ConvexProgram(q=base.q.copy(), curvature=curvature,
                          A_eq=base.A_eq, b_eq=base.b_eq,
                          A_in=base.A_in, b_in=base.b_in, lb=base.lb, ub=base.ub)
-    return QpWorkspace(prog)
 
 
 def _round_linear_term(program: AreaProgram, consensus: ConsensusState,
@@ -245,7 +244,7 @@ def area_subproblem_solve(program: AreaProgram, consensus: ConsensusState,
     if x_prev is None:
         x_prev = np.zeros(program.prog.n)
     if workspace is None:
-        workspace = _augmented_workspace(program, consensus)
+        workspace = QpWorkspace(_augmented_program(program, consensus))
     workspace.update_linear(q=_round_linear_term(program, consensus, x_prev))
     report = workspace.solve(tol=tol, y0=None if warm is None else warm.get("y"))
     if report.status == "infeasible":
@@ -352,11 +351,12 @@ class DistributedMpcController(_SqpController):
         settings = self.settings
         if record.iterations >= settings.max_iterations:
             return None
-        horizons = [_assemble_program(self.grid, area, ltv, self.cfg)
+        horizons = [_assemble_program(self.grid, area, ltv, self.cfg,
+                                      self._structure(area))
                     for area, ltv in zip(self.areas, ltvs)]
         programs = [self._area_program(hp) for hp in horizons]
-        workspaces = {p.area: _augmented_workspace(p, self._consensus)
-                      for p in programs}
+        workspaces = {p.area: self._workspace(hp, _augmented_program(p, self._consensus))
+                      for hp, p in zip(horizons, programs)}
         x_prev: dict[int, np.ndarray] = {p.area: np.zeros(p.prog.n)
                                          for p in programs}
         z_prev = self._consensus.consensus_values()

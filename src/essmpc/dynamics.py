@@ -187,44 +187,58 @@ def swing_rhs(grid: GridModel, state: SystemState, u: ControlInput,
 
 
 def _divisors(grid: GridModel, u: ControlInput) -> np.ndarray:
-    """Per bus: the inertia of an inertia bus (storages: the set-point), else the damping."""
+    """Per bus: the inertia of an inertia bus (storages: the set-point), else the damping.
+
+    Controls stacked along a leading axis give one row of divisors each.
+    """
     div = grid.damping.copy()
     div[grid.inertia_idx] = grid.generator_inertia
-    div[grid.storage_idx] = u.inertia
+    if u.inertia.ndim == 1:
+        div[grid.storage_idx] = u.inertia
+        return div
+    div = np.tile(div, (len(u.inertia), 1))
+    div[:, grid.storage_idx] = u.inertia
     return div
 
 
 def swing_jacobian(grid: GridModel, state: SystemState, u: ControlInput,
-                   t: Optional[float] = None,
+                   t: Optional[float | np.ndarray] = None,
                    events: Sequence[DisturbanceEvent] = ()) -> tuple[np.ndarray, np.ndarray]:
     """Analytic Jacobians of the continuous right-hand side.
 
     Returns (J_x, J_u) for the stacked state x = [angles, omega] and control
     u = [power, inertia].  The sin terms linearize through cos at the current
     angles; the 1/M_e factors contribute -(f/M_e^2) sensitivities to inertia.
+
+    A stack of K states (angles (K, N), omega (K, n_w), times (K,)) and
+    controls (power and inertia (K, n_s)) gives J_x (K, nx, nx) and J_u
+    (K, nx, 2*n_s), bitwise the per-state Jacobians; a single state gives
+    (nx, nx) and (nx, 2*n_s).
     """
     if t is None:
         t = state.t
     n, n_w, n_s = grid.n_buses, len(grid.inertia_buses), len(grid.storage_buses)
     inertia, storage = grid.inertia_idx, grid.storage_idx
     div = _divisors(grid, u)
+    lead = div.shape[:-1]
     w_rows = np.arange(n, n + n_w)
     rows = np.arange(n)         # the row of each bus's power balance
     rows[inertia] = w_rows
 
-    j_x = np.zeros((n + n_w, n + n_w))
-    j_x[rows, :n] = grid.outflow_jacobian(state.angles) / -div[:, None]
-    j_x[inertia, w_rows] = 1.0
-    j_x[w_rows, w_rows] = -grid.damping[inertia] / div[inertia]
+    j_x = np.zeros(lead + (n + n_w, n + n_w))
+    j_x[..., rows, :n] = grid.outflow_jacobian(state.angles) / -div[..., :, None]
+    j_x[..., inertia, w_rows] = 1.0
+    j_x[..., w_rows, w_rows] = -grid.damping[inertia] / div[..., inertia]
 
     # Storage rows: w_dot = f / M_e, so 1/M_e per unit power, -f/M_e^2 per unit inertia.
     p = grid.injections_at(t, events)
-    f = (p[storage] + u.power - grid.damping[storage] * state.omega[grid.storage_pos]
-         - grid.outflow(state.angles)[storage])
+    f = (p[..., storage] + u.power
+         - grid.damping[storage] * state.omega[..., grid.storage_pos]
+         - grid.outflow(state.angles)[..., storage])
     s_rows, cols = w_rows[grid.storage_pos], np.arange(n_s)
-    j_u = np.zeros((n + n_w, 2 * n_s))
-    j_u[s_rows, cols] = 1.0 / u.inertia
-    j_u[s_rows, n_s + cols] = -f / (u.inertia * u.inertia)
+    j_u = np.zeros(lead + (n + n_w, 2 * n_s))
+    j_u[..., s_rows, cols] = 1.0 / u.inertia
+    j_u[..., s_rows, n_s + cols] = -f / (u.inertia * u.inertia)
     return j_x, j_u
 
 

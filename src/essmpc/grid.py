@@ -8,7 +8,8 @@ inertias in seconds, energies in p.u.*s.
 
 `GridModel` holds the network physics: read-only per-line and per-bus arrays
 (damping, inertia, index arrays, storage bounds), and `outflow` and
-`outflow_jacobian`, the flow law sum_j b_ij sin(d_i - d_j) and its Jacobian.
+`outflow_jacobian`, the flow law sum_j b_ij sin(d_i - d_j) and its Jacobian,
+for one state or a stack of them.
 """
 
 from __future__ import annotations
@@ -284,8 +285,16 @@ class GridModel:
 
     # -- injections ----------------------------------------------------
 
-    def injections_at(self, t: float, events: Sequence[DisturbanceEvent] = ()) -> np.ndarray:
-        """Nominal injections with every disturbance active at time t applied."""
+    def injections_at(self, t, events: Sequence[DisturbanceEvent] = ()) -> np.ndarray:
+        """Nominal injections with every disturbance active at time t applied.
+
+        An array of times gives one row of injections per time.
+        """
+        if isinstance(t, np.ndarray):
+            p = np.tile(self.injections, t.shape + (1,))
+            for ev in events:
+                p[t >= ev.time, ev.bus] += ev.delta_p
+            return p
         p = self.injections.copy()
         for ev in events:
             if t >= ev.time:
@@ -307,15 +316,34 @@ class GridModel:
     # -- flows ---------------------------------------------------------
 
     def outflow(self, angles: np.ndarray) -> np.ndarray:
-        """Power each bus sends into the network: sum_j b_ij sin(d_i - d_j)."""
-        flow = self.edge_b * np.sin(angles[self.edge_bus] - angles[self.edge_nbr])
-        return np.bincount(self.edge_bus, flow, self.n_buses)
+        """Power each bus sends into the network: sum_j b_ij sin(d_i - d_j).
+
+        `angles` (..., N) may stack states along leading axes.
+        """
+        flow = self.edge_b * np.sin(angles.take(self.edge_bus, -1)
+                                   - angles.take(self.edge_nbr, -1))
+        return _bincount(self.edge_bus, flow, self.n_buses)
 
     def outflow_jacobian(self, angles: np.ndarray) -> np.ndarray:
-        """(N, N) derivative of `outflow` with respect to the angles."""
+        """(..., N, N) derivative of `outflow` with respect to the angles."""
         n = self.n_buses
-        c = self.edge_b * np.cos(angles[self.edge_bus] - angles[self.edge_nbr])
-        return np.bincount(self._jac_index, np.concatenate([-c, c]), n * n).reshape(n, n)
+        c = self.edge_b * np.cos(angles.take(self.edge_bus, -1) - angles.take(self.edge_nbr, -1))
+        jac = _bincount(self._jac_index, np.concatenate([-c, c], axis=-1), n * n)
+        return jac.reshape(jac.shape[:-1] + (n, n))
+
+
+def _bincount(index: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
+    """np.bincount(index, w, size) of every row w of `weights` (..., len(index)).
+
+    Each row is summed alone and in index order, so a stacked state gives
+    bitwise the sums of the single states.
+    """
+    if weights.ndim == 1:
+        return np.bincount(index, weights, size)
+    lead = weights.shape[:-1]
+    rows = int(np.prod(lead))
+    bins = (size * np.arange(rows)[:, None] + index).ravel()
+    return np.bincount(bins, weights.ravel(), rows * size).reshape(lead + (size,))
 
 
 def network_injection(grid: GridModel, angles: np.ndarray, bus: int) -> float:

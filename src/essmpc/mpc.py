@@ -15,12 +15,21 @@ grid, with no foreign buses, solved as one program.  The distributed
 controller (`dmpc`) assembles the same program per area, where the foreign
 angles become copy columns that its consensus rounds tie to the
 neighbours' own angles.  Both log one `StepRecord` per control step.
+
+A horizon program is built in two parts.  Its structure (`_HorizonStructure`)
+depends only on the area, the configuration and which storages are
+saturated: column offsets, costs, constant rows, and where each
+linearization's values go.  A fill writes one linearization's values into a
+new program of that structure.  A controller keeps one structure and one
+`QpWorkspace` laid out for it per area for its own lifetime, so an SQP
+iteration computes values only; the linearization differentiates its K
+Euler steps as one stack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -232,87 +241,47 @@ def linearize_dynamics(grid: GridModel, state: SystemState,
                        events: Sequence[DisturbanceEvent] = (),
                        area: Optional[_AreaView] = None,
                        forcing: Optional[np.ndarray] = None) -> LtvModel:
-    """Roll out the nominal controls and differentiate each Euler step.
+    """Roll out the nominal controls, then differentiate every Euler step at once.
 
     `state` and `controls` (K, 2*n_s) cover the whole grid; the model keeps
     the rows and storages of `area` (default: the whole grid).  After each
     step the foreign angles are overwritten with `forcing` (K, n_f), so the
     area sees its neighbours only through them.  Buses outside the area and
-    its foreign set have no line to it and do not enter its rows.
+    its foreign set have no line to it and do not enter its rows.  The K
+    states the steps start from go to `swing_jacobian` as one stack.
     """
     area = _AreaView(grid) if area is None else area
-    n_s = len(grid.storage_buses)
+    n, n_s = grid.n_buses, len(grid.storage_buses)
     controls = np.asarray(controls, dtype=float)
     k_steps = controls.shape[0]
     forcing = np.zeros((k_steps, 0)) if forcing is None \
         else np.asarray(forcing, dtype=float)
-    nx = grid.n_buses + len(grid.inertia_buses)
+    nx = n + len(grid.inertia_buses)
 
-    a_mats = np.empty((k_steps, nx, nx))
-    b_mats = np.empty((k_steps, nx, 2 * n_s))
     states = np.empty((k_steps + 1, nx))
     energies = np.empty((k_steps + 1, n_s))
+    times = np.empty(k_steps)
     current = state.copy()
     states[0] = np.concatenate([current.angles, current.omega])
     energies[0] = current.energy
-    eye = np.eye(nx)
     for k in range(k_steps):
+        times[k] = current.t
         u = ControlInput(controls[k, :n_s], controls[k, n_s:])
-        j_x, j_u = swing_jacobian(grid, current, u, current.t, events)
-        a_mats[k] = eye + ts * j_x
-        b_mats[k] = ts * j_u
         current = euler_step(grid, current, u, ts, events)
         current.angles[area.foreign] = forcing[k]
         states[k + 1] = np.concatenate([current.angles, current.omega])
         energies[k + 1] = current.energy
+    starts = SystemState(states[:-1, :n], states[:-1, n:], energies[:-1])
+    j_x, j_u = swing_jacobian(grid, starts,
+                              ControlInput(controls[:, :n_s], controls[:, n_s:]),
+                              times, events)
+    a_mats = np.eye(nx) + ts * j_x
+    b_mats = ts * j_u
     rows = area.rows[:, None]
     return LtvModel(a_mats[:, rows, area.rows], a_mats[:, rows, area.foreign],
                     b_mats[:, rows, area.u_cols], states[:, area.rows],
                     energies[:, area.storages], controls[:, area.u_cols],
                     forcing.copy(), ts)
-
-
-@dataclass
-class HorizonProgram:
-    """Assembled convex subproblem of one area plus the index maps back to physical names.
-
-    Columns: [controls du(0..K-1) | own states dx(1..K) | foreign-angle
-    copies df(1..K) | frequency slacks | effort slacks (absolute effort only)].
-    """
-
-    prog: ConvexProgram
-    ltv: LtvModel
-    cfg: MpcConfig
-    area: _AreaView
-    n_u: int
-    n_x: int
-    off_x: int
-    off_copy: int
-    saturated: tuple[int, ...]   # area storage indices whose energy rows were dropped
-
-    def u_col(self, k: int, j: int) -> int:
-        return k * self.n_u + j
-
-    def x_col(self, k: int, i: int) -> int:
-        if k < 1:
-            raise IndexError("state deviations start at k=1")
-        return self.off_x + (k - 1) * self.n_x + i
-
-    def copy_col(self, k: int, f: int) -> int:
-        if k < 1:
-            raise IndexError("foreign-angle copies start at k=1")
-        return self.off_copy + (k - 1) * self.area.n_f + f
-
-    def controls_from(self, z: np.ndarray) -> np.ndarray:
-        """Physical control sequence (K, nu) from a solution vector."""
-        k_steps = self.cfg.k_steps
-        du = z[: k_steps * self.n_u].reshape(k_steps, self.n_u)
-        return self.ltv.controls + du
-
-    def omega_from(self, z: np.ndarray) -> np.ndarray:
-        """Predicted frequency deviations (K, n_mon) at steps 1..K from a solution vector."""
-        dx = z[self.off_x: self.off_copy].reshape(self.cfg.k_steps, self.n_x)
-        return (self.ltv.states[1:] + dx)[:, self.area.n:]
 
 
 def _energy_rows_feasible(e0: float, bounds: tuple[float, float],
@@ -328,33 +297,23 @@ def _energy_rows_feasible(e0: float, bounds: tuple[float, float],
     return True
 
 
-def _assemble_program(grid: GridModel, area: _AreaView, ltv: LtvModel,
-                      cfg: MpcConfig) -> HorizonProgram:
-    """Build the K-step convex program of one area in deviation variables.
+def _energy_key(grid: GridModel, area: _AreaView, ltv: LtvModel, cfg: MpcConfig
+                ) -> tuple[tuple[int, ...], tuple]:
+    """(widened, key) of one linearization of an area.
 
-    Dynamics enter as one equality row per own state per step, and each
-    pinned set-point as one equality per step, its column left unboxed.
-    Inequality rows come in this order: frequency epigraph and limit rows
-    (by step, then monitored bus), energy running sums (by storage, then
-    step), and absolute-effort epigraph rows (by step, then storage).
+    `widened` are the area storages whose power trust region is dropped:
+    the power channel is linear in the model, so trust regions never get to
+    make the energy rows infeasible.  Storages no power can keep feasible
+    are saturated: their energy rows are dropped and their power is pinned.
+    The key is everything the program's structure depends on beyond the
+    area and the configuration: the step, the saturated storages, and any
+    widened storage with an infinite power bound, whose box side then has
+    no row.
     """
     k_steps, ts = cfg.k_steps, ltv.ts
-    n_s, n_u, n_x, n_f, n_mon = area.n_s, area.nu, area.nx, area.n_f, area.n_w
     power_bounds = grid.power_bounds[:, area.storages]
-    inertia_bounds = grid.inertia_bounds[:, area.storages]
     energy_bounds = grid.energy_bounds[:, area.storages]
-    p_base, m_base = cfg.resolved_bases(grid)
-
-    off_x = k_steps * n_u
-    off_copy = off_x + k_steps * n_x
-    off_slack = off_copy + k_steps * n_f
-    off_ep = off_slack + k_steps * n_mon
-    off_em = off_ep + k_steps * n_s
-    n_total = off_em + k_steps * n_s if cfg.absolute_effort else off_ep
-
-    # -- resolve energy-row feasibility and power pins -------------------
-    relax_trust: set[int] = set()
-    pinned: dict[int, float] = {}
+    widened: list[int] = []
     saturated: list[int] = []
     for j, s in enumerate(area.storages):
         p_lo, p_hi = power_bounds[:, j]
@@ -366,146 +325,299 @@ def _assemble_program(grid: GridModel, area: _AreaView, ltv: LtvModel,
             box_lo = np.maximum(p_lo, nomin - r_p)
             box_hi = np.minimum(p_hi, nomin + r_p)
             if not _energy_rows_feasible(e0, e_bounds, box_lo, box_hi, ts):
-                # Trust regions never get to make the energy rows infeasible:
-                # the power channel is linear in the model, so widen it first.
-                relax_trust.add(j)
+                widened.append(j)
                 if not _energy_rows_feasible(e0, e_bounds, np.full(k_steps, p_lo),
                                              np.full(k_steps, p_hi), ts):
                     saturated.append(j)
-                    pinned[j] = min(max(0.0, p_lo), p_hi)
         else:
             pin = float(cfg.reference_power[s])
-            pinned[j] = pin
             if not _energy_rows_feasible(e0, e_bounds, np.full(k_steps, pin),
                                          np.full(k_steps, pin), ts):
                 saturated.append(j)
-                pinned[j] = min(max(0.0, p_lo), p_hi)
-
-    # -- cost -------------------------------------------------------------
-    step = cfg.step
-    c_p = cfg.power_cost[area.storages] * step / p_base
-    c_m = cfg.inertia_cost[area.storages] * step / m_base
-    q = np.zeros(n_total)
-    if cfg.absolute_effort:
-        q[off_ep:] = np.concatenate([np.tile(c_p, k_steps), np.tile(c_m, k_steps)])
-    else:
-        q[:off_x] = np.tile(np.concatenate([c_p, c_m]), k_steps)
-    q[off_slack:off_ep] = cfg.frequency_cost * step
-    curvature = np.full(n_total, _REGULARIZATION)
-
-    # -- equalities: dynamics, then pinned power and fixed inertia ---------
-    fixed = [(j, pinned[j]) for j in sorted(pinned)] \
-        + [(n_s + j, cfg.reference_inertia[s]) for j, s in enumerate(area.storages)
-           if not cfg.regimes[s].inertia_free]
-    n_dyn = k_steps * n_x
-    a_eq = np.zeros((n_dyn + k_steps * len(fixed), n_total))
-    b_eq = np.zeros(a_eq.shape[0])
-    a_eq[:n_dyn, off_x:off_copy] = np.eye(n_dyn)
-    for k in range(k_steps):
-        rows = slice(k * n_x, (k + 1) * n_x)
-        if k > 0:
-            a_eq[rows, off_x + (k - 1) * n_x: off_x + k * n_x] = -ltv.A[k]
-            a_eq[rows, off_copy + (k - 1) * n_f: off_copy + k * n_f] = -ltv.A_foreign[k]
-        a_eq[rows, k * n_u: (k + 1) * n_u] = -ltv.B[k]
-    fixed_cols = np.array([c for c, _ in fixed], dtype=int)
-    target = np.array([v for _, v in fixed])
-    a_eq[n_dyn + np.arange(fixed_cols.size * k_steps),
-         (fixed_cols[:, None] + n_u * np.arange(k_steps)).ravel()] = 1.0
-    b_eq[n_dyn:] = (target[:, None] - ltv.controls[:, fixed_cols].T).ravel()
-
-    # -- inequalities, one block at a time from index arrays ---------------
-    entries: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (row, col, value)
-    rhs: list[np.ndarray] = []
-    m_in = 0
-
-    def add_block(rows, cols, values, b) -> None:
-        nonlocal m_in
-        entries.append((m_in + rows, cols, values))
-        rhs.append(b)
-        m_in += b.size
-
-    # Per step and monitored bus: |w| <= slack, then |w| <= limit if set.
-    pattern = []    # (monitored index, sign, epigraph row?) for one step
-    limit = np.zeros(n_mon)
-    for i, bus in enumerate(area.monitored):
-        pattern += [(i, 1.0, True), (i, -1.0, True)]
-        if bus in cfg.omega_limits:
-            limit[i] = cfg.omega_limits[bus]
-            pattern += [(i, 1.0, False), (i, -1.0, False)]
-    if pattern:
-        i_mon, sign, epi = (np.tile(np.array(v), k_steps) for v in zip(*pattern))
-        k = np.repeat(np.arange(k_steps), len(pattern))     # step k + 1
-        w_nom = ltv.states[k + 1, area.n + i_mon]
-        r = np.arange(i_mon.size)
-        add_block(np.concatenate([r, r[epi]]),
-                  np.concatenate([off_x + k * n_x + area.n + i_mon,
-                                  off_slack + (k * n_mon + i_mon)[epi]]),
-                  np.concatenate([sign, -np.ones(int(epi.sum()))]),
-                  np.where(epi, -sign * w_nom, limit[i_mon] - sign * w_nom))
-
-    # Per storage and step k: +-ts * sum(du_p(0..k-1)) <= +-(E bound - E_nom(k)).
-    k_row, k_term = np.tril_indices(k_steps)
-    for j in range(n_s):
-        if j in saturated:
-            continue
-        e_lo, e_hi = energy_bounds[:, j]
-        sides = [(sgn, e) for sgn, e in ((1.0, e_hi), (-1.0, e_lo)) if np.isfinite(e)]
-        if not sides:
-            continue
-        sign, bound = np.array(sides).T
-        add_block((k_row[:, None] * sign.size + np.arange(sign.size)).ravel(),
-                  np.repeat(k_term * n_u + j, sign.size),
-                  np.tile(sign * ts, k_row.size),
-                  (sign * (bound - ltv.energies[1:, j, None])).ravel())
-
-    # Per step and storage: |p| <= e_p and |m - m_ref| <= e_m.
-    if cfg.absolute_effort:
-        k, j, t = (a.ravel() for a in np.meshgrid(
-            np.arange(k_steps), np.arange(n_s), np.arange(4), indexing="ij"))
-        inertia = t >= 2
-        sign = np.where(t % 2 == 0, 1.0, -1.0)
-        nominal = np.where(inertia, ltv.controls[k, n_s + j]
-                           - cfg.reference_inertia[area.storages][j],
-                           ltv.controls[k, j])
-        r = np.arange(k.size)
-        add_block(np.concatenate([r, r]),
-                  np.concatenate([k * n_u + j + n_s * inertia,
-                                  np.where(inertia, off_em, off_ep) + k * n_s + j]),
-                  np.concatenate([sign, -np.ones(r.size)]),
-                  -sign * nominal)
-
-    a_in = np.zeros((m_in, n_total))
-    for rows, cols, values in entries:
-        a_in[rows, cols] = values
-    b_in = np.concatenate(rhs) if rhs else np.zeros(0)
-
-    # -- boxes ------------------------------------------------------------------
-    nom = ltv.controls
-    phys_lo, phys_hi = np.hstack([power_bounds, inertia_bounds])
-    radius = np.array([np.inf if j in relax_trust else cfg.sqp.power_trust_region
-                       for j in range(n_s)] + [cfg.sqp.inertia_trust_region] * n_s)
-    box_lo = np.maximum(phys_lo - nom, -radius)
-    box_hi = np.minimum(phys_hi - nom, radius)
-    # A fixed column is pinned by its equality rows alone: an lb == ub box
-    # would pin it twice and make a working set holding both dependent.
-    box_lo[:, fixed_cols] = -np.inf
-    box_hi[:, fixed_cols] = np.inf
-    lb = np.full(n_total, -np.inf)
-    ub = np.full(n_total, np.inf)
-    lb[:off_x] = box_lo.ravel()
-    ub[:off_x] = box_hi.ravel()
-    lb[off_slack:] = 0.0
-
-    prog = ConvexProgram(q=q, curvature=curvature, A_eq=a_eq, b_eq=b_eq,
-                         A_in=a_in, b_in=b_in, lb=lb, ub=ub)
-    return HorizonProgram(prog, ltv, cfg, area, n_u, n_x, off_x, off_copy,
-                          tuple(saturated))
+    unbounded = tuple(j for j in widened if not np.all(np.isfinite(power_bounds[:, j])))
+    return tuple(widened), (ts, tuple(saturated), unbounded)
 
 
-def assemble_horizon_program(grid: GridModel, ltv: LtvModel,
-                             cfg: MpcConfig) -> HorizonProgram:
-    """Build the centralized K-step program: the one area that is the whole grid."""
-    return _assemble_program(grid, _AreaView(grid), ltv, cfg)
+class _HorizonStructure:
+    """What every program of one area and key shares: all but the values.
+
+    Holds the column offsets, the costs, the inequality rows, the identity
+    and pin entries of the equality rows, and where each linearization's
+    values go: the A_k, A_foreign_k and B_k blocks, the pin right-hand
+    sides, the inequality right-hand sides and the boxes.  `fill` writes one
+    linearization into a new program; `pattern` marks every entry of the
+    stacked [A_eq; A_in] a filled program can make non-zero, the layout a
+    kept `QpWorkspace` factors from.  The arrays programs share are
+    read-only.
+    """
+
+    def __init__(self, grid: GridModel, area: _AreaView, cfg: MpcConfig, key: tuple):
+        ts, saturated, _unbounded = key
+        self.area, self.cfg, self.key, self.saturated = area, cfg, key, saturated
+        k_steps = cfg.k_steps
+        n_s, n_u, n_x, n_f, n_mon = area.n_s, area.nu, area.nx, area.n_f, area.n_w
+        power_bounds = grid.power_bounds[:, area.storages]
+        inertia_bounds = grid.inertia_bounds[:, area.storages]
+        energy_bounds = grid.energy_bounds[:, area.storages]
+        p_base, m_base = cfg.resolved_bases(grid)
+
+        self.n_u, self.n_x = n_u, n_x
+        self.off_x = off_x = k_steps * n_u
+        self.off_copy = off_copy = off_x + k_steps * n_x
+        off_slack = off_copy + k_steps * n_f
+        off_ep = off_slack + k_steps * n_mon
+        off_em = off_ep + k_steps * n_s
+        n_total = off_em + k_steps * n_s if cfg.absolute_effort else off_ep
+
+        # -- cost -------------------------------------------------------------
+        step = cfg.step
+        c_p = cfg.power_cost[area.storages] * step / p_base
+        c_m = cfg.inertia_cost[area.storages] * step / m_base
+        q = np.zeros(n_total)
+        if cfg.absolute_effort:
+            q[off_ep:] = np.concatenate([np.tile(c_p, k_steps), np.tile(c_m, k_steps)])
+        else:
+            q[:off_x] = np.tile(np.concatenate([c_p, c_m]), k_steps)
+        q[off_slack:off_ep] = cfg.frequency_cost * step
+        self.q = _frozen(q)
+        self.curvature = _frozen(np.full(n_total, _REGULARIZATION))
+
+        # -- equalities: dynamics, then pinned power and fixed inertia ---------
+        pinned = {j: min(max(0.0, power_bounds[0, j]), power_bounds[1, j])
+                  if j in saturated else float(cfg.reference_power[s])
+                  for j, s in enumerate(area.storages)
+                  if j in saturated or not cfg.regimes[s].power_free}
+        fixed = [(j, pinned[j]) for j in sorted(pinned)] \
+            + [(n_s + j, cfg.reference_inertia[s]) for j, s in enumerate(area.storages)
+               if not cfg.regimes[s].inertia_free]
+        self.fixed_cols = np.array([c for c, _ in fixed], dtype=int)
+        self.target = np.array([v for _, v in fixed])
+        self.n_dyn = n_dyn = k_steps * n_x
+        self.eq_shape = (n_dyn + k_steps * len(fixed), n_total)
+        # Flat positions in A_eq of the ones: the identity on dx, then the pins.
+        self.ones_at = np.concatenate([
+            np.arange(n_dyn) * (n_total + 1) + off_x,
+            (n_dyn + np.arange(self.fixed_cols.size * k_steps)) * n_total
+            + (self.fixed_cols[:, None] + n_u * np.arange(k_steps)).ravel()])
+        # Flat positions in A_eq of -A_k and -A_foreign_k (k >= 1), then -B_k.
+        k = np.arange(k_steps)[:, None, None]
+        i = np.arange(n_x)[:, None]
+        row = (k * n_x + i) * n_total
+        self.dynamics_at = np.concatenate([
+            (row + off_x + (k - 1) * n_x + np.arange(n_x))[1:].ravel(),
+            (row + off_copy + (k - 1) * n_f + np.arange(n_f))[1:].ravel(),
+            (row + k * n_u + np.arange(n_u)).ravel()])
+
+        # -- inequalities, one block at a time from index arrays ---------------
+        # Per block: entries (row, col, value) and its right-hand side as a
+        # function of the linearization.
+        entries: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self.rhs: list[Callable[[LtvModel], np.ndarray]] = []
+        m_in = 0
+
+        def add_block(rows, cols, values, size, rhs) -> None:
+            nonlocal m_in
+            entries.append((m_in + rows, cols, values))
+            self.rhs.append(rhs)
+            m_in += size
+
+        # Per step and monitored bus: |w| <= slack, then |w| <= limit if set.
+        per_step = []    # (monitored index, sign, epigraph row?) for one step
+        limit = np.zeros(n_mon)
+        for i, bus in enumerate(area.monitored):
+            per_step += [(i, 1.0, True), (i, -1.0, True)]
+            if bus in cfg.omega_limits:
+                limit[i] = cfg.omega_limits[bus]
+                per_step += [(i, 1.0, False), (i, -1.0, False)]
+        if per_step:
+            i_mon, sign, epi = (np.tile(np.array(v), k_steps) for v in zip(*per_step))
+            k = np.repeat(np.arange(k_steps), len(per_step))     # step k + 1
+            r = np.arange(i_mon.size)
+
+            def frequency_rhs(ltv: LtvModel, at=(k + 1, area.n + i_mon), sign=sign,
+                              epi=epi, limit=limit[i_mon]) -> np.ndarray:
+                w_nom = ltv.states[at]
+                return np.where(epi, -sign * w_nom, limit - sign * w_nom)
+
+            add_block(np.concatenate([r, r[epi]]),
+                      np.concatenate([off_x + k * n_x + area.n + i_mon,
+                                      off_slack + (k * n_mon + i_mon)[epi]]),
+                      np.concatenate([sign, -np.ones(int(epi.sum()))]),
+                      i_mon.size, frequency_rhs)
+
+        # Per storage and step k: +-ts * sum(du_p(0..k-1)) <= +-(E bound - E_nom(k)).
+        k_row, k_term = np.tril_indices(k_steps)
+        for j in range(n_s):
+            if j in saturated:
+                continue
+            e_lo, e_hi = energy_bounds[:, j]
+            sides = [(sgn, e) for sgn, e in ((1.0, e_hi), (-1.0, e_lo)) if np.isfinite(e)]
+            if not sides:
+                continue
+            sign, bound = np.array(sides).T
+
+            def energy_rhs(ltv: LtvModel, j=j, sign=sign, bound=bound) -> np.ndarray:
+                return (sign * (bound - ltv.energies[1:, j, None])).ravel()
+
+            add_block((k_row[:, None] * sign.size + np.arange(sign.size)).ravel(),
+                      np.repeat(k_term * n_u + j, sign.size),
+                      np.tile(sign * ts, k_row.size),
+                      k_steps * sign.size, energy_rhs)
+
+        # Per step and storage: |p| <= e_p and |m - m_ref| <= e_m.
+        if cfg.absolute_effort:
+            k, j, t = (a.ravel() for a in np.meshgrid(
+                np.arange(k_steps), np.arange(n_s), np.arange(4), indexing="ij"))
+            inertia = t >= 2
+            sign = np.where(t % 2 == 0, 1.0, -1.0)
+            r = np.arange(k.size)
+
+            def effort_rhs(ltv: LtvModel, k=k, j=j, inertia=inertia, sign=sign,
+                           m_ref=cfg.reference_inertia[area.storages][j]) -> np.ndarray:
+                nominal = np.where(inertia, ltv.controls[k, n_s + j] - m_ref,
+                                   ltv.controls[k, j])
+                return -sign * nominal
+
+            add_block(np.concatenate([r, r]),
+                      np.concatenate([k * n_u + j + n_s * inertia,
+                                      np.where(inertia, off_em, off_ep) + k * n_s + j]),
+                      np.concatenate([sign, -np.ones(r.size)]),
+                      k.size, effort_rhs)
+
+        a_in = np.zeros((m_in, n_total))
+        for rows, cols, values in entries:
+            a_in[rows, cols] = values
+        self.a_in = _frozen(a_in)
+
+        # -- boxes ------------------------------------------------------------------
+        self.phys = np.hstack([power_bounds, inertia_bounds])
+        lb = np.full(n_total, -np.inf)
+        lb[off_slack:] = 0.0
+        self.lb = _frozen(lb)
+
+    def pattern(self) -> np.ndarray:
+        """Where the stacked [A_eq; A_in] of a filled program can be non-zero."""
+        eq = np.zeros(self.eq_shape, dtype=bool)
+        eq.reshape(-1)[self.ones_at] = True
+        eq.reshape(-1)[self.dynamics_at] = True
+        return np.vstack([eq, self.a_in != 0.0])
+
+    def fill(self, ltv: LtvModel, widened: Sequence[int]) -> "HorizonProgram":
+        """A new program of this structure holding the linearization's values."""
+        cfg, n_s = self.cfg, self.area.n_s
+        a_eq = np.zeros(self.eq_shape)
+        a_eq.reshape(-1)[self.ones_at] = 1.0
+        a_eq.reshape(-1)[self.dynamics_at] = -np.concatenate(
+            [ltv.A[1:].ravel(), ltv.A_foreign[1:].ravel(), ltv.B.ravel()])
+        b_eq = np.zeros(a_eq.shape[0])
+        b_eq[self.n_dyn:] = (self.target[:, None]
+                             - ltv.controls[:, self.fixed_cols].T).ravel()
+        b_in = np.concatenate([rhs(ltv) for rhs in self.rhs]) if self.rhs \
+            else np.zeros(0)
+
+        nom = ltv.controls
+        phys_lo, phys_hi = self.phys
+        radius = np.array([np.inf if j in widened else cfg.sqp.power_trust_region
+                           for j in range(n_s)] + [cfg.sqp.inertia_trust_region] * n_s)
+        box_lo = np.maximum(phys_lo - nom, -radius)
+        box_hi = np.minimum(phys_hi - nom, radius)
+        # A fixed column is pinned by its equality rows alone: an lb == ub box
+        # would pin it twice and make a working set holding both dependent.
+        box_lo[:, self.fixed_cols] = -np.inf
+        box_hi[:, self.fixed_cols] = np.inf
+        lb = self.lb.copy()
+        ub = np.full(lb.size, np.inf)
+        lb[:self.off_x] = box_lo.ravel()
+        ub[:self.off_x] = box_hi.ravel()
+
+        prog = ConvexProgram(q=self.q, curvature=self.curvature, A_eq=a_eq, b_eq=b_eq,
+                             A_in=self.a_in, b_in=b_in, lb=lb, ub=ub)
+        return HorizonProgram(prog, ltv, self)
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@dataclass
+class HorizonProgram:
+    """Assembled convex subproblem of one area plus the index maps back to physical names.
+
+    Columns: [controls du(0..K-1) | own states dx(1..K) | foreign-angle
+    copies df(1..K) | frequency slacks | effort slacks (absolute effort only)].
+    `prog` holds one linearization's values; `structure` is what it shares
+    with the other programs of its area and key.
+    """
+
+    prog: ConvexProgram
+    ltv: LtvModel
+    structure: _HorizonStructure
+
+    area = property(lambda self: self.structure.area)
+    cfg = property(lambda self: self.structure.cfg)
+    n_u = property(lambda self: self.structure.n_u)
+    off_x = property(lambda self: self.structure.off_x)
+    # Area storage indices whose energy rows were dropped.
+    saturated = property(lambda self: self.structure.saturated)
+
+    def u_col(self, k: int, j: int) -> int:
+        return k * self.n_u + j
+
+    def x_col(self, k: int, i: int) -> int:
+        if k < 1:
+            raise IndexError("state deviations start at k=1")
+        return self.off_x + (k - 1) * self.structure.n_x + i
+
+    def copy_col(self, k: int, f: int) -> int:
+        if k < 1:
+            raise IndexError("foreign-angle copies start at k=1")
+        return self.structure.off_copy + (k - 1) * self.area.n_f + f
+
+    def controls_from(self, z: np.ndarray) -> np.ndarray:
+        """Physical control sequence (K, nu) from a solution vector."""
+        k_steps = self.cfg.k_steps
+        du = z[: k_steps * self.n_u].reshape(k_steps, self.n_u)
+        return self.ltv.controls + du
+
+    def omega_from(self, z: np.ndarray) -> np.ndarray:
+        """Predicted frequency deviations (K, n_mon) at steps 1..K from a solution vector."""
+        dx = z[self.off_x: self.structure.off_copy].reshape(self.cfg.k_steps,
+                                                            self.structure.n_x)
+        return (self.ltv.states[1:] + dx)[:, self.area.n:]
+
+
+def _assemble_program(grid: GridModel, area: _AreaView, ltv: LtvModel,
+                      cfg: MpcConfig,
+                      structure: Optional[_HorizonStructure] = None) -> HorizonProgram:
+    """Build the K-step convex program of one area in deviation variables.
+
+    Dynamics enter as one equality row per own state per step, and each
+    pinned set-point as one equality per step, its column left unboxed.
+    Inequality rows come in this order: frequency epigraph and limit rows
+    (by step, then monitored bus), energy running sums (by storage, then
+    step), and absolute-effort epigraph rows (by step, then storage).
+
+    `structure`, that of an earlier program of the same area and
+    configuration, is filled again if the linearization has its key;
+    otherwise a new one is built first.
+    """
+    widened, key = _energy_key(grid, area, ltv, cfg)
+    if structure is None or structure.key != key or structure.area is not area \
+            or structure.cfg is not cfg:
+        structure = _HorizonStructure(grid, area, cfg, key)
+    return structure.fill(ltv, widened)
+
+
+def assemble_horizon_program(grid: GridModel, ltv: LtvModel, cfg: MpcConfig,
+                             structure: Optional[_HorizonStructure] = None
+                             ) -> HorizonProgram:
+    """Build the centralized K-step program: the one area that is the whole grid.
+
+    A controller passes the structure of its last program to fill it again.
+    """
+    area = _AreaView(grid) if structure is None else structure.area
+    return _assemble_program(grid, area, ltv, cfg, structure)
 
 
 def _project_controls(grid: GridModel, controls: np.ndarray) -> np.ndarray:
@@ -513,29 +625,25 @@ def _project_controls(grid: GridModel, controls: np.ndarray) -> np.ndarray:
 
 
 def _stage_cost(grid: GridModel, cfg: MpcConfig, area: _AreaView,
-                controls: np.ndarray, omega: np.ndarray) -> tuple[float, float]:
+                controls: np.ndarray, omega) -> tuple[float, float]:
     """(effort, performance) terms of the stage cost of one area over a horizon.
 
     `controls` (K, 2*n_s) are the area's [power, inertia] set-points and
     `omega` (K, n_w) its frequency deviations after each of the K steps.
+    Each term adds its K stages up one at a time, in step order.
     """
     n_s = area.n_s
     p_base, m_base = cfg.resolved_bases(grid)
     ts = cfg.step
     c_p = cfg.power_cost[area.storages]
     c_m = cfg.inertia_cost[area.storages]
-    m_ref = cfg.reference_inertia[area.storages]
-    effort = 0.0
-    for k in range(controls.shape[0]):
-        p = controls[k, :n_s]
-        m = controls[k, n_s:]
-        if cfg.absolute_effort:
-            p, m = np.abs(p), np.abs(m - m_ref)
-        effort += float(np.sum(c_p * p) / p_base * ts
-                        + np.sum(c_m * m) / m_base * ts)
-    performance = cfg.frequency_cost * ts * float(
-        sum(np.sum(np.abs(w)) for w in omega))
-    return effort, performance
+    p, m = controls[:, :n_s], controls[:, n_s:]
+    if cfg.absolute_effort:
+        p, m = np.abs(p), np.abs(m - cfg.reference_inertia[area.storages])
+    effort = np.sum(c_p * p, axis=1) / p_base * ts + np.sum(c_m * m, axis=1) / m_base * ts
+    w = np.abs(np.asarray(omega, dtype=float)).reshape(len(omega), area.n_w)
+    performance = cfg.frequency_cost * ts * sum(np.sum(w, axis=1).tolist(), 0.0)
+    return sum(effort.tolist(), 0.0), performance
 
 
 def horizon_objective(grid: GridModel, cfg: MpcConfig, states: list[SystemState],
@@ -590,6 +698,9 @@ class _SqpController:
         self.areas = areas
         self.log: list[StepRecord] = []
         self._plan: Optional[np.ndarray] = None
+        # Per area index: the structure of its last program and the
+        # workspace laid out for it, kept for the controller's lifetime.
+        self._kept: dict[int, tuple[_HorizonStructure, QpWorkspace]] = {}
 
     def _start(self, state: SystemState) -> None:
         """Set-up of one control step, before its first linearization."""
@@ -603,6 +714,24 @@ class _SqpController:
 
     def _converged(self, record: StepRecord, sqp_converged: bool) -> bool:
         return sqp_converged
+
+    def _structure(self, area: _AreaView) -> Optional[_HorizonStructure]:
+        """The structure of the area's last program, to fill again."""
+        kept = self._kept.get(area.index)
+        return None if kept is None else kept[0]
+
+    def _workspace(self, hp: HorizonProgram, prog: ConvexProgram) -> QpWorkspace:
+        """The area's workspace loaded with `prog`, a program of hp's structure.
+
+        A new structure gets a new workspace, laid out for its pattern.
+        """
+        kept = self._kept.get(hp.area.index)
+        if kept is not None and kept[0] is hp.structure:
+            kept[1].load(prog)
+            return kept[1]
+        workspace = QpWorkspace(prog, hp.structure.pattern())
+        self._kept[hp.area.index] = (hp.structure, workspace)
+        return workspace
 
     def __call__(self, step: int, state: SystemState) -> ControlInput:
         grid, cfg = self.grid, self.cfg
@@ -661,8 +790,10 @@ class MpcController(_SqpController):
 
     def _solve(self, ltvs: list[LtvModel], record: StepRecord
                ) -> list[tuple[HorizonProgram, np.ndarray]]:
-        hp = assemble_horizon_program(self.grid, ltvs[0], self.cfg)
-        report = QpWorkspace(hp.prog).solve(tol=self.cfg.qp_tol, y0=self._warm_y)
+        hp = assemble_horizon_program(self.grid, ltvs[0], self.cfg,
+                                      self._structure(self.areas[0]))
+        report = self._workspace(hp, hp.prog).solve(tol=self.cfg.qp_tol,
+                                                    y0=self._warm_y)
         if report.status == "infeasible":
             raise RuntimeError("horizon subproblem reported infeasible")
         record.non_optimal_solves += report.status != "optimal"

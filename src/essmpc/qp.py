@@ -5,8 +5,10 @@ A_in x <= b_in, lb <= x <= ub, with diagonal curvatures c >= 0.  The rows
 are stacked as l <= C x <= u.  A working set pins rows at one of their
 bounds, and the KKT system of the pinned rows is solved exactly.  A point is
 accepted only when its exactly recomputed KKT residuals meet the tolerance.
-Each working set's KKT matrix is built in CSC form from c and the nonzeros
-of C and factored once by SuperLU.
+A workspace lays the KKT matrix out in CSC form once, from c and a pattern
+of where C may be non-zero; a program loaded into it brings only values.
+Each working set's matrix takes the layout's live rows and the entries
+that are non-zero in the loaded program, and SuperLU factors it once.
 
 A solve is one sequence: seed, dual active set, settle.
 
@@ -197,27 +199,61 @@ def kkt_residual(prog: ConvexProgram, x: np.ndarray, duals: DualSet
 class QpWorkspace:
     """Reusable solver state: the program's rows stacked as l <= C x <= u.
 
-    `update_linear` swaps in a new linear cost, so repeated solves of
-    programs that differ only in q share one workspace.  The KKT matrix does
-    not depend on q, so the sparse LU of the last (working set, shift) is
-    kept for a repeat.  The dual active set factors it unshifted.
+    The layout of the KKT matrices is built once, from a pattern of where
+    the rows [A_eq; A_in] may be non-zero (default: where they are non-zero
+    in `prog`).  `load` swaps in another program with the same rows, box
+    columns and pattern, and `update_linear` a new linear cost, so repeated
+    solves of programs that differ only in values share one workspace.
+    Entries that are exactly zero in the loaded program are left out of its
+    KKT matrices.  The KKT matrix does not depend on q, so the sparse LU of
+    the last (working set, shift) is kept for a repeat until the next load.
+    The dual active set factors it unshifted.
     """
 
-    def __init__(self, prog: ConvexProgram):
-        self.prog = prog
+    def __init__(self, prog: ConvexProgram, pattern: Optional[np.ndarray] = None):
         n = prog.n
         self._box_vars = np.where(np.isfinite(prog.lb) | np.isfinite(prog.ub))[0]
         m_eq, m_in, m_box = prog.A_eq.shape[0], prog.A_in.shape[0], self._box_vars.size
-        box = np.zeros((m_box, n))
-        box[np.arange(m_box), self._box_vars] = 1.0
-        self.C = np.vstack([prog.A_eq, prog.A_in, box])
+        self._m_eq, self._m_in = m_eq, m_in
+        self.m = m_eq + m_in + m_box
+        self.C = np.zeros((self.m, n))
+        self.C[m_eq + m_in + np.arange(m_box), self._box_vars] = 1.0
+        full = self.C != 0.0
+        if pattern is None:
+            full[:m_eq] = prog.A_eq != 0.0
+            full[m_eq:m_eq + m_in] = prog.A_in != 0.0
+        elif np.shape(pattern) != (m_eq + m_in, n):
+            raise QpError(f"pattern has shape {np.shape(pattern)}, expected "
+                          f"{(m_eq + m_in, n)}")
+        else:
+            full[:m_eq + m_in] = pattern
+        self._at = np.flatnonzero(full)    # the pattern of C, flat
+        self._eq = np.arange(self.m) < m_eq
+        self.load(prog)
+
+    def load(self, prog: ConvexProgram) -> None:
+        """Make `prog` the program solved: new values in the kept layout.
+
+        `prog` must have the rows and box columns of the first program, and
+        no non-zero outside the pattern.  The kept LU belongs to the last
+        program's values and is dropped.
+        """
+        m_eq, m_in = self._m_eq, self._m_in
+        if prog.A_eq.shape != (m_eq, self.C.shape[1]) or prog.A_in.shape[0] != m_in \
+                or not np.array_equal(np.flatnonzero(np.isfinite(prog.lb)
+                                                     | np.isfinite(prog.ub)),
+                                      self._box_vars):
+            raise QpError("program does not have the workspace's rows and box columns")
+        self.C[:m_eq] = prog.A_eq
+        self.C[m_eq:m_eq + m_in] = prog.A_in
+        if np.count_nonzero(self.C) != np.count_nonzero(self.C.reshape(-1)[self._at]):
+            raise QpError("program has a non-zero outside the workspace's pattern")
+        self.prog = prog
         self.l = np.concatenate([prog.b_eq, np.full(m_in, -np.inf),
                                  prog.lb[self._box_vars]])
         self.u = np.concatenate([prog.b_eq, prog.b_in, prog.ub[self._box_vars]])
-        self.m = self.C.shape[0]
-        self._m_eq, self._m_in = m_eq, m_in
-        self._eq = np.arange(self.m) < m_eq
         self._kept = (None, None, None)   # (working set, shift), rows, LU: the last factor
+        self._values = None               # KKT entry values and which are non-zero
 
     def update_linear(self, q: np.ndarray) -> None:
         self.prog.q = np.asarray(q, dtype=float).ravel()
@@ -310,9 +346,12 @@ class QpWorkspace:
             # More rows than variables are dependent: singular unless shifted,
             # whatever pivots rounding leaves.
             if shift or idx.size <= self.prog.n:
-                owner, row, val, sign, ends = self._kkt_entries
+                owner, row, sign, ends, *_ = self._kkt_entries
+                if self._values is None:
+                    self._values = self._kkt_values()
+                val, nonzero = self._values
                 live = np.concatenate((np.ones(self.prog.n, dtype=bool), work))
-                keep = live[owner]
+                keep = live[owner] & nonzero
                 new = np.cumsum(live, dtype=np.intc) - 1
                 indptr = np.zeros(new[-1] + 2, dtype=np.intc)
                 indptr[1:] = np.cumsum(keep, dtype=np.intc)[ends[live]]
@@ -328,30 +367,55 @@ class QpWorkspace:
 
     @cached_property
     def _kkt_entries(self) -> tuple[np.ndarray, ...]:
-        """CSC entries of the KKT matrix of all rows (row r at index n + r).
+        """CSC layout of the KKT matrix of all rows (row r at index n + r).
 
-        Per entry: the largest index it touches (it stays in a working set's
-        matrix if that one is live), its row, value and shift sign; then
-        each column's last entry.  Built at the first factor.
+        Per entry of the pattern: the largest index it touches (it stays in
+        a working set's matrix if that one is live), its row and its shift
+        sign; then each column's last entry; then where the values go (see
+        `_kkt_values`).  Built at the first factor, kept across loads.
         """
         n, m = self.prog.n, self.m
+        pattern = np.zeros((m, n), dtype=bool)
+        pattern.reshape(-1)[self._at] = True
         # Column j < n holds the curvature c_j on the diagonal, then C's column j.
-        c_col, c_row = np.nonzero(self.C.T)
+        c_col, c_row = np.nonzero(pattern.T)
         cols = np.concatenate([np.arange(n), c_col])
         order = np.argsort(cols, kind="stable")
         l_col = cols[order]
         l_row = np.concatenate([np.arange(n), n + c_row])[order]
-        l_val = np.concatenate([self.prog.curvature, self.C[c_row, c_col]])[order]
+        # C's flat index of each value; -1 for the diagonal, the curvature.
+        l_src = np.concatenate([np.full(n, -1), c_row * n + c_col])[order]
         # Column n + r holds C's row r, then the diagonal (marker column n).
         r_col, r_row = np.divmod(np.flatnonzero(
-            np.hstack([self.C != 0.0, np.ones((m, 1), dtype=bool)])), n + 1)
+            np.hstack([pattern, np.ones((m, 1), dtype=bool)])), n + 1)
         diag = r_row == n
-        row = np.concatenate([l_row, r_row + diag * r_col]).astype(np.intc)
+        row = np.concatenate([l_row, r_row + diag * r_col])
         col = np.concatenate([l_col, n + r_col])
-        val = np.concatenate([l_val, self.C[r_col, r_row - diag] * ~diag])
-        sign = np.concatenate([l_row == l_col, -1.0 * diag])
+        sign = np.concatenate([(l_row == l_col).astype(np.int8), -diag.astype(np.int8)])
         ends = np.searchsorted(col, np.arange(n + m), side="right") - 1
-        return np.maximum(row, col), row, val, sign, ends
+        # Where the values go: the curvature to each column's first entry, C's
+        # entries from their flat index; the markers hold zero.
+        in_c = l_src >= 0
+        c_at = np.concatenate([np.flatnonzero(in_c), l_row.size + np.flatnonzero(~diag)])
+        c_src = np.concatenate([l_src[in_c], (r_col * n + r_row)[~diag]])
+        owner, row, ends, d_at, c_at, c_src = (a.astype(np.intc) for a in (
+            np.maximum(row, col), row, ends, np.flatnonzero(~in_c), c_at, c_src))
+        return owner, row, sign, ends, d_at, c_at, c_src
+
+    def _kkt_values(self) -> tuple[np.ndarray, np.ndarray]:
+        """(value, kept) of every KKT entry for the loaded program.
+
+        A C entry that is exactly zero in this program is not kept, so each
+        factor sees only its non-zeros; the diagonals always are.
+        """
+        *_, d_at, c_at, c_src = self._kkt_entries
+        val = np.zeros(d_at.size + c_at.size + self.m)
+        val[d_at] = self.prog.curvature
+        c_val = self.C.reshape(-1)[c_src]
+        val[c_at] = c_val
+        kept = np.ones(val.size, dtype=bool)
+        kept[c_at] = c_val != 0.0
+        return val, kept
 
     # -- exact solves ------------------------------------------------------------------
 

@@ -30,6 +30,10 @@ __all__ = ["ScenarioError", "Scenario", "parse_scenario", "write_scenario",
 
 SCHEMA_VERSION = 1
 
+# libyaml's parser where PyYAML was built with it; tags resolve through the
+# same Python resolver either way, so a document loads to the same values.
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 
 class ScenarioError(ValueError):
     """Parse or validation failure, addressed by field path."""
@@ -227,7 +231,7 @@ def parse_scenario(source: str | Path) -> Scenario:
     else:
         text = source
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_LOADER)
     except yaml.YAMLError as exc:
         raise ScenarioError(f"not parseable as a scenario document: {exc}") from exc
     if not isinstance(doc, dict):

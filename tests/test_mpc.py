@@ -133,6 +133,29 @@ class TestLinearize:
             scale_u = max(1.0, np.max(np.abs(j_u)))
             assert np.max(np.abs(j_u - fd_u)) / scale_u < 1e-6
 
+    def test_stacked_jacobian_is_bitwise_the_per_state_jacobians(self, three_bus_grid):
+        from essmpc.dynamics import swing_jacobian
+        grid = three_bus_grid
+        rng = np.random.default_rng(7)
+        k, n, n_w, n_s = 9, 3, 2, 1
+        angles = rng.uniform(-0.5, 0.5, (k, n))
+        omega = rng.uniform(-0.3, 0.3, (k, n_w))
+        power = rng.uniform(-1.5, 1.5, (k, n_s))
+        inertia = rng.uniform(3.0, 11.0, (k, n_s))
+        times = np.linspace(0.0, 0.4, k)
+        # Disturbances switch on inside the stack, so stages see different injections.
+        events = (DisturbanceEvent(0, 0.1, 0.3), DisturbanceEvent(2, 0.25, -0.2))
+        j_x, j_u = swing_jacobian(grid, SystemState(angles, omega, np.zeros((k, n_s))),
+                                  ControlInput(power, inertia), times, events)
+        assert j_x.shape == (k, n + n_w, n + n_w) and j_u.shape == (k, n + n_w, 2 * n_s)
+        for i in range(k):
+            state = SystemState(angles[i], omega[i], np.zeros(n_s), times[i])
+            one_x, one_u = swing_jacobian(grid, state, ControlInput(power[i], inertia[i]),
+                                          events=events)
+            assert one_x.shape == (n + n_w, n + n_w) and one_u.shape == (n + n_w, 2 * n_s)
+            assert one_x.tobytes() == j_x[i].tobytes()
+            assert one_u.tobytes() == j_u[i].tobytes()
+
 
 class TestAssemble:
     def test_zero_cost_equilibrium_has_zero_objective(self, two_bus_grid):
@@ -226,6 +249,32 @@ class TestAssemble:
         applied = ctrl(0, st)
         assert ctrl.log[-1].saturated == (0,)
         assert applied.power[0] == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("p_bound", [4.0, np.inf])
+    def test_widened_trust_region_keeps_the_structure_unless_a_box_side_opens(
+            self, p_bound):
+        # Charging 0.01 above the lower energy bound, the trust region around
+        # -3 p.u. cannot keep the energy rows feasible, so it is widened to
+        # the power bounds.  With finite bounds the box rows stay and the
+        # structure is filled again; an infinite bound drops them.
+        from essmpc.grid import GeneratorBus, GridModel, Line, StorageBus
+        grid = GridModel([GeneratorBus(3.0, 1.0),
+                          StorageBus(1.0, (1.0, 15.0), (-p_bound, p_bound),
+                                     (-45.0, 10.0), 0.0)],
+                         [Line(0, 1, 50.0)], [3.0, 0.0], reference_bus=1)
+        cfg = base_config(grid)
+        angles = solve_equilibrium(grid, np.array([-3.0]))
+        area = _AreaView(grid)
+        hps = []
+        for energy in (-44.99, 0.0):
+            st = SystemState(angles, np.zeros(2), np.array([energy]), 0.0)
+            ltv = linearize_dynamics(grid, st, cfg.reference_matrix(), cfg.step)
+            hps.append(_assemble_program(grid, area, ltv, cfg,
+                                         hps[-1].structure if hps else None))
+        widened, kept = hps
+        assert widened.prog.lb[0] == -p_bound + 3.0 and kept.prog.lb[0] == -0.5
+        assert (kept.structure is widened.structure) == np.isfinite(p_bound)
+        assert kept.saturated == widened.saturated == ()
 
 
 class TestProgramMeaning:
@@ -459,3 +508,73 @@ class TestClosedLoop:
         tail = traj.power_matrix()[-200:, 0]
         assert np.mean(tail) == pytest.approx(-3.2, abs=0.05)
         assert np.max(np.abs(traj.states[-1].omega)) < 2e-2
+
+
+class TestKeptStructure:
+    """Controllers keep one program structure and workspace per area, and
+    keep them only as long as they live themselves."""
+
+    def test_one_structure_build_per_area_and_key(self, monkeypatch, tmp_path):
+        from collections import Counter
+
+        from essmpc import mpc
+        from essmpc.cli import main
+        from essmpc.scenario import bundled_scenario_path
+        builds = Counter()
+        build = mpc._HorizonStructure.__init__
+
+        def spy(self, grid, area, cfg, key):
+            builds[area.index, key] += 1
+            build(self, grid, area, cfg, key)
+
+        fills = Counter()
+        fill = mpc._HorizonStructure.fill
+
+        def fill_spy(self, ltv, widened):
+            fills[self.area.index] += 1
+            return fill(self, ltv, widened)
+
+        monkeypatch.setattr(mpc._HorizonStructure, "__init__", spy)
+        monkeypatch.setattr(mpc._HorizonStructure, "fill", fill_spy)
+        assert main(["dmpc", str(bundled_scenario_path("twelve_bus")),
+                     f"--out={tmp_path}", "--ttotal=0.2"]) == 0
+        assert sorted(area for area, _key in builds) == [0, 1, 2]
+        assert set(builds.values()) == {1}
+        # At least one fill per area and control step, of the one structure.
+        assert len(fills) == 3 and min(fills.values()) >= 10
+
+    def test_controller_dies_with_its_run(self, monkeypatch, two_bus_grid):
+        import weakref
+
+        from essmpc import mpc
+        refs = []
+
+        class Watched(MpcController):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                refs.append(weakref.ref(self))
+
+        monkeypatch.setattr(mpc, "MpcController", Watched)
+        st = equilibrium_state(two_bus_grid, np.array([-3.0]))
+        traj, log = mpc.receding_horizon_run(two_bus_grid, st, base_config(two_bus_grid),
+                                             0.05, [DisturbanceEvent(0, 0.0, 0.2)])
+        assert len(refs) == 1 and len(log) == 5
+        assert refs[0]() is None
+
+    def test_repeated_commands_hold_no_memory(self, tmp_path):
+        import tracemalloc
+
+        from essmpc.cli import main
+        from essmpc.scenario import bundled_scenario_path
+        argv = ["mpc", str(bundled_scenario_path("twelve_bus")), f"--out={tmp_path}",
+                "--ttotal=0.02"]
+        tracemalloc.start()
+        try:
+            for run in range(30):
+                assert main(argv) == 0
+                if run == 4:
+                    settled = tracemalloc.get_traced_memory()[0]
+            grown = tracemalloc.get_traced_memory()[0] - settled
+        finally:
+            tracemalloc.stop()
+        assert grown < 2**20

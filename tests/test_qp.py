@@ -377,6 +377,66 @@ class TestKeptFactor:
         assert np.max(np.abs(second.y_stacked - fresh.y_stacked)) <= 1e-12
 
 
+def patterned_pair(rng, n=7, m_eq=2, m_in=9):
+    """A pattern of [A_eq; A_in] and two feasible programs on it.
+
+    Both have the same boxed columns; the second has other values and an
+    exact zero at about a third of the pattern's positions.
+    """
+    pattern = rng.random((m_eq + m_in, n)) < 0.6
+    boxed = rng.random(n) < 0.5
+    curvature = np.sum(rng.normal(size=(n, n))**2, axis=1) + n
+
+    def program(zeros):
+        rows = rng.normal(size=pattern.shape) * pattern * ~zeros
+        x_feas = rng.normal(size=n) * 0.5
+        a_eq, a_in = rows[:m_eq], rows[m_eq:]
+        return dict(q=rng.normal(size=n) * 2.0, curvature=curvature,
+                    A_eq=a_eq, b_eq=a_eq @ x_feas, A_in=a_in,
+                    b_in=a_in @ x_feas + rng.uniform(0.1, 1.5, size=m_in),
+                    lb=np.where(boxed, x_feas - rng.uniform(0.05, 1.0, n), -np.inf),
+                    ub=np.where(boxed, x_feas + rng.uniform(0.05, 1.0, n), np.inf))
+
+    first = program(np.zeros(pattern.shape, dtype=bool))
+    second = program(pattern & (rng.random(pattern.shape) < 0.35))
+    return pattern, first, second
+
+
+class TestReload:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_loaded_program_solves_as_in_a_fresh_workspace(self, seed):
+        pattern, first, second = patterned_pair(np.random.default_rng(seed))
+        ws = QpWorkspace(ConvexProgram(**first), pattern)
+        y_first = ws.solve(tol=1e-9).y_stacked
+        prog = ConvexProgram(**second)
+        ws.load(prog)
+        assert ws.prog is prog
+        # Warm-started from the first solution, the solve starts on the
+        # working set whose factor the first program left behind.
+        got = ws.solve(tol=1e-9, y0=y_first)
+        fresh = QpWorkspace(ConvexProgram(**second)).solve(tol=1e-9, y0=y_first)
+        assert (got.status, got.iterations) == (fresh.status, fresh.iterations)
+        assert got.status == "optimal"
+        assert got.x.tobytes() == fresh.x.tobytes()
+        assert got.y_stacked.tobytes() == fresh.y_stacked.tobytes()
+
+    def test_non_zero_outside_the_pattern_is_rejected(self):
+        pattern, first, second = patterned_pair(np.random.default_rng(0))
+        ws = QpWorkspace(ConvexProgram(**first), pattern)
+        r, c = np.argwhere(~pattern[:2])[0]
+        second["A_eq"][r, c] = 1.0
+        with pytest.raises(QpError, match="pattern"):
+            ws.load(ConvexProgram(**second))
+
+    def test_other_box_columns_are_rejected(self):
+        pattern, first, second = patterned_pair(np.random.default_rng(1))
+        ws = QpWorkspace(ConvexProgram(**first), pattern)
+        second["lb"] = np.full(second["q"].size, -np.inf)
+        second["ub"] = np.full(second["q"].size, np.inf)
+        with pytest.raises(QpError, match="box columns"):
+            ws.load(ConvexProgram(**second))
+
+
 class TestValidation:
     def test_omitted_curvature_is_zero(self):
         prog = ConvexProgram(q=np.array([1.0, -2.0]))

@@ -4,7 +4,9 @@ import re
 
 import numpy as np
 import pytest
+import yaml
 
+from essmpc import scenario
 from essmpc.cli import main
 from essmpc.grid import GeneratorBus, StorageBus
 from essmpc.scenario import (ScenarioError, parse_scenario, scenario_text,
@@ -213,3 +215,20 @@ class TestRoundTrip:
         st = twelve_bus_scenario.initial_state()
         assert np.allclose(st.energy, 9.2)
         assert np.max(np.abs(st.omega)) == 0.0
+
+
+class TestLoader:
+    def test_libyaml_parser_where_available(self):
+        assert scenario._LOADER is (yaml.CSafeLoader if yaml.__with_libyaml__
+                                    else yaml.SafeLoader)
+
+    @pytest.mark.parametrize("name", ["two_bus", "twelve_bus"])
+    def test_bundled_scenarios_load_as_under_the_python_parser(self, name):
+        text = scenario_text(name)
+        doc = yaml.load(text, Loader=scenario._LOADER)
+        assert doc == yaml.load(text, Loader=yaml.SafeLoader)
+        assert repr(doc) == repr(yaml.load(text, Loader=yaml.SafeLoader))
+
+    def test_syntax_error_names_line_and_column(self):
+        with pytest.raises(ScenarioError, match=r"line 1, column 2"):
+            parse_scenario("{::not yaml::\n")
