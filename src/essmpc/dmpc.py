@@ -11,22 +11,26 @@ Rounds are Jacobi style: every area solves against the previous round's
 exchange, so the outcome is independent of the order in which areas are
 processed.
 
-The controller runs the SQP outer loop of `mpc` unchanged; its solve step
-is the consensus iteration on the linearized areas, and it logs the same
-`StepRecord` as the centralized controller.
+The controller runs the SQP outer loop of `mpc` unchanged, which
+linearizes all areas at once on the split grid, the ghosts held at the
+owners' published angles; its solve step is the consensus iteration on the
+linearized areas, and it logs the same `StepRecord` as the centralized
+controller.  Where each area's copies and own boundary angles sit in the
+exchange record is worked out once per controller, as index arrays; a
+round and its barrier are array operations on them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .dynamics import SystemState, Trajectory, simulate
 from .grid import DisturbanceEvent, GridModel, Line
-from .mpc import (HorizonProgram, LtvModel, MpcConfig, StepRecord, _AreaView,
-                  _SqpController, _assemble_program)
+from .mpc import (HorizonProgram, LtvModel, MpcConfig, StepRecord, _SqpController,
+                  _assemble_program)
 from .qp import ConvexProgram, QpWorkspace
 
 __all__ = [
@@ -128,6 +132,9 @@ class ConsensusState:
     duals: np.ndarray
     rho: float
     tau: float
+    # (i, j): entry i takes entry j's values in a shift.  Built at the first
+    # shift and handed on to the shifted states.
+    shift_map: Optional[tuple[np.ndarray, np.ndarray]] = field(default=None, repr=False)
 
     @classmethod
     def initialize(cls, couplings: Sequence[CouplingEquality], angles: np.ndarray,
@@ -153,19 +160,19 @@ class ConsensusState:
 
     def shifted(self) -> "ConsensusState":
         """Warm start for the next control step: move every k to k-1."""
-        by_key: dict[tuple[int, int, int, int], int] = {
-            (c.bus, c.own_area, c.copy_area, c.k): i
-            for i, c in enumerate(self.couplings)}
-        own = self.own_values.copy()
-        copy = self.copy_values.copy()
-        duals = self.duals.copy()
-        for i, c in enumerate(self.couplings):
-            j = by_key.get((c.bus, c.own_area, c.copy_area, c.k + 1))
-            if j is not None:
-                own[i] = self.own_values[j]
-                copy[i] = self.copy_values[j]
-                duals[i] = self.duals[j]
-        return ConsensusState(self.couplings, own, copy, duals, self.rho, self.tau)
+        if self.shift_map is None:
+            at = {(c.bus, c.own_area, c.copy_area, c.k): i
+                  for i, c in enumerate(self.couplings)}
+            nxt = [at.get((c.bus, c.own_area, c.copy_area, c.k + 1), -1)
+                   for c in self.couplings]
+            i = np.flatnonzero(np.array(nxt, dtype=int) >= 0)
+            self.shift_map = (i, np.array(nxt, dtype=int)[i])
+        i, j = self.shift_map
+        own, copy, duals = (v.copy() for v in (self.own_values, self.copy_values,
+                                               self.duals))
+        own[i], copy[i], duals[i] = self.own_values[j], self.copy_values[j], self.duals[j]
+        return ConsensusState(self.couplings, own, copy, duals, self.rho, self.tau,
+                              self.shift_map)
 
 
 @dataclass(frozen=True)
@@ -182,23 +189,47 @@ class AdmmSettings:
             raise PartitionError("tolerance must be > 0 and max_iterations >= 1")
 
 
-@dataclass
+class _Hooks(NamedTuple):
+    """Coupling hooks as arrays: coupling row idx[e] holds offset[e] + x[col[e]]."""
+
+    idx: np.ndarray
+    col: np.ndarray
+    offset: np.ndarray
+
+    @classmethod
+    def of(cls, entries) -> "_Hooks":
+        """Hooks from a list of (coupling index, column, nominal offset)."""
+        if isinstance(entries, _Hooks):
+            return entries
+        idx, col, offset = zip(*entries) if len(entries) else ((), (), ())
+        return cls(np.array(idx, dtype=int), np.array(col, dtype=int),
+                   np.array(offset, dtype=float))
+
+
 class AreaProgram:
     """Local convex subproblem plus hooks tying columns to coupling equalities.
 
     `own_entries` and `copy_entries` list (coupling index, column, nominal
-    offset): the physical value is offset + x[col].  The base program never
-    contains coupling terms; they are added per round from the consensus.
+    offset): the physical value is offset + x[col].  They are held as
+    arrays (`own_hooks`, `copy_hooks`), which the controller passes in
+    directly.  The base program never contains coupling terms; they are
+    added per round from the consensus.
     """
 
-    area: int
-    prog: ConvexProgram
-    own_entries: list[tuple[int, int, float]] = field(default_factory=list)
-    copy_entries: list[tuple[int, int, float]] = field(default_factory=list)
+    def __init__(self, area: int, prog: ConvexProgram,
+                 own_entries: Sequence[tuple[int, int, float]] | _Hooks = (),
+                 copy_entries: Sequence[tuple[int, int, float]] | _Hooks = ()):
+        self.area = area
+        self.prog = prog
+        self.own_hooks = _Hooks.of(own_entries)
+        self.copy_hooks = _Hooks.of(copy_entries)
+
+    own_entries = property(lambda self: list(zip(*(h.tolist() for h in self.own_hooks))))
+    copy_entries = property(lambda self: list(zip(*(h.tolist() for h in self.copy_hooks))))
 
     @property
     def has_coupling(self) -> bool:
-        return bool(self.own_entries or self.copy_entries)
+        return bool(self.own_hooks.idx.size or self.copy_hooks.idx.size)
 
 
 def _augmented_program(program: AreaProgram, consensus: ConsensusState) -> ConvexProgram:
@@ -207,8 +238,9 @@ def _augmented_program(program: AreaProgram, consensus: ConsensusState) -> Conve
     curvature = base.curvature.copy()
     if program.has_coupling:
         curvature += consensus.tau
-        for _, col, _ in program.own_entries + program.copy_entries:
-            curvature[col] += consensus.rho
+        # One rho per hook, added in turn where a column has several.
+        np.add.at(curvature, np.concatenate([program.own_hooks.col,
+                                             program.copy_hooks.col]), consensus.rho)
     return ConvexProgram(q=base.q.copy(), curvature=curvature,
                          A_eq=base.A_eq, b_eq=base.b_eq,
                          A_in=base.A_in, b_in=base.b_in, lb=base.lb, ub=base.ub)
@@ -221,14 +253,13 @@ def _round_linear_term(program: AreaProgram, consensus: ConsensusState,
     if not program.has_coupling:
         return q
     q += consensus.tau * (-x_prev)
-    rho = consensus.rho
+    rho, duals = consensus.rho, consensus.duals
     z = consensus.consensus_values()
     # Both holders are penalized toward the consensus value from the last
     # barrier; the copying side carries +lambda, the owning side -lambda.
-    for idx, col, offset in program.copy_entries:
-        q[col] += consensus.duals[idx] + rho * (offset - z[idx])
-    for idx, col, offset in program.own_entries:
-        q[col] += -consensus.duals[idx] + rho * (offset - z[idx])
+    copy, own = program.copy_hooks, program.own_hooks
+    np.add.at(q, copy.col, duals[copy.idx] + rho * (copy.offset - z[copy.idx]))
+    np.add.at(q, own.col, -duals[own.idx] + rho * (own.offset - z[own.idx]))
     return q
 
 
@@ -277,10 +308,9 @@ def pdc_admm_step(programs: Sequence[AreaProgram], consensus: ConsensusState,
     # Barrier: publish boundary values, then ascend the duals.
     for program in programs:
         x = solutions[program.area]
-        for idx, col, offset in program.own_entries:
-            consensus.own_values[idx] = offset + x[col]
-        for idx, col, offset in program.copy_entries:
-            consensus.copy_values[idx] = offset + x[col]
+        own, copy = program.own_hooks, program.copy_hooks
+        consensus.own_values[own.idx] = own.offset + x[own.col]
+        consensus.copy_values[copy.idx] = copy.offset + x[copy.col]
     consensus.update_duals()
     return solutions, consensus.residual()
 
@@ -301,16 +331,28 @@ class DistributedMpcController(_SqpController):
     def __init__(self, grid: GridModel, cfg: MpcConfig, partition: AreaPartition,
                  settings: AdmmSettings = AdmmSettings(),
                  events: Sequence[DisturbanceEvent] = ()):
-        super().__init__(grid, cfg, events,
-                         [_AreaView(grid, partition.owned[a],
-                                    partition.boundary_foreign[a], a)
-                          for a in range(partition.n_areas)])
+        super().__init__(grid, cfg, events, partition.assignment)
         settings.validate()
         self.settings = settings
         self.couplings = build_coupling(partition, cfg.k_steps)
-        # Lookup: (bus, copy_area, k) -> coupling row (own_area implied by bus).
-        self.coupling_index = {(c.bus, c.copy_area, c.k): i
-                               for i, c in enumerate(self.couplings)}
+        # Where the exchange record meets each area, worked out once: per
+        # step and ghost, the coupling row of its published angle; per area,
+        # (coupling rows, k, positions) of its own boundary angles and of its
+        # copies, a position being the bus's among the area's buses or ghosts.
+        ghost = {(a, b): g for g, (a, b) in enumerate(self._ghosts.tolist())}
+        at = {b: i for area in self.areas for i, b in enumerate(area.buses)}
+        first = [int(area.foreign[0]) - grid.n_buses if area.n_f else 0
+                 for area in self.areas]
+        self._forcing_rows = np.zeros((cfg.k_steps, len(ghost)), dtype=int)
+        own: list[list] = [[] for _ in self.areas]
+        copies: list[list] = [[] for _ in self.areas]
+        for i, c in enumerate(self.couplings):
+            g = ghost[(c.copy_area, c.bus)]
+            self._forcing_rows[c.k - 1, g] = i
+            own[c.own_area].append((i, c.k, at[c.bus]))
+            copies[c.copy_area].append((i, c.k, g - first[c.copy_area]))
+        self._hooks = [tuple(np.array(h, dtype=int).reshape(-1, 3).T for h in pair)
+                       for pair in zip(own, copies)]
         self._consensus: Optional[ConsensusState] = None
         self._warm: dict[int, dict] = {a.index: {} for a in self.areas}
 
@@ -321,29 +363,18 @@ class DistributedMpcController(_SqpController):
         else:
             self._consensus = self._consensus.shifted()
 
-    def _forcing(self, area: _AreaView) -> np.ndarray:
-        """Foreign angles (K, n_f) at steps 1..K: the owners' published values."""
-        rows = [[self.coupling_index[(bus, area.index, k)] for bus in area.foreign]
-                for k in range(1, self.cfg.k_steps + 1)]
-        return self._consensus.own_values[np.array(rows, dtype=int)
-                                          .reshape(self.cfg.k_steps, area.n_f)]
+    def _forcing(self) -> np.ndarray:
+        """Ghost angles (K, n_ghosts) at steps 1..K: the owners' published values."""
+        return self._consensus.own_values[self._forcing_rows]
 
     def _area_program(self, hp: HorizonProgram) -> AreaProgram:
         """The area's horizon program with its copies and own boundary angles
         tied to the coupling equalities."""
-        area = hp.area
-        own_entries: list[tuple[int, int, float]] = []
-        copy_entries: list[tuple[int, int, float]] = []
-        for (bus, copy_area, k), idx in self.coupling_index.items():
-            if copy_area == area.index:
-                f = area.foreign_pos[bus]
-                copy_entries.append((idx, hp.copy_col(k, f),
-                                     float(hp.ltv.forcing[k - 1, f])))
-            elif bus in area.bus_pos:
-                # This area owns `bus`; the entry exists for each neighbour copy.
-                i = area.bus_pos[bus]
-                own_entries.append((idx, hp.x_col(k, i), float(hp.ltv.states[k, i])))
-        return AreaProgram(area.index, hp.prog, own_entries, copy_entries)
+        (own, k_own, i), (copies, k_copy, f) = self._hooks[hp.area.index]
+        return AreaProgram(hp.area.index, hp.prog,
+                           _Hooks(own, hp.x_col(k_own, i), hp.ltv.states[k_own, i]),
+                           _Hooks(copies, hp.copy_col(k_copy, f),
+                                  hp.ltv.forcing[k_copy - 1, f]))
 
     def _solve(self, ltvs: list[LtvModel], record: StepRecord
                ) -> Optional[list[tuple[HorizonProgram, np.ndarray]]]:

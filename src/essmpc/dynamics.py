@@ -226,7 +226,9 @@ def swing_jacobian(grid: GridModel, state: SystemState, u: ControlInput,
     rows[inertia] = w_rows
 
     j_x = np.zeros(lead + (n + n_w, n + n_w))
-    j_x[..., rows, :n] = grid.outflow_jacobian(state.angles) / -div[..., :, None]
+    flows = grid.outflow_jacobian(state.angles)
+    flows /= -div[..., :, None]
+    j_x[..., rows, :n] = flows
     j_x[..., inertia, w_rows] = 1.0
     j_x[..., w_rows, w_rows] = -grid.damping[inertia] / div[..., inertia]
 

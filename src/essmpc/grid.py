@@ -9,7 +9,8 @@ inertias in seconds, energies in p.u.*s.
 `GridModel` holds the network physics: read-only per-line and per-bus arrays
 (damping, inertia, index arrays, storage bounds), and `outflow` and
 `outflow_jacobian`, the flow law sum_j b_ij sin(d_i - d_j) and its Jacobian,
-for one state or a stack of them.
+for one state or a stack of them.  `split` cuts the tie lines of an area
+assignment at ghost buses, so that all areas can be linearized as one grid.
 """
 
 from __future__ import annotations
@@ -202,45 +203,84 @@ class GridModel:
 
         self._validate()
 
-        def frozen(values, dtype=float) -> np.ndarray:
-            a = np.array(values, dtype=dtype)
-            a.flags.writeable = False
-            return a
-
         def storage_bounds(name: str) -> np.ndarray:   # (2, n_s): lower, upper
-            return frozen(np.reshape([getattr(self.roles[i], name)
-                                      for i in self.storage_buses], (-1, 2)).T)
+            return _frozen(np.reshape([getattr(self.roles[i], name)
+                                       for i in self.storage_buses], (-1, 2)).T)
 
         # Every line once from each end, sorted by bus and then neighbour: each
         # bus adds up its flows in neighbour order.  Runs that lose synchronism
         # amplify rounding, so the summation order is fixed on purpose.
         edges = sorted((i, j, ln.susceptance) for ln in self.lines
                        for i, j in ((ln.from_bus, ln.to_bus), (ln.to_bus, ln.from_bus)))
-        bus, nbr, b = np.reshape(edges, (-1, 3)).T
-        self.edge_bus = frozen(bus, int)
-        self.edge_nbr = frozen(nbr, int)
-        self.edge_b = frozen(b)
+        self._set_edges(*np.reshape(edges, (-1, 3)).T)
         if n > 1 and not self._connected():
             raise GridError("network graph is not connected")
-        self.damping = frozen([r.damping for r in self.roles])
-        self.inertia_idx = frozen(self.inertia_buses, int)
-        self.load_idx = frozen(self.load_buses, int)
-        self.storage_idx = frozen(self.storage_buses, int)
+        self.damping = _frozen([r.damping for r in self.roles])
+        self.inertia_idx = _frozen(self.inertia_buses, int)
+        self.load_idx = _frozen(self.load_buses, int)
+        self.storage_idx = _frozen(self.storage_buses, int)
         # Each storage's position in omega (storage buses are inertia buses).
-        self.storage_pos = frozen(np.searchsorted(self.inertia_idx, self.storage_idx), int)
+        self.storage_pos = _frozen(np.searchsorted(self.inertia_idx, self.storage_idx),
+                                   int)
         # Machine inertia per inertia bus.  A storage's inertia is a control
         # input, so its entry is a 0 placeholder the caller must overwrite.
-        self.generator_inertia = frozen([getattr(self.roles[i], "inertia", 0.0)
-                                         for i in self.inertia_buses])
+        self.generator_inertia = _frozen([getattr(self.roles[i], "inertia", 0.0)
+                                          for i in self.inertia_buses])
         self.power_bounds = storage_bounds("power_bounds")
         self.inertia_bounds = storage_bounds("inertia_bounds")
         self.energy_bounds = storage_bounds("energy_bounds")
-        self.initial_energy = frozen([self.roles[i].initial_energy
-                                      for i in self.storage_buses])
+        self.initial_energy = _frozen([self.roles[i].initial_energy
+                                       for i in self.storage_buses])
+
+    def _set_edges(self, bus, nbr, b) -> None:
+        """Line ends in summation order: each bus adds up its flows in this order."""
+        n = self.n_buses
+        self.edge_bus = _frozen(bus, int)
+        self.edge_nbr = _frozen(nbr, int)
+        self.edge_b = _frozen(b)
         # Flat (N, N) positions of each end's Jacobian entries: -b cos at
         # (bus, neighbour), then +b cos on the bus's diagonal.
         self._jac_index = np.concatenate([self.edge_bus * n + self.edge_nbr,
                                           self.edge_bus * (n + 1)])
+
+    def split(self, assignment: Sequence[int]) -> tuple["GridModel", np.ndarray]:
+        """This grid with its tie lines cut: (split grid, (area, bus) per ghost).
+
+        `assignment` maps each bus to an area; a tie line joins two areas.
+        Each area gets one ghost bus per foreign bus at the far end of its
+        tie lines, numbered from N in (area, bus) order: a load bus with no
+        injection.  Every tie end's line leads to its ghost instead, at the
+        same place in the bus's summation order, so a bus whose ghosts hold
+        the foreign angles has bitwise the flows it has here.  The ghosts'
+        own lines come after all others.  The split grid skips the
+        connectivity check: each area and its ghosts are one component.
+        Without tie lines the split grid is this grid.
+        """
+        n, area = self.n_buses, [int(a) for a in assignment]
+        bus, nbr, b = self.edge_bus.tolist(), self.edge_nbr.tolist(), self.edge_b.tolist()
+        ties = [e for e, (i, j) in enumerate(zip(bus, nbr)) if area[i] != area[j]]
+        if not ties:
+            return self, np.zeros((0, 2), dtype=int)
+        ghosts = sorted({(area[bus[e]], nbr[e]) for e in ties})
+        ghost_of = {end: n + g for g, end in enumerate(ghosts)}
+        for e in ties:
+            nbr[e] = ghost_of[(area[bus[e]], nbr[e])]
+        # The ghosts' ends, by ghost and then bus.
+        ends = sorted((nbr[e], bus[e], b[e]) for e in ties)
+        n_g = len(ghosts)
+        split = GridModel.__new__(GridModel)
+        split.__dict__.update(self.__dict__)
+        split.roles = self.roles + (LoadBus(1.0),) * n_g
+        split.injections = _frozen(np.concatenate([self.injections, np.zeros(n_g)]))
+        split.load_buses = self.load_buses + tuple(range(n, n + n_g))
+        split.load_idx = _frozen(split.load_buses, int)
+        split.damping = _frozen(np.concatenate([self.damping, np.ones(n_g)]))
+        g_bus, g_nbr, g_b = map(list, zip(*ends))
+        split._set_edges(bus + g_bus, nbr + g_nbr, b + g_b)
+        split.lines = tuple(ln for ln in self.lines
+                            if area[ln.from_bus] == area[ln.to_bus]) \
+            + tuple(Line(i, g, x) for g, i, x in ends)
+        return split, np.array(ghosts, dtype=int)
 
     # -- structure -----------------------------------------------------
 
@@ -330,6 +370,12 @@ class GridModel:
         c = self.edge_b * np.cos(angles.take(self.edge_bus, -1) - angles.take(self.edge_nbr, -1))
         jac = _bincount(self._jac_index, np.concatenate([-c, c], axis=-1), n * n)
         return jac.reshape(jac.shape[:-1] + (n, n))
+
+
+def _frozen(values, dtype=float) -> np.ndarray:
+    a = np.array(values, dtype=dtype)
+    a.flags.writeable = False
+    return a
 
 
 def _bincount(index: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:

@@ -16,6 +16,13 @@ controller (`dmpc`) assembles the same program per area, where the foreign
 angles become copy columns that its consensus rounds tie to the
 neighbours' own angles.  Both log one `StepRecord` per control step.
 
+A controller's areas live on the split grid (`GridModel.split`), where each
+tie line ends at a ghost bus of the area instead of the foreign bus, and
+the ghosts carry the forcing.  So one rollout and one stacked Jacobian of
+the split grid per SQP iteration give every area bitwise the model it
+would get alone; each area's `LtvModel` is a slice of it.  Without tie
+lines the split grid is the grid.
+
 A horizon program is built in two parts.  Its structure (`_HorizonStructure`)
 depends only on the area, the configuration and which storages are
 saturated: column offsets, costs, constant rows, and where each
@@ -188,10 +195,11 @@ class MpcConfig:
 class _AreaView:
     """Index maps of one area: its own buses and storages, and its foreign buses.
 
-    Foreign buses are the other areas' ends of its tie lines.  `rows` and
-    `u_cols` are the area's positions in the whole-grid state [angles, omega]
-    and control [power, inertia].  The whole grid is the one area that owns
-    every bus and has no foreign buses.
+    Foreign buses are the other areas' ends of its tie lines, or on a split
+    grid the area's ghosts of them.  `rows` and `u_cols` are the area's
+    positions in the whole-grid state [angles, omega] and control [power,
+    inertia].  The whole grid is the one area that owns every bus and has no
+    foreign buses.
     """
 
     def __init__(self, grid: GridModel, buses: Optional[Sequence[int]] = None,
@@ -199,12 +207,11 @@ class _AreaView:
         self.index = index
         self.buses = list(range(grid.n_buses)) if buses is None else list(buses)
         self.foreign = np.array(foreign, dtype=int)
-        self.bus_pos = {b: i for i, b in enumerate(self.buses)}
-        self.foreign_pos = {b: f for f, b in enumerate(foreign)}
-        omega_pos = [k for k, b in enumerate(grid.inertia_buses) if b in self.bus_pos]
+        own = set(self.buses)
+        omega_pos = [k for k, b in enumerate(grid.inertia_buses) if b in own]
         self.monitored = [grid.inertia_buses[k] for k in omega_pos]
         self.storages = np.array([s for s, b in enumerate(grid.storage_buses)
-                                  if b in self.bus_pos], dtype=int)
+                                  if b in own], dtype=int)
         self.n, self.n_w = len(self.buses), len(omega_pos)
         self.n_f, self.n_s = self.foreign.size, self.storages.size
         self.nx, self.nu = self.n + self.n_w, 2 * self.n_s
@@ -239,8 +246,9 @@ class LtvModel:
 def linearize_dynamics(grid: GridModel, state: SystemState,
                        controls: np.ndarray, ts: float,
                        events: Sequence[DisturbanceEvent] = (),
-                       area: Optional[_AreaView] = None,
-                       forcing: Optional[np.ndarray] = None) -> LtvModel:
+                       area: Optional[_AreaView | list[_AreaView]] = None,
+                       forcing: Optional[np.ndarray] = None
+                       ) -> LtvModel | list[LtvModel]:
     """Roll out the nominal controls, then differentiate every Euler step at once.
 
     `state` and `controls` (K, 2*n_s) cover the whole grid; the model keeps
@@ -249,13 +257,27 @@ def linearize_dynamics(grid: GridModel, state: SystemState,
     area sees its neighbours only through them.  Buses outside the area and
     its foreign set have no line to it and do not enter its rows.  The K
     states the steps start from go to `swing_jacobian` as one stack.
+
+    `area` may also be a list of areas that own none of each other's
+    foreign buses, as on a split grid (`GridModel.split`), whose foreign
+    buses are ghosts.  The one rollout and Jacobian then give a list of
+    models, each bitwise the model of its area alone, and `forcing` holds
+    the areas' foreign angles side by side.
     """
-    area = _AreaView(grid) if area is None else area
+    single = not isinstance(area, list)
+    areas = [_AreaView(grid) if area is None else area] if single else area
+    foreign = np.concatenate([a.foreign for a in areas])
     n, n_s = grid.n_buses, len(grid.storage_buses)
     controls = np.asarray(controls, dtype=float)
     k_steps = controls.shape[0]
-    forcing = np.zeros((k_steps, 0)) if forcing is None \
-        else np.asarray(forcing, dtype=float)
+    expected = (k_steps, foreign.size)
+    if forcing is None and not foreign.size:
+        forcing = np.zeros(expected)
+    if forcing is None or np.shape(forcing) != expected:
+        got = "no forcing" if forcing is None else f"forcing of shape {np.shape(forcing)}"
+        raise ValueError(f"{got} for {foreign.size} foreign buses over {k_steps} "
+                         f"steps; expected (K, n_f) = {expected}")
+    forcing = np.asarray(forcing, dtype=float)
     nx = n + len(grid.inertia_buses)
 
     states = np.empty((k_steps + 1, nx))
@@ -268,20 +290,27 @@ def linearize_dynamics(grid: GridModel, state: SystemState,
         times[k] = current.t
         u = ControlInput(controls[k, :n_s], controls[k, n_s:])
         current = euler_step(grid, current, u, ts, events)
-        current.angles[area.foreign] = forcing[k]
+        current.angles[foreign] = forcing[k]
         states[k + 1] = np.concatenate([current.angles, current.omega])
         energies[k + 1] = current.energy
     starts = SystemState(states[:-1, :n], states[:-1, n:], energies[:-1])
     j_x, j_u = swing_jacobian(grid, starts,
                               ControlInput(controls[:, :n_s], controls[:, n_s:]),
                               times, events)
-    a_mats = np.eye(nx) + ts * j_x
-    b_mats = ts * j_u
-    rows = area.rows[:, None]
-    return LtvModel(a_mats[:, rows, area.rows], a_mats[:, rows, area.foreign],
-                    b_mats[:, rows, area.u_cols], states[:, area.rows],
-                    energies[:, area.storages], controls[:, area.u_cols],
-                    forcing.copy(), ts)
+    # I + ts J_x and ts J_u in place: a split grid's stack is the largest
+    # array here, and every area keeps only its slice.
+    j_x *= ts
+    j_x += np.eye(nx)
+    j_u *= ts
+    models, first = [], 0
+    for a in areas:
+        rows = a.rows[:, None]
+        models.append(LtvModel(j_x[:, rows, a.rows], j_x[:, rows, a.foreign],
+                               j_u[:, rows, a.u_cols], states[:, a.rows],
+                               energies[:, a.storages], controls[:, a.u_cols],
+                               forcing[:, first:first + a.n_f].copy(), ts))
+        first += a.n_f
+    return models[0] if single else models
 
 
 def _energy_rows_feasible(e0: float, bounds: tuple[float, float],
@@ -564,13 +593,14 @@ class HorizonProgram:
     def u_col(self, k: int, j: int) -> int:
         return k * self.n_u + j
 
-    def x_col(self, k: int, i: int) -> int:
-        if k < 1:
+    # Column maps; k and the position may be index arrays.
+    def x_col(self, k, i):
+        if np.any(np.asarray(k) < 1):
             raise IndexError("state deviations start at k=1")
         return self.off_x + (k - 1) * self.structure.n_x + i
 
-    def copy_col(self, k: int, f: int) -> int:
-        if k < 1:
+    def copy_col(self, k, f):
+        if np.any(np.asarray(k) < 1):
             raise IndexError("foreign-angle copies start at k=1")
         return self.structure.off_copy + (k - 1) * self.area.n_f + f
 
@@ -684,18 +714,31 @@ class StepRecord:
 class _SqpController:
     """The SQP outer loop over a controller's areas; subclasses supply `_solve`.
 
-    Each iteration linearizes every area against its forcing, has `_solve`
-    return one (program, solution) pair per area, or None to keep the last
-    plan, and writes the areas' controls back into the projected plan.
+    The areas live on the split grid of `assignment` (default: one area,
+    the whole grid), where each area's foreign buses are ghosts.  Each
+    iteration linearizes all areas at once against the forcing of the
+    ghosts, has `_solve` return one (program, solution) pair per area, or
+    None to keep the last plan, and writes the areas' controls back into
+    the projected plan.
     """
 
     def __init__(self, grid: GridModel, cfg: MpcConfig,
-                 events: Sequence[DisturbanceEvent], areas: list[_AreaView]):
+                 events: Sequence[DisturbanceEvent],
+                 assignment: Optional[Sequence[int]] = None):
         cfg.validate(grid)
         self.grid = grid
         self.cfg = cfg
         self.events = tuple(events)
-        self.areas = areas
+        assignment = [0] * grid.n_buses if assignment is None else list(assignment)
+        # (area, bus) of each ghost, split bus grid.n_buses + g; by area.
+        self.split, self._ghosts = grid.split(assignment)
+        owned: list[list[int]] = [[] for _ in range(max(assignment, default=0) + 1)]
+        for bus, a in enumerate(assignment):
+            owned[a].append(bus)
+        first = np.searchsorted(self._ghosts[:, 0], np.arange(len(owned) + 1))
+        self.areas = [_AreaView(self.split, buses,
+                                grid.n_buses + np.arange(first[a], first[a + 1]), a)
+                      for a, buses in enumerate(owned)]
         self.log: list[StepRecord] = []
         self._plan: Optional[np.ndarray] = None
         # Per area index: the structure of its last program and the
@@ -705,8 +748,14 @@ class _SqpController:
     def _start(self, state: SystemState) -> None:
         """Set-up of one control step, before its first linearization."""
 
-    def _forcing(self, area: _AreaView) -> Optional[np.ndarray]:
+    def _forcing(self) -> Optional[np.ndarray]:
+        """The ghosts' angles (K, n_ghosts) at steps 1..K."""
         return None
+
+    def _split_state(self, state: SystemState) -> SystemState:
+        """`state` on the split grid: each ghost starts at its bus's angle."""
+        angles = np.concatenate([state.angles, state.angles[self._ghosts[:, 1]]])
+        return SystemState(angles, state.omega, state.energy, state.t)
 
     def _solve(self, ltvs: list[LtvModel], record: StepRecord
                ) -> Optional[list[tuple[HorizonProgram, np.ndarray]]]:
@@ -738,12 +787,12 @@ class _SqpController:
         self._start(state)
         plan = cfg.reference_matrix() if self._plan is None else self._plan
         record = StepRecord()
+        split_state = self._split_state(state)
         solved: list[tuple[HorizonProgram, np.ndarray]] = []
         sqp_converged = False
         for _ in range(cfg.sqp.outer_iterations):
-            ltvs = [linearize_dynamics(grid, state, plan, cfg.step, self.events,
-                                       area, self._forcing(area))
-                    for area in self.areas]
+            ltvs = linearize_dynamics(self.split, split_state, plan, cfg.step,
+                                      self.events, self.areas, self._forcing())
             result = self._solve(ltvs, record)
             if result is None:
                 break
@@ -785,7 +834,7 @@ class MpcController(_SqpController):
 
     def __init__(self, grid: GridModel, cfg: MpcConfig,
                  events: Sequence[DisturbanceEvent] = ()):
-        super().__init__(grid, cfg, events, [_AreaView(grid)])
+        super().__init__(grid, cfg, events)
         self._warm_y: Optional[np.ndarray] = None
 
     def _solve(self, ltvs: list[LtvModel], record: StepRecord

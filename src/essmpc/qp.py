@@ -25,11 +25,14 @@ A solve is one sequence: seed, dual active set, settle.
   shows zero curvature and a dependent seed restarts from the equality rows.
 * The settle is the exact solve of the final working set; with a zero
   curvature there is no iteration, and the seed's rows are settled.  Only a
-  singular working set is solved with a +-1e-12 shift.
+  singular working set is solved with a +-1e-12 shift.  A start point that
+  is already optimal is that exact solve, and is certified as it is.
 
 A solve that certifies no point ends "max_iter" with its last iterate.
 Residuals in the report are always recomputed from the returned point,
-never taken from an iteration or from HiGHS.
+never taken from an iteration or from HiGHS: from the stacked rows, with
+one product by C and one by its transpose; `kkt_residual` is the
+independent check per constraint family.
 """
 
 from __future__ import annotations
@@ -252,6 +255,7 @@ class QpWorkspace:
         self.l = np.concatenate([prog.b_eq, np.full(m_in, -np.inf),
                                  prog.lb[self._box_vars]])
         self.u = np.concatenate([prog.b_eq, prog.b_in, prog.ub[self._box_vars]])
+        self._finite_l, self._finite_u = np.isfinite(self.l), np.isfinite(self.u)
         self._kept = (None, None, None)   # (working set, shift), rows, LU: the last factor
         self._values = None               # KKT entry values and which are non-zero
 
@@ -294,17 +298,35 @@ class QpWorkspace:
         upper[self._box_vars] = np.maximum(y_box, 0.0)
         return DualSet(lam, mu, lower, upper)
 
+    def _residuals(self, x: np.ndarray, y: np.ndarray, cx: np.ndarray
+                   ) -> tuple[float, float, float]:
+        """`kkt_residual` of (x, y) from the stacked rows, given cx = C x.
+
+        The multipliers are those `_split_duals` states: an inequality
+        row's is clipped at zero, a box row's sign picks its side.
+        """
+        m_eq, m_in = self._m_eq, self._m_in
+        mult = y.copy()
+        mult[m_eq:m_eq + m_in] = np.maximum(mult[m_eq:m_eq + m_in], 0.0)
+        grad = self.prog.curvature * x + self.prog.q + self.C.T @ mult
+        over, under = cx - self.u, self.l - cx
+        at_u = np.maximum(mult[m_eq:], 0.0) * np.where(self._finite_u, over, 0.0)[m_eq:]
+        at_l = np.maximum(-mult[m_eq:], 0.0) * np.where(self._finite_l, under, 0.0)[m_eq:]
+        return (float(np.max(np.abs(grad), initial=0.0)),
+                float(np.max(np.maximum(over, under), initial=0.0)),
+                float(np.max(np.abs(np.concatenate([at_u, at_l])), initial=0.0)))
+
     def _finish(self, x: np.ndarray, y: np.ndarray, status: str,
-                iterations: int) -> SolveReport:
-        duals = self._split_duals(y)
-        stat, feas, comp = kkt_residual(self.prog, x, duals)
-        return SolveReport(x.copy(), duals, status, iterations, stat, feas, comp,
-                           self.prog.objective(x), y_stacked=y.copy())
+                iterations: int, cx: Optional[np.ndarray] = None) -> SolveReport:
+        stat, feas, comp = self._residuals(x, y, self.C @ x if cx is None else cx)
+        return SolveReport(x.copy(), self._split_duals(y), status, iterations,
+                           stat, feas, comp, self.prog.objective(x), y_stacked=y.copy())
 
     def _certified(self, x: np.ndarray, y: np.ndarray, tol: float,
-                   iterations: int) -> Optional[SolveReport]:
+                   iterations: int, cx: Optional[np.ndarray] = None
+                   ) -> Optional[SolveReport]:
         """The exact point as an optimal report, or None above tol."""
-        rp = self._finish(x, y, "optimal", iterations)
+        rp = self._finish(x, y, "optimal", iterations, cx)
         if max(rp.stationarity, rp.primal_feasibility, rp.complementarity) <= tol:
             return rp
         return None
@@ -484,7 +506,10 @@ class QpWorkspace:
             over, under = cx - self.u, self.l - cx
             viol = np.where(eq | at_upper | at_lower, 0.0, np.maximum(over, under))
             if np.max(viol, initial=0.0) <= ftol:
-                return self._settle(at_upper, at_lower, x, y, tol, iterations)
+                # Before any step, (x, y) is the exact solve of the working
+                # set that settling would repeat: certify it as it is.
+                done = None if iterations else self._certified(x, y, tol, 0, cx)
+                return done or self._settle(at_upper, at_lower, x, y, tol, iterations)
             p = int(np.argmax(viol))
             side = 1.0 if over[p] > under[p] else -1.0
             a_p = side * C[p]

@@ -9,9 +9,9 @@ from essmpc.dmpc import (AdmmSettings, AreaProgram, ConsensusState,
                          CouplingEquality, DistributedMpcController,
                          PartitionError, area_subproblem_solve, build_coupling,
                          distributed_mpc_run, partition_grid, pdc_admm_step)
-from essmpc.dynamics import SystemState
+from essmpc.dynamics import ControlInput, SystemState, euler_step, swing_jacobian
 from essmpc.grid import solve_equilibrium
-from essmpc.mpc import MpcConfig, SqpSettings, receding_horizon_run
+from essmpc.mpc import MpcConfig, SqpSettings, linearize_dynamics, receding_horizon_run
 from essmpc.qp import ConvexProgram
 
 
@@ -298,3 +298,112 @@ class TestRoundBudget:
         for power, inertia in applied[1:]:
             assert np.array_equal(power, applied[0][0])
             assert np.array_equal(inertia, applied[0][1])
+
+
+def reference_area_model(grid, state, controls, ts, events, owned, foreign, forcing):
+    """One area's LtvModel fields, built alone from the whole grid: per
+    step a Jacobian at the step's start, an Euler step, then the foreign
+    angles overwritten with the forcing."""
+    n, n_s = grid.n_buses, len(grid.storage_buses)
+    nx = n + len(grid.inertia_buses)
+    rows = list(owned) + [n + k for k, b in enumerate(grid.inertia_buses) if b in owned]
+    storages = [s for s, b in enumerate(grid.storage_buses) if b in owned]
+    u_cols = storages + [n_s + s for s in storages]
+    current = state.copy()
+    fields = {"A": [], "A_foreign": [], "B": [], "controls": controls[:, u_cols],
+              "states": [np.concatenate([state.angles, state.omega])[rows]],
+              "energies": [state.energy[storages]], "forcing": forcing}
+    for k, row in enumerate(controls):
+        u = ControlInput(row[:n_s], row[n_s:])
+        j_x, j_u = swing_jacobian(grid, current, u, current.t, events)
+        a = np.eye(nx) + ts * j_x
+        fields["A"].append(a[np.ix_(rows, rows)])
+        fields["A_foreign"].append(a[np.ix_(rows, foreign)])
+        fields["B"].append((ts * j_u)[np.ix_(rows, u_cols)])
+        current = euler_step(grid, current, u, ts, events)
+        current.angles[list(foreign)] = forcing[k]
+        fields["states"].append(np.concatenate([current.angles, current.omega])[rows])
+        fields["energies"].append(current.energy[storages])
+    return {name: np.array(value) for name, value in fields.items()}
+
+
+def shared_linearization(controller, state, plan, forcing):
+    """Every area's model from the controller's one split-grid linearization."""
+    return linearize_dynamics(controller.split, controller._split_state(state), plan,
+                              controller.cfg.step, controller.events, controller.areas,
+                              forcing)
+
+
+class TestSharedLinearization:
+    @pytest.mark.parametrize("case", ["twelve_bus", "two_bus_split"])
+    def test_each_area_model_is_bitwise_its_own_linearization(
+            self, two_bus_scenario, twelve_bus_scenario, case):
+        sc = twelve_bus_scenario if case == "twelve_bus" else two_bus_scenario
+        grid, cfg = sc.grid, sc.mpc
+        partition = partition_grid(grid, sc.areas if case == "twelve_bus" else [0, 1])
+        controller = DistributedMpcController(grid, cfg, partition, sc.admm, sc.events)
+        rng = np.random.default_rng(5)
+        state = sc.initial_state()
+        state.omega = state.omega + rng.uniform(-0.05, 0.05, state.omega.size)
+        plan = cfg.reference_matrix()
+        n_s = len(grid.storage_buses)
+        plan[:, :n_s] += rng.uniform(-0.3, 0.3, (cfg.k_steps, n_s))
+        plan[:, n_s:] += rng.uniform(-0.5, 0.5, (cfg.k_steps, n_s))
+        ghost_bus = controller._ghosts[:, 1]
+        forcing = state.angles[ghost_bus] \
+            + rng.uniform(-0.02, 0.02, (cfg.k_steps, ghost_bus.size))
+        models = shared_linearization(controller, state, plan, forcing)
+        assert len(models) == partition.n_areas
+        for a, (area, ltv) in enumerate(zip(controller.areas, models)):
+            ghosts = area.foreign - grid.n_buses
+            assert tuple(ghost_bus[ghosts]) == partition.boundary_foreign[a]
+            want = reference_area_model(grid, state, plan, cfg.step, sc.events,
+                                        partition.owned[a], partition.boundary_foreign[a],
+                                        forcing[:, ghosts])
+            for name, value in want.items():
+                got = getattr(ltv, name)
+                assert got.shape == value.shape, (a, name)
+                assert got.tobytes() == value.tobytes(), (a, name)
+            assert ltv.ts == cfg.step
+
+    def test_one_jacobian_per_sqp_iteration(self, twelve_bus_scenario, monkeypatch):
+        from essmpc import mpc
+        sc = twelve_bus_scenario
+        calls = []
+        jacobian = mpc.swing_jacobian
+        monkeypatch.setattr(mpc, "swing_jacobian",
+                            lambda *a, **k: calls.append(a[0]) or jacobian(*a, **k))
+        partition = partition_grid(sc.grid, sc.areas)
+        _traj, log = distributed_mpc_run(sc.grid, partition, sc.mpc, sc.initial_state(),
+                                         0.1, sc.admm, sc.events)
+        # The round budget is never spent, so every linearization is solved.
+        assert all(r.iterations < sc.admm.max_iterations for r in log)
+        assert partition.n_areas == 3
+        assert len(calls) == sum(r.sqp_iterations for r in log)
+        assert all(g.n_buses > sc.grid.n_buses for g in calls)
+
+    def test_ring_linearizes_all_areas_in_one_bounded_pass(self):
+        import time
+        import tracemalloc
+        from perfbench.ring import ring_scenario
+        sc = ring_scenario(7)
+        partition = partition_grid(sc.grid, sc.areas)
+        controller = DistributedMpcController(sc.grid, sc.mpc, partition, sc.admm,
+                                              sc.events)
+        state = sc.initial_state()
+        forcing = np.tile(state.angles[controller._ghosts[:, 1]], (sc.mpc.k_steps, 1))
+        plan = sc.mpc.reference_matrix()
+        t0 = time.perf_counter()
+        models = shared_linearization(controller, state, plan, forcing)
+        elapsed = time.perf_counter() - t0
+        del models
+        tracemalloc.start()
+        try:
+            models = shared_linearization(controller, state, plan, forcing)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(models) == partition.n_areas == 100
+        # One area of the whole grid alone took 90 ms and peaked at 172 MB.
+        assert elapsed < 1.0
+        assert peak < 172e6

@@ -24,6 +24,8 @@ REL_TOL = 1e-12
 
 CASES = {
     "compare_two_bus": ["compare", "two_bus", "--ttotal", "0.3"],
+    # Two areas of one bus each: every bus is a tie-line end.
+    "dmpc_two_bus": ["dmpc", "two_bus", "--ttotal", "0.3"],
     "dmpc_twelve_bus": ["dmpc", "twelve_bus", "--ttotal", "0.2"],
     # The n = 252 centralized program.
     "mpc_twelve_bus": ["mpc", "twelve_bus", "--ttotal", "0.04"],

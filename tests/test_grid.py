@@ -142,6 +142,30 @@ class TestFlowLawOnRandomGrids:
         assert np.max(np.abs(j_u - fd_u), initial=0.0) \
             / max(1.0, np.max(np.abs(j_u), initial=0.0)) < 1e-6
 
+    @settings(max_examples=60, deadline=None)
+    @given(connected_grids(), st.data())
+    def test_split_grid_flows_are_bitwise_the_grid_flows(self, case, data):
+        # With every ghost at its foreign bus's angle, each bus sends the
+        # same flows, summed in the same order, and folding the ghosts'
+        # Jacobian columns back into their buses gives the grid's Jacobian.
+        grid, state, _u = case
+        n = grid.n_buses
+        area = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        split, ghosts = grid.split(area)
+        ends = {(area[i], j) for ln in grid.lines
+                for i, j in ((ln.from_bus, ln.to_bus), (ln.to_bus, ln.from_bus))
+                if area[i] != area[j]}
+        assert [tuple(g) for g in ghosts.tolist()] == sorted(ends)
+        assert (split is grid) == (not ends)
+        assert split.n_buses == n + len(ends)
+        angles = np.concatenate([state.angles, state.angles[ghosts[:, 1]]])
+        assert split.outflow(angles)[:n].tobytes() == grid.outflow(state.angles).tobytes()
+        jac = split.outflow_jacobian(angles)
+        folded = jac[:n, :n].copy()
+        for g, bus in enumerate(ghosts[:, 1]):
+            folded[:, bus] += jac[:n, n + g]
+        assert folded.tobytes() == grid.outflow_jacobian(state.angles).tobytes()
+
 
 class TestEquilibrium:
     def test_two_bus_closed_form(self, two_bus_grid):

@@ -156,6 +156,20 @@ class TestLinearize:
             assert one_x.tobytes() == j_x[i].tobytes()
             assert one_u.tobytes() == j_u[i].tobytes()
 
+    @pytest.mark.parametrize("forcing, got", [
+        (None, "no forcing"),
+        (np.zeros((10, 2)), r"forcing of shape \(10, 2\)"),
+        (np.zeros((9, 1)), r"forcing of shape \(9, 1\)")])
+    def test_foreign_buses_need_forcing_of_shape_k_by_n_f(
+            self, two_bus_grid, forcing, got):
+        # Area {0} has bus 1 as its one foreign bus, over K = 10 steps.
+        grid = two_bus_grid
+        cfg = base_config(grid)
+        st = equilibrium_state(grid, np.array([-3.0]))
+        area = _AreaView(grid, [0], [1])
+        with pytest.raises(ValueError, match=got + r".*expected \(K, n_f\) = \(10, 1\)"):
+            linearize_dynamics(grid, st, cfg.reference_matrix(), 0.01, (), area, forcing)
+
 
 class TestAssemble:
     def test_zero_cost_equilibrium_has_zero_objective(self, two_bus_grid):

@@ -376,6 +376,69 @@ class TestKeptFactor:
         assert np.max(np.abs(second.x - fresh.x)) <= 1e-12
         assert np.max(np.abs(second.y_stacked - fresh.y_stacked)) <= 1e-12
 
+    def test_optimal_warm_start_solves_once(self, monkeypatch):
+        # A warm start on the optimal working set takes no step: its start
+        # solve is the answer and is certified without settling again.
+        rng = np.random.default_rng(16)
+        kw = random_qp(rng, 6, 8, box=True)
+        solves = []
+        splu = qp.splu
+
+        class CountedLu:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, rhs):
+                solves.append(rhs)
+                return self.lu.solve(rhs)
+
+        monkeypatch.setattr(qp, "splu", lambda *a, **k: CountedLu(splu(*a, **k)))
+        ws = QpWorkspace(ConvexProgram(**kw))
+        first = ws.solve(tol=1e-9)
+        solves.clear()
+        again = ws.solve(tol=1e-9, y0=first.y_stacked)
+        assert again.status == "optimal" and again.iterations == 0
+        assert len(solves) == 1
+        assert np.array_equal(again.x, first.x)
+        assert np.array_equal(again.y_stacked, first.y_stacked)
+
+
+@st.composite
+def points_on_rows(draw):
+    """A program, any point and any stacked multipliers, over every mix of
+    row families: mixed rows with infinite bound sides, equality rows only,
+    or no rows (boxes at most)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["mixed", "equality_only", "no_rows"]))
+    n = draw(st.integers(1, 6))
+    m_eq = 0 if kind == "no_rows" \
+        else draw(st.integers(1 if kind == "equality_only" else 0, 3))
+    m_in = draw(st.integers(0, 4)) if kind == "mixed" else 0
+    # Per variable: free, lower only, upper only or both sides.
+    sides = rng.integers(0, 4, n) if kind != "equality_only" else np.zeros(n, dtype=int)
+    centre = rng.normal(size=n)
+    prog = ConvexProgram(
+        q=rng.normal(size=n), curvature=rng.uniform(0.0, 3.0, n),
+        A_eq=rng.normal(size=(m_eq, n)), b_eq=rng.normal(size=m_eq),
+        A_in=rng.normal(size=(m_in, n)) * (rng.random((m_in, n)) < 0.7),
+        b_in=rng.normal(size=m_in),
+        lb=np.where(sides % 2 == 1, centre - 1.0, -np.inf),
+        ub=np.where(sides >= 2, centre + 1.0, np.inf))
+    ws = QpWorkspace(prog)
+    return ws, rng.normal(size=n) * 2.0, rng.normal(size=ws.m) * (rng.random(ws.m) < 0.7)
+
+
+class TestStackedResiduals:
+    @settings(max_examples=200, deadline=None)
+    @given(points_on_rows())
+    def test_report_residuals_agree_with_kkt_residual(self, case):
+        ws, x, y = case
+        report = ws._finish(x, y, "optimal", 0)
+        want = kkt_residual(ws.prog, x, ws._split_duals(y))
+        got = (report.stationarity, report.primal_feasibility, report.complementarity)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-12 * max(1.0, abs(w))
+
 
 def patterned_pair(rng, n=7, m_eq=2, m_in=9):
     """A pattern of [A_eq; A_in] and two feasible programs on it.
