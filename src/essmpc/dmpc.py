@@ -132,9 +132,10 @@ class ConsensusState:
     duals: np.ndarray
     rho: float
     tau: float
-    # (i, j): entry i takes entry j's values in a shift.  Built at the first
-    # shift and handed on to the shifted states.
-    shift_map: Optional[tuple[np.ndarray, np.ndarray]] = field(default=None, repr=False)
+    # (i, j): entry i takes entry j's values in a shift.  Derived from
+    # `couplings` at the first shift and handed on to the shifted states.
+    _shift: Optional[tuple[np.ndarray, np.ndarray]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def initialize(cls, couplings: Sequence[CouplingEquality], angles: np.ndarray,
@@ -160,19 +161,20 @@ class ConsensusState:
 
     def shifted(self) -> "ConsensusState":
         """Warm start for the next control step: move every k to k-1."""
-        if self.shift_map is None:
+        if self._shift is None:
             at = {(c.bus, c.own_area, c.copy_area, c.k): i
                   for i, c in enumerate(self.couplings)}
-            nxt = [at.get((c.bus, c.own_area, c.copy_area, c.k + 1), -1)
-                   for c in self.couplings]
-            i = np.flatnonzero(np.array(nxt, dtype=int) >= 0)
-            self.shift_map = (i, np.array(nxt, dtype=int)[i])
-        i, j = self.shift_map
+            nxt = np.array([at.get((c.bus, c.own_area, c.copy_area, c.k + 1), -1)
+                            for c in self.couplings], dtype=int)
+            i = np.flatnonzero(nxt >= 0)
+            self._shift = (i, nxt[i])
+        i, j = self._shift
         own, copy, duals = (v.copy() for v in (self.own_values, self.copy_values,
                                                self.duals))
         own[i], copy[i], duals[i] = self.own_values[j], self.copy_values[j], self.duals[j]
-        return ConsensusState(self.couplings, own, copy, duals, self.rho, self.tau,
-                              self.shift_map)
+        state = ConsensusState(self.couplings, own, copy, duals, self.rho, self.tau)
+        state._shift = self._shift
+        return state
 
 
 @dataclass(frozen=True)
@@ -339,20 +341,19 @@ class DistributedMpcController(_SqpController):
         # step and ghost, the coupling row of its published angle; per area,
         # (coupling rows, k, positions) of its own boundary angles and of its
         # copies, a position being the bus's among the area's buses or ghosts.
-        ghost = {(a, b): g for g, (a, b) in enumerate(self._ghosts.tolist())}
-        at = {b: i for area in self.areas for i, b in enumerate(area.buses)}
-        first = [int(area.foreign[0]) - grid.n_buses if area.n_f else 0
-                 for area in self.areas]
-        self._forcing_rows = np.zeros((cfg.k_steps, len(ghost)), dtype=int)
-        own: list[list] = [[] for _ in self.areas]
-        copies: list[list] = [[] for _ in self.areas]
-        for i, c in enumerate(self.couplings):
-            g = ghost[(c.copy_area, c.bus)]
-            self._forcing_rows[c.k - 1, g] = i
-            own[c.own_area].append((i, c.k, at[c.bus]))
-            copies[c.copy_area].append((i, c.k, g - first[c.copy_area]))
-        self._hooks = [tuple(np.array(h, dtype=int).reshape(-1, 3).T for h in pair)
-                       for pair in zip(own, copies)]
+        n, ghosts = grid.n_buses, self._ghosts
+        bus, own, copy, k = np.array([(c.bus, c.own_area, c.copy_area, c.k)
+                                      for c in self.couplings], dtype=int).reshape(-1, 4).T
+        rows = np.arange(bus.size)
+        g = np.searchsorted(ghosts[:, 0] * n + ghosts[:, 1], copy * n + bus)
+        self._forcing_rows = np.zeros((cfg.k_steps, len(ghosts)), dtype=int)
+        self._forcing_rows[k - 1, g] = rows
+        pos = np.empty(n, dtype=int)
+        for area in self.areas:
+            pos[area.buses] = np.arange(area.n)
+        f = g - np.searchsorted(ghosts[:, 0], copy)
+        self._hooks = [((rows[o], k[o], pos[bus[o]]), (rows[c], k[c], f[c]))
+                       for o, c in ((own == a, copy == a) for a in range(len(self.areas)))]
         self._consensus: Optional[ConsensusState] = None
         self._warm: dict[int, dict] = {a.index: {} for a in self.areas}
 

@@ -215,8 +215,8 @@ class _AreaView:
         self.n, self.n_w = len(self.buses), len(omega_pos)
         self.n_f, self.n_s = self.foreign.size, self.storages.size
         self.nx, self.nu = self.n + self.n_w, 2 * self.n_s
-        self.rows = np.array(self.buses + [grid.n_buses + k for k in omega_pos],
-                             dtype=int)
+        n_grid = grid.n_buses
+        self.rows = np.array(self.buses + [n_grid + k for k in omega_pos], dtype=int)
         self.u_cols = np.concatenate([self.storages,
                                       len(grid.storage_buses) + self.storages])
 

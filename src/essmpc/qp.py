@@ -506,10 +506,12 @@ class QpWorkspace:
             over, under = cx - self.u, self.l - cx
             viol = np.where(eq | at_upper | at_lower, 0.0, np.maximum(over, under))
             if np.max(viol, initial=0.0) <= ftol:
-                # Before any step, (x, y) is the exact solve of the working
-                # set that settling would repeat: certify it as it is.
-                done = None if iterations else self._certified(x, y, tol, 0, cx)
-                return done or self._settle(at_upper, at_lower, x, y, tol, iterations)
+                if not iterations:
+                    # (x, y) is the exact solve of the working set that
+                    # settling would repeat: certify it as it is.
+                    return self._certified(x, y, tol, 0, cx) \
+                        or self._finish(x, y, "max_iter", 0, cx)
+                return self._settle(at_upper, at_lower, x, y, tol, iterations)
             p = int(np.argmax(viol))
             side = 1.0 if over[p] > under[p] else -1.0
             a_p = side * C[p]

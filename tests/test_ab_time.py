@@ -20,7 +20,7 @@ def ab_time():
 
 
 def test_runs_one_command_on_both_trees(ab_time, capsys):
-    assert ab_time.main([str(ROOT), str(ROOT), "--pairs", "2", "--warmup", "0",
+    assert ab_time.main([str(ROOT), str(ROOT), "--pairs", "2",
                          "--", "simulate", "two_bus", "--ttotal", "0.02"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in lines] == ["old", "new", "new/old"]

@@ -166,6 +166,34 @@ class TestFlowLawOnRandomGrids:
             folded[:, bus] += jac[:n, n + g]
         assert folded.tobytes() == grid.outflow_jacobian(state.angles).tobytes()
 
+    def test_split_grid_extends_every_per_bus_field(self, three_bus_grid):
+        # The split grid is the grid's fields with the ghosts appended: a
+        # field with one entry per bus gains one per ghost, the load lists
+        # gain the ghosts, the line ends are rewired and the rest is kept.
+        # Every role holds fewer than all buses, so a field of length N is
+        # one entry per bus.
+        grid = three_bus_grid
+        n = grid.n_buses
+        split, ghosts = grid.split([0, 0, 1])
+        n_g = len(ghosts)
+        assert n_g > 0 and split.n_buses == n + n_g
+        rewired = {"lines", "edge_bus", "edge_nbr", "edge_b", "_jac_index"}
+        per_bus = set()
+        for name, value in vars(grid).items():
+            got = vars(split)[name]
+            if not isinstance(value, (tuple, np.ndarray)) or name in rewired:
+                continue
+            if len(value) == n:
+                per_bus.add(name)
+                assert len(got) == n + n_g, name
+                assert np.array_equal(got[:n], value), name
+            elif name in ("load_buses", "load_idx"):
+                assert tuple(got) == tuple(value) + tuple(range(n, n + n_g)), name
+            else:
+                assert np.array_equal(got, value), name
+        assert {"roles", "injections", "damping"} <= per_bus
+        assert set(vars(split)) == set(vars(grid))
+
 
 class TestEquilibrium:
     def test_two_bus_closed_form(self, two_bus_grid):

@@ -1,14 +1,14 @@
 """Time one CLI command on two source trees, alternating in one process.
 
-    python tools/ab_time.py OLD_TREE NEW_TREE [--pairs N] [--warmup W] \
+    python tools/ab_time.py OLD_TREE NEW_TREE [--pairs N] \
         -- COMMAND SCENARIO [OPTIONS...]
 
 Each tree is the root of a checkout holding `src/essmpc`.  Both packages
 are loaded side by side under distinct names (`essmpc_ab0`, `essmpc_ab1`),
 so the two run in the same process and share its noise: separate processes
 on a loaded host spread by more than a 10% change.  Each pair runs the
-command once per tree, in an order that alternates from pair to pair; the
-first `--warmup` pairs are not counted.  SCENARIO is a bundled scenario
+command once per tree, in an order that alternates from pair to pair; a
+first warm-up pair is not counted.  SCENARIO is a bundled scenario
 name, taken from each tree's own package, or a path.  Outputs go to a
 temporary directory and stdout is discarded.
 
@@ -29,6 +29,10 @@ import tempfile
 from pathlib import Path
 from time import perf_counter
 from types import ModuleType
+
+# Pairs run first and not counted: a tree's first run pays for lazy set-up
+# in the libraries it imports.
+WARMUP = 1
 
 
 def load_tree(root: Path, name: str) -> ModuleType:
@@ -69,13 +73,13 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def compare(runs, pairs: int, warmup: int = 1) -> tuple[list[float], list[float]]:
+def compare(runs, pairs: int) -> tuple[list[float], list[float]]:
     """(old times, new times) over `pairs` counted pairs, order alternating."""
     times: tuple[list[float], list[float]] = ([], [])
-    for p in range(warmup + pairs):
+    for p in range(WARMUP + pairs):
         order = (0, 1) if p % 2 == 0 else (1, 0)
         got = {i: runs[i]() for i in order}
-        if p >= warmup:
+        if p >= WARMUP:
             for i in (0, 1):
                 times[i].append(got[i])
     return times
@@ -99,16 +103,15 @@ def main(argv=None) -> int:
     parser.add_argument("old", type=Path)
     parser.add_argument("new", type=Path)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--warmup", type=int, default=1)
     argv = sys.argv[1:] if argv is None else list(argv)
     split = argv.index("--") if "--" in argv else len(argv)
     args = parser.parse_args(argv[:split])
     command = argv[split + 1:]
-    if len(command) < 2 or args.pairs < 1 or args.warmup < 0:
-        parser.error("need a command and a scenario, --pairs >= 1 and --warmup >= 0")
+    if len(command) < 2 or args.pairs < 1:
+        parser.error("need a command and a scenario, and --pairs >= 1")
     runs = [command_runner(root, load_tree(root.resolve(), f"essmpc_ab{i}"), command)
             for i, root in enumerate((args.old, args.new))]
-    print(report(*compare(runs, args.pairs, args.warmup)))
+    print(report(*compare(runs, args.pairs)))
     return 0
 
 
