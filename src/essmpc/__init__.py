@@ -14,9 +14,8 @@ from .mpc import (HorizonProgram, LtvModel, MpcConfig, MpcConfigError,
                   MpcController, SqpSettings, StepRecord, StorageRegime,
                   assemble_horizon_program, linearize_dynamics,
                   receding_horizon_run)
-from .dmpc import (AdmmSettings, AreaPartition, AreaProgram,
-                   ConsensusState, CouplingEquality, DistributedMpcController,
-                   PartitionError, area_subproblem_solve, build_coupling,
+from .dmpc import (AdmmSettings, AreaPartition, AreaProgram, ConsensusState,
+                   DistributedMpcController, PartitionError, area_subproblem_solve,
                    distributed_mpc_run, partition_grid, pdc_admm_step)
 from .scenario import (Scenario, ScenarioError, bundled_scenario_path,
                        parse_scenario, scenario_text, write_scenario)

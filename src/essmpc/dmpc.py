@@ -11,24 +11,25 @@ Rounds are Jacobi style: every area solves against the previous round's
 exchange, so the outcome is independent of the order in which areas are
 processed.
 
-The controller runs the SQP outer loop of `mpc` unchanged, which
-linearizes all areas at once on the split grid, the ghosts held at the
-owners' published angles; its solve step is the consensus iteration on the
-linearized areas, and it logs the same `StepRecord` as the centralized
-controller.  Where each area's copies and own boundary angles sit in the
-exchange record is worked out once per controller, as index arrays; a
-round and its barrier are array operations on them.
+The split grid (`GridModel.split`) names each shared angle once, as a
+ghost: one area's copy of one foreign bus.  The exchange record has one
+entry per horizon step and ghost, entry (k - 1) * n_ghosts + g for ghost g
+at step k, so it reads as a (K, n_ghosts) array.  The controller runs the
+SQP outer loop of `mpc` unchanged, which linearizes all areas at once on
+the split grid, the ghosts held at the owners' published angles; its solve
+step is the consensus iteration on the linearized areas, and it logs the
+same `StepRecord` as the centralized controller.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .dynamics import SystemState, Trajectory, simulate
-from .grid import DisturbanceEvent, GridModel, Line
+from .grid import DisturbanceEvent, GridModel
 from .mpc import (HorizonProgram, LtvModel, MpcConfig, StepRecord, _SqpController,
                   _assemble_program)
 from .qp import ConvexProgram, QpWorkspace
@@ -37,8 +38,6 @@ __all__ = [
     "PartitionError",
     "AreaPartition",
     "partition_grid",
-    "CouplingEquality",
-    "build_coupling",
     "ConsensusState",
     "AdmmSettings",
     "AreaProgram",
@@ -55,12 +54,10 @@ class PartitionError(ValueError):
 
 @dataclass(frozen=True)
 class AreaPartition:
-    """Non-overlapping cover of the buses plus derived coupling structure."""
+    """Non-overlapping cover of the buses."""
 
     assignment: tuple[int, ...]                 # bus -> area, areas 0..A-1
     owned: tuple[tuple[int, ...], ...]          # per area: its buses
-    tie_lines: tuple[Line, ...]                 # lines crossing areas
-    boundary_foreign: tuple[tuple[int, ...], ...]  # per area: referenced foreign buses
 
     @property
     def n_areas(self) -> int:
@@ -68,7 +65,7 @@ class AreaPartition:
 
 
 def partition_grid(grid: GridModel, assignment: Sequence[int]) -> AreaPartition:
-    """Validate a bus->area map and derive tie lines and boundary sets."""
+    """Validate a bus->area map and list each area's buses."""
     assignment = tuple(int(a) for a in assignment)
     if len(assignment) != grid.n_buses:
         raise PartitionError(
@@ -76,73 +73,37 @@ def partition_grid(grid: GridModel, assignment: Sequence[int]) -> AreaPartition:
     areas = sorted(set(assignment))
     if areas != list(range(len(areas))):
         raise PartitionError(f"area ids must be contiguous from 0, got {areas}")
-    n_areas = len(areas)
-    owned: list[list[int]] = [[] for _ in range(n_areas)]
+    owned: list[list[int]] = [[] for _ in areas]
     for bus, a in enumerate(assignment):
         owned[a].append(bus)
     for a, buses in enumerate(owned):
         if not buses:
             raise PartitionError(f"area {a} owns no buses")
-    ties = [ln for ln in grid.lines
-            if assignment[ln.from_bus] != assignment[ln.to_bus]]
-    foreign: list[set[int]] = [set() for _ in range(n_areas)]
-    for ln in ties:
-        a, b = assignment[ln.from_bus], assignment[ln.to_bus]
-        foreign[a].add(ln.to_bus)
-        foreign[b].add(ln.from_bus)
-    return AreaPartition(assignment, tuple(tuple(b) for b in owned), tuple(ties),
-                         tuple(tuple(sorted(f)) for f in foreign))
-
-
-@dataclass(frozen=True)
-class CouplingEquality:
-    """copy_area's duplicate of `bus` must equal own_area's value at step k."""
-
-    bus: int
-    own_area: int
-    copy_area: int
-    k: int   # horizon step, 1..K
-
-
-def build_coupling(partition: AreaPartition, k_steps: int) -> tuple[CouplingEquality, ...]:
-    """One consensus equality per duplicated boundary angle per horizon step."""
-    if k_steps < 1:
-        raise PartitionError("horizon must have at least one step")
-    pairs: list[tuple[int, int, int]] = []
-    seen: set[tuple[int, int, int]] = set()
-    for ln in partition.tie_lines:
-        a = partition.assignment[ln.from_bus]
-        b = partition.assignment[ln.to_bus]
-        for bus, own, copy in ((ln.to_bus, b, a), (ln.from_bus, a, b)):
-            key = (bus, own, copy)
-            if key not in seen:
-                seen.add(key)
-                pairs.append(key)
-    return tuple(CouplingEquality(bus, own, copy, k)
-                 for (bus, own, copy) in pairs for k in range(1, k_steps + 1))
+    return AreaPartition(assignment, tuple(tuple(b) for b in owned))
 
 
 @dataclass
 class ConsensusState:
-    """Exchange record between areas: boundary values and multipliers only."""
+    """Exchange record between areas: boundary values and multipliers only.
 
-    couplings: tuple[CouplingEquality, ...]
+    One entry per horizon step k = 1..K and ghost g, at (k - 1) * n_ghosts
+    + g: the ghost's owner holds the bus's angle (`own_values`), the area
+    of the ghost its copy (`copy_values`), and one multiplier ties the two.
+    """
+
+    n_ghosts: int
     own_values: np.ndarray    # physical angle held by the owning area
     copy_values: np.ndarray   # physical angle held by the copying area
     duals: np.ndarray
     rho: float
     tau: float
-    # (i, j): entry i takes entry j's values in a shift.  Derived from
-    # `couplings` at the first shift and handed on to the shifted states.
-    _shift: Optional[tuple[np.ndarray, np.ndarray]] = field(
-        default=None, init=False, repr=False, compare=False)
 
     @classmethod
-    def initialize(cls, couplings: Sequence[CouplingEquality], angles: np.ndarray,
+    def initialize(cls, ghost_buses: np.ndarray, k_steps: int, angles: np.ndarray,
                    rho: float, tau: float) -> "ConsensusState":
-        vals = np.array([angles[c.bus] for c in couplings], dtype=float)
-        return cls(tuple(couplings), vals.copy(), vals.copy(),
-                   np.zeros(len(couplings)), rho, tau)
+        """Both holders at the bus's angle in `angles` at every step; no multiplier."""
+        vals = np.tile(np.asarray(angles, dtype=float)[ghost_buses], k_steps)
+        return cls(len(ghost_buses), vals, vals.copy(), np.zeros(vals.size), rho, tau)
 
     def residual(self) -> float:
         if self.duals.size == 0:
@@ -150,31 +111,25 @@ class ConsensusState:
         return float(np.max(np.abs(self.copy_values - self.own_values)))
 
     def consensus_values(self) -> np.ndarray:
-        """Agreed value per equality: the average of the two holders."""
+        """Agreed value per entry: the average of the two holders."""
         return 0.5 * (self.own_values + self.copy_values)
 
     def update_duals(self) -> None:
         # Dual ascent by rho times each holder's mismatch from the consensus
         # value; the two holders' multipliers stay antisymmetric, so one
-        # number per equality suffices (stored for the copying side).
+        # number per entry suffices (stored for the copying side).
         self.duals += self.rho * (self.copy_values - self.consensus_values())
 
     def shifted(self) -> "ConsensusState":
-        """Warm start for the next control step: move every k to k-1."""
-        if self._shift is None:
-            at = {(c.bus, c.own_area, c.copy_area, c.k): i
-                  for i, c in enumerate(self.couplings)}
-            nxt = np.array([at.get((c.bus, c.own_area, c.copy_area, c.k + 1), -1)
-                            for c in self.couplings], dtype=int)
-            i = np.flatnonzero(nxt >= 0)
-            self._shift = (i, nxt[i])
-        i, j = self._shift
-        own, copy, duals = (v.copy() for v in (self.own_values, self.copy_values,
-                                               self.duals))
-        own[i], copy[i], duals[i] = self.own_values[j], self.copy_values[j], self.duals[j]
-        state = ConsensusState(self.couplings, own, copy, duals, self.rho, self.tau)
-        state._shift = self._shift
-        return state
+        """Warm start for the next control step: step k takes step k+1's
+        entries, and the last step keeps its own."""
+        n = self.n_ghosts
+
+        def shift(v: np.ndarray) -> np.ndarray:
+            return np.concatenate([v[n:], v[v.size - n:]])
+
+        return ConsensusState(n, shift(self.own_values), shift(self.copy_values),
+                              shift(self.duals), self.rho, self.tau)
 
 
 @dataclass(frozen=True)
@@ -185,49 +140,40 @@ class AdmmSettings:
     max_iterations: int = 500
 
     def validate(self) -> None:
-        if self.rho <= 0.0 or self.tau <= 0.0:
-            raise PartitionError("rho and tau must be > 0")
-        if self.tolerance <= 0.0 or self.max_iterations < 1:
-            raise PartitionError("tolerance must be > 0 and max_iterations >= 1")
+        """Reject an out-of-range setting; the message starts with its name."""
+        for name in ("rho", "tau", "tolerance"):
+            if getattr(self, name) <= 0.0:
+                raise PartitionError(f"{name}: must be > 0")
+        if self.max_iterations < 1:
+            raise PartitionError("max_iterations: must be >= 1")
 
 
 class _Hooks(NamedTuple):
-    """Coupling hooks as arrays: coupling row idx[e] holds offset[e] + x[col[e]]."""
+    """Record entry idx[e] holds offset[e] + x[col[e]]."""
 
     idx: np.ndarray
     col: np.ndarray
     offset: np.ndarray
 
-    @classmethod
-    def of(cls, entries) -> "_Hooks":
-        """Hooks from a list of (coupling index, column, nominal offset)."""
-        if isinstance(entries, _Hooks):
-            return entries
-        idx, col, offset = zip(*entries) if len(entries) else ((), (), ())
-        return cls(np.array(idx, dtype=int), np.array(col, dtype=int),
-                   np.array(offset, dtype=float))
+
+_NO_HOOKS = _Hooks(np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))
 
 
+@dataclass(frozen=True)
 class AreaProgram:
-    """Local convex subproblem plus hooks tying columns to coupling equalities.
+    """Local convex subproblem plus hooks tying columns to the exchange record.
 
-    `own_entries` and `copy_entries` list (coupling index, column, nominal
-    offset): the physical value is offset + x[col].  They are held as
-    arrays (`own_hooks`, `copy_hooks`), which the controller passes in
-    directly.  The base program never contains coupling terms; they are
-    added per round from the consensus.
+    `own_hooks` place the area's own angles that other areas' ghosts copy,
+    and `copy_hooks` the area's ghosts; each holds (record entry, column,
+    nominal offset) arrays, the physical value being offset + x[col].  The
+    base program never contains coupling terms; they are added per round
+    from the consensus.
     """
 
-    def __init__(self, area: int, prog: ConvexProgram,
-                 own_entries: Sequence[tuple[int, int, float]] | _Hooks = (),
-                 copy_entries: Sequence[tuple[int, int, float]] | _Hooks = ()):
-        self.area = area
-        self.prog = prog
-        self.own_hooks = _Hooks.of(own_entries)
-        self.copy_hooks = _Hooks.of(copy_entries)
-
-    own_entries = property(lambda self: list(zip(*(h.tolist() for h in self.own_hooks))))
-    copy_entries = property(lambda self: list(zip(*(h.tolist() for h in self.copy_hooks))))
+    area: int
+    prog: ConvexProgram
+    own_hooks: _Hooks = _NO_HOOKS
+    copy_hooks: _Hooks = _NO_HOOKS
 
     @property
     def has_coupling(self) -> bool:
@@ -291,17 +237,14 @@ def pdc_admm_step(programs: Sequence[AreaProgram], consensus: ConsensusState,
                   x_prev: Optional[dict[int, np.ndarray]] = None,
                   workspaces: Optional[dict[int, QpWorkspace]] = None,
                   warm: Optional[dict[int, dict]] = None,
-                  order: Optional[Sequence[int]] = None,
                   tol: float = 1e-8) -> tuple[dict[int, np.ndarray], float]:
     """One synchronous round: all areas solve, then values and duals update.
 
-    Every area reads the same consensus snapshot, so any processing order
-    yields the same post-barrier state.
+    Every area reads the same consensus snapshot, so the order of
+    `programs` does not change the post-barrier state.
     """
-    order = list(range(len(programs))) if order is None else list(order)
     solutions: dict[int, np.ndarray] = {}
-    for i in order:
-        program = programs[i]
+    for program in programs:
         prev = None if x_prev is None else x_prev.get(program.area)
         ws = None if workspaces is None else workspaces.get(program.area)
         wm = None if warm is None else warm.setdefault(program.area, {})
@@ -336,46 +279,43 @@ class DistributedMpcController(_SqpController):
         super().__init__(grid, cfg, events, partition.assignment)
         settings.validate()
         self.settings = settings
-        self.couplings = build_coupling(partition, cfg.k_steps)
-        # Where the exchange record meets each area, worked out once: per
-        # step and ghost, the coupling row of its published angle; per area,
-        # (coupling rows, k, positions) of its own boundary angles and of its
-        # copies, a position being the bus's among the area's buses or ghosts.
-        n, ghosts = grid.n_buses, self._ghosts
-        bus, own, copy, k = np.array([(c.bus, c.own_area, c.copy_area, c.k)
-                                      for c in self.couplings], dtype=int).reshape(-1, 4).T
-        rows = np.arange(bus.size)
-        g = np.searchsorted(ghosts[:, 0] * n + ghosts[:, 1], copy * n + bus)
-        self._forcing_rows = np.zeros((cfg.k_steps, len(ghosts)), dtype=int)
-        self._forcing_rows[k - 1, g] = rows
-        pos = np.empty(n, dtype=int)
+        # Each area's entries in the record, by step: those of the ghosts of
+        # its own buses, with the buses' positions among its own, and those
+        # of its ghosts.
+        ghosts = self._ghosts
+        step_first = len(ghosts) * np.arange(cfg.k_steps)[:, None]
+        owner = np.asarray(partition.assignment)[ghosts[:, 1]]
+        self._hooks = []
         for area in self.areas:
-            pos[area.buses] = np.arange(area.n)
-        f = g - np.searchsorted(ghosts[:, 0], copy)
-        self._hooks = [((rows[o], k[o], pos[bus[o]]), (rows[c], k[c], f[c]))
-                       for o, c in ((own == a, copy == a) for a in range(len(self.areas)))]
+            copied = np.flatnonzero(owner == area.index)
+            self._hooks.append(((step_first + copied).ravel(),
+                                np.searchsorted(area.buses, ghosts[copied, 1]),
+                                (step_first + area.foreign - grid.n_buses).ravel()))
         self._consensus: Optional[ConsensusState] = None
         self._warm: dict[int, dict] = {a.index: {} for a in self.areas}
 
     def _start(self, state: SystemState) -> None:
         if self._consensus is None:
             self._consensus = ConsensusState.initialize(
-                self.couplings, state.angles, self.settings.rho, self.settings.tau)
+                self._ghosts[:, 1], self.cfg.k_steps, state.angles,
+                self.settings.rho, self.settings.tau)
         else:
             self._consensus = self._consensus.shifted()
 
     def _forcing(self) -> np.ndarray:
         """Ghost angles (K, n_ghosts) at steps 1..K: the owners' published values."""
-        return self._consensus.own_values[self._forcing_rows]
+        return self._consensus.own_values.reshape(self.cfg.k_steps, len(self._ghosts))
 
     def _area_program(self, hp: HorizonProgram) -> AreaProgram:
-        """The area's horizon program with its copies and own boundary angles
-        tied to the coupling equalities."""
-        (own, k_own, i), (copies, k_copy, f) = self._hooks[hp.area.index]
+        """The area's horizon program with its own boundary angles and its
+        ghosts hooked to the record."""
+        own, pos, copies = self._hooks[hp.area.index]
+        k = np.arange(1, self.cfg.k_steps + 1)[:, None]
         return AreaProgram(hp.area.index, hp.prog,
-                           _Hooks(own, hp.x_col(k_own, i), hp.ltv.states[k_own, i]),
-                           _Hooks(copies, hp.copy_col(k_copy, f),
-                                  hp.ltv.forcing[k_copy - 1, f]))
+                           _Hooks(own, hp.x_col(k, pos).ravel(),
+                                  hp.ltv.states[1:, pos].ravel()),
+                           _Hooks(copies, hp.copy_col(k, np.arange(hp.area.n_f)).ravel(),
+                                  hp.ltv.forcing.ravel()))
 
     def _solve(self, ltvs: list[LtvModel], record: StepRecord
                ) -> Optional[list[tuple[HorizonProgram, np.ndarray]]]:

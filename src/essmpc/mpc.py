@@ -78,10 +78,12 @@ class SqpSettings:
     tolerance: float = 1e-6            # control change declaring convergence
 
     def validate(self) -> None:
+        """Reject an out-of-range setting; the message starts with its name."""
         if self.outer_iterations < 1:
-            raise MpcConfigError("outer_iterations must be >= 1")
-        if self.power_trust_region <= 0.0 or self.inertia_trust_region <= 0.0:
-            raise MpcConfigError("trust-region radii must be > 0")
+            raise MpcConfigError("outer_iterations: must be >= 1")
+        for name in ("power_trust_region", "inertia_trust_region"):
+            if getattr(self, name) <= 0.0:
+                raise MpcConfigError(f"{name}: must be > 0")
 
 
 @dataclass(frozen=True)

@@ -74,6 +74,16 @@ def _bool(value: Any, path: str) -> bool:
     return value
 
 
+def _validated(settings: Any, path: str) -> Any:
+    """`settings` once its own range check passes; a failure names the field
+    below `path`."""
+    try:
+        settings.validate()
+    except ValueError as exc:
+        raise ScenarioError(f"{path}.{exc}") from exc
+    return settings
+
+
 def _pair(value: Any, path: str, finite: bool = True) -> tuple[float, float]:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ScenarioError(f"{path}: expected [low, high]")
@@ -319,14 +329,15 @@ def parse_scenario(source: str | Path) -> Scenario:
     sqp_sec = mpc_sec.get("sqp") or {}
     _check_keys(sqp_sec, {"outer_iterations", "power_trust_region",
                           "inertia_trust_region", "tolerance"}, "mpc.sqp")
-    sqp = SqpSettings(
+    sqp = _validated(SqpSettings(
         outer_iterations=_int(sqp_sec.get("outer_iterations", 3),
                               "mpc.sqp.outer_iterations"),
         power_trust_region=_num(sqp_sec.get("power_trust_region", 0.5),
                                 "mpc.sqp.power_trust_region"),
         inertia_trust_region=_num(sqp_sec.get("inertia_trust_region", 2.0),
                                   "mpc.sqp.inertia_trust_region"),
-        tolerance=_num(sqp_sec.get("tolerance", 1e-6), "mpc.sqp.tolerance"))
+        tolerance=_num(sqp_sec.get("tolerance", 1e-6), "mpc.sqp.tolerance")),
+        "mpc.sqp")
     omega_limits = {}
     for key, value in (mpc_sec.get("omega_limits") or {}).items():
         if not isinstance(key, int) or isinstance(key, bool):
@@ -382,16 +393,12 @@ def parse_scenario(source: str | Path) -> Scenario:
         labels = [_int(a, f"distributed.areas[{i}]") for i, a in enumerate(raw)]
         order = {label: rank for rank, label in enumerate(sorted(set(labels)))}
         areas = tuple(order[a] for a in labels)
-    admm = AdmmSettings(
+    admm = _validated(AdmmSettings(
         rho=_num(dist_sec.get("rho", 1.0), "distributed.rho"),
         tau=_num(dist_sec.get("tau", 0.1), "distributed.tau"),
         tolerance=_num(dist_sec.get("tolerance", 1e-4), "distributed.tolerance"),
         max_iterations=_int(dist_sec.get("max_iterations", 500),
-                            "distributed.max_iterations"))
-    try:
-        admm.validate()
-    except Exception as exc:
-        raise ScenarioError(f"distributed: {exc}") from exc
+                            "distributed.max_iterations")), "distributed")
 
     return Scenario(name=name, description=description, grid=grid,
                     events=tuple(events), sim_step=sim_step,

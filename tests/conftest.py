@@ -19,6 +19,21 @@ def twelve_bus_scenario():
     return parse_scenario(bundled_scenario_path("twelve_bus"))
 
 
+@pytest.fixture(scope="session")
+def foreign_buses():
+    """(grid, assignment) -> per area, sorted: the buses of other areas at the
+    far ends of its lines.  A reference for the split grid's ghosts."""
+    def of(grid, assignment):
+        foreign: list[set[int]] = [set() for _ in range(max(assignment) + 1)]
+        for ln in grid.lines:
+            a, b = assignment[ln.from_bus], assignment[ln.to_bus]
+            if a != b:
+                foreign[a].add(ln.to_bus)
+                foreign[b].add(ln.from_bus)
+        return [tuple(sorted(f)) for f in foreign]
+    return of
+
+
 @pytest.fixture()
 def two_bus_grid():
     """Standalone copy of the two-bus system (generator + storage, b = 50)."""

@@ -1,4 +1,4 @@
-"""Distributed consensus MPC: partitioning, coupling, ADMM, equivalence."""
+"""Distributed consensus MPC: partitioning, the exchange record, ADMM, equivalence."""
 
 from dataclasses import replace
 
@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from essmpc.dmpc import (AdmmSettings, AreaProgram, ConsensusState,
-                         CouplingEquality, DistributedMpcController,
-                         PartitionError, area_subproblem_solve, build_coupling,
-                         distributed_mpc_run, partition_grid, pdc_admm_step)
+                         DistributedMpcController, PartitionError, _Hooks,
+                         area_subproblem_solve, distributed_mpc_run, partition_grid,
+                         pdc_admm_step)
 from essmpc.dynamics import ControlInput, SystemState, euler_step, swing_jacobian
 from essmpc.grid import solve_equilibrium
 from essmpc.mpc import MpcConfig, SqpSettings, linearize_dynamics, receding_horizon_run
@@ -30,18 +30,15 @@ class TestPartition:
         assert partition.owned[0] == (0, 1, 2, 3)
         assert partition.owned[1] == (4, 5, 6, 7)
         assert partition.owned[2] == (8, 9, 10, 11)
-        assert len(partition.tie_lines) == 3
 
-    def test_single_area_has_no_ties(self, two_bus_grid):
+    def test_single_area_owns_every_bus(self, two_bus_grid):
         partition = partition_grid(two_bus_grid, [0, 0])
         assert partition.n_areas == 1
-        assert partition.tie_lines == ()
-        assert partition.boundary_foreign == ((),)
+        assert partition.owned == ((0, 1),)
 
     def test_two_bus_split(self, two_bus_grid):
         partition = partition_grid(two_bus_grid, [0, 1])
-        assert len(partition.tie_lines) == 1
-        assert partition.boundary_foreign == ((1,), (0,))
+        assert partition.owned == ((0,), (1,))
 
     def test_missing_bus_rejected(self, two_bus_grid):
         with pytest.raises(PartitionError, match="covers"):
@@ -52,36 +49,50 @@ class TestPartition:
             partition_grid(two_bus_grid, [0, 2])
 
 
-class TestCoupling:
-    def test_no_ties_no_equalities(self, two_bus_grid):
-        partition = partition_grid(two_bus_grid, [0, 0])
-        assert build_coupling(partition, 10) == ()
+def started_controller(sc, assignment, state=None):
+    """A distributed controller of `sc` with its exchange record started
+    from `state` (default: the scenario's initial state)."""
+    controller = DistributedMpcController(sc.grid, sc.mpc,
+                                          partition_grid(sc.grid, assignment), sc.admm)
+    controller._start(sc.initial_state() if state is None else state)
+    return controller
 
-    def test_two_bus_split_count(self, two_bus_grid):
-        partition = partition_grid(two_bus_grid, [0, 1])
-        assert len(build_coupling(partition, 10)) == 20
 
-    def test_twelve_bus_count(self, twelve_bus_scenario):
-        sc = twelve_bus_scenario
-        partition = partition_grid(sc.grid, sc.areas)
-        coupling = build_coupling(partition, 6)
-        assert len(coupling) == 2 * len(partition.tie_lines) * 6
+class TestExchangeRecord:
+    """The split grid's ghosts are the reference's foreign buses, and the
+    record holds one entry per step and ghost."""
+
+    @pytest.mark.parametrize("case, size", [("two_bus_one_area", 0),
+                                            ("two_bus_split", 20), ("twelve_bus", 36)])
+    def test_ghosts_are_the_foreign_buses_and_size_the_record(
+            self, two_bus_scenario, twelve_bus_scenario, foreign_buses, case, size):
+        sc = twelve_bus_scenario if case == "twelve_bus" else two_bus_scenario
+        assignment = {"two_bus_one_area": [0, 0], "two_bus_split": [0, 1],
+                      "twelve_bus": sc.areas}[case]
+        controller = started_controller(sc, assignment)
+        ghosts = controller._ghosts
+        for a, foreign in enumerate(foreign_buses(sc.grid, assignment)):
+            assert tuple(ghosts[ghosts[:, 0] == a, 1]) == foreign
+        record = controller._consensus
+        assert sc.mpc.k_steps * len(ghosts) == size
+        assert record.n_ghosts == len(ghosts)
+        assert record.own_values.shape == record.copy_values.shape \
+            == record.duals.shape == (size,)
 
 
 def scalar_toy(a1, t1, a2, t2, rho, tau):
     """One shared scalar: area 0 owns it, area 1 works on its copy.
 
     Area 0 minimizes a1/2 (x - t1)^2 over its own variable; area 1 minimizes
-    a2/2 (w - t2)^2 over its duplicate; the single coupling equality enforces
-    w = x.  Saddle point: x = (a1 t1 + a2 t2) / (a1 + a2).
+    a2/2 (w - t2)^2 over its duplicate; the record's single entry ties w to
+    x.  Saddle point: x = (a1 t1 + a2 t2) / (a1 + a2).
     """
     prog0 = ConvexProgram(q=np.array([-a1 * t1]), curvature=np.array([a1]))
     prog1 = ConvexProgram(q=np.array([-a2 * t2]), curvature=np.array([a2]))
-    programs = [AreaProgram(0, prog0, own_entries=[(0, 0, 0.0)]),
-                AreaProgram(1, prog1, copy_entries=[(0, 0, 0.0)])]
-    couplings = (CouplingEquality(bus=0, own_area=0, copy_area=1, k=1),)
-    consensus = ConsensusState(couplings, np.zeros(1), np.zeros(1),
-                               np.zeros(1), rho, tau)
+    hook = _Hooks(np.array([0]), np.array([0]), np.array([0.0]))
+    programs = [AreaProgram(0, prog0, own_hooks=hook),
+                AreaProgram(1, prog1, copy_hooks=hook)]
+    consensus = ConsensusState(1, np.zeros(1), np.zeros(1), np.zeros(1), rho, tau)
     return programs, consensus
 
 
@@ -162,9 +173,8 @@ class TestAdmmStep:
     def test_dual_step_is_rho_times_consensus_mismatch(self):
         # Copy at 0.2, owner at 0.0: consensus value 0.1, so the copy side's
         # mismatch is 0.1 and with rho = 1 its dual rises by exactly 0.1.
-        consensus = ConsensusState(
-            (CouplingEquality(0, 0, 1, 1),), np.array([0.0]),
-            np.array([0.2]), np.zeros(1), rho=1.0, tau=0.1)
+        consensus = ConsensusState(1, np.array([0.0]), np.array([0.2]), np.zeros(1),
+                                   rho=1.0, tau=0.1)
         consensus.update_duals()
         assert consensus.duals[0] == pytest.approx(0.1, abs=1e-15)
 
@@ -174,29 +184,46 @@ class TestAdmmStep:
         x_prev_a = {0: np.zeros(1), 1: np.zeros(1)}
         x_prev_b = {0: np.zeros(1), 1: np.zeros(1)}
         for _ in range(5):
-            sol_a, _ = pdc_admm_step(programs, consensus_a, x_prev_a,
-                                     order=[0, 1])
-            sol_b, _ = pdc_admm_step(programs_b, consensus_b, x_prev_b,
-                                     order=[1, 0])
+            sol_a, _ = pdc_admm_step(programs, consensus_a, x_prev_a)
+            sol_b, _ = pdc_admm_step(programs_b[::-1], consensus_b, x_prev_b)
             x_prev_a, x_prev_b = sol_a, sol_b
         assert np.array_equal(consensus_a.own_values, consensus_b.own_values)
         assert np.array_equal(consensus_a.copy_values, consensus_b.copy_values)
         assert np.array_equal(consensus_a.duals, consensus_b.duals)
 
     def test_exchange_record_contains_only_boundary_values_and_duals(
-            self, twelve_bus_scenario):
+            self, twelve_bus_scenario, foreign_buses):
         sc = twelve_bus_scenario
-        partition = partition_grid(sc.grid, sc.areas)
-        coupling = build_coupling(partition, sc.mpc.k_steps)
-        boundary_buses = {bus for area in partition.boundary_foreign
-                          for bus in area}
-        assert all(c.bus in boundary_buses for c in coupling)
-        state = ConsensusState.initialize(coupling, np.zeros(12), 1.0, 0.1)
-        # The record is exactly: one own value, one copy value, one dual per
-        # boundary-angle equality; nothing else crosses area lines.
-        assert state.own_values.shape == (len(coupling),)
-        assert state.copy_values.shape == (len(coupling),)
-        assert state.duals.shape == (len(coupling),)
+        start = sc.initial_state()
+        angles = start.angles = np.arange(12) * 0.125
+        state = started_controller(sc, sc.areas, start)._consensus
+        boundary = np.concatenate(foreign_buses(sc.grid, sc.areas))
+        # The record is exactly: per step, one own value, one copy value and
+        # one dual per foreign bus of each area; nothing else crosses area
+        # lines.
+        rows = (sc.mpc.k_steps, boundary.size)
+        for values in (state.own_values, state.copy_values):
+            assert np.array_equal(values.reshape(rows),
+                                  np.broadcast_to(angles[boundary], rows))
+        assert np.array_equal(state.duals, np.zeros(rows).ravel())
+
+    @pytest.mark.parametrize("k_steps, n_ghosts", [(4, 3), (1, 2), (5, 0)])
+    def test_shift_moves_each_step_up_and_keeps_the_last(self, k_steps, n_ghosts):
+        rng = np.random.default_rng(k_steps)
+        own, copy, duals = rng.normal(size=(3, k_steps * n_ghosts))
+        state = ConsensusState(n_ghosts, own.copy(), copy.copy(), duals.copy(), 2.0, 0.5)
+        shifted = state.shifted()
+        assert (shifted.n_ghosts, shifted.rho, shifted.tau) == (n_ghosts, 2.0, 0.5)
+        for name, before in (("own_values", own), ("copy_values", copy),
+                             ("duals", duals)):
+            after = getattr(shifted, name)
+            assert after.shape == before.shape
+            for k in range(1, k_steps + 1):
+                src = min(k + 1, k_steps)
+                for g in range(n_ghosts):
+                    assert after[(k - 1) * n_ghosts + g] == before[(src - 1) * n_ghosts + g]
+            # The record shifted from is left as it was.
+            assert np.array_equal(getattr(state, name), before)
 
 
 class TestAreaSubproblem:
@@ -214,8 +241,7 @@ class TestAreaSubproblem:
     def test_no_coupling_solves_exact_local_problem(self):
         prog = AreaProgram(0, ConvexProgram(q=np.array([-2.0]),
                                             curvature=np.array([2.0])))
-        consensus = ConsensusState((), np.zeros(0), np.zeros(0), np.zeros(0),
-                                   1.0, 0.1)
+        consensus = ConsensusState(0, np.zeros(0), np.zeros(0), np.zeros(0), 1.0, 0.1)
         x = area_subproblem_solve(prog, consensus)
         assert x[0] == pytest.approx(1.0, abs=1e-8)
 
@@ -337,10 +363,11 @@ def shared_linearization(controller, state, plan, forcing):
 class TestSharedLinearization:
     @pytest.mark.parametrize("case", ["twelve_bus", "two_bus_split"])
     def test_each_area_model_is_bitwise_its_own_linearization(
-            self, two_bus_scenario, twelve_bus_scenario, case):
+            self, two_bus_scenario, twelve_bus_scenario, foreign_buses, case):
         sc = twelve_bus_scenario if case == "twelve_bus" else two_bus_scenario
         grid, cfg = sc.grid, sc.mpc
         partition = partition_grid(grid, sc.areas if case == "twelve_bus" else [0, 1])
+        foreign = foreign_buses(grid, partition.assignment)
         controller = DistributedMpcController(grid, cfg, partition, sc.admm, sc.events)
         rng = np.random.default_rng(5)
         state = sc.initial_state()
@@ -356,10 +383,9 @@ class TestSharedLinearization:
         assert len(models) == partition.n_areas
         for a, (area, ltv) in enumerate(zip(controller.areas, models)):
             ghosts = area.foreign - grid.n_buses
-            assert tuple(ghost_bus[ghosts]) == partition.boundary_foreign[a]
+            assert tuple(ghost_bus[ghosts]) == foreign[a]
             want = reference_area_model(grid, state, plan, cfg.step, sc.events,
-                                        partition.owned[a], partition.boundary_foreign[a],
-                                        forcing[:, ghosts])
+                                        partition.owned[a], foreign[a], forcing[:, ghosts])
             for name, value in want.items():
                 got = getattr(ltv, name)
                 assert got.shape == value.shape, (a, name)

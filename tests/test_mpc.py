@@ -302,7 +302,8 @@ class TestProgramMeaning:
     @pytest.mark.parametrize("absolute_effort", [False, True])
     @pytest.mark.parametrize("case", ["two_bus", "twelve_bus_area_1"])
     def test_predicted_trajectory_satisfies_rows_and_prices_stage_cost(
-            self, two_bus_scenario, twelve_bus_scenario, case, absolute_effort):
+            self, two_bus_scenario, twelve_bus_scenario, foreign_buses, case,
+            absolute_effort):
         sc = two_bus_scenario if case == "two_bus" else twelve_bus_scenario
         grid = sc.grid
         rng = np.random.default_rng(3)
@@ -316,7 +317,7 @@ class TestProgramMeaning:
         if case != "two_bus":
             partition = partition_grid(grid, sc.areas)
             area = _AreaView(grid, partition.owned[1],
-                             partition.boundary_foreign[1], 1)
+                             foreign_buses(grid, sc.areas)[1], 1)
         k_steps = cfg.k_steps
         forcing = state.angles[area.foreign] \
             + rng.uniform(-0.01, 0.01, (k_steps, area.n_f))

@@ -159,6 +159,17 @@ class TestValidationErrors:
          "mpc.sqp.power_trust_region"),
         ("    tolerance: 1.0e-5", "    tolerance: .nan", "mpc.sqp.tolerance"),
         ("rho: 20.0", "rho: .inf", "distributed.rho"),
+        # A setting out of its range names its field too.
+        ("rho: 20.0", "rho: 0.0", "distributed.rho"),
+        ("tau: 0.01", "tau: -0.01", "distributed.tau"),
+        ("  tolerance: 1.0e-5\n  max_iterations", "  tolerance: 0.0\n  max_iterations",
+         "distributed.tolerance"),
+        ("max_iterations: 500", "max_iterations: 0", "distributed.max_iterations"),
+        ("outer_iterations: 2", "outer_iterations: 0", "mpc.sqp.outer_iterations"),
+        ("power_trust_region: 0.5", "power_trust_region: 0.0",
+         "mpc.sqp.power_trust_region"),
+        ("inertia_trust_region: 2.0", "inertia_trust_region: 0.0",
+         "mpc.sqp.inertia_trust_region"),
     ])
     def test_mistyped_count_or_flag_rejected_with_path(self, old, new, field,
                                                        tmp_path):
