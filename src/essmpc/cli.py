@@ -206,10 +206,8 @@ def cmd_plot_data(args) -> int:
         raise IOError(f"cannot read {csv_path}: {exc}") from exc
     header, *rows = text.strip().split("\n")
     names = header.split(",")
-    from .dynamics import ControlInput, SystemState, Trajectory
     grid = scenario.grid
-    expected = outputs.trajectory_columns(grid)
-    if names != expected:
+    if names != outputs.trajectory_columns(grid):
         raise ScenarioError(
             f"trajectory columns {names[:3]}... do not match scenario grid")
     values = []
@@ -220,18 +218,7 @@ def cmd_plot_data(args) -> int:
                 raise ValueError(f"{len(values[-1])} values, expected {len(names)}")
         except ValueError as exc:
             raise ScenarioError(f"{csv_path} line {line_no}: {exc}") from exc
-    data = np.array(values)
-    n, n_w, n_s = grid.n_buses, len(grid.inertia_buses), len(grid.storage_buses)
-    states = []
-    inputs = []
-    for row in data:
-        states.append(SystemState(row[1:1 + n], row[1 + n:1 + n + n_w],
-                                  row[1 + n + n_w + 2 * n_s:], row[0]))
-        inputs.append(ControlInput(row[1 + n + n_w:1 + n + n_w + n_s],
-                                   row[1 + n + n_w + n_s:1 + n + n_w + 2 * n_s]))
-    ts = data[1, 0] - data[0, 0] if len(data) > 1 else scenario.sim_step
-    traj = Trajectory(states, inputs, ts, scenario.name)
-    text = outputs.emit_plot_data(grid, traj, args.columns)
+    text = outputs.emit_plot_table(grid, np.array(values), args.columns)
     if args.out:
         outputs.write_text(Path(args.out), text)
     else:

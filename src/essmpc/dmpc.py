@@ -4,12 +4,13 @@ The grid is split into non-overlapping areas.  Each area's horizon program
 is the centralized one (`mpc`) posed for that area: its own states, plus
 copy columns for the angles of the foreign buses it needs from its
 neighbours.  With a single area there are no copies and the program is the
-centralized program.  Per round each area adds dual and quadratic penalty
-terms on its copies and on its own boundary angles, plus a proximal term,
-and the areas exchange only boundary-angle trajectories and multipliers.
-Rounds are Jacobi style: every area solves against the previous round's
-exchange, so the outcome is independent of the order in which areas are
-processed.
+centralized program.  Each area adds dual and quadratic penalty terms on
+its copies and on its own boundary angles, plus a proximal term.  Their
+quadratic part is fixed and is in the area's program; per round only the
+linear cost changes, in the area's workspace.  The areas exchange only
+boundary-angle trajectories and multipliers.  Rounds are Jacobi style:
+every area solves against the previous round's exchange, so the outcome is
+independent of the order in which areas are processed.
 
 The split grid (`GridModel.split`) names each shared angle once, as a
 ghost: one area's copy of one foreign bus.  The exchange record has one
@@ -165,9 +166,9 @@ class AreaProgram:
 
     `own_hooks` place the area's own angles that other areas' ghosts copy,
     and `copy_hooks` the area's ghosts; each holds (record entry, column,
-    nominal offset) arrays, the physical value being offset + x[col].  The
-    base program never contains coupling terms; they are added per round
-    from the consensus.
+    nominal offset) arrays, the physical value being offset + x[col].  A
+    coupled program's curvature holds tau on every column and rho per hook;
+    the consensus's linear terms are added per round, to a copy of `q`.
     """
 
     area: int
@@ -178,20 +179,6 @@ class AreaProgram:
     @property
     def has_coupling(self) -> bool:
         return bool(self.own_hooks.idx.size or self.copy_hooks.idx.size)
-
-
-def _augmented_program(program: AreaProgram, consensus: ConsensusState) -> ConvexProgram:
-    """The area program whose quadratic part carries the penalty and prox terms."""
-    base = program.prog
-    curvature = base.curvature.copy()
-    if program.has_coupling:
-        curvature += consensus.tau
-        # One rho per hook, added in turn where a column has several.
-        np.add.at(curvature, np.concatenate([program.own_hooks.col,
-                                             program.copy_hooks.col]), consensus.rho)
-    return ConvexProgram(q=base.q.copy(), curvature=curvature,
-                         A_eq=base.A_eq, b_eq=base.b_eq,
-                         A_in=base.A_in, b_in=base.b_in, lb=base.lb, ub=base.ub)
 
 
 def _round_linear_term(program: AreaProgram, consensus: ConsensusState,
@@ -223,7 +210,7 @@ def area_subproblem_solve(program: AreaProgram, consensus: ConsensusState,
     if x_prev is None:
         x_prev = np.zeros(program.prog.n)
     if workspace is None:
-        workspace = QpWorkspace(_augmented_program(program, consensus))
+        workspace = QpWorkspace(program.prog)
     workspace.update_linear(q=_round_linear_term(program, consensus, x_prev))
     report = workspace.solve(tol=tol, y0=None if warm is None else warm.get("y"))
     if report.status == "infeasible":
@@ -279,18 +266,11 @@ class DistributedMpcController(_SqpController):
         super().__init__(grid, cfg, events, partition.assignment)
         settings.validate()
         self.settings = settings
-        # Each area's entries in the record, by step: those of the ghosts of
-        # its own buses, with the buses' positions among its own, and those
-        # of its ghosts.
-        ghosts = self._ghosts
-        step_first = len(ghosts) * np.arange(cfg.k_steps)[:, None]
-        owner = np.asarray(partition.assignment)[ghosts[:, 1]]
-        self._hooks = []
-        for area in self.areas:
-            copied = np.flatnonzero(owner == area.index)
-            self._hooks.append(((step_first + copied).ravel(),
-                                np.searchsorted(area.buses, ghosts[copied, 1]),
-                                (step_first + area.foreign - grid.n_buses).ravel()))
+        # Per area, record entries by step: the ghosts copying its buses, then its own.
+        step_first = len(self._ghosts) * np.arange(cfg.k_steps)[:, None]
+        self._hooks = [((step_first + self._copied[area.index]).ravel(),
+                        (step_first + area.foreign - grid.n_buses).ravel())
+                       for area in self.areas]
         self._consensus: Optional[ConsensusState] = None
         self._warm: dict[int, dict] = {a.index: {} for a in self.areas}
 
@@ -307,15 +287,12 @@ class DistributedMpcController(_SqpController):
         return self._consensus.own_values.reshape(self.cfg.k_steps, len(self._ghosts))
 
     def _area_program(self, hp: HorizonProgram) -> AreaProgram:
-        """The area's horizon program with its own boundary angles and its
-        ghosts hooked to the record."""
-        own, pos, copies = self._hooks[hp.area.index]
-        k = np.arange(1, self.cfg.k_steps + 1)[:, None]
+        """The area's program, its copied angles and its ghosts hooked to the record."""
+        own, copies = self._hooks[hp.area.index]
         return AreaProgram(hp.area.index, hp.prog,
-                           _Hooks(own, hp.x_col(k, pos).ravel(),
-                                  hp.ltv.states[1:, pos].ravel()),
-                           _Hooks(copies, hp.copy_col(k, np.arange(hp.area.n_f)).ravel(),
-                                  hp.ltv.forcing.ravel()))
+                           _Hooks(own, hp.structure.own_cols,
+                                  hp.ltv.states[1:, hp.area.copied].ravel()),
+                           _Hooks(copies, hp.structure.copy_cols, hp.ltv.forcing.ravel()))
 
     def _solve(self, ltvs: list[LtvModel], record: StepRecord
                ) -> Optional[list[tuple[HorizonProgram, np.ndarray]]]:
@@ -324,11 +301,10 @@ class DistributedMpcController(_SqpController):
         if record.iterations >= settings.max_iterations:
             return None
         horizons = [_assemble_program(self.grid, area, ltv, self.cfg,
-                                      self._structure(area))
+                                      self._structure(area), (settings.rho, settings.tau))
                     for area, ltv in zip(self.areas, ltvs)]
         programs = [self._area_program(hp) for hp in horizons]
-        workspaces = {p.area: self._workspace(hp, _augmented_program(p, self._consensus))
-                      for hp, p in zip(horizons, programs)}
+        workspaces = {hp.area.index: self._workspace(hp) for hp in horizons}
         x_prev: dict[int, np.ndarray] = {p.area: np.zeros(p.prog.n)
                                          for p in programs}
         z_prev = self._consensus.consensus_values()

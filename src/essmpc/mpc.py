@@ -26,11 +26,12 @@ lines the split grid is the grid.
 A horizon program is built in two parts.  Its structure (`_HorizonStructure`)
 depends only on the area, the configuration and which storages are
 saturated: column offsets, costs, constant rows, and where each
-linearization's values go.  A fill writes one linearization's values into a
-new program of that structure.  A controller keeps one structure and one
-`QpWorkspace` laid out for it per area for its own lifetime, so an SQP
-iteration computes values only; the linearization differentiates its K
-Euler steps as one stack.
+linearization's values go, and a distributed area's consensus hooks.  A
+fill writes one linearization's values into a new program of that
+structure.  A controller keeps one structure and one `QpWorkspace` laid
+out for it per area for its own lifetime, so an SQP iteration computes
+values only; the linearization differentiates its K Euler steps as one
+stack.
 """
 
 from __future__ import annotations
@@ -200,15 +201,17 @@ class _AreaView:
     Foreign buses are the other areas' ends of its tie lines, or on a split
     grid the area's ghosts of them.  `rows` and `u_cols` are the area's
     positions in the whole-grid state [angles, omega] and control [power,
-    inertia].  The whole grid is the one area that owns every bus and has no
-    foreign buses.
+    inertia].  `copied` are the positions among its own buses of those that
+    other areas' ghosts copy, one per ghost, in ghost order.  The whole grid
+    is the one area that owns every bus and has no foreign buses.
     """
 
     def __init__(self, grid: GridModel, buses: Optional[Sequence[int]] = None,
-                 foreign: Sequence[int] = (), index: int = 0):
+                 foreign: Sequence[int] = (), index: int = 0, copied: Sequence[int] = ()):
         self.index = index
         self.buses = list(range(grid.n_buses)) if buses is None else list(buses)
         self.foreign = np.array(foreign, dtype=int)
+        self.copied = np.array(copied, dtype=int)
         own = set(self.buses)
         omega_pos = [k for k, b in enumerate(grid.inertia_buses) if b in own]
         self.monitored = [grid.inertia_buses[k] for k in omega_pos]
@@ -379,10 +382,14 @@ class _HorizonStructure:
     linearization into a new program; `pattern` marks every entry of the
     stacked [A_eq; A_in] a filled program can make non-zero, the layout a
     kept `QpWorkspace` factors from.  The arrays programs share are
-    read-only.
+    read-only.  The hook columns hold, by step, the area's copied angles
+    (`own_cols`) and its ghosts' copies (`copy_cols`); with a consensus
+    `penalty` (rho, tau) and hooks, the curvature holds tau on every column
+    and rho per hook, the quadratic part of the consensus terms.
     """
 
-    def __init__(self, grid: GridModel, area: _AreaView, cfg: MpcConfig, key: tuple):
+    def __init__(self, grid: GridModel, area: _AreaView, cfg: MpcConfig, key: tuple,
+                 penalty: Optional[tuple[float, float]] = None):
         ts, saturated, _unbounded = key
         self.area, self.cfg, self.key, self.saturated = area, cfg, key, saturated
         k_steps = cfg.k_steps
@@ -411,7 +418,15 @@ class _HorizonStructure:
             q[:off_x] = np.tile(np.concatenate([c_p, c_m]), k_steps)
         q[off_slack:off_ep] = cfg.frequency_cost * step
         self.q = _frozen(q)
-        self.curvature = _frozen(np.full(n_total, _REGULARIZATION))
+        k = np.arange(1, k_steps + 1)[:, None]
+        self.own_cols = self.x_col(k, area.copied).ravel()
+        self.copy_cols = self.copy_col(k, np.arange(n_f)).ravel()
+        hooks = np.concatenate([self.own_cols, self.copy_cols])
+        curvature = np.full(n_total, _REGULARIZATION)
+        if penalty is not None and hooks.size:
+            curvature += penalty[1]
+            np.add.at(curvature, hooks, penalty[0])    # in turn where a column repeats
+        self.curvature = _frozen(curvature)
 
         # -- equalities: dynamics, then pinned power and fixed inertia ---------
         pinned = {j: min(max(0.0, power_bounds[0, j]), power_bounds[1, j])
@@ -526,6 +541,17 @@ class _HorizonStructure:
         lb[off_slack:] = 0.0
         self.lb = _frozen(lb)
 
+    # Column maps; k and the position may be index arrays.
+    def x_col(self, k, i):
+        if np.any(np.asarray(k) < 1):
+            raise IndexError("state deviations start at k=1")
+        return self.off_x + (k - 1) * self.n_x + i
+
+    def copy_col(self, k, f):
+        if np.any(np.asarray(k) < 1):
+            raise IndexError("foreign-angle copies start at k=1")
+        return self.off_copy + (k - 1) * self.area.n_f + f
+
     def pattern(self) -> np.ndarray:
         """Where the stacked [A_eq; A_in] of a filled program can be non-zero."""
         eq = np.zeros(self.eq_shape, dtype=bool)
@@ -591,20 +617,11 @@ class HorizonProgram:
     off_x = property(lambda self: self.structure.off_x)
     # Area storage indices whose energy rows were dropped.
     saturated = property(lambda self: self.structure.saturated)
+    x_col = property(lambda self: self.structure.x_col)
+    copy_col = property(lambda self: self.structure.copy_col)
 
     def u_col(self, k: int, j: int) -> int:
         return k * self.n_u + j
-
-    # Column maps; k and the position may be index arrays.
-    def x_col(self, k, i):
-        if np.any(np.asarray(k) < 1):
-            raise IndexError("state deviations start at k=1")
-        return self.off_x + (k - 1) * self.structure.n_x + i
-
-    def copy_col(self, k, f):
-        if np.any(np.asarray(k) < 1):
-            raise IndexError("foreign-angle copies start at k=1")
-        return self.structure.off_copy + (k - 1) * self.area.n_f + f
 
     def controls_from(self, z: np.ndarray) -> np.ndarray:
         """Physical control sequence (K, nu) from a solution vector."""
@@ -621,7 +638,8 @@ class HorizonProgram:
 
 def _assemble_program(grid: GridModel, area: _AreaView, ltv: LtvModel,
                       cfg: MpcConfig,
-                      structure: Optional[_HorizonStructure] = None) -> HorizonProgram:
+                      structure: Optional[_HorizonStructure] = None,
+                      penalty: Optional[tuple[float, float]] = None) -> HorizonProgram:
     """Build the K-step convex program of one area in deviation variables.
 
     Dynamics enter as one equality row per own state per step, and each
@@ -637,7 +655,7 @@ def _assemble_program(grid: GridModel, area: _AreaView, ltv: LtvModel,
     widened, key = _energy_key(grid, area, ltv, cfg)
     if structure is None or structure.key != key or structure.area is not area \
             or structure.cfg is not cfg:
-        structure = _HorizonStructure(grid, area, cfg, key)
+        structure = _HorizonStructure(grid, area, cfg, key, penalty)
     return structure.fill(ltv, widened)
 
 
@@ -737,9 +755,13 @@ class _SqpController:
         owned: list[list[int]] = [[] for _ in range(max(assignment, default=0) + 1)]
         for bus, a in enumerate(assignment):
             owned[a].append(bus)
+        # Per area: the ghosts that copy its buses, in ghost order.
+        owner = np.asarray(assignment, dtype=int)[self._ghosts[:, 1]]
+        self._copied = [np.flatnonzero(owner == a) for a in range(len(owned))]
         first = np.searchsorted(self._ghosts[:, 0], np.arange(len(owned) + 1))
         self.areas = [_AreaView(self.split, buses,
-                                grid.n_buses + np.arange(first[a], first[a + 1]), a)
+                                grid.n_buses + np.arange(first[a], first[a + 1]), a,
+                                np.searchsorted(buses, self._ghosts[self._copied[a], 1]))
                       for a, buses in enumerate(owned)]
         self.log: list[StepRecord] = []
         self._plan: Optional[np.ndarray] = None
@@ -771,16 +793,16 @@ class _SqpController:
         kept = self._kept.get(area.index)
         return None if kept is None else kept[0]
 
-    def _workspace(self, hp: HorizonProgram, prog: ConvexProgram) -> QpWorkspace:
-        """The area's workspace loaded with `prog`, a program of hp's structure.
+    def _workspace(self, hp: HorizonProgram) -> QpWorkspace:
+        """The area's workspace loaded with `hp.prog`.
 
         A new structure gets a new workspace, laid out for its pattern.
         """
         kept = self._kept.get(hp.area.index)
         if kept is not None and kept[0] is hp.structure:
-            kept[1].load(prog)
+            kept[1].load(hp.prog)
             return kept[1]
-        workspace = QpWorkspace(prog, hp.structure.pattern())
+        workspace = QpWorkspace(hp.prog, hp.structure.pattern())
         self._kept[hp.area.index] = (hp.structure, workspace)
         return workspace
 
@@ -843,8 +865,7 @@ class MpcController(_SqpController):
                ) -> list[tuple[HorizonProgram, np.ndarray]]:
         hp = assemble_horizon_program(self.grid, ltvs[0], self.cfg,
                                       self._structure(self.areas[0]))
-        report = self._workspace(hp, hp.prog).solve(tol=self.cfg.qp_tol,
-                                                    y0=self._warm_y)
+        report = self._workspace(hp).solve(tol=self.cfg.qp_tol, y0=self._warm_y)
         if report.status == "infeasible":
             raise RuntimeError("horizon subproblem reported infeasible")
         record.non_optimal_solves += report.status != "optimal"

@@ -15,6 +15,7 @@ __all__ = [
     "trajectory_to_csv",
     "parse_plot_data",
     "emit_plot_data",
+    "emit_plot_table",
     "constraint_report_text",
     "objective_summary_text",
     "admm_log_csv",
@@ -55,6 +56,13 @@ def trajectory_to_csv(grid: GridModel, traj: Trajectory) -> str:
 def emit_plot_data(grid: GridModel, traj: Trajectory,
                    selection: Sequence[str]) -> str:
     """Whitespace-separated columns with a comment header, gnuplot style."""
+    return emit_plot_table(grid, _trajectory_table(grid, traj), selection)
+
+
+def emit_plot_table(grid: GridModel, table: np.ndarray,
+                    selection: Sequence[str]) -> str:
+    """`emit_plot_data` of a trajectory table: one row per stored step, in
+    the columns of `trajectory_columns`."""
     available = trajectory_columns(grid)
     index = {name: i for i, name in enumerate(available)}
     missing = [name for name in selection if name not in index]
@@ -63,7 +71,6 @@ def emit_plot_data(grid: GridModel, traj: Trajectory,
             f"unknown column(s) {missing}; available: {', '.join(available)}")
     if not selection:
         raise KeyError("selection must name at least one column")
-    table = _trajectory_table(grid, traj)
     lines = ["# " + " ".join(selection)]
     for row in table:
         lines.append(" ".join(_fmt(row[index[name]]) for name in selection))

@@ -205,8 +205,10 @@ class QpWorkspace:
     The layout of the KKT matrices is built once, from a pattern of where
     the rows [A_eq; A_in] may be non-zero (default: where they are non-zero
     in `prog`).  `load` swaps in another program with the same rows, box
-    columns and pattern, and `update_linear` a new linear cost, so repeated
-    solves of programs that differ only in values share one workspace.
+    columns and pattern, so repeated solves of programs that differ only in
+    values share one workspace.  The linear cost solved is the workspace's
+    own `q`: `load` takes the program's, and `update_linear` replaces only
+    the workspace's, so a loaded program is never written to.
     Entries that are exactly zero in the loaded program are left out of its
     KKT matrices.  The KKT matrix does not depend on q, so the sparse LU of
     the last (working set, shift) is kept for a repeat until the next load.
@@ -251,7 +253,7 @@ class QpWorkspace:
         self.C[m_eq:m_eq + m_in] = prog.A_in
         if np.count_nonzero(self.C) != np.count_nonzero(self.C.reshape(-1)[self._at]):
             raise QpError("program has a non-zero outside the workspace's pattern")
-        self.prog = prog
+        self.prog, self.q = prog, prog.q
         self.l = np.concatenate([prog.b_eq, np.full(m_in, -np.inf),
                                  prog.lb[self._box_vars]])
         self.u = np.concatenate([prog.b_eq, prog.b_in, prog.ub[self._box_vars]])
@@ -260,7 +262,7 @@ class QpWorkspace:
         self._values = None               # KKT entry values and which are non-zero
 
     def update_linear(self, q: np.ndarray) -> None:
-        self.prog.q = np.asarray(q, dtype=float).ravel()
+        self.q = np.asarray(q, dtype=float).ravel()
 
     def solve(self, tol: float = 1e-8, y0: Optional[np.ndarray] = None
               ) -> SolveReport:
@@ -308,7 +310,7 @@ class QpWorkspace:
         m_eq, m_in = self._m_eq, self._m_in
         mult = y.copy()
         mult[m_eq:m_eq + m_in] = np.maximum(mult[m_eq:m_eq + m_in], 0.0)
-        grad = self.prog.curvature * x + self.prog.q + self.C.T @ mult
+        grad = self.prog.curvature * x + self.q + self.C.T @ mult
         over, under = cx - self.u, self.l - cx
         at_u = np.maximum(mult[m_eq:], 0.0) * np.where(self._finite_u, over, 0.0)[m_eq:]
         at_l = np.maximum(-mult[m_eq:], 0.0) * np.where(self._finite_l, under, 0.0)[m_eq:]
@@ -319,8 +321,9 @@ class QpWorkspace:
     def _finish(self, x: np.ndarray, y: np.ndarray, status: str,
                 iterations: int, cx: Optional[np.ndarray] = None) -> SolveReport:
         stat, feas, comp = self._residuals(x, y, self.C @ x if cx is None else cx)
+        objective = float(0.5 * x * self.prog.curvature @ x + self.q @ x)
         return SolveReport(x.copy(), self._split_duals(y), status, iterations,
-                           stat, feas, comp, self.prog.objective(x), y_stacked=y.copy())
+                           stat, feas, comp, objective, y_stacked=y.copy())
 
     def _certified(self, x: np.ndarray, y: np.ndarray, tol: float,
                    iterations: int, cx: Optional[np.ndarray] = None
@@ -340,7 +343,7 @@ class QpWorkspace:
         bound, however small the program's cost scale.
         """
         prog = self.prog
-        res = linprog(prog.q,
+        res = linprog(self.q,
                       A_ub=prog.A_in if self._m_in else None,
                       b_ub=prog.b_in if self._m_in else None,
                       A_eq=prog.A_eq if self._m_eq else None,
@@ -452,7 +455,7 @@ class QpWorkspace:
         idx, lu = self._factor(self._eq | at_upper | at_lower, shift)
         if lu is None:
             return None
-        sol = lu.solve(np.concatenate([-self.prog.q,
+        sol = lu.solve(np.concatenate([-self.q,
                                        np.where(at_lower, self.l, self.u)[idx]]))
         xp, yp = sol[:self.prog.n], np.zeros(self.m)
         if not np.all(np.isfinite(xp)):

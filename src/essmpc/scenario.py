@@ -11,7 +11,7 @@ p.u.*s, and optionally MW with an explicit MVA base for injections.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 from typing import Any, Optional, Sequence
@@ -74,9 +74,16 @@ def _bool(value: Any, path: str) -> bool:
     return value
 
 
-def _validated(settings: Any, path: str) -> Any:
-    """`settings` once its own range check passes; a failure names the field
+def _field_names(cls: type) -> set[str]:
+    return {f.name for f in fields(cls)}
+
+
+def _settings(cls: type, section: dict, path: str) -> Any:
+    """A settings dataclass read field by field from `section` at `path`; an
+    absent field keeps its default.  The range check names a failing field
     below `path`."""
+    settings = cls(**{f.name: (_int if f.type in ("int", int) else _num)(
+        section[f.name], f"{path}.{f.name}") for f in fields(cls) if f.name in section})
     try:
         settings.validate()
     except ValueError as exc:
@@ -327,17 +334,8 @@ def parse_scenario(source: str | Path) -> Scenario:
                           "omega_limits", "regimes", "sqp", "qp_tolerance"},
                 "mpc")
     sqp_sec = mpc_sec.get("sqp") or {}
-    _check_keys(sqp_sec, {"outer_iterations", "power_trust_region",
-                          "inertia_trust_region", "tolerance"}, "mpc.sqp")
-    sqp = _validated(SqpSettings(
-        outer_iterations=_int(sqp_sec.get("outer_iterations", 3),
-                              "mpc.sqp.outer_iterations"),
-        power_trust_region=_num(sqp_sec.get("power_trust_region", 0.5),
-                                "mpc.sqp.power_trust_region"),
-        inertia_trust_region=_num(sqp_sec.get("inertia_trust_region", 2.0),
-                                  "mpc.sqp.inertia_trust_region"),
-        tolerance=_num(sqp_sec.get("tolerance", 1e-6), "mpc.sqp.tolerance")),
-        "mpc.sqp")
+    _check_keys(sqp_sec, _field_names(SqpSettings), "mpc.sqp")
+    sqp = _settings(SqpSettings, sqp_sec, "mpc.sqp")
     omega_limits = {}
     for key, value in (mpc_sec.get("omega_limits") or {}).items():
         if not isinstance(key, int) or isinstance(key, bool):
@@ -382,8 +380,7 @@ def parse_scenario(source: str | Path) -> Scenario:
         raise ScenarioError(f"mpc: {exc}") from exc
 
     dist_sec = doc.get("distributed") or {}
-    _check_keys(dist_sec, {"areas", "rho", "tau", "tolerance",
-                           "max_iterations"}, "distributed")
+    _check_keys(dist_sec, _field_names(AdmmSettings) | {"areas"}, "distributed")
     areas: Optional[tuple[int, ...]] = None
     if "areas" in dist_sec:
         raw = dist_sec["areas"]
@@ -393,12 +390,7 @@ def parse_scenario(source: str | Path) -> Scenario:
         labels = [_int(a, f"distributed.areas[{i}]") for i, a in enumerate(raw)]
         order = {label: rank for rank, label in enumerate(sorted(set(labels)))}
         areas = tuple(order[a] for a in labels)
-    admm = _validated(AdmmSettings(
-        rho=_num(dist_sec.get("rho", 1.0), "distributed.rho"),
-        tau=_num(dist_sec.get("tau", 0.1), "distributed.tau"),
-        tolerance=_num(dist_sec.get("tolerance", 1e-4), "distributed.tolerance"),
-        max_iterations=_int(dist_sec.get("max_iterations", 500),
-                            "distributed.max_iterations")), "distributed")
+    admm = _settings(AdmmSettings, dist_sec, "distributed")
 
     return Scenario(name=name, description=description, grid=grid,
                     events=tuple(events), sim_step=sim_step,
@@ -457,19 +449,12 @@ def write_scenario(scenario: Scenario) -> str:
                if scenario.mpc.omega_limits else {}),
             "regimes": {"power": "free" if regime.power_free else "fixed",
                         "inertia": "free" if regime.inertia_free else "fixed"},
-            "sqp": {
-                "outer_iterations": scenario.mpc.sqp.outer_iterations,
-                "power_trust_region": scenario.mpc.sqp.power_trust_region,
-                "inertia_trust_region": scenario.mpc.sqp.inertia_trust_region,
-                "tolerance": scenario.mpc.sqp.tolerance,
-            },
+            "sqp": asdict(scenario.mpc.sqp),
+            "qp_tolerance": scenario.mpc.qp_tol,
         },
         "distributed": {
             **({"areas": list(scenario.areas)} if scenario.areas else {}),
-            "rho": scenario.admm.rho,
-            "tau": scenario.admm.tau,
-            "tolerance": scenario.admm.tolerance,
-            "max_iterations": scenario.admm.max_iterations,
+            **asdict(scenario.admm),
         },
         "flags": {
             "clamp_storage_power_at_energy_limit":

@@ -85,10 +85,12 @@ def scalar_toy(a1, t1, a2, t2, rho, tau):
 
     Area 0 minimizes a1/2 (x - t1)^2 over its own variable; area 1 minimizes
     a2/2 (w - t2)^2 over its duplicate; the record's single entry ties w to
-    x.  Saddle point: x = (a1 t1 + a2 t2) / (a1 + a2).
+    x.  Saddle point: x = (a1 t1 + a2 t2) / (a1 + a2).  Each program's
+    curvature is the coupled one, a + rho + tau, as a coupled area's
+    program structure holds it.
     """
-    prog0 = ConvexProgram(q=np.array([-a1 * t1]), curvature=np.array([a1]))
-    prog1 = ConvexProgram(q=np.array([-a2 * t2]), curvature=np.array([a2]))
+    prog0 = ConvexProgram(q=np.array([-a1 * t1]), curvature=np.array([a1 + rho + tau]))
+    prog1 = ConvexProgram(q=np.array([-a2 * t2]), curvature=np.array([a2 + rho + tau]))
     hook = _Hooks(np.array([0]), np.array([0]), np.array([0.0]))
     programs = [AreaProgram(0, prog0, own_hooks=hook),
                 AreaProgram(1, prog1, copy_hooks=hook)]
@@ -324,6 +326,23 @@ class TestRoundBudget:
         for power, inertia in applied[1:]:
             assert np.array_equal(power, applied[0][0])
             assert np.array_equal(inertia, applied[0][1])
+
+
+class TestAreaPrograms:
+    def test_one_program_per_area_and_sqp_iteration(self, twelve_bus_scenario,
+                                                    monkeypatch):
+        # The program the structure fills is the one solved: no second,
+        # re-curved copy per area.
+        sc = twelve_bus_scenario
+        built = []
+        post_init = ConvexProgram.__post_init__
+        monkeypatch.setattr(ConvexProgram, "__post_init__",
+                            lambda self: built.append(self) or post_init(self))
+        partition = partition_grid(sc.grid, sc.areas)
+        _traj, log = distributed_mpc_run(sc.grid, partition, sc.mpc, sc.initial_state(),
+                                         0.1, sc.admm, sc.events)
+        assert partition.n_areas == 3
+        assert len(built) == 3 * sum(r.sqp_iterations for r in log) > 0
 
 
 def reference_area_model(grid, state, controls, ts, events, owned, foreign, forcing):

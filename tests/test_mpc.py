@@ -538,9 +538,9 @@ class TestKeptStructure:
         builds = Counter()
         build = mpc._HorizonStructure.__init__
 
-        def spy(self, grid, area, cfg, key):
+        def spy(self, grid, area, cfg, key, penalty=None):
             builds[area.index, key] += 1
-            build(self, grid, area, cfg, key)
+            build(self, grid, area, cfg, key, penalty)
 
         fills = Counter()
         fill = mpc._HorizonStructure.fill

@@ -295,6 +295,23 @@ class TestProperties:
         direct = solve_qp(ConvexProgram(**{**kw, "q": q2}), tol=1e-9)
         assert np.max(np.abs(second.x - direct.x)) < 1e-6
 
+    def test_linear_update_leaves_the_loaded_program(self):
+        rng = np.random.default_rng(15)
+        kw = random_qp(rng, 5, 5)
+        prog = ConvexProgram(**kw)
+        q = prog.q
+        before = q.copy()
+        ws = QpWorkspace(prog)
+        q2 = kw["q"] + 0.1
+        ws.update_linear(q=q2)
+        report = ws.solve(tol=1e-9)
+        assert report.status == "optimal"
+        assert prog.q is q and np.array_equal(q, before)
+        # The report prices the workspace's cost, not the program's.
+        x = report.x
+        assert report.objective == pytest.approx(0.5 * x * prog.curvature @ x + q2 @ x,
+                                                 rel=1e-12, abs=1e-15)
+
 
 @st.composite
 def pinned_cases(draw):

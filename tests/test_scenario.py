@@ -1,6 +1,7 @@
 """Scenario files: shipped cases, strict validation, round-trip."""
 
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ import yaml
 
 from essmpc import scenario
 from essmpc.cli import main
+from essmpc.dmpc import AdmmSettings
 from essmpc.grid import GeneratorBus, StorageBus
+from essmpc.mpc import MpcConfig, SqpSettings
 from essmpc.scenario import (ScenarioError, parse_scenario, scenario_text,
                              write_scenario)
 
@@ -199,10 +202,24 @@ class TestValidationErrors:
         assert sc.admm.max_iterations == 7 and sc.mpc.absolute_effort
 
 
+def non_default_two_bus() -> str:
+    """The two-bus scenario with every optional `mpc` field away from its default."""
+    doc = yaml.safe_load(scenario_text("two_bus"))
+    doc["mpc"].update(frequency_cost=2.5, inertia_cost=0.3, power_base=3.0,
+                      inertia_base=4.0, omega_limits={0: 0.05}, qp_tolerance=1.0e-9)
+    doc["flags"]["absolute_effort"] = True
+    return yaml.safe_dump(doc, sort_keys=False)
+
+
 class TestRoundTrip:
-    @pytest.mark.parametrize("name", ["two_bus", "twelve_bus"])
+    @pytest.mark.parametrize("name", ["two_bus", "twelve_bus", "two_bus_non_default"])
     def test_parse_write_parse_identity(self, name):
-        first = parse_scenario(scenario_text(name))
+        text = non_default_two_bus() if name == "two_bus_non_default" \
+            else scenario_text(name)
+        first = parse_scenario(text)
+        if name == "two_bus_non_default":
+            assert (first.mpc.qp_tol, first.mpc.power_base, first.mpc.absolute_effort) \
+                == (1.0e-9, 3.0, True)
         second = parse_scenario(write_scenario(first))
         assert second.grid.roles == first.grid.roles
         assert second.grid.lines == first.grid.lines
@@ -215,12 +232,21 @@ class TestRoundTrip:
         assert second.admm == first.admm
         assert np.array_equal(second.reference_power, first.reference_power)
         assert np.array_equal(second.reference_inertia, first.reference_inertia)
-        assert second.mpc.horizon == first.mpc.horizon
-        assert np.array_equal(second.mpc.power_cost, first.mpc.power_cost)
-        assert second.mpc.sqp == first.mpc.sqp
-        assert second.mpc.regimes == first.mpc.regimes
+        for f in fields(MpcConfig):
+            got, want = getattr(second.mpc, f.name), getattr(first.mpc, f.name)
+            same = np.array_equal(got, want) if isinstance(want, np.ndarray) \
+                else got == want
+            assert same, f.name
         # and the writer is a fixed point after one pass
         assert write_scenario(second) == write_scenario(first)
+
+    def test_absent_settings_sections_take_the_dataclass_defaults(self):
+        doc = yaml.safe_load(scenario_text("two_bus"))
+        del doc["mpc"]["sqp"]
+        doc["distributed"] = {}
+        sc = parse_scenario(yaml.safe_dump(doc))
+        assert sc.mpc.sqp == SqpSettings()
+        assert sc.admm == AdmmSettings()
 
     def test_initial_state_energies(self, twelve_bus_scenario):
         st = twelve_bus_scenario.initial_state()
