@@ -1,15 +1,14 @@
 """Swing-equation grid simulation with storage power / virtual-inertia MPC."""
 
-from .grid import (BalanceReport, DisturbanceEvent, EquilibriumError,
-                   GeneratorBus, GridError, GridModel, Line, LoadBus,
-                   StorageBus, check_power_balance, line_susceptance,
-                   network_injection, solve_equilibrium)
+from .grid import (DisturbanceEvent, EquilibriumError, GeneratorBus, GridError,
+                   GridModel, Line, LoadBus, StorageBus, line_susceptance,
+                   solve_equilibrium)
 from .dynamics import (ConstraintReport, ControlInput, SimulationAbort,
                        SystemState, Trajectory, Violation, constant_policy,
-                       euler_step, monitor_constraints, schedule_policy,
-                       simulate, swing_jacobian, swing_rhs)
+                       euler_step, monitor_constraints, simulate,
+                       swing_jacobian, swing_rhs)
 from .qp import (ConvexProgram, DualSet, QpError, QpWorkspace, SolveReport,
-                 kkt_residual, solve_qp)
+                 kkt_residual)
 from .mpc import (HorizonProgram, LtvModel, MpcConfig, MpcConfigError,
                   MpcController, SqpSettings, StepRecord, StorageRegime,
                   assemble_horizon_program, linearize_dynamics,
@@ -18,6 +17,6 @@ from .dmpc import (AdmmSettings, AreaPartition, AreaProgram, ConsensusState,
                    DistributedMpcController, PartitionError, area_subproblem_solve,
                    distributed_mpc_run, partition_grid, pdc_admm_step)
 from .scenario import (Scenario, ScenarioError, bundled_scenario_path,
-                       parse_scenario, scenario_text, write_scenario)
+                       parse_scenario, write_scenario)
 
 __version__ = "0.1.0"

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import outputs
-from .dmpc import AdmmSettings, PartitionError, distributed_mpc_run, partition_grid
+from .dmpc import PartitionError, distributed_mpc_run, partition_grid
 from .dynamics import SimulationAbort, constant_policy, monitor_constraints, simulate
 from .grid import EquilibriumError, GridError
 from .mpc import (MpcConfig, MpcConfigError, StorageRegime, horizon_objective,

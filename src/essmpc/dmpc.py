@@ -60,10 +60,6 @@ class AreaPartition:
     assignment: tuple[int, ...]                 # bus -> area, areas 0..A-1
     owned: tuple[tuple[int, ...], ...]          # per area: its buses
 
-    @property
-    def n_areas(self) -> int:
-        return len(self.owned)
-
 
 def partition_grid(grid: GridModel, assignment: Sequence[int]) -> AreaPartition:
     """Validate a bus->area map and list each area's buses."""
@@ -199,44 +195,38 @@ def _round_linear_term(program: AreaProgram, consensus: ConsensusState,
 
 
 def area_subproblem_solve(program: AreaProgram, consensus: ConsensusState,
-                          x_prev: Optional[np.ndarray] = None,
-                          workspace: Optional[QpWorkspace] = None,
-                          warm: Optional[dict] = None,
+                          x_prev: np.ndarray, workspace: QpWorkspace, warm: dict,
                           tol: float = 1e-8) -> np.ndarray:
     """Minimize F_a plus coupling dual, penalty, and proximal terms.
 
-    `warm`, if given, seeds the solve and records its multipliers y and status.
+    `x_prev` is the area's last solution, the proximal centre.  `workspace`
+    holds the area's program; `warm` seeds the solve with its multipliers y
+    and records the solve's y and status.
     """
-    if x_prev is None:
-        x_prev = np.zeros(program.prog.n)
-    if workspace is None:
-        workspace = QpWorkspace(program.prog)
     workspace.update_linear(q=_round_linear_term(program, consensus, x_prev))
-    report = workspace.solve(tol=tol, y0=None if warm is None else warm.get("y"))
+    report = workspace.solve(tol=tol, y0=warm.get("y"))
     if report.status == "infeasible":
         raise RuntimeError(f"area {program.area} subproblem reported infeasible")
-    if warm is not None:
-        warm.update(y=report.y_stacked.copy(), status=report.status)
+    warm.update(y=report.y_stacked.copy(), status=report.status)
     return report.x
 
 
 def pdc_admm_step(programs: Sequence[AreaProgram], consensus: ConsensusState,
-                  x_prev: Optional[dict[int, np.ndarray]] = None,
-                  workspaces: Optional[dict[int, QpWorkspace]] = None,
-                  warm: Optional[dict[int, dict]] = None,
+                  x_prev: dict[int, np.ndarray], workspaces: dict[int, QpWorkspace],
+                  warm: dict[int, dict],
                   tol: float = 1e-8) -> tuple[dict[int, np.ndarray], float]:
     """One synchronous round: all areas solve, then values and duals update.
 
-    Every area reads the same consensus snapshot, so the order of
-    `programs` does not change the post-barrier state.
+    `x_prev`, `workspaces` and `warm` hold, per area index, the arguments of
+    its `area_subproblem_solve`.  Every area reads the same consensus
+    snapshot, so the order of `programs` does not change the post-barrier
+    state.
     """
     solutions: dict[int, np.ndarray] = {}
     for program in programs:
-        prev = None if x_prev is None else x_prev.get(program.area)
-        ws = None if workspaces is None else workspaces.get(program.area)
-        wm = None if warm is None else warm.setdefault(program.area, {})
         solutions[program.area] = area_subproblem_solve(
-            program, consensus, prev, ws, wm, tol=tol)
+            program, consensus, x_prev[program.area], workspaces[program.area],
+            warm[program.area], tol=tol)
     # Barrier: publish boundary values, then ascend the duals.
     for program in programs:
         x = solutions[program.area]

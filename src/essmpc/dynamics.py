@@ -31,7 +31,6 @@ __all__ = [
     "simulate",
     "monitor_constraints",
     "constant_policy",
-    "schedule_policy",
 ]
 
 # A storage power pushing outward is zeroed once the energy integral is this
@@ -104,15 +103,8 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.states)
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.states])
-
     def omega_matrix(self) -> np.ndarray:
         return np.array([s.omega for s in self.states])
-
-    def energy_matrix(self) -> np.ndarray:
-        return np.array([s.energy for s in self.states])
 
     def power_matrix(self) -> np.ndarray:
         return np.array([u.power for u in self.inputs])
@@ -146,13 +138,6 @@ class ConstraintReport:
 
     def __bool__(self) -> bool:
         return bool(self.violations)
-
-    def by_kind(self, kind: str) -> list[Violation]:
-        return [v for v in self.violations if v.kind == kind]
-
-    def first_time(self, kind: str) -> Optional[float]:
-        hits = self.by_kind(kind)
-        return hits[0].t if hits else None
 
 
 class SimulationAbort(RuntimeError):
@@ -350,25 +335,4 @@ def constant_policy(u: ControlInput) -> Callable[[int, SystemState], ControlInpu
     """Controller that applies the same input at every step."""
     def policy(_step: int, _state: SystemState) -> ControlInput:
         return u.copy()
-    return policy
-
-
-def schedule_policy(times: Sequence[float], inputs: Sequence[ControlInput]
-                    ) -> Callable[[int, SystemState], ControlInput]:
-    """Piecewise-constant controller: at time t, the input with the largest
-    schedule time <= t applies (the first entry before any schedule time)."""
-    if len(times) != len(inputs) or not times:
-        raise ValueError("schedule requires matching, non-empty times and inputs")
-    order = np.argsort(times)
-    times_sorted = [times[i] for i in order]
-    inputs_sorted = [inputs[i] for i in order]
-
-    def policy(_step: int, state: SystemState) -> ControlInput:
-        chosen = inputs_sorted[0]
-        for t_k, u_k in zip(times_sorted, inputs_sorted):
-            if state.t >= t_k - 1e-12:
-                chosen = u_k
-            else:
-                break
-        return chosen.copy()
     return policy

@@ -29,11 +29,8 @@ __all__ = [
     "Line",
     "DisturbanceEvent",
     "GridModel",
-    "BalanceReport",
     "line_susceptance",
-    "network_injection",
     "solve_equilibrium",
-    "check_power_balance",
 ]
 
 
@@ -123,12 +120,6 @@ class Line:
     to_bus: int
     susceptance: float  # b_ij, p.u.
 
-    @classmethod
-    def from_reactance(cls, from_bus: int, to_bus: int, reactance_per_km: float,
-                       length_km: float, transformer_reactance: float = 0.0) -> "Line":
-        b = line_susceptance(reactance_per_km, length_km, transformer_reactance)
-        return cls(from_bus, to_bus, b)
-
     def validate(self) -> None:
         if self.from_bus == self.to_bus:
             raise GridError(f"line connects bus {self.from_bus} to itself")
@@ -152,16 +143,6 @@ class DisturbanceEvent:
             raise GridError(f"disturbance references unknown bus {self.bus}")
         if self.time < 0.0:
             raise GridError(f"disturbance time must be >= 0, got {self.time}")
-
-
-@dataclass(frozen=True)
-class BalanceReport:
-    """Totals of positive and negative net injections and their residual."""
-
-    generation: float
-    load: float
-    residual: float
-    balanced: bool
 
 
 class GridModel:
@@ -392,14 +373,6 @@ def _bincount(index: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
     return np.bincount(bins, weights.ravel(), rows * size).reshape(lead + (size,))
 
 
-def network_injection(grid: GridModel, angles: np.ndarray, bus: int) -> float:
-    """Active power flowing from `bus` into the network: sum of b_ij sin(d_i - d_j)."""
-    angles = np.asarray(angles, dtype=float)
-    if angles.shape != (grid.n_buses,):
-        raise GridError(f"angles has shape {angles.shape}, expected ({grid.n_buses},)")
-    return float(grid.outflow(angles)[bus])
-
-
 def solve_equilibrium(grid: GridModel, storage_power: Optional[np.ndarray] = None,
                       tol: float = 1e-12, max_iter: int = 50) -> np.ndarray:
     """Angles at which every bus's net injection matches its network outflow.
@@ -453,15 +426,3 @@ def solve_equilibrium(grid: GridModel, storage_power: Optional[np.ndarray] = Non
     raise EquilibriumError(
         f"power flow did not converge in {max_iter} iterations "
         f"(residual {float(np.max(np.abs(r))):.3e})")
-
-
-def check_power_balance(grid: GridModel, storage_power: Optional[np.ndarray] = None,
-                        tol: float = 1e-9) -> BalanceReport:
-    """Totals of generation and load in the net injection vector."""
-    if grid.n_buses == 0:
-        return BalanceReport(0.0, 0.0, 0.0, True)
-    p = grid.net_injections(storage_power)
-    generation = float(np.sum(p[p > 0.0]))
-    load = float(-np.sum(p[p < 0.0]))
-    residual = generation - load
-    return BalanceReport(generation, load, residual, abs(residual) <= tol)

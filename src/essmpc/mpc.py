@@ -85,6 +85,8 @@ class SqpSettings:
         for name in ("power_trust_region", "inertia_trust_region"):
             if getattr(self, name) <= 0.0:
                 raise MpcConfigError(f"{name}: must be > 0")
+        if self.tolerance < 0.0:
+            raise MpcConfigError("tolerance: must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -131,12 +133,7 @@ class MpcConfig:
             return np.full(n_s, float(a)) if a.ndim == 0 else a.copy()
 
         regimes = kwargs.pop("regimes", None)
-        if regimes is None:
-            regimes = tuple(StorageRegime() for _ in range(n_s))
-        elif isinstance(regimes, StorageRegime):
-            regimes = tuple(regimes for _ in range(n_s))
-        else:
-            regimes = tuple(regimes)
+        regimes = (StorageRegime(),) * n_s if regimes is None else tuple(regimes)
         cfg = cls(horizon=horizon, step=step,
                   reference_power=arr(reference_power),
                   reference_inertia=arr(reference_inertia),
@@ -251,26 +248,22 @@ class LtvModel:
 def linearize_dynamics(grid: GridModel, state: SystemState,
                        controls: np.ndarray, ts: float,
                        events: Sequence[DisturbanceEvent] = (),
-                       area: Optional[_AreaView | list[_AreaView]] = None,
+                       area: Optional[list[_AreaView]] = None,
                        forcing: Optional[np.ndarray] = None
                        ) -> LtvModel | list[LtvModel]:
     """Roll out the nominal controls, then differentiate every Euler step at once.
 
-    `state` and `controls` (K, 2*n_s) cover the whole grid; the model keeps
-    the rows and storages of `area` (default: the whole grid).  After each
-    step the foreign angles are overwritten with `forcing` (K, n_f), so the
-    area sees its neighbours only through them.  Buses outside the area and
-    its foreign set have no line to it and do not enter its rows.  The K
-    states the steps start from go to `swing_jacobian` as one stack.
-
-    `area` may also be a list of areas that own none of each other's
-    foreign buses, as on a split grid (`GridModel.split`), whose foreign
-    buses are ghosts.  The one rollout and Jacobian then give a list of
-    models, each bitwise the model of its area alone, and `forcing` holds
-    the areas' foreign angles side by side.
+    `state` and `controls` (K, 2*n_s) cover the whole grid.  Without
+    `area` the result is the model of the whole grid.  Otherwise `area` is
+    a list of areas that own none of each other's foreign buses, as on a
+    split grid (`GridModel.split`), whose foreign buses are ghosts, and the
+    result is one model per area, each bitwise the model of its area alone:
+    the area's rows and storages.  After each step the foreign angles are
+    overwritten with `forcing` (K, n_f), the areas' foreign angles side by
+    side, so an area sees its neighbours only through them.  The K states
+    the steps start from go to `swing_jacobian` as one stack.
     """
-    single = not isinstance(area, list)
-    areas = [_AreaView(grid) if area is None else area] if single else area
+    areas = [_AreaView(grid)] if area is None else area
     foreign = np.concatenate([a.foreign for a in areas])
     n, n_s = grid.n_buses, len(grid.storage_buses)
     controls = np.asarray(controls, dtype=float)
@@ -315,7 +308,7 @@ def linearize_dynamics(grid: GridModel, state: SystemState,
                                energies[:, a.storages], controls[:, a.u_cols],
                                forcing[:, first:first + a.n_f].copy(), ts))
         first += a.n_f
-    return models[0] if single else models
+    return models[0] if area is None else models
 
 
 def _energy_rows_feasible(e0: float, bounds: tuple[float, float],

@@ -13,8 +13,6 @@ from .grid import GridModel
 __all__ = [
     "trajectory_columns",
     "trajectory_to_csv",
-    "parse_plot_data",
-    "emit_plot_data",
     "emit_plot_table",
     "constraint_report_text",
     "objective_summary_text",
@@ -53,16 +51,13 @@ def trajectory_to_csv(grid: GridModel, traj: Trajectory) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_plot_data(grid: GridModel, traj: Trajectory,
-                   selection: Sequence[str]) -> str:
-    """Whitespace-separated columns with a comment header, gnuplot style."""
-    return emit_plot_table(grid, _trajectory_table(grid, traj), selection)
-
-
 def emit_plot_table(grid: GridModel, table: np.ndarray,
                     selection: Sequence[str]) -> str:
-    """`emit_plot_data` of a trajectory table: one row per stored step, in
-    the columns of `trajectory_columns`."""
+    """Whitespace-separated columns with a comment header, gnuplot style.
+
+    `table` holds one row per stored step, in the columns of
+    `trajectory_columns`; `selection` names the columns to write.
+    """
     available = trajectory_columns(grid)
     index = {name: i for i, name in enumerate(available)}
     missing = [name for name in selection if name not in index]
@@ -75,18 +70,6 @@ def emit_plot_table(grid: GridModel, table: np.ndarray,
     for row in table:
         lines.append(" ".join(_fmt(row[index[name]]) for name in selection))
     return "\n".join(lines) + "\n"
-
-
-def parse_plot_data(text: str) -> tuple[list[str], np.ndarray]:
-    """Inverse of emit_plot_data: (column names, value matrix)."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("#"):
-        raise ValueError("plot data must start with a '# <columns>' header")
-    names = lines[0][1:].split()
-    data = np.array([[float(tok) for tok in ln.split()] for ln in lines[1:]])
-    if data.size == 0:
-        data = np.zeros((0, len(names)))
-    return names, data
 
 
 def constraint_report_text(report: ConstraintReport) -> str:

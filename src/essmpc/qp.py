@@ -54,7 +54,6 @@ __all__ = [
     "DualSet",
     "SolveReport",
     "QpWorkspace",
-    "solve_qp",
     "kkt_residual",
 ]
 
@@ -132,9 +131,6 @@ class ConvexProgram:
     @property
     def n(self) -> int:
         return self.q.size
-
-    def objective(self, x: np.ndarray) -> float:
-        return float(0.5 * x * self.curvature @ x + self.q @ x)
 
 
 @dataclass
@@ -568,9 +564,3 @@ class QpWorkspace:
                   or self._pinned_solve(at_upper, at_lower))
         done = None if pinned is None else self._certified(*pinned, tol, iterations)
         return done or self._finish(x, y, "max_iter", iterations)
-
-
-def solve_qp(prog: ConvexProgram, tol: float = 1e-8,
-             y0: Optional[np.ndarray] = None) -> SolveReport:
-    """One-shot solve; see QpWorkspace for warm-started repeat solves."""
-    return QpWorkspace(prog).solve(tol=tol, y0=y0)

@@ -11,10 +11,10 @@ p.u.*s, and optionally MW with an explicit MVA base for injections.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from importlib import resources
 from pathlib import Path
-from typing import Any, Optional, Sequence
+from typing import Any, Optional
 
 import numpy as np
 import yaml
@@ -22,11 +22,11 @@ import yaml
 from .dynamics import ControlInput, SystemState
 from .dmpc import AdmmSettings
 from .grid import (DisturbanceEvent, GeneratorBus, GridModel, Line, LoadBus,
-                   StorageBus, solve_equilibrium)
+                   StorageBus, line_susceptance, solve_equilibrium)
 from .mpc import MpcConfig, SqpSettings, StorageRegime
 
 __all__ = ["ScenarioError", "Scenario", "parse_scenario", "write_scenario",
-           "scenario_text", "bundled_scenario_path"]
+           "bundled_scenario_path"]
 
 SCHEMA_VERSION = 1
 
@@ -188,12 +188,11 @@ def _parse_line(entry: Any, path: str) -> Line:
                                            path + ".susceptance"))
     if "reactance_per_km" not in entry and "transformer_reactance" not in entry:
         raise ScenarioError(f"{path}: needs susceptance or reactance data")
-    return Line.from_reactance(
-        from_bus, to_bus,
+    return Line(from_bus, to_bus, line_susceptance(
         _num(entry.get("reactance_per_km", 0.0), path + ".reactance_per_km"),
         _num(entry.get("length_km", 0.0), path + ".length_km"),
         _num(entry.get("transformer_reactance", 0.0),
-             path + ".transformer_reactance"))
+             path + ".transformer_reactance")))
 
 
 def _parse_injections(section: Any, n_buses: int) -> np.ndarray:
@@ -352,6 +351,9 @@ def parse_scenario(source: str | Path) -> Scenario:
                              for i, v in enumerate(value)])
         return np.full(n_storage, _num(value, f"mpc.{key}"))
 
+    qp_tol = _num(mpc_sec.get("qp_tolerance", 1e-8), "mpc.qp_tolerance")
+    if qp_tol <= 0.0:
+        raise ScenarioError("mpc.qp_tolerance: must be > 0")
     try:
         mpc = MpcConfig.create(
             grid,
@@ -372,7 +374,7 @@ def parse_scenario(source: str | Path) -> Scenario:
                                    "mpc.regimes"),
             sqp=sqp,
             absolute_effort=absolute_effort,
-            qp_tol=_num(mpc_sec.get("qp_tolerance", 1e-8), "mpc.qp_tolerance"),
+            qp_tol=qp_tol,
         )
     except ScenarioError:
         raise
@@ -401,7 +403,11 @@ def parse_scenario(source: str | Path) -> Scenario:
 
 
 def write_scenario(scenario: Scenario) -> str:
-    """Serialize a validated scenario back to document text."""
+    """Serialize a validated scenario back to document text.
+
+    The document holds one regime for all storages, so a scenario whose
+    storages have different regimes raises `ScenarioError`.
+    """
     grid = scenario.grid
     buses = []
     for i, role in enumerate(grid.roles):
@@ -421,7 +427,11 @@ def write_scenario(scenario: Scenario) -> str:
                 "reference_power": float(scenario.reference_power[s]),
                 "reference_inertia": float(scenario.reference_inertia[s]),
             })
-    regime = scenario.mpc.regimes[0] if scenario.mpc.regimes else StorageRegime()
+    regimes = set(scenario.mpc.regimes)
+    if len(regimes) > 1:
+        raise ScenarioError(f"mpc.regimes: a scenario file holds one regime for every "
+                            f"storage, got {len(regimes)} different ones")
+    regime = regimes.pop() if regimes else StorageRegime()
     doc = {
         "schema_version": SCHEMA_VERSION,
         "name": scenario.name,
@@ -470,7 +480,3 @@ def bundled_scenario_path(name: str) -> Path:
     with resources.as_file(resources.files("essmpc") / "scenarios"
                            / f"{name}.scn") as p:
         return Path(p)
-
-
-def scenario_text(name: str) -> str:
-    return (resources.files("essmpc") / "scenarios" / f"{name}.scn").read_text()

@@ -1,11 +1,12 @@
 """Command-line surface and output files."""
 
+import io
+
 import numpy as np
 import pytest
 
 from essmpc.cli import main
-from essmpc.outputs import (emit_plot_data, parse_plot_data,
-                            trajectory_columns, trajectory_to_csv)
+from essmpc.outputs import emit_plot_table, trajectory_columns, trajectory_to_csv
 from essmpc.dynamics import constant_policy, simulate
 from essmpc.scenario import bundled_scenario_path
 
@@ -95,14 +96,28 @@ class TestExitCodes:
         assert not out.exists()
 
 
+def plot_text(grid, traj, selection):
+    """Plot data of a trajectory, from its CSV as the plot-data command reads it."""
+    table = np.loadtxt(io.StringIO(trajectory_to_csv(grid, traj)), delimiter=",",
+                       skiprows=1, ndmin=2)
+    return emit_plot_table(grid, table, selection)
+
+
+def read_plot(text):
+    """(column names, value matrix) of plot data."""
+    header = text.splitlines()[0]
+    assert header.startswith("# ")
+    return header[2:].split(), np.loadtxt(io.StringIO(text), ndmin=2)
+
+
 class TestPlotData:
     def test_three_column_selection(self, two_bus_scenario):
         sc = two_bus_scenario
         traj = simulate(sc.grid, sc.initial_state(),
                         constant_policy(sc.reference_controls()), 0.1,
                         sc.sim_step, sc.events)
-        text = emit_plot_data(sc.grid, traj, ["t", "omega_0", "omega_1"])
-        names, data = parse_plot_data(text)
+        text = plot_text(sc.grid, traj, ["t", "omega_0", "omega_1"])
+        names, data = read_plot(text)
         assert names == ["t", "omega_0", "omega_1"]
         assert data.shape == (11, 3)
 
@@ -114,8 +129,8 @@ class TestPlotData:
         cols = ["t"] + [c for c in trajectory_columns(sc.grid)
                         if c.startswith("M_e_")]
         assert len(cols) == 4
-        text = emit_plot_data(sc.grid, traj, cols)
-        names, data = parse_plot_data(text)
+        text = plot_text(sc.grid, traj, cols)
+        names, data = read_plot(text)
         assert names == cols and data.shape[1] == 4
 
     def test_round_trip_exact(self, two_bus_scenario):
@@ -124,8 +139,8 @@ class TestPlotData:
                         constant_policy(sc.reference_controls()), 0.05,
                         sc.sim_step, sc.events)
         cols = trajectory_columns(sc.grid)
-        text = emit_plot_data(sc.grid, traj, cols)
-        names, data = parse_plot_data(text)
+        text = plot_text(sc.grid, traj, cols)
+        names, data = read_plot(text)
         csv_text = trajectory_to_csv(sc.grid, traj)
         csv_rows = np.array([[float(tok) for tok in ln.split(",")]
                              for ln in csv_text.strip().split("\n")[1:]])
@@ -138,7 +153,7 @@ class TestPlotData:
                         constant_policy(sc.reference_controls()), 0.02,
                         sc.sim_step)
         with pytest.raises(KeyError, match="available"):
-            emit_plot_data(sc.grid, traj, ["t", "volt_0"])
+            plot_text(sc.grid, traj, ["t", "volt_0"])
 
     def test_cli_plot_data_command(self, two_bus_path, tmp_path):
         out = tmp_path / "run"
@@ -149,7 +164,7 @@ class TestPlotData:
                      str(out / "simulate_trajectory.csv"),
                      "t", "omega_0", "omega_1", f"--out={target}"])
         assert code == 0
-        names, data = parse_plot_data(target.read_text())
+        names, data = read_plot(target.read_text())
         assert names == ["t", "omega_0", "omega_1"]
         assert data.shape[0] == 101
 

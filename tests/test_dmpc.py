@@ -12,7 +12,7 @@ from essmpc.dmpc import (AdmmSettings, AreaProgram, ConsensusState,
 from essmpc.dynamics import ControlInput, SystemState, euler_step, swing_jacobian
 from essmpc.grid import solve_equilibrium
 from essmpc.mpc import MpcConfig, SqpSettings, linearize_dynamics, receding_horizon_run
-from essmpc.qp import ConvexProgram
+from essmpc.qp import ConvexProgram, QpWorkspace
 
 
 def equilibrium_state(grid, storage_power):
@@ -26,14 +26,14 @@ class TestPartition:
     def test_twelve_bus_three_areas(self, twelve_bus_scenario):
         sc = twelve_bus_scenario
         partition = partition_grid(sc.grid, sc.areas)
-        assert partition.n_areas == 3
+        assert len(partition.owned) == 3
         assert partition.owned[0] == (0, 1, 2, 3)
         assert partition.owned[1] == (4, 5, 6, 7)
         assert partition.owned[2] == (8, 9, 10, 11)
 
     def test_single_area_owns_every_bus(self, two_bus_grid):
         partition = partition_grid(two_bus_grid, [0, 0])
-        assert partition.n_areas == 1
+        assert len(partition.owned) == 1
         assert partition.owned == ((0, 1),)
 
     def test_two_bus_split(self, two_bus_grid):
@@ -98,6 +98,11 @@ def scalar_toy(a1, t1, a2, t2, rho, tau):
     return programs, consensus
 
 
+def kept(programs):
+    """Per area: a workspace and a warm record, kept across rounds as a controller does."""
+    return {p.area: QpWorkspace(p.prog) for p in programs}, {p.area: {} for p in programs}
+
+
 def toy_reference_iteration(a1, t1, a2, t2, rho, tau, rounds):
     """Closed-form two-block consensus recursion, derived by hand.
 
@@ -127,8 +132,9 @@ class TestScalarConsensusToy:
         programs, consensus = scalar_toy(self.A1, self.T1, self.A2, self.T2,
                                          rho=1.0, tau=0.1)
         x_prev = {0: np.zeros(1), 1: np.zeros(1)}
+        workspaces, warm = kept(programs)
         for _ in range(400):
-            solutions, resid = pdc_admm_step(programs, consensus, x_prev)
+            solutions, resid = pdc_admm_step(programs, consensus, x_prev, workspaces, warm)
             x_prev = solutions
         assert resid < 1e-8
         assert solutions[0][0] == pytest.approx(self.SADDLE, abs=1e-6)
@@ -141,8 +147,9 @@ class TestScalarConsensusToy:
         reference = toy_reference_iteration(self.A1, self.T1, self.A2, self.T2,
                                             rho, tau, rounds=30)
         x_prev = {0: np.zeros(1), 1: np.zeros(1)}
+        workspaces, warm = kept(programs)
         for (v_ref, w_ref, lam_ref, resid_ref) in reference:
-            solutions, resid = pdc_admm_step(programs, consensus, x_prev,
+            solutions, resid = pdc_admm_step(programs, consensus, x_prev, workspaces, warm,
                                              tol=1e-12)
             x_prev = solutions
             assert solutions[0][0] == pytest.approx(v_ref, abs=1e-8)
@@ -168,7 +175,7 @@ class TestAdmmStep:
         x_prev = {0: np.array([0.7]), 1: np.array([0.7])}
         consensus.own_values[:] = 0.7
         consensus.copy_values[:] = 0.7
-        _solutions, resid = pdc_admm_step(programs, consensus, x_prev)
+        _solutions, resid = pdc_admm_step(programs, consensus, x_prev, *kept(programs))
         assert resid < 1e-9
         assert np.max(np.abs(consensus.duals)) < 1e-8
 
@@ -185,9 +192,10 @@ class TestAdmmStep:
         programs_b, consensus_b = scalar_toy(2.0, 1.0, 3.0, -0.5, 1.0, 0.1)
         x_prev_a = {0: np.zeros(1), 1: np.zeros(1)}
         x_prev_b = {0: np.zeros(1), 1: np.zeros(1)}
+        kept_a, kept_b = kept(programs), kept(programs_b)
         for _ in range(5):
-            sol_a, _ = pdc_admm_step(programs, consensus_a, x_prev_a)
-            sol_b, _ = pdc_admm_step(programs_b[::-1], consensus_b, x_prev_b)
+            sol_a, _ = pdc_admm_step(programs, consensus_a, x_prev_a, *kept_a)
+            sol_b, _ = pdc_admm_step(programs_b[::-1], consensus_b, x_prev_b, *kept_b)
             x_prev_a, x_prev_b = sol_a, sol_b
         assert np.array_equal(consensus_a.own_values, consensus_b.own_values)
         assert np.array_equal(consensus_a.copy_values, consensus_b.copy_values)
@@ -235,8 +243,8 @@ class TestAreaSubproblem:
         consensus.copy_values[:] = 1.0
         # With zero duals and neighbour copies at the optimum, the solution
         # is pulled off 1.0 only by the proximal term anchored at x_prev.
-        x = area_subproblem_solve(programs[0], consensus,
-                                  x_prev=np.array([0.0]))
+        x = area_subproblem_solve(programs[0], consensus, np.array([0.0]),
+                                  QpWorkspace(programs[0].prog), {})
         expected_own = (2.0 * 1.0 + 1.0 * 1.0) / (2.0 + 1.0 + 0.5)
         assert x[0] == pytest.approx(expected_own, abs=1e-8)
 
@@ -244,7 +252,7 @@ class TestAreaSubproblem:
         prog = AreaProgram(0, ConvexProgram(q=np.array([-2.0]),
                                             curvature=np.array([2.0])))
         consensus = ConsensusState(0, np.zeros(0), np.zeros(0), np.zeros(0), 1.0, 0.1)
-        x = area_subproblem_solve(prog, consensus)
+        x = area_subproblem_solve(prog, consensus, np.zeros(1), QpWorkspace(prog.prog), {})
         assert x[0] == pytest.approx(1.0, abs=1e-8)
 
 
@@ -341,7 +349,7 @@ class TestAreaPrograms:
         partition = partition_grid(sc.grid, sc.areas)
         _traj, log = distributed_mpc_run(sc.grid, partition, sc.mpc, sc.initial_state(),
                                          0.1, sc.admm, sc.events)
-        assert partition.n_areas == 3
+        assert len(partition.owned) == 3
         assert len(built) == 3 * sum(r.sqp_iterations for r in log) > 0
 
 
@@ -399,7 +407,7 @@ class TestSharedLinearization:
         forcing = state.angles[ghost_bus] \
             + rng.uniform(-0.02, 0.02, (cfg.k_steps, ghost_bus.size))
         models = shared_linearization(controller, state, plan, forcing)
-        assert len(models) == partition.n_areas
+        assert len(models) == len(partition.owned)
         for a, (area, ltv) in enumerate(zip(controller.areas, models)):
             ghosts = area.foreign - grid.n_buses
             assert tuple(ghost_bus[ghosts]) == foreign[a]
@@ -423,7 +431,7 @@ class TestSharedLinearization:
                                          0.1, sc.admm, sc.events)
         # The round budget is never spent, so every linearization is solved.
         assert all(r.iterations < sc.admm.max_iterations for r in log)
-        assert partition.n_areas == 3
+        assert len(partition.owned) == 3
         assert len(calls) == sum(r.sqp_iterations for r in log)
         assert all(g.n_buses > sc.grid.n_buses for g in calls)
 
@@ -448,7 +456,7 @@ class TestSharedLinearization:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(models) == partition.n_areas == 100
+        assert len(models) == len(partition.owned) == 100
         # One area of the whole grid alone took 90 ms and peaked at 172 MB.
         assert elapsed < 1.0
         assert peak < 172e6

@@ -7,10 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from essmpc.dynamics import ControlInput, SystemState, swing_jacobian, swing_rhs
-from essmpc.grid import (BalanceReport, GeneratorBus, GridError, GridModel,
-                         Line, LoadBus, StorageBus, check_power_balance,
-                         line_susceptance, network_injection,
-                         solve_equilibrium)
+from essmpc.grid import (GeneratorBus, GridError, GridModel, Line, LoadBus,
+                         StorageBus, line_susceptance, solve_equilibrium)
 
 
 class TestLineSusceptance:
@@ -31,20 +29,20 @@ class TestLineSusceptance:
 
 
 class TestNetworkInjection:
+    """The power each bus sends into the network, `GridModel.outflow`."""
+
     def test_equal_angles_no_flow(self, two_bus_grid):
-        assert network_injection(two_bus_grid, np.zeros(2), 0) == 0.0
+        assert two_bus_grid.outflow(np.zeros(2))[0] == 0.0
 
     def test_two_bus_flow_value(self, two_bus_grid):
-        flow = network_injection(two_bus_grid, np.array([0.06, 0.0]), 0)
+        flow = two_bus_grid.outflow(np.array([0.06, 0.0]))[0]
         assert flow == pytest.approx(50.0 * math.sin(0.06), abs=1e-12)
 
     def test_total_injection_is_zero(self, three_bus_grid):
         rng = np.random.default_rng(7)
         for _ in range(20):
             angles = rng.uniform(-1.0, 1.0, size=3)
-            total = sum(network_injection(three_bus_grid, angles, i)
-                        for i in range(3))
-            assert abs(total) < 1e-12
+            assert abs(sum(three_bus_grid.outflow(angles).tolist())) < 1e-12
 
     def test_per_line_antisymmetry(self, three_bus_grid):
         angles = np.array([0.3, -0.1, 0.2])
@@ -109,8 +107,7 @@ class TestFlowLawOnRandomGrids:
                 angles[ln.from_bus] - angles[ln.to_bus])
             expected[ln.to_bus] += ln.susceptance * math.sin(
                 angles[ln.to_bus] - angles[ln.from_bus])
-        got = np.array([network_injection(grid, angles, i)
-                        for i in range(grid.n_buses)])
+        got = grid.outflow(angles)
         assert np.max(np.abs(got - expected)) <= 1e-12
         assert abs(float(np.sum(got))) <= 1e-12 * sum(ln.susceptance for ln in grid.lines)
 
@@ -213,7 +210,7 @@ class TestEquilibrium:
         for i in range(3):
             if i == three_bus_grid.reference_bus:
                 continue
-            resid = p[i] - network_injection(three_bus_grid, angles, i)
+            resid = p[i] - three_bus_grid.outflow(angles)[i]
             assert abs(resid) < 1e-9
 
     def test_imbalance_rejected(self, two_bus_grid):
@@ -230,22 +227,23 @@ class TestEquilibrium:
 
 
 class TestPowerBalance:
+    """Generation and load are the sums of the positive and negative net injections."""
+
     def test_twelve_bus_table(self, twelve_bus_scenario):
-        report = check_power_balance(twelve_bus_scenario.grid,
-                                     twelve_bus_scenario.reference_power)
-        assert report.generation == pytest.approx(36.57, abs=1e-12)
-        assert report.load == pytest.approx(36.57, abs=1e-12)
-        assert abs(report.residual) < 1e-9
-        assert report.balanced
+        p = twelve_bus_scenario.grid.net_injections(twelve_bus_scenario.reference_power)
+        generation, load = float(np.sum(p[p > 0.0])), float(-np.sum(p[p < 0.0]))
+        assert generation == pytest.approx(36.57, abs=1e-12)
+        assert load == pytest.approx(36.57, abs=1e-12)
+        assert abs(generation - load) < 1e-9
 
     def test_empty_grid(self):
-        grid = GridModel([], [], [])
-        assert check_power_balance(grid) == BalanceReport(0.0, 0.0, 0.0, True)
+        p = GridModel([], [], []).net_injections()
+        assert p.shape == (0,) and float(np.sum(p)) == 0.0
 
     def test_two_bus_totals(self, two_bus_grid):
-        report = check_power_balance(two_bus_grid, np.array([-3.0]))
-        assert (report.generation, report.load) == (3.0, 3.0)
-        assert report.residual == 0.0
+        p = two_bus_grid.net_injections(np.array([-3.0]))
+        assert (float(np.sum(p[p > 0.0])), float(-np.sum(p[p < 0.0]))) == (3.0, 3.0)
+        assert float(np.sum(p)) == 0.0
 
 
 class TestValidation:

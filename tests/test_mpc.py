@@ -168,7 +168,7 @@ class TestLinearize:
         st = equilibrium_state(grid, np.array([-3.0]))
         area = _AreaView(grid, [0], [1])
         with pytest.raises(ValueError, match=got + r".*expected \(K, n_f\) = \(10, 1\)"):
-            linearize_dynamics(grid, st, cfg.reference_matrix(), 0.01, (), area, forcing)
+            linearize_dynamics(grid, st, cfg.reference_matrix(), 0.01, (), [area], forcing)
 
 
 class TestAssemble:
@@ -225,7 +225,7 @@ class TestAssemble:
         angles = solve_equilibrium(two_bus_grid, np.array([-3.0]))
         st = SystemState(angles, np.array([0.05, -0.02]), np.zeros(1), 0.0)
         events = [DisturbanceEvent(0, 0.0, 0.2)]
-        cfg = base_config(two_bus_grid, regimes=regime)
+        cfg = base_config(two_bus_grid, regimes=(regime,))
         ltv = linearize_dynamics(two_bus_grid, st, cfg.reference_matrix(), 0.01,
                                  events)
         hp = assemble_horizon_program(two_bus_grid, ltv, cfg)
@@ -253,8 +253,8 @@ class TestAssemble:
         angles = solve_equilibrium(two_bus_grid, np.array([-3.0]))
         st = SystemState(angles, np.zeros(2), np.array([-45.0]), 0.0)
         cfg = base_config(two_bus_grid,
-                          regimes=StorageRegime(power_free=False,
-                                                inertia_free=False))
+                          regimes=(StorageRegime(power_free=False,
+                                                 inertia_free=False),))
         if split is None:
             ctrl = MpcController(two_bus_grid, cfg)
         else:
@@ -321,8 +321,8 @@ class TestProgramMeaning:
         k_steps = cfg.k_steps
         forcing = state.angles[area.foreign] \
             + rng.uniform(-0.01, 0.01, (k_steps, area.n_f))
-        ltv = linearize_dynamics(grid, state, cfg.reference_matrix(), cfg.step,
-                                 sc.events, area, forcing)
+        [ltv] = linearize_dynamics(grid, state, cfg.reference_matrix(), cfg.step,
+                                   sc.events, [area], forcing)
         hp = _assemble_program(grid, area, ltv, cfg)
         prog = hp.prog
 
@@ -399,7 +399,7 @@ class TestSolveHorizon:
             "cc": StorageRegime(False, False), "cv": StorageRegime(True, False),
             "vc": StorageRegime(False, True), "vv": StorageRegime(True, True),
         }.items():
-            cfg = base_config(two_bus_grid, regimes=regime,
+            cfg = base_config(two_bus_grid, regimes=(regime,),
                               sqp=SqpSettings(outer_iterations=1))
             result = first_step(two_bus_grid, st, cfg, events)
             objectives[key] = result.qp_report.objective
@@ -504,8 +504,8 @@ class TestClosedLoop:
         st = SystemState(angles, np.zeros(2), np.zeros(1), 0.0)
         cfg = MpcConfig.create(two_bus_grid, horizon=0.01, step=0.01,
                                reference_power=-3.0, reference_inertia=8.0,
-                               regimes=StorageRegime(power_free=True,
-                                                     inertia_free=False))
+                               regimes=(StorageRegime(power_free=True,
+                                                      inertia_free=False),))
         result = first_step(two_bus_grid, st, cfg, events)
         assert result.applied.power[0] == pytest.approx(-3.2, abs=1e-3)
 
@@ -516,8 +516,8 @@ class TestClosedLoop:
         st = equilibrium_state(two_bus_grid, np.array([-3.0]))
         events = [DisturbanceEvent(0, 0.0, 0.2)]
         cfg = base_config(two_bus_grid,
-                          regimes=StorageRegime(power_free=True,
-                                                inertia_free=False),
+                          regimes=(StorageRegime(power_free=True,
+                                                 inertia_free=False),),
                           sqp=SqpSettings(outer_iterations=2, tolerance=1e-5))
         traj, _ = receding_horizon_run(two_bus_grid, st, cfg, 6.0, events)
         tail = traj.power_matrix()[-200:, 0]

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from essmpc import qp
-from essmpc.qp import (ConvexProgram, DualSet, QpError, QpWorkspace,
-                       kkt_residual, solve_qp)
+from essmpc.qp import ConvexProgram, DualSet, QpError, QpWorkspace, kkt_residual
 
 
 def enumerate_qp_oracle(c, q, A, b, A_eq=None, b_eq=None, tol=1e-8):
@@ -98,7 +97,7 @@ def seeded_solve(kw, seed, rng, tol=1e-9):
     y0 = None
     if seed == "warm":
         near = {**kw, "q": kw["q"] + 0.5 * rng.normal(size=kw["q"].size)}
-        y0 = solve_qp(ConvexProgram(**near), tol=tol).y_stacked
+        y0 = QpWorkspace(ConvexProgram(**near)).solve(tol=tol).y_stacked
     elif seed == "adversarial":
         y0 = np.where(ws._eq, 0.0, rng.choice([-1.0, 1.0], size=ws.m))
     return ws.solve(tol=tol, y0=y0)
@@ -108,7 +107,7 @@ class TestHandCases:
     def test_active_bound(self):
         prog = ConvexProgram(q=np.zeros(1), curvature=np.array([2.0]),
                              lb=np.array([1.0]))
-        report = solve_qp(prog)
+        report = QpWorkspace(prog).solve()
         assert report.status == "optimal"
         assert report.x[0] == pytest.approx(1.0, abs=1e-9)
 
@@ -118,28 +117,28 @@ class TestHandCases:
             q=np.array([0.0, 1.0]),
             A_eq=np.array([[1.0, 0.0]]), b_eq=np.array([-0.3]),
             A_in=np.array([[1.0, -1.0], [-1.0, -1.0]]), b_in=np.zeros(2))
-        report = solve_qp(prog)
+        report = QpWorkspace(prog).solve()
         assert report.status == "optimal"
         assert report.x[1] == pytest.approx(0.3, abs=1e-9)
 
     def test_equality_constrained(self):
         prog = ConvexProgram(q=np.array([1.0, 1.0]), curvature=np.ones(2),
                              A_eq=np.array([[1.0, 1.0]]), b_eq=np.array([2.0]))
-        report = solve_qp(prog, tol=1e-10)
+        report = QpWorkspace(prog).solve(tol=1e-10)
         assert np.allclose(report.x, [1.0, 1.0], atol=1e-8)
 
     def test_infeasible_detected(self):
         prog = ConvexProgram(q=np.zeros(1), curvature=np.array([2.0]),
                              A_in=np.array([[-1.0], [1.0]]),
                              b_in=np.array([-1.0, 0.0]))
-        report = solve_qp(prog)
+        report = QpWorkspace(prog).solve()
         assert report.status == "infeasible"
 
     def test_infeasible_lp_falls_back_to_certificate(self):
         # HiGHS phase 1 proves the rows infeasible.
         prog = ConvexProgram(q=np.zeros(1), A_in=np.array([[-1.0], [1.0]]),
                              b_in=np.array([-1.0, 0.0]))
-        report = solve_qp(prog)
+        report = QpWorkspace(prog).solve()
         assert report.status == "infeasible"
 
     def test_dependent_equality_rows(self):
@@ -148,7 +147,7 @@ class TestHandCases:
         prog = ConvexProgram(q=np.zeros(2), curvature=np.ones(2),
                              A_eq=np.array([[1.0, 1.0], [1.0, 1.0]]),
                              b_eq=np.array([1.0, 1.0]))
-        report = solve_qp(prog)
+        report = QpWorkspace(prog).solve()
         assert report.status == "optimal"
         assert np.allclose(report.x, [0.5, 0.5], atol=1e-9)
 
@@ -158,7 +157,7 @@ class TestHandCases:
         prog = ConvexProgram(q=np.array([-1.0, -1.0]), curvature=np.full(2, 1e-8),
                              A_in=np.array([[1.0, 1.0]]), b_in=np.array([1.0]),
                              lb=np.zeros(2), ub=np.ones(2))
-        report = solve_qp(prog)
+        report = QpWorkspace(prog).solve()
         assert report.status == "optimal" and report.iterations == 0
         assert np.allclose(report.x, [0.5, 0.5], atol=1e-9)
 
@@ -230,7 +229,7 @@ class TestKktResidual:
     def test_solver_reports_match_recomputation(self):
         rng = np.random.default_rng(3)
         prog = ConvexProgram(**random_qp(rng, 5, 6))
-        report = solve_qp(prog, tol=1e-9)
+        report = QpWorkspace(prog).solve(tol=1e-9)
         stat, feas, comp = kkt_residual(prog, report.x, report.duals)
         assert stat == pytest.approx(report.stationarity, abs=1e-12)
         assert feas == pytest.approx(report.primal_feasibility, abs=1e-12)
@@ -244,8 +243,8 @@ class TestProperties:
         kw = random_qp(rng, 6, 7)
         prog1 = ConvexProgram(**{k: v.copy() for k, v in kw.items()})
         prog2 = ConvexProgram(**{k: v.copy() for k, v in kw.items()})
-        r1 = solve_qp(prog1)
-        r2 = solve_qp(prog2)
+        r1 = QpWorkspace(prog1).solve()
+        r2 = QpWorkspace(prog2).solve()
         assert r1.status == r2.status
         assert np.array_equal(r1.x, r2.x)
         assert abs(r1.stationarity - r2.stationarity) < 1e-12
@@ -253,10 +252,10 @@ class TestProperties:
     def test_cost_scaling_invariance(self):
         rng = np.random.default_rng(12)
         kw = random_qp(rng, 5, 5)
-        base = solve_qp(ConvexProgram(**kw), tol=1e-10)
-        scaled = solve_qp(ConvexProgram(**{**kw, "q": 7.3 * kw["q"],
-                                           "curvature": 7.3 * kw["curvature"]}),
-                         tol=1e-10)
+        base = QpWorkspace(ConvexProgram(**kw)).solve(tol=1e-10)
+        scaled = QpWorkspace(ConvexProgram(**{**kw, "q": 7.3 * kw["q"],
+                                              "curvature": 7.3 * kw["curvature"]})
+                             ).solve(tol=1e-10)
         assert np.max(np.abs(base.x - scaled.x)) < 1e-7
 
     def test_redundant_inequality_changes_nothing(self):
@@ -264,21 +263,21 @@ class TestProperties:
         kw = random_qp(rng, 4, 4)
         c, q, A, b = kw["curvature"], kw["q"], kw["A_in"], kw["b_in"]
         lb, ub = -3.0 * np.ones(4), 3.0 * np.ones(4)
-        base = solve_qp(ConvexProgram(q=q, curvature=c, A_in=A, b_in=b,
-                                      lb=lb, ub=ub), tol=1e-10)
+        base = QpWorkspace(ConvexProgram(q=q, curvature=c, A_in=A, b_in=b,
+                                         lb=lb, ub=ub)).solve(tol=1e-10)
         # x_0 <= 5 is implied by the box.
         extra_row = np.zeros((1, 4))
         extra_row[0, 0] = 1.0
-        augmented = solve_qp(
+        augmented = QpWorkspace(
             ConvexProgram(q=q, curvature=c, A_in=np.vstack([A, extra_row]),
-                          b_in=np.concatenate([b, [5.0]]), lb=lb, ub=ub),
-            tol=1e-10)
+                          b_in=np.concatenate([b, [5.0]]), lb=lb, ub=ub)
+        ).solve(tol=1e-10)
         assert np.max(np.abs(base.x - augmented.x)) < 1e-7
 
     def test_warm_start_accepted(self):
         rng = np.random.default_rng(14)
         kw = random_qp(rng, 5, 5)
-        cold = solve_qp(ConvexProgram(**kw))
+        cold = QpWorkspace(ConvexProgram(**kw)).solve()
         ws = QpWorkspace(ConvexProgram(**kw))
         warm = ws.solve(y0=cold.y_stacked)
         assert warm.status == "optimal"
@@ -292,7 +291,7 @@ class TestProperties:
         q2 = kw["q"] + 0.1
         ws.update_linear(q=q2)
         second = ws.solve(tol=1e-9, y0=first.y_stacked)
-        direct = solve_qp(ConvexProgram(**{**kw, "q": q2}), tol=1e-9)
+        direct = QpWorkspace(ConvexProgram(**{**kw, "q": q2})).solve(tol=1e-9)
         assert np.max(np.abs(second.x - direct.x)) < 1e-6
 
     def test_linear_update_leaves_the_loaded_program(self):
@@ -521,7 +520,9 @@ class TestValidation:
     def test_omitted_curvature_is_zero(self):
         prog = ConvexProgram(q=np.array([1.0, -2.0]))
         assert np.array_equal(prog.curvature, np.zeros(2))
-        assert prog.objective(np.array([3.0, 1.0])) == 1.0
+        boxed = ConvexProgram(q=prog.q, lb=np.array([3.0, 0.0]), ub=np.array([4.0, 1.0]))
+        report = QpWorkspace(boxed).solve()
+        assert np.array_equal(report.x, [3.0, 1.0]) and report.objective == 1.0
 
     @pytest.mark.parametrize("curvature", [np.eye(2), np.ones(3), np.ones((2, 1))],
                              ids=["matrix", "long", "column"])

@@ -1,7 +1,7 @@
 """Scenario files: shipped cases, strict validation, round-trip."""
 
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -11,9 +11,11 @@ from essmpc import scenario
 from essmpc.cli import main
 from essmpc.dmpc import AdmmSettings
 from essmpc.grid import GeneratorBus, StorageBus
-from essmpc.mpc import MpcConfig, SqpSettings
-from essmpc.scenario import (ScenarioError, parse_scenario, scenario_text,
+from essmpc.mpc import MpcConfig, SqpSettings, StorageRegime
+from essmpc.scenario import (ScenarioError, bundled_scenario_path, parse_scenario,
                              write_scenario)
+
+TWO_BUS = bundled_scenario_path("two_bus").read_text()
 
 
 class TestShippedTwoBus:
@@ -72,54 +74,48 @@ class TestShippedTwelveBus:
 
 class TestValidationErrors:
     def test_unknown_key_rejected(self):
-        text = scenario_text("two_bus").replace("schema_version: 1",
-                                                "schema_version: 1\nbogus: 3")
+        text = TWO_BUS.replace("schema_version: 1", "schema_version: 1\nbogus: 3")
         with pytest.raises(ScenarioError, match="bogus"):
             parse_scenario(text)
 
     def test_unknown_bus_key_rejected(self):
-        text = scenario_text("two_bus").replace("inertia: 3.0",
-                                                "inertia: 3.0\n      spin: 2")
+        text = TWO_BUS.replace("inertia: 3.0", "inertia: 3.0\n      spin: 2")
         with pytest.raises(ScenarioError, match="spin"):
             parse_scenario(text)
 
     def test_negative_inertia_rejected_with_path(self):
-        text = scenario_text("two_bus").replace("inertia: 3.0", "inertia: -3.0")
+        text = TWO_BUS.replace("inertia: 3.0", "inertia: -3.0")
         with pytest.raises(ScenarioError, match="grid"):
             parse_scenario(text)
 
     def test_wrong_schema_version_rejected(self):
-        text = scenario_text("two_bus").replace("schema_version: 1",
-                                                "schema_version: 99")
+        text = TWO_BUS.replace("schema_version: 1", "schema_version: 99")
         with pytest.raises(ScenarioError, match="schema_version"):
             parse_scenario(text)
 
     def test_injection_count_mismatch_rejected(self):
-        text = scenario_text("two_bus").replace("values: [3.0, 0.0]",
-                                                "values: [3.0, 0.0, 1.0]")
+        text = TWO_BUS.replace("values: [3.0, 0.0]", "values: [3.0, 0.0, 1.0]")
         with pytest.raises(ScenarioError, match="injections"):
             parse_scenario(text)
 
     def test_area_list_must_cover_buses(self):
-        text = scenario_text("two_bus").replace("areas: [1, 2]", "areas: [1]")
+        text = TWO_BUS.replace("areas: [1, 2]", "areas: [1]")
         with pytest.raises(ScenarioError, match="areas"):
             parse_scenario(text)
 
     def test_line_with_both_parameterizations_rejected(self):
-        text = scenario_text("two_bus").replace(
+        text = TWO_BUS.replace(
             "susceptance: 50.0", "susceptance: 50.0, length_km: 10.0")
         with pytest.raises(ScenarioError, match="either"):
             parse_scenario(text)
 
     def test_disturbance_unknown_bus_rejected(self):
-        text = scenario_text("two_bus").replace("{bus: 0, time: 0.0",
-                                                "{bus: 7, time: 0.0")
+        text = TWO_BUS.replace("{bus: 0, time: 0.0", "{bus: 7, time: 0.0")
         with pytest.raises(ScenarioError, match="disturbances"):
             parse_scenario(text)
 
     def test_reference_power_outside_box_rejected(self):
-        text = scenario_text("two_bus").replace("reference_power: -3.0",
-                                                "reference_power: -4.5")
+        text = TWO_BUS.replace("reference_power: -3.0", "reference_power: -4.5")
         with pytest.raises(ScenarioError, match="reference power"):
             parse_scenario(text)
 
@@ -158,6 +154,10 @@ class TestValidationErrors:
          "mpc.omega_limits[0]"),
         ("frequency_cost: 1.0", "frequency_cost: 1.0\n  qp_tolerance: .nan",
          "mpc.qp_tolerance"),
+        ("frequency_cost: 1.0", "frequency_cost: 1.0\n  qp_tolerance: -1.0",
+         "mpc.qp_tolerance"),
+        ("frequency_cost: 1.0", "frequency_cost: 1.0\n  qp_tolerance: 0.0",
+         "mpc.qp_tolerance"),
         ("power_trust_region: 0.5", "power_trust_region: .nan",
          "mpc.sqp.power_trust_region"),
         ("    tolerance: 1.0e-5", "    tolerance: .nan", "mpc.sqp.tolerance"),
@@ -173,11 +173,12 @@ class TestValidationErrors:
          "mpc.sqp.power_trust_region"),
         ("inertia_trust_region: 2.0", "inertia_trust_region: 0.0",
          "mpc.sqp.inertia_trust_region"),
+        ("    tolerance: 1.0e-5", "    tolerance: -1.0", "mpc.sqp.tolerance"),
     ])
     def test_mistyped_count_or_flag_rejected_with_path(self, old, new, field,
                                                        tmp_path):
-        text = scenario_text("two_bus").replace(old, new)
-        assert text != scenario_text("two_bus")
+        text = TWO_BUS.replace(old, new)
+        assert text != TWO_BUS
         with pytest.raises(ScenarioError, match=re.escape(field)):
             parse_scenario(text)
         bad = tmp_path / "bad.scn"
@@ -185,8 +186,8 @@ class TestValidationErrors:
         assert main(["simulate", str(bad)]) == 2
 
     def test_infinite_energy_bound_is_no_bound(self, tmp_path):
-        text = scenario_text("two_bus").replace("energy_bounds: [-45.0, 10.0]",
-                                                "energy_bounds: [-.inf, 10.0]")
+        text = TWO_BUS.replace("energy_bounds: [-45.0, 10.0]",
+                               "energy_bounds: [-.inf, 10.0]")
         sc = parse_scenario(text)
         assert sc.grid.storage_role(1).energy_bounds == (-np.inf, 10.0)
         path = tmp_path / "open.scn"
@@ -195,7 +196,7 @@ class TestValidationErrors:
                      "--ttotal", "0.05"]) == 0
 
     def test_counts_and_flags_read_as_written(self):
-        text = scenario_text("two_bus").replace(
+        text = TWO_BUS.replace(
             "max_iterations: 500", "max_iterations: 7").replace(
             "absolute_effort: false", "absolute_effort: true")
         sc = parse_scenario(text)
@@ -204,7 +205,7 @@ class TestValidationErrors:
 
 def non_default_two_bus() -> str:
     """The two-bus scenario with every optional `mpc` field away from its default."""
-    doc = yaml.safe_load(scenario_text("two_bus"))
+    doc = yaml.safe_load(TWO_BUS)
     doc["mpc"].update(frequency_cost=2.5, inertia_cost=0.3, power_base=3.0,
                       inertia_base=4.0, omega_limits={0: 0.05}, qp_tolerance=1.0e-9)
     doc["flags"]["absolute_effort"] = True
@@ -215,7 +216,7 @@ class TestRoundTrip:
     @pytest.mark.parametrize("name", ["two_bus", "twelve_bus", "two_bus_non_default"])
     def test_parse_write_parse_identity(self, name):
         text = non_default_two_bus() if name == "two_bus_non_default" \
-            else scenario_text(name)
+            else bundled_scenario_path(name).read_text()
         first = parse_scenario(text)
         if name == "two_bus_non_default":
             assert (first.mpc.qp_tol, first.mpc.power_base, first.mpc.absolute_effort) \
@@ -240,8 +241,15 @@ class TestRoundTrip:
         # and the writer is a fixed point after one pass
         assert write_scenario(second) == write_scenario(first)
 
+    def test_mixed_regimes_are_not_written_as_one(self, twelve_bus_scenario):
+        sc = twelve_bus_scenario
+        regimes = (StorageRegime(), StorageRegime(power_free=False), StorageRegime())
+        mixed = replace(sc, mpc=replace(sc.mpc, regimes=regimes))
+        with pytest.raises(ScenarioError, match=re.escape("mpc.regimes")):
+            write_scenario(mixed)
+
     def test_absent_settings_sections_take_the_dataclass_defaults(self):
-        doc = yaml.safe_load(scenario_text("two_bus"))
+        doc = yaml.safe_load(TWO_BUS)
         del doc["mpc"]["sqp"]
         doc["distributed"] = {}
         sc = parse_scenario(yaml.safe_dump(doc))
@@ -261,7 +269,7 @@ class TestLoader:
 
     @pytest.mark.parametrize("name", ["two_bus", "twelve_bus"])
     def test_bundled_scenarios_load_as_under_the_python_parser(self, name):
-        text = scenario_text(name)
+        text = bundled_scenario_path(name).read_text()
         doc = yaml.load(text, Loader=scenario._LOADER)
         assert doc == yaml.load(text, Loader=yaml.SafeLoader)
         assert repr(doc) == repr(yaml.load(text, Loader=yaml.SafeLoader))
