@@ -7,8 +7,11 @@ bounds, and the KKT system of the pinned rows is solved exactly.  A point is
 accepted only when its exactly recomputed KKT residuals meet the tolerance.
 A workspace lays the KKT matrix out in CSC form once, from c and a pattern
 of where C may be non-zero; a program loaded into it brings only values.
-Each working set's matrix takes the layout's live rows and the entries
-that are non-zero in the loaded program, and SuperLU factors it once.
+SuperLU factors one working set per load, the first a solve factors: the
+base.  Later sets border it with a small dense Schur complement of the rows
+they add and drop (Bartlett and Biegler's QPSchur, Optim. Eng. 2006), each
+solve refined once against the set's exact KKT product; a Schur pivot too
+small for that falls back to a direct factor, which becomes the base.
 
 A solve is one sequence: seed, dual active set, settle.
 
@@ -37,13 +40,13 @@ independent check per constraint family.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
 import numpy as np
-# lu_factor is unused: perfbench/tests/test_trace.py checks that it stays bound.
-from scipy.linalg import lu_factor  # noqa: F401
+from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 from scipy.optimize import linprog
 from scipy.sparse import csc_array
 from scipy.sparse.linalg import SuperLU, splu
@@ -61,6 +64,9 @@ __all__ = [
 # a'diag(c)^-1 a lies in the span of the working set: adding it has no
 # finite primal step.
 _DEPENDENT = 1e-12
+# A scaled Schur pivot below this marks a border row dependent, or so nearly
+# that a bordered solve would lose half its digits: the set is factored directly.
+_PIVOT = np.sqrt(np.finfo(float).eps)
 # HiGHS's default 1e-7 feasibility tolerances leave a primal residual the
 # exact step cannot certify at 1e-8; the seed has to be tighter than tol.
 _HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10,
@@ -195,6 +201,85 @@ def kkt_residual(prog: ConvexProgram, x: np.ndarray, duals: DualSet
     return stationarity, max(feas), max(comp)
 
 
+class _Base:
+    """A load's base factor K0, of its first factored working set.
+
+    A later set's KKT system is K0's bordered by one row and column per row
+    added or dropped: an added row a brings u = [a; 0] and its multiplier,
+    a dropped row the unit u of its multiplier, which pins that multiplier
+    to zero and frees the row's equation.  Each border row's u and K0^-1 u
+    are kept, scaled by a'diag(c)^-1 a to the power -1/2 (added) or 1/2
+    (dropped), so the Schur complement's pivots are relative to one; a
+    program with a zero curvature keeps no base.
+    """
+
+    def __init__(self, work: np.ndarray, lu: SuperLU, C: np.ndarray, c: np.ndarray):
+        self.key, self.work, self.lu, self.C, self.c = work.tobytes(), work, lu, C, c
+        self.slot = None
+
+    def border(self, work: np.ndarray, idx: np.ndarray) -> Optional[_Bordered]:
+        """The set's solver, or None if a Schur pivot is too small."""
+        n, size = self.c.size, self.lu.shape[0]
+        if self.slot is None:
+            self.at = n - 1 + np.cumsum(self.work)      # base rows' places in K0
+            self.based, self.head = np.flatnonzero(self.work), np.arange(n)
+            self.slot, self.scale = np.full(self.work.size, -1), np.empty(0)
+            self.u, self.z = np.empty((0, size)), np.empty((0, size))
+        rows = np.flatnonzero(work != self.work)
+        fresh = rows[self.slot[rows] < 0]
+        if fresh.size:
+            h = self.C[fresh] ** 2 @ (1.0 / self.c)
+            if not h.min() > 0.0:
+                return None
+            dropped = self.work[fresh]
+            u = np.zeros((fresh.size, size))
+            u[~dropped, :n] = self.C[fresh[~dropped]]
+            u[np.flatnonzero(dropped), self.at[fresh[dropped]]] = 1.0
+            self.slot[fresh] = self.scale.size + np.arange(fresh.size)
+            scale = np.where(dropped, h, 1.0 / h) ** 0.5
+            self.scale = np.concatenate([self.scale, scale])
+            self.u = np.vstack([self.u, scale[:, None] * u])
+            self.z = np.vstack([self.z, scale[:, None] * self.lu.solve(u.T).T])
+        slots = self.slot[rows]
+        u, z = self.u[slots], self.z[slots]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", LinAlgWarning)
+            lu_s = lu_factor(-(u @ z.T), check_finite=False)
+        pivots = np.abs(lu_s[0].diagonal())
+        if not pivots.min() > _PIVOT:
+            return None
+        # Where the bordered rhs comes from in (rhs, 0), and the set's solution in its.
+        source = np.where(work, n - 1 + np.cumsum(work), n + idx.size)
+        place = self.at.copy()
+        place[rows] = size + np.arange(rows.size)
+        return _Bordered(self.lu, u, z.T, lu_s, self.scale[slots], self.C[idx], self.c,
+                         np.concatenate([self.head, source[self.based], source[rows]]),
+                         np.concatenate([self.head, place[idx]]))
+
+
+class _Bordered:
+    """Solves of one working set's KKT system by the base factor, bordered;
+    each is refined once against the set's exact KKT product."""
+
+    def __init__(self, lu, u, z, lu_s, scale, rows, c, into, outof):
+        self.lu, self.u, self.z, self.lu_s, self.scale = lu, u, z, lu_s, scale
+        self.rows, self.c, self.into, self.outof = rows, c, into, outof
+
+    def _once(self, rhs: np.ndarray) -> np.ndarray:
+        bordered = np.append(rhs, 0.0)[self.into]
+        z = self.lu.solve(bordered[:self.lu.shape[0]])
+        w = lu_solve(self.lu_s, self.scale * bordered[self.lu.shape[0]:] - self.u @ z,
+                     check_finite=False)
+        z -= self.z @ w
+        return np.concatenate([z, self.scale * w])[self.outof]
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        sol = self._once(rhs)
+        x, y = sol[:self.c.size], sol[self.c.size:]
+        return sol + self._once(rhs - np.concatenate([self.c * x + self.rows.T @ y,
+                                                      self.rows @ x]))
+
+
 class QpWorkspace:
     """Reusable solver state: the program's rows stacked as l <= C x <= u.
 
@@ -206,9 +291,11 @@ class QpWorkspace:
     own `q`: `load` takes the program's, and `update_linear` replaces only
     the workspace's, so a loaded program is never written to.
     Entries that are exactly zero in the loaded program are left out of its
-    KKT matrices.  The KKT matrix does not depend on q, so the sparse LU of
-    the last (working set, shift) is kept for a repeat until the next load.
-    The dual active set factors it unshifted.
+    KKT matrices.  The KKT matrix does not depend on q: the load's base
+    factor and each border row's solve with it last until the next load,
+    and the last (working set, shift)'s solver is kept for a repeat.  A
+    direct factor that repeats the last one's set and non-zeros refills its
+    CSC values.  The dual active set solves unshifted.
     """
 
     def __init__(self, prog: ConvexProgram, pattern: Optional[np.ndarray] = None):
@@ -229,7 +316,9 @@ class QpWorkspace:
         else:
             full[:m_eq + m_in] = pattern
         self._at = np.flatnonzero(full)    # the pattern of C, flat
+        self._outside = np.flatnonzero(~full[:m_eq + m_in])   # [A_eq; A_in]'s complement
         self._eq = np.arange(self.m) < m_eq
+        self._csc = (None,)                # the last direct factor's CSC matrix, keyed
         self.load(prog)
 
     def load(self, prog: ConvexProgram) -> None:
@@ -247,15 +336,15 @@ class QpWorkspace:
             raise QpError("program does not have the workspace's rows and box columns")
         self.C[:m_eq] = prog.A_eq
         self.C[m_eq:m_eq + m_in] = prog.A_in
-        if np.count_nonzero(self.C) != np.count_nonzero(self.C.reshape(-1)[self._at]):
+        if self.C.reshape(-1).take(self._outside).any():
             raise QpError("program has a non-zero outside the workspace's pattern")
         self.prog, self.q = prog, prog.q
         self.l = np.concatenate([prog.b_eq, np.full(m_in, -np.inf),
                                  prog.lb[self._box_vars]])
         self.u = np.concatenate([prog.b_eq, prog.b_in, prog.ub[self._box_vars]])
         self._finite_l, self._finite_u = np.isfinite(self.l), np.isfinite(self.u)
-        self._kept = (None, None, None)   # (working set, shift), rows, LU: the last factor
-        self._values = None               # KKT entry values and which are non-zero
+        self._kept = (None, None, None)   # (working set, shift), rows, solver: the last
+        self._base: Optional[_Base] = None
 
     def update_linear(self, q: np.ndarray) -> None:
         self.q = np.asarray(q, dtype=float).ravel()
@@ -310,9 +399,9 @@ class QpWorkspace:
         over, under = cx - self.u, self.l - cx
         at_u = np.maximum(mult[m_eq:], 0.0) * np.where(self._finite_u, over, 0.0)[m_eq:]
         at_l = np.maximum(-mult[m_eq:], 0.0) * np.where(self._finite_l, under, 0.0)[m_eq:]
-        return (float(np.max(np.abs(grad), initial=0.0)),
-                float(np.max(np.maximum(over, under), initial=0.0)),
-                float(np.max(np.abs(np.concatenate([at_u, at_l])), initial=0.0)))
+        return (float(np.abs(grad).max(initial=0.0)),
+                float(np.maximum(over, under).max(initial=0.0)),
+                float(np.abs(np.concatenate([at_u, at_l])).max(initial=0.0)))
 
     def _finish(self, x: np.ndarray, y: np.ndarray, status: str,
                 iterations: int, cx: Optional[np.ndarray] = None) -> SolveReport:
@@ -358,33 +447,57 @@ class QpWorkspace:
     # -- KKT factor ------------------------------------------------------------------
 
     def _factor(self, work: np.ndarray, shift: float
-                ) -> tuple[np.ndarray, Optional[SuperLU]]:
-        """(rows W, LU or None if singular) of
-        [[diag(c) + shift I, C_W'], [C_W, -shift I]]."""
+                ) -> tuple[np.ndarray, Optional[SuperLU | _Bordered]]:
+        """(rows W, solver or None if singular) of
+        [[diag(c) + shift I, C_W'], [C_W, -shift I]]: the base factor, the
+        base bordered, or else a direct factor."""
         key = (work.tobytes(), shift)
         if self._kept[0] != key:
             idx, lu = np.flatnonzero(work), None
             # More rows than variables are dependent: singular unless shifted,
             # whatever pivots rounding leaves.
             if shift or idx.size <= self.prog.n:
-                owner, row, sign, ends, *_ = self._kkt_entries
-                if self._values is None:
-                    self._values = self._kkt_values()
-                val, nonzero = self._values
-                live = np.concatenate((np.ones(self.prog.n, dtype=bool), work))
-                keep = live[owner] & nonzero
-                new = np.cumsum(live, dtype=np.intc) - 1
-                indptr = np.zeros(new[-1] + 2, dtype=np.intc)
-                indptr[1:] = np.cumsum(keep, dtype=np.intc)[ends[live]]
-                kkt = csc_array(((val + shift * sign)[keep], new[row[keep]], indptr),
-                                shape=(indptr.size - 1,) * 2)
-                try:
-                    # One-column panels, no relaxed supernodes: 15-30% faster here.
-                    lu = splu(kkt, panel_size=1, relax=1)
-                except RuntimeError:    # "Factor is exactly singular"
-                    pass
+                base = self._base
+                lu = (None if shift or base is None else base.lu if key[0] == base.key
+                      else base.border(work, idx)) or self._direct(work, shift)
             self._kept = (key, idx, lu)
         return self._kept[1], self._kept[2]
+
+    def _direct(self, work: np.ndarray, shift: float) -> Optional[SuperLU]:
+        """SuperLU of the set's KKT matrix, None if singular; unshifted, it
+        becomes the base (see `_Base`).  A C entry exactly zero in the loaded
+        program is left out, and so is the multipliers' diagonal when
+        unshifted.  A repeat of the last factor's set, shift and mask of
+        non-zeros refills its CSC matrix's values."""
+        flat, c = self.C.reshape(-1), self.prog.curvature
+        key = (work.tobytes(), (flat[self._at] != 0.0).tobytes(), shift)
+        if key != self._csc[0]:
+            owner, row, sign, ends, d_at, c_at, c_src = self._kkt_entries
+            val = np.zeros(sign.size)
+            val[c_at], val[d_at] = flat[c_src], c
+            live = np.concatenate((np.ones(c.size, dtype=bool), work))
+            keep = live[owner] & ((sign >= 0) | bool(shift))
+            keep[c_at] &= val[c_at] != 0.0
+            new = np.cumsum(live, dtype=np.intc) - 1
+            indptr = np.zeros(new[-1] + 2, dtype=np.intc)
+            indptr[1:] = np.cumsum(keep, dtype=np.intc)[ends[live]]
+            kkt = csc_array(((val + shift * sign)[keep], new[row[keep]], indptr),
+                            shape=(indptr.size - 1,) * 2)
+            # Where C's entries and the curvature go in the matrix's values.
+            at, kept = np.cumsum(keep) - 1, keep[c_at]
+            self._csc = (key, kkt, at[c_at[kept]], c_src[kept].astype(np.intp), at[d_at])
+        else:
+            kkt, c_to, c_from, d_to = self._csc[1:]
+            kkt.data[c_to] = flat[c_from]
+            kkt.data[d_to] = c + shift
+        try:
+            # One-column panels, no relaxed supernodes: 15-30% faster here.
+            lu = splu(kkt, panel_size=1, relax=1)
+        except RuntimeError:    # "Factor is exactly singular"
+            return None
+        if not shift and (c > 0.0).all():
+            self._base = _Base(work.copy(), lu, self.C, c)
+        return lu
 
     @cached_property
     def _kkt_entries(self) -> tuple[np.ndarray, ...]:
@@ -392,8 +505,9 @@ class QpWorkspace:
 
         Per entry of the pattern: the largest index it touches (it stays in
         a working set's matrix if that one is live), its row and its shift
-        sign; then each column's last entry; then where the values go (see
-        `_kkt_values`).  Built at the first factor, kept across loads.
+        sign; then each column's last entry; then where the values go: the
+        curvature's and C's entries, and the latter's flat index in C.  Built
+        at the first factor, kept across loads.
         """
         n, m = self.prog.n, self.m
         pattern = np.zeros((m, n), dtype=bool)
@@ -423,21 +537,6 @@ class QpWorkspace:
             np.maximum(row, col), row, ends, np.flatnonzero(~in_c), c_at, c_src))
         return owner, row, sign, ends, d_at, c_at, c_src
 
-    def _kkt_values(self) -> tuple[np.ndarray, np.ndarray]:
-        """(value, kept) of every KKT entry for the loaded program.
-
-        A C entry that is exactly zero in this program is not kept, so each
-        factor sees only its non-zeros; the diagonals always are.
-        """
-        *_, d_at, c_at, c_src = self._kkt_entries
-        val = np.zeros(d_at.size + c_at.size + self.m)
-        val[d_at] = self.prog.curvature
-        c_val = self.C.reshape(-1)[c_src]
-        val[c_at] = c_val
-        kept = np.ones(val.size, dtype=bool)
-        kept[c_at] = c_val != 0.0
-        return val, kept
-
     # -- exact solves ------------------------------------------------------------------
 
     def _pinned_solve(self, at_upper: np.ndarray, at_lower: np.ndarray,
@@ -454,7 +553,7 @@ class QpWorkspace:
         sol = lu.solve(np.concatenate([-self.q,
                                        np.where(at_lower, self.l, self.u)[idx]]))
         xp, yp = sol[:self.prog.n], np.zeros(self.m)
-        if not np.all(np.isfinite(xp)):
+        if not np.isfinite(xp).all():
             return None
         yp[idx] = sol[self.prog.n:]
         return xp, yp
@@ -477,7 +576,7 @@ class QpWorkspace:
         at_upper = ~eq & (y_seed > 0.0)
         at_lower = ~eq & (y_seed < 0.0)
         x, y = np.zeros(n), np.zeros(m)
-        if not np.all(c > 0.0):
+        if not (c > 0.0).all():
             return self._settle(at_upper, at_lower, x, y, tol, 0)
         root = np.sqrt(c)
         # Start at the minimum on the seed rows and drop wrong-sign rows
@@ -504,7 +603,7 @@ class QpWorkspace:
             cx = C @ x
             over, under = cx - self.u, self.l - cx
             viol = np.where(eq | at_upper | at_lower, 0.0, np.maximum(over, under))
-            if np.max(viol, initial=0.0) <= ftol:
+            if viol.max(initial=0.0) <= ftol:
                 if not iterations:
                     # (x, y) is the exact solve of the working set that
                     # settling would repeat: certify it as it is.

@@ -1,0 +1,52 @@
+"""SuperLU factors per CLI command: one per loaded program.
+
+A workspace factors the first working set a solve meets after a load and
+solves every later set of that load by bordering that factor.  The counts
+come from spies on `qp.splu`, `QpWorkspace.load` (which the constructor
+calls too) and `_Base.border`.
+"""
+
+import pytest
+
+from essmpc import qp
+from essmpc.cli import main
+from essmpc.scenario import bundled_scenario_path
+
+
+@pytest.fixture()
+def events(monkeypatch):
+    """The run's "load", "splu" and "border" calls, in order."""
+    seen = []
+    for owner, name in ((qp, "splu"), (qp.QpWorkspace, "load"), (qp._Base, "border")):
+        def spy(*args, _name=name, _call=getattr(owner, name), **kwargs):
+            seen.append(_name)
+            return _call(*args, **kwargs)
+        monkeypatch.setattr(owner, name, spy)
+    return seen
+
+
+def run(tmp_path, command, scenario, *rest):
+    assert main([command, str(bundled_scenario_path(scenario)),
+                 f"--out={tmp_path}", *rest]) == 0
+
+
+@pytest.mark.parametrize("argv, factors", [
+    # Ten steps of three areas, one SQP iteration each: 30 programs.
+    (("dmpc", "twelve_bus", "--ttotal", "0.2"), 30),
+    # One step of the n = 252 program; its two dual steps are bordered.
+    (("mpc", "twelve_bus", "--ttotal", "0.02"), 1),
+], ids=["dmpc_twelve_bus", "mpc_twelve_bus"])
+def test_one_factor_per_loaded_program(events, tmp_path, argv, factors):
+    run(tmp_path, *argv)
+    assert events.count("splu") == events.count("load") == factors
+    assert events.count("border") > 0
+
+
+def test_compare_borders_the_working_set_flips(events, tmp_path):
+    # The cv regime's warm solves drop two degenerate rows and add them back
+    # on the next step, two to three working sets per load; all but the
+    # first of a load are bordered, not factored.
+    run(tmp_path, "compare", "two_bus", "--ttotal", "0.1")
+    loads = events.count("load")
+    assert loads and events.count("splu") <= loads + 1
+    assert events.count("border") > 0

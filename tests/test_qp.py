@@ -343,16 +343,16 @@ def pinned_cases(draw):
     return ws, at_upper, at_lower
 
 
-def dense_pinned_system(ws, at_upper, at_lower):
+def dense_pinned_system(ws, at_upper, at_lower, shift=1e-12):
     """Reference: (KKT matrix, rhs, pinned rows, solution) of the same
-    +-1e-12-shifted system, assembled dense and solved by np.linalg.solve."""
+    +-shift-shifted system, assembled dense and solved by np.linalg.solve."""
     n = ws.prog.n
     idx = np.flatnonzero(ws._eq | at_upper | at_lower)
     kkt = np.zeros((n + idx.size, n + idx.size))
-    kkt[:n, :n] = np.diag(ws.prog.curvature + 1e-12)
+    kkt[:n, :n] = np.diag(ws.prog.curvature + shift)
     kkt[:n, n:] = ws.C[idx].T
     kkt[n:, :n] = ws.C[idx]
-    kkt[n:, n:] = -1e-12 * np.eye(idx.size)
+    kkt[n:, n:] = -shift * np.eye(idx.size)
     rhs = np.concatenate([-ws.prog.q, np.where(at_lower, ws.l, ws.u)[idx]])
     return kkt, rhs, idx, np.linalg.solve(kkt, rhs)
 
@@ -398,17 +398,23 @@ class TestKeptFactor:
         rng = np.random.default_rng(16)
         kw = random_qp(rng, 6, 8, box=True)
         solves = []
-        splu = qp.splu
+        factor = QpWorkspace._factor
 
-        class CountedLu:
-            def __init__(self, lu):
-                self.lu = lu
+        class Counted:
+            """A working set's KKT solver, counting its solves."""
+
+            def __init__(self, solver):
+                self.solver = solver
 
             def solve(self, rhs):
                 solves.append(rhs)
-                return self.lu.solve(rhs)
+                return self.solver.solve(rhs)
 
-        monkeypatch.setattr(qp, "splu", lambda *a, **k: CountedLu(splu(*a, **k)))
+        def counted(ws, work, shift):
+            idx, solver = factor(ws, work, shift)
+            return idx, solver and Counted(solver)
+
+        monkeypatch.setattr(QpWorkspace, "_factor", counted)
         ws = QpWorkspace(ConvexProgram(**kw))
         first = ws.solve(tol=1e-9)
         solves.clear()
@@ -417,6 +423,109 @@ class TestKeptFactor:
         assert len(solves) == 1
         assert np.array_equal(again.x, first.x)
         assert np.array_equal(again.y_stacked, first.y_stacked)
+
+
+def agrees_with_dense(ws, at_upper, at_lower, x, y, shift):
+    """(x, y) matches the dense solve of the same pinned system to the
+    condition number times the unit roundoff."""
+    kkt, _rhs, idx, ref = dense_pinned_system(ws, at_upper, at_lower, shift)
+    got = np.concatenate([x, y[idx]])
+    bound = 10 * kkt.shape[0] * np.finfo(float).eps * np.linalg.cond(kkt)
+    return (not np.any(np.delete(y, idx))
+            and np.max(np.abs(got - ref)) <= bound * np.max(np.abs(ref)))
+
+
+@st.composite
+def bordered_cases(draw):
+    """A strictly convex program, a base working set of its rows and a walk
+    from it, each set one row added to or dropped from the last.
+
+    The curvature is scaled down by up to 1e-8, as in the LP-like programs
+    of the controllers.  No set holds more rows than variables.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, m_eq = draw(st.integers(2, 7)), draw(st.integers(0, 2))
+    kw = random_qp(rng, n, draw(st.integers(1, 8)), m_eq, box=draw(st.booleans()))
+    kw["curvature"] = kw["curvature"] * 10.0 ** draw(st.integers(-8, 0))
+    ws = QpWorkspace(ConvexProgram(**kw))
+    free = np.flatnonzero(~ws._eq)
+    work = np.zeros(ws.m, dtype=bool)
+    work[rng.permutation(free)[:draw(st.integers(0, n - m_eq))]] = True
+    walk = [work]
+    for _ in range(draw(st.integers(1, 8))):
+        work = work.copy()
+        r = rng.choice(free)
+        work[r] = not work[r] and np.count_nonzero(work) < n - m_eq
+        walk.append(work)
+    return ws, walk
+
+
+class TestBorderedSolve:
+    @staticmethod
+    def sides(ws, work):
+        at_upper = work & np.isfinite(ws.u)
+        return at_upper, work & ~at_upper
+
+    @settings(max_examples=150, deadline=None)
+    @given(bordered_cases())
+    def test_walk_matches_dense_reference(self, case):
+        ws, walk = case
+        for work in walk:
+            at_upper, at_lower = self.sides(ws, work)
+            solved = ws._pinned_solve(at_upper, at_lower, 0.0)
+            assert solved is not None
+            assert agrees_with_dense(ws, at_upper, at_lower, *solved, shift=0.0)
+
+    def test_walk_keeps_the_base_factor(self, monkeypatch):
+        rng = np.random.default_rng(18)
+        ws = QpWorkspace(ConvexProgram(**random_qp(rng, 8, 10, 2, box=True)))
+        calls = []
+        splu = qp.splu
+        monkeypatch.setattr(qp, "splu", lambda *a, **k: calls.append(a) or splu(*a, **k))
+        work = np.zeros(ws.m, dtype=bool)
+        for r in (3, 5, 7, 4, 9, 3, 12, 5):      # adds, then drops and adds back
+            work[r] = not work[r]
+            at_upper, at_lower = self.sides(ws, work)
+            solved = ws._pinned_solve(at_upper, at_lower, 0.0)
+            assert agrees_with_dense(ws, at_upper, at_lower, *solved, shift=0.0)
+        assert len(calls) == 1
+        assert isinstance(ws._factor(ws._eq | work, 0.0)[1], qp._Bordered)
+
+    def test_zero_curvature_factors_every_set(self):
+        # With c_0 = 0 no row has an a'diag(c)^-1 a to scale its border by:
+        # each warm start's working set gets the factor a fresh workspace does.
+        prog = ConvexProgram(q=np.array([1.0, -1.0]), curvature=np.array([0.0, 1.0]),
+                             A_in=np.array([[1.0, 1.0], [1.0, -1.0]]),
+                             b_in=np.ones(2), lb=np.full(2, -2.0), ub=np.full(2, 2.0))
+        ws = QpWorkspace(prog)
+        for row in (0, 1, 0):
+            y0 = np.zeros(ws.m)
+            y0[row] = 1.0
+            got = ws.solve(tol=1e-9, y0=y0)
+            fresh = QpWorkspace(prog).solve(tol=1e-9, y0=y0)
+            assert (got.status, got.x.tobytes()) == (fresh.status, fresh.x.tobytes())
+        assert ws._base is None
+
+    def test_dependent_added_row_is_factored_directly(self, monkeypatch):
+        # Row 1 repeats row 0: the Schur pivot of adding it to a set that
+        # holds row 0 is zero, so the set gets the direct factor a fresh
+        # workspace gives it.
+        rng = np.random.default_rng(19)
+        kw = random_qp(rng, 5, 4)
+        kw["A_in"][1], kw["b_in"][1] = kw["A_in"][0], kw["b_in"][0]
+        ws = QpWorkspace(ConvexProgram(**kw))
+        calls = []
+        splu = qp.splu
+        monkeypatch.setattr(qp, "splu", lambda *a, **k: calls.append(a) or splu(*a, **k))
+        none, base, both = (np.zeros(ws.m, dtype=bool) for _ in range(3))
+        base[0] = both[0] = both[1] = True
+        assert ws._pinned_solve(base, none, 0.0) is not None
+        assert len(calls) == 1
+        assert not isinstance(ws._factor(both, 0.0)[1], qp._Bordered)
+        assert len(calls) == 2
+        got = ws._pinned_solve(both, none, 0.0)
+        fresh = QpWorkspace(ConvexProgram(**kw))._pinned_solve(both, none, 0.0)
+        assert all(np.array_equal(a, b) for a, b in zip(got, fresh))
 
 
 @st.composite

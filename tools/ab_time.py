@@ -12,8 +12,10 @@ first warm-up pair is not counted.  SCENARIO is a bundled scenario
 name, taken from each tree's own package, or a path.  Outputs go to a
 temporary directory and stdout is discarded.
 
-Prints each tree's median and quartiles in seconds, the median of the
-paired ratios NEW/OLD, and in how many pairs NEW was faster.
+Prints each tree's median and quartiles in seconds and its SuperLU
+factorizations per command (counted by a spy on that tree's own
+`qp.splu`), the median of the paired ratios NEW/OLD, and in how many pairs
+NEW was faster.
 """
 
 from __future__ import annotations
@@ -49,12 +51,21 @@ def load_tree(root: Path, name: str) -> ModuleType:
 
 
 def command_runner(root: Path, cli: ModuleType, argv: list[str]):
-    """A function running `argv` once through `cli.main`; returns seconds."""
+    """A function running `argv` once through `cli.main`; returns (seconds,
+    SuperLU factorizations), the latter counted on the tree's `qp.splu`."""
     command, scenario, *rest = argv
     bundled = root / "src" / "essmpc" / "scenarios" / f"{scenario}.scn"
     path = bundled if bundled.is_file() else Path(scenario)
+    qp = importlib.import_module(f"{cli.__package__}.qp")
+    splu, factors = qp.splu, [0]
 
-    def run() -> float:
+    def counted(*args, **kwargs):
+        factors[0] += 1
+        return splu(*args, **kwargs)
+    qp.splu = counted
+
+    def run() -> tuple[float, int]:
+        factors[0] = 0
         with tempfile.TemporaryDirectory() as out, \
                 contextlib.redirect_stdout(io.StringIO()):
             t0 = perf_counter()
@@ -62,7 +73,7 @@ def command_runner(root: Path, cli: ModuleType, argv: list[str]):
             elapsed = perf_counter() - t0
         if code != 0:
             raise SystemExit(f"error: {root}: {' '.join(argv)} exited {code}")
-        return elapsed
+        return elapsed, factors[0]
     return run
 
 
@@ -73,23 +84,29 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def compare(runs, pairs: int) -> tuple[list[float], list[float]]:
-    """(old times, new times) over `pairs` counted pairs, order alternating."""
+def compare(runs, pairs: int) -> tuple[tuple[list[float], list[float]],
+                                      tuple[list[int], list[int]]]:
+    """((old, new) times, (old, new) factorizations) over `pairs` counted
+    pairs, order alternating."""
     times: tuple[list[float], list[float]] = ([], [])
+    factors: tuple[list[int], list[int]] = ([], [])
     for p in range(WARMUP + pairs):
         order = (0, 1) if p % 2 == 0 else (1, 0)
         got = {i: runs[i]() for i in order}
         if p >= WARMUP:
             for i in (0, 1):
-                times[i].append(got[i])
-    return times
+                times[i].append(got[i][0])
+                factors[i].append(got[i][1])
+    return times, factors
 
 
-def report(old: list[float], new: list[float]) -> str:
+def report(old: list[float], new: list[float],
+           factors: tuple[list[int], list[int]]) -> str:
     lines = []
-    for label, values in (("old", old), ("new", new)):
+    for label, values, counts in (("old", old, factors[0]), ("new", new, factors[1])):
         q1, q2, q3 = quartiles(values)
         lines.append(f"{label}: median {q2:.4f} s  quartiles {q1:.4f} / {q3:.4f} s"
+                     f"  splu {statistics.median(counts):g} per command"
                      f"  (n = {len(values)})")
     ratios = [b / a for a, b in zip(old, new)]
     wins = sum(b < a for a, b in zip(old, new))
@@ -111,7 +128,8 @@ def main(argv=None) -> int:
         parser.error("need a command and a scenario, and --pairs >= 1")
     runs = [command_runner(root, load_tree(root.resolve(), f"essmpc_ab{i}"), command)
             for i, root in enumerate((args.old, args.new))]
-    print(report(*compare(runs, args.pairs)))
+    times, factors = compare(runs, args.pairs)
+    print(report(*times, factors))
     return 0
 
 
