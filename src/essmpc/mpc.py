@@ -61,9 +61,9 @@ __all__ = [
 ]
 
 # Tiny diagonal cost keeping the subproblem strictly convex, so a non-unique
-# LP optimum resolves to one deterministic point and the dual active set of
-# qp.py applies.  At or below qp_tol it also makes a cold solve seed the
-# dual active set from the HiGHS vertex of the linear part (see qp.py).
+# LP optimum resolves to one deterministic point; qp.py's dual active set
+# requires every curvature > 0.  At or below qp_tol it also makes a cold solve
+# seed the dual active set from the HiGHS vertex of the linear part.
 _REGULARIZATION = 1e-8
 
 

@@ -1,10 +1,12 @@
 """Convex quadratic programming by an exact dual active set.
 
 Solves  min 0.5 sum_i c_i x_i^2 + q'x  subject to  A_eq x = b_eq,
-A_in x <= b_in, lb <= x <= ub, with diagonal curvatures c >= 0.  The rows
-are stacked as l <= C x <= u.  A working set pins rows at one of their
-bounds, and the KKT system of the pinned rows is solved exactly.  A point is
-accepted only when its exactly recomputed KKT residuals meet the tolerance.
+A_in x <= b_in, lb <= x <= ub, with diagonal curvatures c > 0: a strictly
+convex program, the domain of the dual method below.  The rows are stacked
+as l <= C x <= u.  A working set W pins rows at one of their bounds, and
+its KKT system [[diag(c), C_W'], [C_W, 0]] is solved exactly, unshifted.  A
+point is accepted only when its exactly recomputed KKT residuals meet the
+tolerance.
 A workspace lays the KKT matrix out in CSC form once, from c and a pattern
 of where C may be non-zero; a program loaded into it brings only values.
 SuperLU factors one working set per load, the first a solve factors: the
@@ -17,21 +19,21 @@ A solve is one sequence: seed, dual active set, settle.
 
 * The seed is the rows with non-zero warm multipliers y0.  Without y0 it
   is the rows of the HiGHS optimum of the linear part when max c <= tol
-  (an LP up to a tie-break; HiGHS proving the rows infeasible ends the
-  solve "infeasible"), and otherwise the equality rows.
+  (the quadratic term a tie-break; HiGHS proving the rows infeasible ends
+  the solve "infeasible"), and otherwise the equality rows.
 * The Goldfarb-Idnani dual active set (Math. Prog. 27, 1983) starts at
   the minimum on the seed rows, less any of wrong sign, and adds one
   violated row at a time, dropping a working row whose multiplier reaches
   zero on the way.  The objective rises at every step, so it ends after
   finitely many: at the optimum, or "infeasible" when no finite step can
-  satisfy a violated row.  Its factors are unshifted, so a dependent row
-  shows zero curvature and a dependent seed restarts from the equality rows.
-* The settle is the exact solve of the final working set; with a zero
-  curvature there is no iteration, and the seed's rows are settled.  Only a
-  singular working set is solved with a +-1e-12 shift.  A start point that
-  is already optimal is that exact solve, and is certified as it is.
+  satisfy a violated row.  A dependent row shows zero curvature, and a
+  dependent seed restarts from the equality rows.
+* The settle is the exact solve of the final working set.  A start point
+  that is already optimal is that exact solve, and is certified as it is.
 
 A solve that certifies no point ends "max_iter" with its last iterate.
+Dependent equality rows make every working set's KKT matrix singular, so
+such a program ends "max_iter" at once.
 Residuals in the report are always recomputed from the returned point,
 never taken from an iteration or from HiGHS: from the stacked rows, with
 one product by C and one by its transpose; `kkt_residual` is the
@@ -100,7 +102,7 @@ class ConvexProgram:
     """QP data: min 0.5 sum_i curvature_i x_i^2 + q'x over the rows.
 
     `curvature` is the diagonal of the quadratic term, one finite entry
-    >= 0 per variable; omitted, it is zero (a pure LP).
+    > 0 per variable, and is required.
     """
 
     q: np.ndarray
@@ -115,12 +117,13 @@ class ConvexProgram:
     def __post_init__(self) -> None:
         self.q = np.asarray(self.q, dtype=float).ravel()
         n = self.q.size
-        self.curvature = np.zeros(n) if self.curvature is None \
-            else np.asarray(self.curvature, dtype=float)
+        if self.curvature is None:
+            raise QpError("curvature must be finite and > 0")
+        self.curvature = np.asarray(self.curvature, dtype=float)
         if self.curvature.shape != (n,):
             raise QpError(f"curvature has shape {self.curvature.shape}, expected ({n},)")
-        if not np.all(np.isfinite(self.curvature) & (self.curvature >= 0.0)):
-            raise QpError("curvature must be finite and >= 0")
+        if not np.all(np.isfinite(self.curvature) & (self.curvature > 0.0)):
+            raise QpError("curvature must be finite and > 0")
         self.A_eq = _as_2d(self.A_eq, n)
         self.b_eq = _as_1d(self.b_eq, self.A_eq.shape[0], "b_eq")
         self.A_in = _as_2d(self.A_in, n)
@@ -209,8 +212,7 @@ class _Base:
     a dropped row the unit u of its multiplier, which pins that multiplier
     to zero and frees the row's equation.  Each border row's u and K0^-1 u
     are kept, scaled by a'diag(c)^-1 a to the power -1/2 (added) or 1/2
-    (dropped), so the Schur complement's pivots are relative to one; a
-    program with a zero curvature keeps no base.
+    (dropped), so the Schur complement's pivots are relative to one.
     """
 
     def __init__(self, work: np.ndarray, lu: SuperLU, C: np.ndarray, c: np.ndarray):
@@ -291,11 +293,11 @@ class QpWorkspace:
     own `q`: `load` takes the program's, and `update_linear` replaces only
     the workspace's, so a loaded program is never written to.
     Entries that are exactly zero in the loaded program are left out of its
-    KKT matrices.  The KKT matrix does not depend on q: the load's base
-    factor and each border row's solve with it last until the next load,
-    and the last (working set, shift)'s solver is kept for a repeat.  A
-    direct factor that repeats the last one's set and non-zeros refills its
-    CSC values.  The dual active set solves unshifted.
+    KKT matrices.  Every solve is of one system, the unshifted KKT matrix
+    of a working set; it does not depend on q.  The load's base factor and
+    each border row's solve with it last until the next load, and the last
+    working set's solver is kept for a repeat.  A direct factor that
+    repeats the last one's set and non-zeros refills its CSC values.
     """
 
     def __init__(self, prog: ConvexProgram, pattern: Optional[np.ndarray] = None):
@@ -316,7 +318,6 @@ class QpWorkspace:
         else:
             full[:m_eq + m_in] = pattern
         self._at = np.flatnonzero(full)    # the pattern of C, flat
-        self._outside = np.flatnonzero(~full[:m_eq + m_in])   # [A_eq; A_in]'s complement
         self._eq = np.arange(self.m) < m_eq
         self._csc = (None,)                # the last direct factor's CSC matrix, keyed
         self.load(prog)
@@ -336,14 +337,14 @@ class QpWorkspace:
             raise QpError("program does not have the workspace's rows and box columns")
         self.C[:m_eq] = prog.A_eq
         self.C[m_eq:m_eq + m_in] = prog.A_in
-        if self.C.reshape(-1).take(self._outside).any():
+        if np.count_nonzero(self.C) != np.count_nonzero(self.C.reshape(-1)[self._at]):
             raise QpError("program has a non-zero outside the workspace's pattern")
         self.prog, self.q = prog, prog.q
         self.l = np.concatenate([prog.b_eq, np.full(m_in, -np.inf),
                                  prog.lb[self._box_vars]])
         self.u = np.concatenate([prog.b_eq, prog.b_in, prog.ub[self._box_vars]])
         self._finite_l, self._finite_u = np.isfinite(self.l), np.isfinite(self.u)
-        self._kept = (None, None, None)   # (working set, shift), rows, solver: the last
+        self._kept = (None, None, None)   # working set, rows, solver: the last
         self._base: Optional[_Base] = None
 
     def update_linear(self, q: np.ndarray) -> None:
@@ -446,42 +447,40 @@ class QpWorkspace:
 
     # -- KKT factor ------------------------------------------------------------------
 
-    def _factor(self, work: np.ndarray, shift: float
+    def _factor(self, work: np.ndarray
                 ) -> tuple[np.ndarray, Optional[SuperLU | _Bordered]]:
-        """(rows W, solver or None if singular) of
-        [[diag(c) + shift I, C_W'], [C_W, -shift I]]: the base factor, the
-        base bordered, or else a direct factor."""
-        key = (work.tobytes(), shift)
+        """(rows W, solver or None if singular) of [[diag(c), C_W'], [C_W, 0]]:
+        the base factor, the base bordered, or else a direct factor."""
+        key = work.tobytes()
         if self._kept[0] != key:
             idx, lu = np.flatnonzero(work), None
-            # More rows than variables are dependent: singular unless shifted,
-            # whatever pivots rounding leaves.
-            if shift or idx.size <= self.prog.n:
+            # More rows than variables are dependent: singular, whatever
+            # pivots rounding leaves.
+            if idx.size <= self.prog.n:
                 base = self._base
-                lu = (None if shift or base is None else base.lu if key[0] == base.key
-                      else base.border(work, idx)) or self._direct(work, shift)
+                lu = (None if base is None else base.lu if key == base.key
+                      else base.border(work, idx)) or self._direct(work)
             self._kept = (key, idx, lu)
         return self._kept[1], self._kept[2]
 
-    def _direct(self, work: np.ndarray, shift: float) -> Optional[SuperLU]:
-        """SuperLU of the set's KKT matrix, None if singular; unshifted, it
+    def _direct(self, work: np.ndarray) -> Optional[SuperLU]:
+        """SuperLU of the set's unshifted KKT matrix, None if singular; it
         becomes the base (see `_Base`).  A C entry exactly zero in the loaded
-        program is left out, and so is the multipliers' diagonal when
-        unshifted.  A repeat of the last factor's set, shift and mask of
+        program is left out.  A repeat of the last factor's set and mask of
         non-zeros refills its CSC matrix's values."""
         flat, c = self.C.reshape(-1), self.prog.curvature
-        key = (work.tobytes(), (flat[self._at] != 0.0).tobytes(), shift)
+        key = (work.tobytes(), (flat[self._at] != 0.0).tobytes())
         if key != self._csc[0]:
-            owner, row, sign, ends, d_at, c_at, c_src = self._kkt_entries
-            val = np.zeros(sign.size)
+            owner, row, ends, d_at, c_at, c_src = self._kkt_entries
+            val = np.zeros(row.size)
             val[c_at], val[d_at] = flat[c_src], c
             live = np.concatenate((np.ones(c.size, dtype=bool), work))
-            keep = live[owner] & ((sign >= 0) | bool(shift))
+            keep = live[owner]
             keep[c_at] &= val[c_at] != 0.0
             new = np.cumsum(live, dtype=np.intc) - 1
             indptr = np.zeros(new[-1] + 2, dtype=np.intc)
             indptr[1:] = np.cumsum(keep, dtype=np.intc)[ends[live]]
-            kkt = csc_array(((val + shift * sign)[keep], new[row[keep]], indptr),
+            kkt = csc_array((val[keep], new[row[keep]], indptr),
                             shape=(indptr.size - 1,) * 2)
             # Where C's entries and the curvature go in the matrix's values.
             at, kept = np.cumsum(keep) - 1, keep[c_at]
@@ -489,14 +488,13 @@ class QpWorkspace:
         else:
             kkt, c_to, c_from, d_to = self._csc[1:]
             kkt.data[c_to] = flat[c_from]
-            kkt.data[d_to] = c + shift
+            kkt.data[d_to] = c
         try:
             # One-column panels, no relaxed supernodes: 15-30% faster here.
             lu = splu(kkt, panel_size=1, relax=1)
         except RuntimeError:    # "Factor is exactly singular"
             return None
-        if not shift and (c > 0.0).all():
-            self._base = _Base(work.copy(), lu, self.C, c)
+        self._base = _Base(work.copy(), lu, self.C, c)
         return lu
 
     @cached_property
@@ -504,10 +502,10 @@ class QpWorkspace:
         """CSC layout of the KKT matrix of all rows (row r at index n + r).
 
         Per entry of the pattern: the largest index it touches (it stays in
-        a working set's matrix if that one is live), its row and its shift
-        sign; then each column's last entry; then where the values go: the
-        curvature's and C's entries, and the latter's flat index in C.  Built
-        at the first factor, kept across loads.
+        a working set's matrix if that one is live) and its row; then each
+        column's last entry; then where the values go: the curvature's and
+        C's entries, and the latter's flat index in C.  Built at the first
+        factor, kept across loads.
         """
         n, m = self.prog.n, self.m
         pattern = np.zeros((m, n), dtype=bool)
@@ -520,34 +518,27 @@ class QpWorkspace:
         l_row = np.concatenate([np.arange(n), n + c_row])[order]
         # C's flat index of each value; -1 for the diagonal, the curvature.
         l_src = np.concatenate([np.full(n, -1), c_row * n + c_col])[order]
-        # Column n + r holds C's row r, then the diagonal (marker column n).
-        r_col, r_row = np.divmod(np.flatnonzero(
-            np.hstack([pattern, np.ones((m, 1), dtype=bool)])), n + 1)
-        diag = r_row == n
-        row = np.concatenate([l_row, r_row + diag * r_col])
+        # Column n + r holds C's row r.
+        r_col, r_row = np.nonzero(pattern)
+        row = np.concatenate([l_row, r_row])
         col = np.concatenate([l_col, n + r_col])
-        sign = np.concatenate([(l_row == l_col).astype(np.int8), -diag.astype(np.int8)])
         ends = np.searchsorted(col, np.arange(n + m), side="right") - 1
         # Where the values go: the curvature to each column's first entry, C's
-        # entries from their flat index; the markers hold zero.
+        # entries from their flat index.
         in_c = l_src >= 0
-        c_at = np.concatenate([np.flatnonzero(in_c), l_row.size + np.flatnonzero(~diag)])
-        c_src = np.concatenate([l_src[in_c], (r_col * n + r_row)[~diag]])
-        owner, row, ends, d_at, c_at, c_src = (a.astype(np.intc) for a in (
+        c_at = np.concatenate([np.flatnonzero(in_c), l_row.size + np.arange(r_col.size)])
+        c_src = np.concatenate([l_src[in_c], r_col * n + r_row])
+        return tuple(a.astype(np.intc) for a in (
             np.maximum(row, col), row, ends, np.flatnonzero(~in_c), c_at, c_src))
-        return owner, row, sign, ends, d_at, c_at, c_src
 
     # -- exact solves ------------------------------------------------------------------
 
-    def _pinned_solve(self, at_upper: np.ndarray, at_lower: np.ndarray,
-                      shift: float = 1e-12
+    def _pinned_solve(self, at_upper: np.ndarray, at_lower: np.ndarray
                       ) -> Optional[tuple[np.ndarray, np.ndarray]]:
         """Exact (x, y) with the equality and working-set rows pinned, or None
-        if the KKT matrix is singular.
-
-        The default +-1e-12 shift keeps an over-determined working set solvable.
+        if the KKT matrix is singular (always so with more rows than variables).
         """
-        idx, lu = self._factor(self._eq | at_upper | at_lower, shift)
+        idx, lu = self._factor(self._eq | at_upper | at_lower)
         if lu is None:
             return None
         sol = lu.solve(np.concatenate([-self.q,
@@ -568,25 +559,21 @@ class QpWorkspace:
         violated row: a full step makes it active and adds it, a partial
         step stops where a working multiplier reaches zero and drops that
         row.  The objective rises monotonically, so no working set repeats.
-        With a zero curvature there is no iteration: the seed's working set
-        is settled as it is.
         """
         n, m = self.prog.n, self.m
         eq, C, c = self._eq, self.C, self.prog.curvature
         at_upper = ~eq & (y_seed > 0.0)
         at_lower = ~eq & (y_seed < 0.0)
         x, y = np.zeros(n), np.zeros(m)
-        if not (c > 0.0).all():
-            return self._settle(at_upper, at_lower, x, y, tol, 0)
         root = np.sqrt(c)
         # Start at the minimum on the seed rows and drop wrong-sign rows
         # until the working set is dual feasible.  A singular seed restarts
-        # from the equality rows; singular equality rows are settled.
+        # from the equality rows; singular equality rows end max_iter.
         while True:
-            solved = self._pinned_solve(at_upper, at_lower, 0.0)
+            solved = self._pinned_solve(at_upper, at_lower)
             if solved is None:
                 if not (at_upper.any() or at_lower.any()):
-                    return self._settle(at_upper, at_lower, x, y, tol, 0)
+                    return self._finish(x, y, "max_iter", 0)
                 at_upper[:] = at_lower[:] = False
                 continue
             x, y = solved
@@ -620,9 +607,9 @@ class QpWorkspace:
             t_p = 0.0
             while iterations < limit:
                 # The set the last step left; the start set's factor is kept.
-                idx, lu = self._factor(eq | at_upper | at_lower, 0.0)
+                idx, lu = self._factor(eq | at_upper | at_lower)
                 if lu is None:
-                    return self._settle(at_upper, at_lower, x, y, tol, iterations)
+                    return self._finish(x, y, "max_iter", iterations)
                 iterations += 1
                 sol = lu.solve(np.concatenate([-a_p, np.zeros(idx.size)]))
                 step, r = sol[:n], sol[n:]
@@ -654,12 +641,8 @@ class QpWorkspace:
 
     def _settle(self, at_upper: np.ndarray, at_lower: np.ndarray, x: np.ndarray,
                 y: np.ndarray, tol: float, iterations: int) -> SolveReport:
-        """The working set's exact solve if certified, else max_iter at (x, y).
-
-        The solve is unshifted, its factor kept for a repeat of the working
-        set; only a singular working set is solved with the shift.
-        """
-        pinned = (self._pinned_solve(at_upper, at_lower, 0.0)
-                  or self._pinned_solve(at_upper, at_lower))
+        """The working set's exact, unshifted solve if certified, else
+        max_iter at (x, y); the factor is kept for a repeat of the set."""
+        pinned = self._pinned_solve(at_upper, at_lower)
         done = None if pinned is None else self._certified(*pinned, tol, iterations)
         return done or self._finish(x, y, "max_iter", iterations)

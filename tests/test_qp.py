@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from essmpc import qp
 from essmpc.qp import ConvexProgram, DualSet, QpError, QpWorkspace, kkt_residual
@@ -112,9 +112,10 @@ class TestHandCases:
         assert report.x[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_absolute_value_epigraph(self):
-        # min s subject to -s <= w <= s with w pinned to -0.3.
+        # min s subject to -s <= w <= s with w pinned to -0.3, the 1e-8
+        # diagonal of the controllers making it strictly convex.
         prog = ConvexProgram(
-            q=np.array([0.0, 1.0]),
+            q=np.array([0.0, 1.0]), curvature=np.full(2, 1e-8),
             A_eq=np.array([[1.0, 0.0]]), b_eq=np.array([-0.3]),
             A_in=np.array([[1.0, -1.0], [-1.0, -1.0]]), b_in=np.zeros(2))
         report = QpWorkspace(prog).solve()
@@ -135,21 +136,21 @@ class TestHandCases:
         assert report.status == "infeasible"
 
     def test_infeasible_lp_falls_back_to_certificate(self):
-        # HiGHS phase 1 proves the rows infeasible.
-        prog = ConvexProgram(q=np.zeros(1), A_in=np.array([[-1.0], [1.0]]),
-                             b_in=np.array([-1.0, 0.0]))
+        # With max c <= tol the cold solve runs HiGHS, whose phase 1 proves
+        # the rows infeasible.
+        prog = ConvexProgram(q=np.zeros(1), curvature=np.array([1e-8]),
+                             A_in=np.array([[-1.0], [1.0]]), b_in=np.array([-1.0, 0.0]))
         report = QpWorkspace(prog).solve()
         assert report.status == "infeasible"
 
     def test_dependent_equality_rows(self):
-        # Both rows say x1 + x2 = 1, so the unshifted KKT matrix is exactly
-        # singular; the shifted pinned solve of the same rows certifies.
+        # Both rows say x1 + x2 = 1, so every working set's KKT matrix is
+        # exactly singular: the solve has no certificate and says so.
         prog = ConvexProgram(q=np.zeros(2), curvature=np.ones(2),
                              A_eq=np.array([[1.0, 1.0], [1.0, 1.0]]),
                              b_eq=np.array([1.0, 1.0]))
         report = QpWorkspace(prog).solve()
-        assert report.status == "optimal"
-        assert np.allclose(report.x, [0.5, 0.5], atol=1e-9)
+        assert report.status == "max_iter" and not report.polished
 
     def test_lp_tie_break_is_kept(self):
         # Every point of x1 + x2 = 1 in the unit box is an LP optimum; the
@@ -343,16 +344,15 @@ def pinned_cases(draw):
     return ws, at_upper, at_lower
 
 
-def dense_pinned_system(ws, at_upper, at_lower, shift=1e-12):
+def dense_pinned_system(ws, at_upper, at_lower):
     """Reference: (KKT matrix, rhs, pinned rows, solution) of the same
-    +-shift-shifted system, assembled dense and solved by np.linalg.solve."""
+    system, assembled dense and solved by np.linalg.solve."""
     n = ws.prog.n
     idx = np.flatnonzero(ws._eq | at_upper | at_lower)
     kkt = np.zeros((n + idx.size, n + idx.size))
-    kkt[:n, :n] = np.diag(ws.prog.curvature + shift)
+    kkt[:n, :n] = np.diag(ws.prog.curvature)
     kkt[:n, n:] = ws.C[idx].T
     kkt[n:, :n] = ws.C[idx]
-    kkt[n:, n:] = -shift * np.eye(idx.size)
     rhs = np.concatenate([-ws.prog.q, np.where(at_lower, ws.l, ws.u)[idx]])
     return kkt, rhs, idx, np.linalg.solve(kkt, rhs)
 
@@ -362,12 +362,21 @@ class TestKeptFactor:
     @given(pinned_cases())
     def test_pinned_solve_matches_dense_reference(self, case):
         ws, at_upper, at_lower = case
+        idx = np.flatnonzero(ws._eq | at_upper | at_lower)
+        solved = ws._pinned_solve(at_upper, at_lower)
+        if idx.size > ws.prog.n:
+            # More rows than variables are dependent: no solver, no point.
+            assert solved is None
+            return
+        # Fewer rows may still be dependent (a zero row, or a row on one
+        # boxed column); the KKT matrix is regular exactly when they are not.
+        assume(np.linalg.matrix_rank(ws.C[idx]) == idx.size)
         kkt, rhs, idx, ref = dense_pinned_system(ws, at_upper, at_lower)
-        x, y = ws._pinned_solve(at_upper, at_lower)
+        x, y = solved
         got = np.concatenate([x, y[idx]])
         assert not np.any(np.delete(y, idx))
         # Two backward-stable solves of one system agree to its condition
-        # number times the unit roundoff, large as that is when k > n.
+        # number times the unit roundoff.
         bound = 10 * kkt.shape[0] * np.finfo(float).eps * np.linalg.cond(kkt)
         assert np.max(np.abs(got - ref)) <= bound * np.max(np.abs(ref))
         assert np.max(np.abs(kkt @ got - rhs)) <= 1e-14 * (
@@ -410,8 +419,8 @@ class TestKeptFactor:
                 solves.append(rhs)
                 return self.solver.solve(rhs)
 
-        def counted(ws, work, shift):
-            idx, solver = factor(ws, work, shift)
+        def counted(ws, work):
+            idx, solver = factor(ws, work)
             return idx, solver and Counted(solver)
 
         monkeypatch.setattr(QpWorkspace, "_factor", counted)
@@ -425,10 +434,10 @@ class TestKeptFactor:
         assert np.array_equal(again.y_stacked, first.y_stacked)
 
 
-def agrees_with_dense(ws, at_upper, at_lower, x, y, shift):
+def agrees_with_dense(ws, at_upper, at_lower, x, y):
     """(x, y) matches the dense solve of the same pinned system to the
     condition number times the unit roundoff."""
-    kkt, _rhs, idx, ref = dense_pinned_system(ws, at_upper, at_lower, shift)
+    kkt, _rhs, idx, ref = dense_pinned_system(ws, at_upper, at_lower)
     got = np.concatenate([x, y[idx]])
     bound = 10 * kkt.shape[0] * np.finfo(float).eps * np.linalg.cond(kkt)
     return (not np.any(np.delete(y, idx))
@@ -472,9 +481,9 @@ class TestBorderedSolve:
         ws, walk = case
         for work in walk:
             at_upper, at_lower = self.sides(ws, work)
-            solved = ws._pinned_solve(at_upper, at_lower, 0.0)
+            solved = ws._pinned_solve(at_upper, at_lower)
             assert solved is not None
-            assert agrees_with_dense(ws, at_upper, at_lower, *solved, shift=0.0)
+            assert agrees_with_dense(ws, at_upper, at_lower, *solved)
 
     def test_walk_keeps_the_base_factor(self, monkeypatch):
         rng = np.random.default_rng(18)
@@ -486,25 +495,10 @@ class TestBorderedSolve:
         for r in (3, 5, 7, 4, 9, 3, 12, 5):      # adds, then drops and adds back
             work[r] = not work[r]
             at_upper, at_lower = self.sides(ws, work)
-            solved = ws._pinned_solve(at_upper, at_lower, 0.0)
-            assert agrees_with_dense(ws, at_upper, at_lower, *solved, shift=0.0)
+            solved = ws._pinned_solve(at_upper, at_lower)
+            assert agrees_with_dense(ws, at_upper, at_lower, *solved)
         assert len(calls) == 1
-        assert isinstance(ws._factor(ws._eq | work, 0.0)[1], qp._Bordered)
-
-    def test_zero_curvature_factors_every_set(self):
-        # With c_0 = 0 no row has an a'diag(c)^-1 a to scale its border by:
-        # each warm start's working set gets the factor a fresh workspace does.
-        prog = ConvexProgram(q=np.array([1.0, -1.0]), curvature=np.array([0.0, 1.0]),
-                             A_in=np.array([[1.0, 1.0], [1.0, -1.0]]),
-                             b_in=np.ones(2), lb=np.full(2, -2.0), ub=np.full(2, 2.0))
-        ws = QpWorkspace(prog)
-        for row in (0, 1, 0):
-            y0 = np.zeros(ws.m)
-            y0[row] = 1.0
-            got = ws.solve(tol=1e-9, y0=y0)
-            fresh = QpWorkspace(prog).solve(tol=1e-9, y0=y0)
-            assert (got.status, got.x.tobytes()) == (fresh.status, fresh.x.tobytes())
-        assert ws._base is None
+        assert isinstance(ws._factor(ws._eq | work)[1], qp._Bordered)
 
     def test_dependent_added_row_is_factored_directly(self, monkeypatch):
         # Row 1 repeats row 0: the Schur pivot of adding it to a set that
@@ -519,12 +513,12 @@ class TestBorderedSolve:
         monkeypatch.setattr(qp, "splu", lambda *a, **k: calls.append(a) or splu(*a, **k))
         none, base, both = (np.zeros(ws.m, dtype=bool) for _ in range(3))
         base[0] = both[0] = both[1] = True
-        assert ws._pinned_solve(base, none, 0.0) is not None
+        assert ws._pinned_solve(base, none) is not None
         assert len(calls) == 1
-        assert not isinstance(ws._factor(both, 0.0)[1], qp._Bordered)
+        assert not isinstance(ws._factor(both)[1], qp._Bordered)
         assert len(calls) == 2
-        got = ws._pinned_solve(both, none, 0.0)
-        fresh = QpWorkspace(ConvexProgram(**kw))._pinned_solve(both, none, 0.0)
+        got = ws._pinned_solve(both, none)
+        fresh = QpWorkspace(ConvexProgram(**kw))._pinned_solve(both, none)
         assert all(np.array_equal(a, b) for a, b in zip(got, fresh))
 
 
@@ -543,7 +537,7 @@ def points_on_rows(draw):
     sides = rng.integers(0, 4, n) if kind != "equality_only" else np.zeros(n, dtype=int)
     centre = rng.normal(size=n)
     prog = ConvexProgram(
-        q=rng.normal(size=n), curvature=rng.uniform(0.0, 3.0, n),
+        q=rng.normal(size=n), curvature=rng.uniform(1e-8, 3.0, n),
         A_eq=rng.normal(size=(m_eq, n)), b_eq=rng.normal(size=m_eq),
         A_in=rng.normal(size=(m_in, n)) * (rng.random((m_in, n)) < 0.7),
         b_in=rng.normal(size=m_in),
@@ -626,12 +620,13 @@ class TestReload:
 
 
 class TestValidation:
-    def test_omitted_curvature_is_zero(self):
-        prog = ConvexProgram(q=np.array([1.0, -2.0]))
-        assert np.array_equal(prog.curvature, np.zeros(2))
-        boxed = ConvexProgram(q=prog.q, lb=np.array([3.0, 0.0]), ub=np.array([4.0, 1.0]))
+    def test_tiny_curvature_boxed_program(self):
+        # c = 1e-8 as in the controllers: the optimum is the LP's box vertex.
+        boxed = ConvexProgram(q=np.array([1.0, -2.0]), curvature=np.full(2, 1e-8),
+                              lb=np.array([3.0, 0.0]), ub=np.array([4.0, 1.0]))
         report = QpWorkspace(boxed).solve()
-        assert np.array_equal(report.x, [3.0, 1.0]) and report.objective == 1.0
+        assert report.status == "optimal" and np.array_equal(report.x, [3.0, 1.0])
+        assert report.objective == pytest.approx(1.0 + 5e-8, rel=1e-15)
 
     @pytest.mark.parametrize("curvature", [np.eye(2), np.ones(3), np.ones((2, 1))],
                              ids=["matrix", "long", "column"])
@@ -639,15 +634,19 @@ class TestValidation:
         with pytest.raises(QpError, match="curvature has shape"):
             ConvexProgram(q=np.zeros(2), curvature=curvature)
 
-    @pytest.mark.parametrize("bad", [-1e-12, np.nan, np.inf])
+    @pytest.mark.parametrize("bad", [None, 0.0, -1e-12, np.nan, np.inf])
     def test_negative_or_non_finite_curvature_rejected(self, bad):
-        with pytest.raises(QpError, match="curvature must be finite and >= 0"):
-            ConvexProgram(q=np.zeros(2), curvature=np.array([1.0, bad]))
+        # None leaves the curvature out: the program would not be strictly convex.
+        kw = {} if bad is None else {"curvature": np.array([1.0, bad])}
+        with pytest.raises(QpError, match="curvature must be finite and > 0"):
+            ConvexProgram(q=np.zeros(2), **kw)
 
     def test_crossed_box_rejected(self):
         with pytest.raises(QpError, match="box"):
-            ConvexProgram(q=np.zeros(1), lb=np.array([1.0]), ub=np.array([0.0]))
+            ConvexProgram(q=np.zeros(1), curvature=np.full(1, 1e-8),
+                          lb=np.array([1.0]), ub=np.array([0.0]))
 
     def test_dimension_mismatch_rejected(self):
-        with pytest.raises(QpError):
-            ConvexProgram(q=np.zeros(2), A_in=np.ones((1, 3)), b_in=np.ones(1))
+        with pytest.raises(QpError, match="incompatible"):
+            ConvexProgram(q=np.zeros(2), curvature=np.full(2, 1e-8),
+                          A_in=np.ones((1, 3)), b_in=np.ones(1))
