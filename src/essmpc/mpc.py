@@ -28,10 +28,10 @@ depends only on the area, the configuration and which storages are
 saturated: column offsets, costs, constant rows, and where each
 linearization's values go, and a distributed area's consensus hooks.  A
 fill writes one linearization's values into a new program of that
-structure.  A controller keeps one structure and one `QpWorkspace` laid
-out for it per area for its own lifetime, so an SQP iteration computes
-values only; the linearization differentiates its K Euler steps as one
-stack.
+structure.  A controller keeps one structure and one `QpWorkspace` per
+area for its own lifetime, so an SQP iteration computes values only: the
+workspace lays out each KKT matrix from the loaded program's non-zeros.
+The linearization differentiates its K Euler steps as one stack.
 """
 
 from __future__ import annotations
@@ -372,9 +372,8 @@ class _HorizonStructure:
     and pin entries of the equality rows, and where each linearization's
     values go: the A_k, A_foreign_k and B_k blocks, the pin right-hand
     sides, the inequality right-hand sides and the boxes.  `fill` writes one
-    linearization into a new program; `pattern` marks every entry of the
-    stacked [A_eq; A_in] a filled program can make non-zero, the layout a
-    kept `QpWorkspace` factors from.  The arrays programs share are
+    linearization into a new program, whose values alone give the kept
+    `QpWorkspace` its KKT layouts.  The arrays programs share are
     read-only.  The hook columns hold, by step, the area's copied angles
     (`own_cols`) and its ghosts' copies (`copy_cols`); with a consensus
     `penalty` (rho, tau) and hooks, the curvature holds tau on every column
@@ -544,13 +543,6 @@ class _HorizonStructure:
         if np.any(np.asarray(k) < 1):
             raise IndexError("foreign-angle copies start at k=1")
         return self.off_copy + (k - 1) * self.area.n_f + f
-
-    def pattern(self) -> np.ndarray:
-        """Where the stacked [A_eq; A_in] of a filled program can be non-zero."""
-        eq = np.zeros(self.eq_shape, dtype=bool)
-        eq.reshape(-1)[self.ones_at] = True
-        eq.reshape(-1)[self.dynamics_at] = True
-        return np.vstack([eq, self.a_in != 0.0])
 
     def fill(self, ltv: LtvModel, widened: Sequence[int]) -> "HorizonProgram":
         """A new program of this structure holding the linearization's values."""
@@ -789,13 +781,14 @@ class _SqpController:
     def _workspace(self, hp: HorizonProgram) -> QpWorkspace:
         """The area's workspace loaded with `hp.prog`.
 
-        A new structure gets a new workspace, laid out for its pattern.
+        A new structure gets a new workspace; its KKT layouts come from the
+        loaded program's non-zeros.
         """
         kept = self._kept.get(hp.area.index)
         if kept is not None and kept[0] is hp.structure:
             kept[1].load(hp.prog)
             return kept[1]
-        workspace = QpWorkspace(hp.prog, hp.structure.pattern())
+        workspace = QpWorkspace(hp.prog)
         self._kept[hp.area.index] = (hp.structure, workspace)
         return workspace
 

@@ -7,13 +7,14 @@ as l <= C x <= u.  A working set W pins rows at one of their bounds, and
 its KKT system [[diag(c), C_W'], [C_W, 0]] is solved exactly, unshifted.  A
 point is accepted only when its exactly recomputed KKT residuals meet the
 tolerance.
-A workspace lays the KKT matrix out in CSC form once, from c and a pattern
-of where C may be non-zero; a program loaded into it brings only values.
-SuperLU factors one working set per load, the first a solve factors: the
-base.  Later sets border it with a small dense Schur complement of the rows
-they add and drop (Bartlett and Biegler's QPSchur, Optim. Eng. 2006), each
-solve refined once against the set's exact KKT product; a Schur pivot too
-small for that falls back to a direct factor, which becomes the base.
+A working set's KKT matrix is laid out in CSC form from the non-zeros of
+its rows in the loaded program; a layout whose set and non-zeros repeat the
+last one's is kept and refilled with values.  SuperLU factors one working
+set per load, the first a solve factors: the base.  Later sets border it
+with a small dense Schur complement of the rows they add and drop (Bartlett
+and Biegler's QPSchur, Optim. Eng. 2006), each solve refined once against
+the set's exact KKT product; a Schur pivot too small for that, or a set too
+far from the base, falls back to a direct factor, which becomes the base.
 
 A solve is one sequence: seed, dual active set, settle.
 
@@ -44,7 +45,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -69,6 +69,10 @@ _DEPENDENT = 1e-12
 # A scaled Schur pivot below this marks a border row dependent, or so nearly
 # that a bordered solve would lose half its digits: the set is factored directly.
 _PIVOT = np.sqrt(np.finfo(float).eps)
+# Each bordered set rebuilds and factors its dense Schur complement, which
+# costs O(b^2 size) for b rows that differ from the base: a set further than
+# this from the base is factored directly and becomes the base.
+_MAX_BORDER = 64
 # HiGHS's default 1e-7 feasibility tolerances leave a primal residual the
 # exact step cannot certify at 1e-8; the seed has to be tighter than tol.
 _HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10,
@@ -220,7 +224,8 @@ class _Base:
         self.slot = None
 
     def border(self, work: np.ndarray, idx: np.ndarray) -> Optional[_Bordered]:
-        """The set's solver, or None if a Schur pivot is too small."""
+        """The set's solver, or None if more than `_MAX_BORDER` rows differ
+        from the base or a Schur pivot is too small."""
         n, size = self.c.size, self.lu.shape[0]
         if self.slot is None:
             self.at = n - 1 + np.cumsum(self.work)      # base rows' places in K0
@@ -228,6 +233,8 @@ class _Base:
             self.slot, self.scale = np.full(self.work.size, -1), np.empty(0)
             self.u, self.z = np.empty((0, size)), np.empty((0, size))
         rows = np.flatnonzero(work != self.work)
+        if rows.size > _MAX_BORDER:
+            return None
         fresh = rows[self.slot[rows] < 0]
         if fresh.size:
             h = self.C[fresh] ** 2 @ (1.0 / self.c)
@@ -285,49 +292,35 @@ class _Bordered:
 class QpWorkspace:
     """Reusable solver state: the program's rows stacked as l <= C x <= u.
 
-    The layout of the KKT matrices is built once, from a pattern of where
-    the rows [A_eq; A_in] may be non-zero (default: where they are non-zero
-    in `prog`).  `load` swaps in another program with the same rows, box
-    columns and pattern, so repeated solves of programs that differ only in
-    values share one workspace.  The linear cost solved is the workspace's
-    own `q`: `load` takes the program's, and `update_linear` replaces only
-    the workspace's, so a loaded program is never written to.
-    Entries that are exactly zero in the loaded program are left out of its
-    KKT matrices.  Every solve is of one system, the unshifted KKT matrix
-    of a working set; it does not depend on q.  The load's base factor and
-    each border row's solve with it last until the next load, and the last
+    `load` swaps in another program with the same rows and box columns, so
+    repeated solves of programs that differ only in values share one
+    workspace.  The linear cost solved is the workspace's own `q`: `load`
+    takes the program's, and `update_linear` replaces only the workspace's,
+    so a loaded program is never written to.  A working set's KKT matrix
+    holds the loaded program's non-zeros: an entry exactly zero is left
+    out.  Every solve is of one system, the unshifted KKT matrix of a
+    working set; it does not depend on q.  The load's base factor and each
+    border row's solve with it last until the next load, and the last
     working set's solver is kept for a repeat.  A direct factor that
     repeats the last one's set and non-zeros refills its CSC values.
     """
 
-    def __init__(self, prog: ConvexProgram, pattern: Optional[np.ndarray] = None):
-        n = prog.n
+    def __init__(self, prog: ConvexProgram):
         self._box_vars = np.where(np.isfinite(prog.lb) | np.isfinite(prog.ub))[0]
         m_eq, m_in, m_box = prog.A_eq.shape[0], prog.A_in.shape[0], self._box_vars.size
         self._m_eq, self._m_in = m_eq, m_in
         self.m = m_eq + m_in + m_box
-        self.C = np.zeros((self.m, n))
+        self.C = np.zeros((self.m, prog.n))
         self.C[m_eq + m_in + np.arange(m_box), self._box_vars] = 1.0
-        full = self.C != 0.0
-        if pattern is None:
-            full[:m_eq] = prog.A_eq != 0.0
-            full[m_eq:m_eq + m_in] = prog.A_in != 0.0
-        elif np.shape(pattern) != (m_eq + m_in, n):
-            raise QpError(f"pattern has shape {np.shape(pattern)}, expected "
-                          f"{(m_eq + m_in, n)}")
-        else:
-            full[:m_eq + m_in] = pattern
-        self._at = np.flatnonzero(full)    # the pattern of C, flat
         self._eq = np.arange(self.m) < m_eq
-        self._csc = (None,)                # the last direct factor's CSC matrix, keyed
+        self._csc = (None,)                # the last direct factor's layout, keyed
         self.load(prog)
 
     def load(self, prog: ConvexProgram) -> None:
-        """Make `prog` the program solved: new values in the kept layout.
+        """Make `prog` the program solved: its values in the workspace's rows.
 
-        `prog` must have the rows and box columns of the first program, and
-        no non-zero outside the pattern.  The kept LU belongs to the last
-        program's values and is dropped.
+        `prog` must have the rows and box columns of the first program.  The
+        kept LU belongs to the last program's values and is dropped.
         """
         m_eq, m_in = self._m_eq, self._m_in
         if prog.A_eq.shape != (m_eq, self.C.shape[1]) or prog.A_in.shape[0] != m_in \
@@ -337,8 +330,6 @@ class QpWorkspace:
             raise QpError("program does not have the workspace's rows and box columns")
         self.C[:m_eq] = prog.A_eq
         self.C[m_eq:m_eq + m_in] = prog.A_in
-        if np.count_nonzero(self.C) != np.count_nonzero(self.C.reshape(-1)[self._at]):
-            raise QpError("program has a non-zero outside the workspace's pattern")
         self.prog, self.q = prog, prog.q
         self.l = np.concatenate([prog.b_eq, np.full(m_in, -np.inf),
                                  prog.lb[self._box_vars]])
@@ -465,30 +456,28 @@ class QpWorkspace:
 
     def _direct(self, work: np.ndarray) -> Optional[SuperLU]:
         """SuperLU of the set's unshifted KKT matrix, None if singular; it
-        becomes the base (see `_Base`).  A C entry exactly zero in the loaded
-        program is left out.  A repeat of the last factor's set and mask of
-        non-zeros refills its CSC matrix's values."""
-        flat, c = self.C.reshape(-1), self.prog.curvature
-        key = (work.tobytes(), (flat[self._at] != 0.0).tobytes())
+        becomes the base (see `_Base`).  The layout is that of the working
+        rows' non-zeros in the loaded program, and is kept: a repeat of the
+        last factor's set and non-zeros refills its CSC matrix's values."""
+        n, c, rows = self.prog.n, self.prog.curvature, self.C[work]
+        live = rows != 0.0
+        key = (work.tobytes(), live.tobytes())
         if key != self._csc[0]:
-            owner, row, ends, d_at, c_at, c_src = self._kkt_entries
-            val = np.zeros(row.size)
-            val[c_at], val[d_at] = flat[c_src], c
-            live = np.concatenate((np.ones(c.size, dtype=bool), work))
-            keep = live[owner]
-            keep[c_at] &= val[c_at] != 0.0
-            new = np.cumsum(live, dtype=np.intc) - 1
-            indptr = np.zeros(new[-1] + 2, dtype=np.intc)
-            indptr[1:] = np.cumsum(keep, dtype=np.intc)[ends[live]]
-            kkt = csc_array((val[keep], new[row[keep]], indptr),
+            # The entries: c_j at (j, j), and C_W's e-th non-zero (r, j) at
+            # (n + r, j) and (j, n + r); each one's value is at `src` in
+            # (c, C_W's non-zeros row by row).  CSC orders them by column,
+            # rows ascending.
+            r, j = np.divmod(np.flatnonzero(live), n)
+            diag, e = np.arange(n), n + np.arange(r.size)
+            row, col = np.concatenate([diag, n + r, j]), np.concatenate([diag, j, n + r])
+            order = np.lexsort((row, col))
+            indptr = np.zeros(n + len(rows) + 1, dtype=np.intc)
+            indptr[1:] = np.cumsum(np.bincount(col, minlength=indptr.size - 1))
+            kkt = csc_array((np.empty(order.size), row[order].astype(np.intc), indptr),
                             shape=(indptr.size - 1,) * 2)
-            # Where C's entries and the curvature go in the matrix's values.
-            at, kept = np.cumsum(keep) - 1, keep[c_at]
-            self._csc = (key, kkt, at[c_at[kept]], c_src[kept].astype(np.intp), at[d_at])
-        else:
-            kkt, c_to, c_from, d_to = self._csc[1:]
-            kkt.data[c_to] = flat[c_from]
-            kkt.data[d_to] = c
+            self._csc = (key, kkt, np.concatenate([diag, e, e])[order])
+        kkt, src = self._csc[1:]
+        kkt.data[:] = np.concatenate([c, rows[live]])[src]
         try:
             # One-column panels, no relaxed supernodes: 15-30% faster here.
             lu = splu(kkt, panel_size=1, relax=1)
@@ -496,40 +485,6 @@ class QpWorkspace:
             return None
         self._base = _Base(work.copy(), lu, self.C, c)
         return lu
-
-    @cached_property
-    def _kkt_entries(self) -> tuple[np.ndarray, ...]:
-        """CSC layout of the KKT matrix of all rows (row r at index n + r).
-
-        Per entry of the pattern: the largest index it touches (it stays in
-        a working set's matrix if that one is live) and its row; then each
-        column's last entry; then where the values go: the curvature's and
-        C's entries, and the latter's flat index in C.  Built at the first
-        factor, kept across loads.
-        """
-        n, m = self.prog.n, self.m
-        pattern = np.zeros((m, n), dtype=bool)
-        pattern.reshape(-1)[self._at] = True
-        # Column j < n holds the curvature c_j on the diagonal, then C's column j.
-        c_col, c_row = np.nonzero(pattern.T)
-        cols = np.concatenate([np.arange(n), c_col])
-        order = np.argsort(cols, kind="stable")
-        l_col = cols[order]
-        l_row = np.concatenate([np.arange(n), n + c_row])[order]
-        # C's flat index of each value; -1 for the diagonal, the curvature.
-        l_src = np.concatenate([np.full(n, -1), c_row * n + c_col])[order]
-        # Column n + r holds C's row r.
-        r_col, r_row = np.nonzero(pattern)
-        row = np.concatenate([l_row, r_row])
-        col = np.concatenate([l_col, n + r_col])
-        ends = np.searchsorted(col, np.arange(n + m), side="right") - 1
-        # Where the values go: the curvature to each column's first entry, C's
-        # entries from their flat index.
-        in_c = l_src >= 0
-        c_at = np.concatenate([np.flatnonzero(in_c), l_row.size + np.arange(r_col.size)])
-        c_src = np.concatenate([l_src[in_c], r_col * n + r_row])
-        return tuple(a.astype(np.intc) for a in (
-            np.maximum(row, col), row, ends, np.flatnonzero(~in_c), c_at, c_src))
 
     # -- exact solves ------------------------------------------------------------------
 

@@ -3,7 +3,8 @@
 A workspace factors the first working set a solve meets after a load and
 solves every later set of that load by bordering that factor.  The counts
 come from spies on `qp.splu`, `QpWorkspace.load` (which the constructor
-calls too) and `_Base.border`.
+calls too), `_Base.border` and `qp.csc_array`, which builds each new KKT
+layout.
 """
 
 import pytest
@@ -15,9 +16,10 @@ from essmpc.scenario import bundled_scenario_path
 
 @pytest.fixture()
 def events(monkeypatch):
-    """The run's "load", "splu" and "border" calls, in order."""
+    """The run's "load", "splu", "border" and "csc_array" calls, in order."""
     seen = []
-    for owner, name in ((qp, "splu"), (qp.QpWorkspace, "load"), (qp._Base, "border")):
+    for owner, name in ((qp, "splu"), (qp.QpWorkspace, "load"), (qp._Base, "border"),
+                        (qp, "csc_array")):
         def spy(*args, _name=name, _call=getattr(owner, name), **kwargs):
             seen.append(_name)
             return _call(*args, **kwargs)
@@ -50,3 +52,12 @@ def test_compare_borders_the_working_set_flips(events, tmp_path):
     loads = events.count("load")
     assert loads and events.count("splu") <= loads + 1
     assert events.count("border") > 0
+
+
+def test_kkt_layouts_are_kept_across_loads(events, tmp_path):
+    # Each area's direct factors mostly repeat the last one's working set
+    # and non-zeros, so they refill its layout (16 built for 300 loads);
+    # a layout built per factor would make 300.
+    run(tmp_path, "dmpc", "twelve_bus", "--ttotal", "2.0")
+    assert events.count("load") == events.count("splu") == 300
+    assert 0 < events.count("csc_array") <= 20
