@@ -7,72 +7,60 @@ as l <= C x <= u.  A working set W pins rows at one of their bounds, and
 its KKT system [[diag(c), C_W'], [C_W, 0]] is solved exactly, unshifted.  A
 point is accepted only when its exactly recomputed KKT residuals meet the
 tolerance.
-A working set's KKT matrix is laid out in CSC form from the non-zeros of
-its rows in the loaded program; a layout whose set and non-zeros repeat the
-last one's is kept and refilled with values.  SuperLU factors one working
-set per load, the first a solve factors: the base.  Later sets border it
-with a small dense Schur complement of the rows they add and drop (Bartlett
-and Biegler's QPSchur, Optim. Eng. 2006), each solve refined once against
-the set's exact KKT product; a Schur pivot too small for that, or a set too
-far from the base, falls back to a direct factor, which becomes the base.
+SuperLU factors one working set per load, the base: a warm seed's own set,
+or else K0, the equality rows alone.  Every other set borders the base with
+the Schur complement S of the rows it adds and drops (Bartlett and
+Biegler's QPSchur, Optim. Eng. 2006), which lasts the load: its QR factor
+changes by one row and column per row that enters or leaves.  The one
+dependence test is a row's scaled pivot against the other rows, as it
+enters S or, for the base, as a solve with its factor shows it: at or
+below `_PIVOT`, the row is dependent.
 
 A solve is one sequence: seed, dual active set, settle.
 
 * The seed is the rows with non-zero warm multipliers y0.  Without y0 it
   is the rows of the HiGHS optimum of the linear part when max c <= tol
   (the quadratic term a tie-break; HiGHS proving the rows infeasible ends
-  the solve "infeasible"), and otherwise the equality rows.
+  the solve "infeasible"), and otherwise the equality rows.  A dependent
+  seed row is left out: the seed is repaired, not restarted.
 * The Goldfarb-Idnani dual active set (Math. Prog. 27, 1983) starts at
   the minimum on the seed rows, less any of wrong sign, and adds one
   violated row at a time, dropping a working row whose multiplier reaches
   zero on the way.  The objective rises at every step, so it ends after
   finitely many: at the optimum, or "infeasible" when no finite step can
-  satisfy a violated row.  A dependent row shows zero curvature, and a
-  dependent seed restarts from the equality rows.
+  satisfy a violated row.  A row dependent on the set has zero curvature.
 * The settle is the exact solve of the final working set.  A start point
   that is already optimal is that exact solve, and is certified as it is.
 
 A solve that certifies no point ends "max_iter" with its last iterate.
-Dependent equality rows make every working set's KKT matrix singular, so
-such a program ends "max_iter" at once.
-Residuals in the report are always recomputed from the returned point,
-never taken from an iteration or from HiGHS: from the stacked rows, with
-one product by C and one by its transpose; `kkt_residual` is the
+Dependent equality rows leave no base, so such a program ends "max_iter"
+at once.  Residuals in the report are always recomputed from the returned
+point, never taken from an iteration or from HiGHS: from the stacked rows,
+with one product by C and one by its transpose; `kkt_residual` is the
 independent check per constraint family.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+# Unused here; perfbench/tests/test_trace.py:66 asserts qp.lu_factor is scipy's.
+from scipy.linalg import get_lapack_funcs, lu_factor, qr_delete, qr_insert  # noqa: F401
 from scipy.optimize import linprog
-from scipy.sparse import csc_array
+from scipy.sparse import csc_array, csr_array
 from scipy.sparse.linalg import SuperLU, splu
 
-__all__ = [
-    "QpError",
-    "ConvexProgram",
-    "DualSet",
-    "SolveReport",
-    "QpWorkspace",
-    "kkt_residual",
-]
+__all__ = ["QpError", "ConvexProgram", "DualSet", "SolveReport", "QpWorkspace",
+           "kkt_residual"]
 
-# A row a whose step z has curvature z'diag(c)z below this share of
-# a'diag(c)^-1 a lies in the span of the working set: adding it has no
-# finite primal step.
-_DEPENDENT = 1e-12
-# A scaled Schur pivot below this marks a border row dependent, or so nearly
-# that a bordered solve would lose half its digits: the set is factored directly.
+# A scaled pivot at or below this marks a row dependent, or so nearly that a
+# solve with it would lose half its digits.
 _PIVOT = np.sqrt(np.finfo(float).eps)
-# Each bordered set rebuilds and factors its dense Schur complement, which
-# costs O(b^2 size) for b rows that differ from the base: a set further than
-# this from the base is factored directly and becomes the base.
-_MAX_BORDER = 64
+_geqrf, _orgqr, _pstrf, _trtrs = get_lapack_funcs(("geqrf", "orgqr", "pstrf", "trtrs"),
+                                                  dtype=float)
+
 # HiGHS's default 1e-7 feasibility tolerances leave a primal residual the
 # exact step cannot certify at 1e-8; the seed has to be tighter than tol.
 _HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10,
@@ -181,112 +169,151 @@ def kkt_residual(prog: ConvexProgram, x: np.ndarray, duals: DualSet
     x = np.asarray(x, dtype=float).ravel()
     if x.shape != (prog.n,):
         raise QpError(f"x has shape {x.shape}, expected ({prog.n},)")
-    grad = prog.curvature * x + prog.q
-    if prog.A_eq.shape[0]:
-        grad = grad + prog.A_eq.T @ duals.eq
-    if prog.A_in.shape[0]:
-        grad = grad + prog.A_in.T @ duals.ineq
-    grad = grad - duals.lower + duals.upper
-    stationarity = float(np.max(np.abs(grad))) if grad.size else 0.0
-
-    feas = [0.0]
-    comp = [0.0]
-    if prog.A_eq.shape[0]:
-        feas.append(float(np.max(np.abs(prog.A_eq @ x - prog.b_eq))))
-    if prog.A_in.shape[0]:
-        slack = prog.A_in @ x - prog.b_in
-        feas.append(float(np.max(np.maximum(slack, 0.0))))
-        comp.append(float(np.max(np.abs(duals.ineq * slack))))
-    lo = np.where(np.isfinite(prog.lb), prog.lb - x, -np.inf)
-    hi = np.where(np.isfinite(prog.ub), x - prog.ub, -np.inf)
-    feas.append(float(np.max(np.maximum(lo, 0.0), initial=0.0)))
-    feas.append(float(np.max(np.maximum(hi, 0.0), initial=0.0)))
-    comp.append(float(np.max(np.abs(duals.lower * np.where(np.isfinite(prog.lb), lo, 0.0)),
-                             initial=0.0)))
-    comp.append(float(np.max(np.abs(duals.upper * np.where(np.isfinite(prog.ub), hi, 0.0)),
-                             initial=0.0)))
-    return stationarity, max(feas), max(comp)
+    grad = (prog.curvature * x + prog.q + prog.A_eq.T @ duals.eq + prog.A_in.T @ duals.ineq
+            - duals.lower + duals.upper)
+    slack = prog.A_in @ x - prog.b_in
+    lo = np.where(np.isfinite(prog.lb), prog.lb - x, 0.0)
+    hi = np.where(np.isfinite(prog.ub), x - prog.ub, 0.0)
+    feas = np.concatenate([np.abs(prog.A_eq @ x - prog.b_eq), slack, lo, hi])
+    comp = np.concatenate([duals.ineq * slack, duals.lower * lo, duals.upper * hi])
+    return (float(np.abs(grad).max(initial=0.0)), float(feas.max(initial=0.0)),
+            float(np.abs(comp).max(initial=0.0)))
 
 
-class _Base:
-    """A load's base factor K0, of its first factored working set.
+def _unit(h: np.ndarray) -> np.ndarray:
+    """A power of two s with h s^2 in [1/2, 2), 0 for h = 0: a scale that
+    rounds nothing."""
+    return np.ldexp(1.0, -(np.frexp(h)[1] >> 1)) * (h > 0.0)
 
-    A later set's KKT system is K0's bordered by one row and column per row
-    added or dropped: an added row a brings u = [a; 0] and its multiplier,
-    a dropped row the unit u of its multiplier, which pins that multiplier
-    to zero and frees the row's equation.  Each border row's u and K0^-1 u
-    are kept, scaled by a'diag(c)^-1 a to the power -1/2 (added) or 1/2
-    (dropped), so the Schur complement's pivots are relative to one.
+
+def _times(at: np.ndarray, col: np.ndarray, val: np.ndarray, z: np.ndarray,
+           rows: int) -> np.ndarray:
+    """M z for the rows x len(z) matrix M of non-zeros (at, col, val)."""
+    if z.ndim == 2 and z.shape[1] > 1:
+        return csr_array((val, (at, col)), shape=(rows, z.shape[0])) @ z
+    return np.bincount(at, val * z[col].ravel(), minlength=rows).reshape((rows,) + z.shape[1:])
+
+
+class _Schur:
+    """A load's one SuperLU factor K0, bordered to any working set.
+
+    K0 is the KKT matrix of a base set B, each row scaled by a power of two
+    near h^-1/2, h_r = a_r'diag(c)^-1 a_r.  A set W is K0 bordered by a row
+    and column per row of W ^ B: an added row brings its scaled [a_r; 0] and
+    its multiplier, a dropped base row the unit vector of its multiplier,
+    which pins it to zero and frees the row's equation.  So the pivots of
+    the border's Schur complement S = -U K0^-1 U' are relative to one: in
+    [-2, 0] for an added row, minus its relative curvature, and at least 1/2
+    for a dropped one.  S's QR factor lasts the load and changes by a row
+    and column per row in or out; a row whose pivot is at or below
+    `_PIVOT` stays out.
     """
 
-    def __init__(self, work: np.ndarray, lu: SuperLU, C: np.ndarray, c: np.ndarray):
-        self.key, self.work, self.lu, self.C, self.c = work.tobytes(), work, lu, C, c
-        self.slot = None
+    def __init__(self, base: np.ndarray, kkt: csc_array, lu: SuperLU, scale: np.ndarray,
+                 C: np.ndarray, c: np.ndarray):
+        self.base, self.work, self.kkt, self.lu, self.C = base, base.copy(), kkt, lu, C
+        self.c_inv, self.scale = 1.0 / c, np.zeros(base.size)
+        self.scale[base] = scale                    # then S's rows' too
+        self.at = c.size - 1 + np.cumsum(base)      # base rows' multipliers in K0
+        self.rows = np.empty(0, dtype=int)          # S's rows, in its order
+        self.Q = self.R = np.empty((0, 0))
+        self.nz = (self.rows, self.rows, np.empty(0))   # U's (row of S, column, value)
 
-    def border(self, work: np.ndarray, idx: np.ndarray) -> Optional[_Bordered]:
-        """The set's solver, or None if more than `_MAX_BORDER` rows differ
-        from the base or a Schur pivot is too small."""
-        n, size = self.c.size, self.lu.shape[0]
-        if self.slot is None:
-            self.at = n - 1 + np.cumsum(self.work)      # base rows' places in K0
-            self.based, self.head = np.flatnonzero(self.work), np.arange(n)
-            self.slot, self.scale = np.full(self.work.size, -1), np.empty(0)
-            self.u, self.z = np.empty((0, size)), np.empty((0, size))
-        rows = np.flatnonzero(work != self.work)
-        if rows.size > _MAX_BORDER:
-            return None
-        fresh = rows[self.slot[rows] < 0]
-        if fresh.size:
-            h = self.C[fresh] ** 2 @ (1.0 / self.c)
-            if not h.min() > 0.0:
-                return None
-            dropped = self.work[fresh]
-            u = np.zeros((fresh.size, size))
-            u[~dropped, :n] = self.C[fresh[~dropped]]
-            u[np.flatnonzero(dropped), self.at[fresh[dropped]]] = 1.0
-            self.slot[fresh] = self.scale.size + np.arange(fresh.size)
-            scale = np.where(dropped, h, 1.0 / h) ** 0.5
-            self.scale = np.concatenate([self.scale, scale])
-            self.u = np.vstack([self.u, scale[:, None] * u])
-            self.z = np.vstack([self.z, scale[:, None] * self.lu.solve(u.T).T])
-        slots = self.slot[rows]
-        u, z = self.u[slots], self.z[slots]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", LinAlgWarning)
-            lu_s = lu_factor(-(u @ z.T), check_finite=False)
-        pivots = np.abs(lu_s[0].diagonal())
-        if not pivots.min() > _PIVOT:
-            return None
-        # Where the bordered rhs comes from in (rhs, 0), and the set's solution in its.
-        source = np.where(work, n - 1 + np.cumsum(work), n + idx.size)
-        place = self.at.copy()
-        place[rows] = size + np.arange(rows.size)
-        return _Bordered(self.lu, u, z.T, lu_s, self.scale[slots], self.C[idx], self.c,
-                         np.concatenate([self.head, source[self.based], source[rows]]),
-                         np.concatenate([self.head, place[idx]]))
+    def border(self, work: np.ndarray) -> np.ndarray:
+        """Border K0 to `work`, rows that leave first: the set bordered,
+        `work` less the rows that are dependent on the rest."""
+        if work.tobytes() != self.work.tobytes():
+            now, base = self.work.copy(), self.base
+            for r in np.flatnonzero(now & ~work & ~base):
+                self._leave(r)
+            self._enter(np.flatnonzero(now & ~work & base), added=False)
+            for r in np.flatnonzero(~now & work & base):
+                self._leave(r)
+            self._enter(np.flatnonzero(~now & work & ~base), added=True)
+        return self.work
 
+    def _leave(self, r: int) -> None:
+        """Take row r out of S; a base row comes back to the set only if
+        its pivot, on S^-1's diagonal, is above `_PIVOT`."""
+        k = int(np.flatnonzero(self.rows == r)[0])
+        if self.base[r] and not abs(self._s(np.eye(1, self.rows.size, k)[0])[k]) > _PIVOT:
+            return
+        self.Q, self.R = qr_delete(self.Q, self.R, k, 1, "row", check_finite=False)
+        self.Q, self.R = qr_delete(self.Q, self.R, k, 1, "col", check_finite=False)
+        at, col, val = self.nz
+        self.nz = (at[at != k] - (at[at != k] > k), col[at != k], val[at != k])
+        self.rows = np.delete(self.rows, k)
+        self.work[r] = self.base[r]
 
-class _Bordered:
-    """Solves of one working set's KKT system by the base factor, bordered;
-    each is refined once against the set's exact KKT product."""
+    def _enter(self, rows: np.ndarray, added: bool) -> None:
+        """Border the rows, all added or all dropped, in one pass: their Schur
+        complement's pivoted Cholesky factor leaves out each dependent row."""
+        if not rows.size:
+            return
+        if added:
+            a = self.C[rows]
+            self.scale[rows] = s = _unit(a * a @ self.c_inv)
+            i, j = np.nonzero(a)
+            val = a[i, j] * s[i]
+        else:
+            i, j, val = np.arange(rows.size), self.at[rows], np.ones(rows.size)
+        u = np.zeros((self.lu.shape[0], rows.size), order="F")
+        u[j, i] = val
+        z = self.lu.solve(u)
+        # S's new columns, in the rows already in and in the new ones (a
+        # dropped row's u picks its multiplier).
+        b, own = self.rows.size, -(_times(i, j, val, z, rows.size) if added else z[j])
+        cross = -_times(*self.nz, z, b) if b else z[:0]
+        sign = -1.0 if added else 1.0
+        factor, piv, rank, _ = _pstrf(sign * (own - cross.T @ self._s(cross) if b else own),
+                                      tol=_PIVOT)
+        if not factor[0, 0] ** 2 > _PIVOT:      # pstrf tests only the later pivots
+            return
+        keep = piv[:rank] - 1
+        cross, own = cross[:, keep], own[np.ix_(keep, keep)]
+        if b:
+            self.Q, self.R = qr_insert(self.Q, self.R, cross, b, "col", check_finite=False)
+            self.Q, self.R = qr_insert(self.Q, self.R, np.hstack([cross.T, own]), b, "row",
+                                       check_finite=False)
+        else:
+            f, tau = _geqrf(own)[:2]
+            self.Q, self.R = _orgqr(f, tau)[0], np.triu(f)
+        at = np.full(rows.size, -1)
+        at[keep] = b + np.arange(rank)
+        on = at[i] >= 0
+        self.nz = tuple(np.concatenate(p) for p in zip(self.nz, (at[i][on], j[on], val[on])))
+        self.rows = np.concatenate([self.rows, rows[keep]])
+        self.work[rows[keep]] = added
 
-    def __init__(self, lu, u, z, lu_s, scale, rows, c, into, outof):
-        self.lu, self.u, self.z, self.lu_s, self.scale = lu, u, z, lu_s, scale
-        self.rows, self.c, self.into, self.outof = rows, c, into, outof
+    def _s(self, t: np.ndarray) -> np.ndarray:
+        """S^-1 t."""
+        return _trtrs(self.R, self.Q.T @ t)[0]
 
-    def _once(self, rhs: np.ndarray) -> np.ndarray:
-        bordered = np.append(rhs, 0.0)[self.into]
-        z = self.lu.solve(bordered[:self.lu.shape[0]])
-        w = lu_solve(self.lu_s, self.scale * bordered[self.lu.shape[0]:] - self.u @ z,
-                     check_finite=False)
-        z -= self.z @ w
-        return np.concatenate([z, self.scale * w])[self.outof]
+    def _ut(self, w: np.ndarray) -> np.ndarray:
+        """U' w."""
+        return np.bincount(self.nz[1], self.nz[2] * w[self.nz[0]], minlength=self.lu.shape[0])
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        sol = self._once(rhs)
-        x, y = sol[:self.c.size], sol[self.c.size:]
-        return sol + self._once(rhs - np.concatenate([self.c * x + self.rows.T @ y,
-                                                      self.rows @ x]))
+        """The bordered set's KKT solution: x, then one multiplier per row
+        of the set in stacked order, for rhs laid out alike.  A bordered
+        solve is refined once against the bordered matrix."""
+        n, s = self.c_inv.size, self.scale[self.work]
+        if not self.rows.size:                      # the set is B
+            z = self.lu.solve(np.concatenate([rhs[:n], s * rhs[n:]]))
+            z[n:] *= s
+            return z
+        y = np.zeros(self.work.size)
+        y[self.work] = s * rhs[n:]
+        r, t = np.concatenate([rhs[:n], y[self.base]]), y[self.rows]
+        z, w = self._once(r, t)
+        dz, dw = self._once(r - self.kkt @ z - self._ut(w), t - _times(*self.nz, z, t.size))
+        z, w = z + dz, w + dw
+        y[self.base], y[self.rows] = z[n:], w      # dropped rows' w is not kept below
+        return np.concatenate([z[:n], (self.scale * y)[self.work]])
+
+    def _once(self, r: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        w = self._s(t - _times(*self.nz, self.lu.solve(r), t.size))
+        return self.lu.solve(r - self._ut(w)), w
 
 
 class QpWorkspace:
@@ -296,13 +323,11 @@ class QpWorkspace:
     repeated solves of programs that differ only in values share one
     workspace.  The linear cost solved is the workspace's own `q`: `load`
     takes the program's, and `update_linear` replaces only the workspace's,
-    so a loaded program is never written to.  A working set's KKT matrix
-    holds the loaded program's non-zeros: an entry exactly zero is left
-    out.  Every solve is of one system, the unshifted KKT matrix of a
-    working set; it does not depend on q.  The load's base factor and each
-    border row's solve with it last until the next load, and the last
-    working set's solver is kept for a repeat.  A direct factor that
-    repeats the last one's set and non-zeros refills its CSC values.
+    so a loaded program is never written to.  A KKT matrix holds the
+    loaded program's non-zeros: an entry exactly zero is left out.  Every
+    solve is of one system, the unshifted KKT matrix of a working set; it
+    does not depend on q.  The load's base factor and its bordering, the
+    last set's, last until the next load (see `_Schur`).
     """
 
     def __init__(self, prog: ConvexProgram):
@@ -319,8 +344,7 @@ class QpWorkspace:
     def load(self, prog: ConvexProgram) -> None:
         """Make `prog` the program solved: its values in the workspace's rows.
 
-        `prog` must have the rows and box columns of the first program.  The
-        kept LU belongs to the last program's values and is dropped.
+        `prog` must have the rows and box columns of the first program.
         """
         m_eq, m_in = self._m_eq, self._m_in
         if prog.A_eq.shape != (m_eq, self.C.shape[1]) or prog.A_in.shape[0] != m_in \
@@ -335,8 +359,7 @@ class QpWorkspace:
                                  prog.lb[self._box_vars]])
         self.u = np.concatenate([prog.b_eq, prog.b_in, prog.ub[self._box_vars]])
         self._finite_l, self._finite_u = np.isfinite(self.l), np.isfinite(self.u)
-        self._kept = (None, None, None)   # working set, rows, solver: the last
-        self._base: Optional[_Base] = None
+        self._schur: Optional[_Schur] = None
 
     def update_linear(self, q: np.ndarray) -> None:
         self.q = np.asarray(q, dtype=float).ravel()
@@ -350,10 +373,9 @@ class QpWorkspace:
         if max curvature <= tol, else from the equality rows.  The dual
         active set finishes the solve from there.
         """
-        y_seed = np.zeros(self.m)
-        if y0 is not None and np.asarray(y0).shape == (self.m,):
-            y_seed = np.asarray(y0, dtype=float)
-        elif np.max(self.prog.curvature, initial=0.0) <= tol:
+        warm = y0 is not None and np.asarray(y0).shape == (self.m,)
+        y_seed = np.asarray(y0, dtype=float) if warm else np.zeros(self.m)
+        if not warm and np.max(self.prog.curvature, initial=0.0) <= tol:
             # A quadratic term at or below tol is a tie-break: the exact LP
             # vertex carries the active set of the program up to it.
             status, y_lp = self._lp_seed()
@@ -361,29 +383,22 @@ class QpWorkspace:
                 return self._finish(np.zeros(self.prog.n), y_seed, "infeasible", 0)
             if status == 0:
                 y_seed = y_lp
-        return self._dual_active_set(y_seed, tol)
+        return self._dual_active_set(y_seed, tol, warm)
 
     # -- reporting -------------------------------------------------------------
 
     def _split_duals(self, y: np.ndarray) -> DualSet:
-        prog = self.prog
         m_eq, m_in = self._m_eq, self._m_in
-        lam = y[:m_eq].copy()
-        mu = np.maximum(y[m_eq:m_eq + m_in], 0.0)
-        lower = np.zeros(prog.n)
-        upper = np.zeros(prog.n)
-        y_box = y[m_eq + m_in:]
+        lower, upper, y_box = np.zeros(self.prog.n), np.zeros(self.prog.n), y[m_eq + m_in:]
         lower[self._box_vars] = np.maximum(-y_box, 0.0)
         upper[self._box_vars] = np.maximum(y_box, 0.0)
-        return DualSet(lam, mu, lower, upper)
+        return DualSet(y[:m_eq].copy(), np.maximum(y[m_eq:m_eq + m_in], 0.0), lower, upper)
 
     def _residuals(self, x: np.ndarray, y: np.ndarray, cx: np.ndarray
                    ) -> tuple[float, float, float]:
-        """`kkt_residual` of (x, y) from the stacked rows, given cx = C x.
-
-        The multipliers are those `_split_duals` states: an inequality
-        row's is clipped at zero, a box row's sign picks its side.
-        """
+        """`kkt_residual` of (x, y) from the stacked rows, given cx = C x, with
+        the multipliers `_split_duals` states: an inequality row's clipped at
+        zero, a box row's sign picking its side."""
         m_eq, m_in = self._m_eq, self._m_in
         mult = y.copy()
         mult[m_eq:m_eq + m_in] = np.maximum(mult[m_eq:m_eq + m_in], 0.0)
@@ -402,15 +417,6 @@ class QpWorkspace:
         return SolveReport(x.copy(), self._split_duals(y), status, iterations,
                            stat, feas, comp, objective, y_stacked=y.copy())
 
-    def _certified(self, x: np.ndarray, y: np.ndarray, tol: float,
-                   iterations: int, cx: Optional[np.ndarray] = None
-                   ) -> Optional[SolveReport]:
-        """The exact point as an optimal report, or None above tol."""
-        rp = self._finish(x, y, "optimal", iterations, cx)
-        if max(rp.stationarity, rp.primal_feasibility, rp.complementarity) <= tol:
-            return rp
-        return None
-
     # -- LP seed -------------------------------------------------------------------
 
     def _lp_seed(self) -> tuple[int, Optional[np.ndarray]]:
@@ -420,11 +426,7 @@ class QpWorkspace:
         bound, however small the program's cost scale.
         """
         prog = self.prog
-        res = linprog(self.q,
-                      A_ub=prog.A_in if self._m_in else None,
-                      b_ub=prog.b_in if self._m_in else None,
-                      A_eq=prog.A_eq if self._m_eq else None,
-                      b_eq=prog.b_eq if self._m_eq else None,
+        res = linprog(self.q, A_ub=prog.A_in, b_ub=prog.b_in, A_eq=prog.A_eq, b_eq=prog.b_eq,
                       bounds=np.column_stack([prog.lb, prog.ub]),
                       method="highs", options=_HIGHS_OPTIONS)
         if res.status != 0:
@@ -438,35 +440,30 @@ class QpWorkspace:
 
     # -- KKT factor ------------------------------------------------------------------
 
-    def _factor(self, work: np.ndarray
-                ) -> tuple[np.ndarray, Optional[SuperLU | _Bordered]]:
-        """(rows W, solver or None if singular) of [[diag(c), C_W'], [C_W, 0]]:
-        the base factor, the base bordered, or else a direct factor."""
-        key = work.tobytes()
-        if self._kept[0] != key:
-            idx, lu = np.flatnonzero(work), None
-            # More rows than variables are dependent: singular, whatever
-            # pivots rounding leaves.
-            if idx.size <= self.prog.n:
-                base = self._base
-                lu = (None if base is None else base.lu if key == base.key
-                      else base.border(work, idx)) or self._direct(work)
-            self._kept = (key, idx, lu)
-        return self._kept[1], self._kept[2]
+    def _factor(self, work: np.ndarray) -> Optional[_Schur]:
+        """The solver of [[diag(c), C_W'], [C_W, 0]]: the load's base, K0 if
+        no solve made one, bordered to W; None if a row of W is dependent."""
+        self._schur = self._schur or self._direct(self._eq)
+        if self._schur and self._schur.border(work).tobytes() == work.tobytes():
+            return self._schur
+        return None
 
-    def _direct(self, work: np.ndarray) -> Optional[SuperLU]:
-        """SuperLU of the set's unshifted KKT matrix, None if singular; it
-        becomes the base (see `_Base`).  The layout is that of the working
-        rows' non-zeros in the loaded program, and is kept: a repeat of the
-        last factor's set and non-zeros refills its CSC matrix's values."""
+    def _direct(self, work: np.ndarray) -> Optional[_Schur]:
+        """The set's KKT matrix, rows scaled as `_Schur` says, factored by
+        SuperLU as the load's base; None if a row's scaled pivot is at or
+        below `_PIVOT`.  A set of more rows than variables is singular
+        unfactored: SuperLU can crash on one.  The layout, from the rows'
+        non-zeros in the loaded program, is kept for a repeat of the set
+        and non-zeros."""
+        if np.count_nonzero(work) > self.prog.n:
+            return None
         n, c, rows = self.prog.n, self.prog.curvature, self.C[work]
         live = rows != 0.0
         key = (work.tobytes(), live.tobytes())
         if key != self._csc[0]:
             # The entries: c_j at (j, j), and C_W's e-th non-zero (r, j) at
-            # (n + r, j) and (j, n + r); each one's value is at `src` in
-            # (c, C_W's non-zeros row by row).  CSC orders them by column,
-            # rows ascending.
+            # (n + r, j) and (j, n + r), each one's value at `src` in (c, C_W's
+            # non-zeros row by row).  CSC orders them by column, rows ascending.
             r, j = np.divmod(np.flatnonzero(live), n)
             diag, e = np.arange(n), n + np.arange(r.size)
             row, col = np.concatenate([diag, n + r, j]), np.concatenate([diag, j, n + r])
@@ -475,38 +472,42 @@ class QpWorkspace:
             indptr[1:] = np.cumsum(np.bincount(col, minlength=indptr.size - 1))
             kkt = csc_array((np.empty(order.size), row[order].astype(np.intc), indptr),
                             shape=(indptr.size - 1,) * 2)
-            self._csc = (key, kkt, np.concatenate([diag, e, e])[order])
-        kkt, src = self._csc[1:]
-        kkt.data[:] = np.concatenate([c, rows[live]])[src]
+            self._csc = (key, kkt, np.concatenate([diag, e, e])[order], r, j)
+        kkt, src, r, j = self._csc[1:]
+        values = rows[live]
+        scale = _unit(np.bincount(r, values * values / c[j], minlength=len(rows)))
+        kkt.data[:] = np.concatenate([c, values * scale[r]])[src]
         try:
             # One-column panels, no relaxed supernodes: 15-30% faster here.
             lu = splu(kkt, panel_size=1, relax=1)
         except RuntimeError:    # "Factor is exactly singular"
             return None
-        self._base = _Base(work.copy(), lu, self.C, c)
-        return lu
+        # Row r's scaled pivot against the other rows is 1 / |K^-1_rr| on the
+        # scaled multipliers: a solve there with a generic vector shows one
+        # at or below _PIVOT as an entry of order its inverse.
+        probe = lu.solve(np.concatenate([np.zeros(n), np.cos(np.arange(len(rows)))]))
+        if not np.abs(probe[n:]).max(initial=0.0) < 1.0 / _PIVOT:
+            return None
+        return _Schur(work.copy(), kkt, lu, scale, self.C, c)
 
     # -- exact solves ------------------------------------------------------------------
 
     def _pinned_solve(self, at_upper: np.ndarray, at_lower: np.ndarray
                       ) -> Optional[tuple[np.ndarray, np.ndarray]]:
         """Exact (x, y) with the equality and working-set rows pinned, or None
-        if the KKT matrix is singular (always so with more rows than variables).
-        """
-        idx, lu = self._factor(self._eq | at_upper | at_lower)
-        if lu is None:
+        if a row of the set is dependent."""
+        work = self._eq | at_upper | at_lower
+        solver = self._factor(work)
+        if solver is None:
             return None
-        sol = lu.solve(np.concatenate([-self.q,
-                                       np.where(at_lower, self.l, self.u)[idx]]))
-        xp, yp = sol[:self.prog.n], np.zeros(self.m)
-        if not np.isfinite(xp).all():
-            return None
-        yp[idx] = sol[self.prog.n:]
-        return xp, yp
+        sol = solver.solve(np.concatenate([-self.q, np.where(at_lower, self.l, self.u)[work]]))
+        yp = np.zeros(self.m)
+        yp[work] = sol[self.prog.n:]
+        return sol[:self.prog.n], yp
 
     # -- dual active set -------------------------------------------------------------
 
-    def _dual_active_set(self, y_seed: np.ndarray, tol: float) -> SolveReport:
+    def _dual_active_set(self, y_seed: np.ndarray, tol: float, warm: bool) -> SolveReport:
         """Goldfarb-Idnani dual active set from the rows the seed marks.
 
         Every iterate minimizes the objective on its working set with
@@ -517,20 +518,23 @@ class QpWorkspace:
         """
         n, m = self.prog.n, self.m
         eq, C, c = self._eq, self.C, self.prog.curvature
-        at_upper = ~eq & (y_seed > 0.0)
-        at_lower = ~eq & (y_seed < 0.0)
+        at_upper = ~eq & (y_seed > 0.0) & self._finite_u
+        at_lower = ~eq & (y_seed < 0.0) & self._finite_l
         x, y = np.zeros(n), np.zeros(m)
-        root = np.sqrt(c)
-        # Start at the minimum on the seed rows and drop wrong-sign rows
-        # until the working set is dual feasible.  A singular seed restarts
-        # from the equality rows; singular equality rows end max_iter.
+        # A load's first solve factors a warm seed's own set, or K0.  The
+        # seed's independent rows enter S, and the start drops wrong-sign
+        # rows until the working set is dual feasible.
+        if self._schur is None:
+            self._schur = warm and self._direct(eq | at_upper | at_lower) or self._direct(eq)
+        if self._schur is None:
+            return self._finish(x, y, "max_iter", 0)
+        kept = self._schur.border(eq | at_upper | at_lower)
+        at_upper &= kept
+        at_lower &= kept
         while True:
             solved = self._pinned_solve(at_upper, at_lower)
             if solved is None:
-                if not (at_upper.any() or at_lower.any()):
-                    return self._finish(x, y, "max_iter", 0)
-                at_upper[:] = at_lower[:] = False
-                continue
+                return self._finish(x, y, "max_iter", 0)
             x, y = solved
             wrong = (at_upper & (y < 0.0)) | (at_lower & (y > 0.0))
             if not wrong.any():
@@ -546,27 +550,30 @@ class QpWorkspace:
             over, under = cx - self.u, self.l - cx
             viol = np.where(eq | at_upper | at_lower, 0.0, np.maximum(over, under))
             if viol.max(initial=0.0) <= ftol:
-                if not iterations:
-                    # (x, y) is the exact solve of the working set that
-                    # settling would repeat: certify it as it is.
-                    return self._certified(x, y, tol, 0, cx) \
-                        or self._finish(x, y, "max_iter", 0, cx)
-                return self._settle(at_upper, at_lower, x, y, tol, iterations)
+                # Settle: the working set's exact solve, which (x, y) is
+                # before any step, reported optimal if it meets tol.
+                exact = self._pinned_solve(at_upper, at_lower) if iterations else (x, y)
+                done = exact and self._finish(*exact, "optimal", iterations,
+                                              None if iterations else cx)
+                if done and max(done.stationarity, done.primal_feasibility,
+                                done.complementarity) <= tol:
+                    return done
+                return self._finish(x, y, "max_iter", iterations, cx)
             p = int(np.argmax(viol))
             side = 1.0 if over[p] > under[p] else -1.0
             a_p = side * C[p]
             b_p = side * (self.u[p] if side > 0.0 else self.l[p])
             # a_p' diag(c)^-1 a_p: the curvature of a row independent of the set.
-            w = a_p / root
-            h_p = float(w @ w)
+            h_p = float(a_p * a_p @ (1.0 / c))
             t_p = 0.0
             while iterations < limit:
-                # The set the last step left; the start set's factor is kept.
-                idx, lu = self._factor(eq | at_upper | at_lower)
-                if lu is None:
+                work = eq | at_upper | at_lower
+                solver = self._factor(work)
+                if solver is None:
                     return self._finish(x, y, "max_iter", iterations)
+                idx = np.flatnonzero(work)
                 iterations += 1
-                sol = lu.solve(np.concatenate([-a_p, np.zeros(idx.size)]))
+                sol = solver.solve(np.concatenate([-a_p, np.zeros(idx.size)]))
                 step, r = sol[:n], sol[n:]
                 sign = at_upper[idx].astype(float) - at_lower[idx]
                 falling = sign * r < 0.0
@@ -576,10 +583,10 @@ class QpWorkspace:
                         / -(sign * r)[falling]
                     j = int(np.argmin(ratios))
                     t1, drop = float(ratios[j]), int(idx[falling][j])
+                # Its scaled pivot against the set: zero curvature at or below _PIVOT.
                 curvature = -float(a_p @ step)
-                t2 = np.inf
-                if curvature > _DEPENDENT * h_p:
-                    t2 = max(float(a_p @ x) - b_p, 0.0) / curvature
+                t2 = max(float(a_p @ x) - b_p, 0.0) / curvature \
+                    if curvature > _PIVOT * h_p else np.inf
                 t = min(t1, t2)
                 if not np.isfinite(t):
                     return self._finish(x, y, "infeasible", iterations)
@@ -593,11 +600,3 @@ class QpWorkspace:
                 y[drop] = 0.0
                 at_upper[drop] = at_lower[drop] = False
         return self._finish(x, y, "max_iter", iterations)
-
-    def _settle(self, at_upper: np.ndarray, at_lower: np.ndarray, x: np.ndarray,
-                y: np.ndarray, tol: float, iterations: int) -> SolveReport:
-        """The working set's exact, unshifted solve if certified, else
-        max_iter at (x, y); the factor is kept for a repeat of the set."""
-        pinned = self._pinned_solve(at_upper, at_lower)
-        done = None if pinned is None else self._certified(*pinned, tol, iterations)
-        return done or self._finish(x, y, "max_iter", iterations)

@@ -524,6 +524,27 @@ class TestClosedLoop:
         assert np.mean(tail) == pytest.approx(-3.2, abs=0.05)
         assert np.max(np.abs(traj.states[-1].omega)) < 2e-2
 
+    @pytest.mark.parametrize("option", [{"absolute_effort": True},
+                                        {"omega_limits": {0: 0.016}}],
+                             ids=["absolute_effort", "omega_limits"])
+    def test_two_bus_options_close_the_loop(self, two_bus_scenario, option):
+        # Each option adds inequality rows to every program: the effort
+        # epigraphs, or |w| <= 0.016 at bus 0 over the horizon, just above
+        # the 0.015 peak the disturbance drives (a tighter limit has no
+        # feasible plan).  Every solve of 30 steps is certified, and the
+        # limit holds on the simulated trajectory.
+        from essmpc.dynamics import monitor_constraints
+        sc = two_bus_scenario
+        cfg = replace(sc.mpc, **option)
+        runs = [receding_horizon_run(sc.grid, sc.initial_state(), c, 30 * c.step, sc.events,
+                                     sc.clamp_storage_power_at_energy_limit)
+                for c in (sc.mpc, cfg)]
+        (_, plain), (traj, log) = runs
+        assert plain[0].qp_report.y_stacked.size < log[0].qp_report.y_stacked.size
+        assert len(log) == 30 and sum(r.non_optimal_solves for r in log) == 0
+        report = monitor_constraints(sc.grid, traj, cfg.omega_limits)
+        assert not [v for v in report.violations if v.kind == "frequency"]
+
 
 class TestKeptStructure:
     """Controllers keep one program structure and workspace per area, and

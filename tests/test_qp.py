@@ -420,8 +420,8 @@ class TestKeptFactor:
                 return self.solver.solve(rhs)
 
         def counted(ws, work):
-            idx, solver = factor(ws, work)
-            return idx, solver and Counted(solver)
+            solver = factor(ws, work)
+            return solver and Counted(solver)
 
         monkeypatch.setattr(QpWorkspace, "_factor", counted)
         ws = QpWorkspace(ConvexProgram(**kw))
@@ -498,40 +498,38 @@ class TestBorderedSolve:
             solved = ws._pinned_solve(at_upper, at_lower)
             assert agrees_with_dense(ws, at_upper, at_lower, *solved)
         assert len(calls) == 1
-        assert isinstance(ws._factor(ws._eq | work)[1], qp._Bordered)
+        # Without a solve, the base is K0, the equality rows' factor; the
+        # last set borders it with its own rows.
+        schur = ws._factor(ws._eq | work)
+        assert np.array_equal(schur.base, ws._eq)
+        assert sorted(schur.rows.tolist()) == [4, 7, 9, 12]
 
-    def test_long_walk_is_factored_again_past_the_border_cap(self, monkeypatch):
+    def test_long_walk_borders_one_factor(self, monkeypatch):
         # A cold solve that pushes 80-odd of 90 variables onto their bounds
-        # adds one row per dual step: past qp._MAX_BORDER rows from the
-        # base, the set is factored directly and the walk goes on from it.
+        # adds one row per dual step; every set borders the one factor of
+        # the equality rows, S growing by a row per step.
         rng = np.random.default_rng(20)
         n = 90
         ws = QpWorkspace(ConvexProgram(
             q=-10.0 - rng.random(n), curvature=1.0 + rng.random(n),
             A_eq=rng.normal(size=(2, n)), b_eq=np.zeros(2),
             lb=np.full(n, -1.0), ub=np.full(n, 1.0)))
-        calls, borders = [], []
-        splu, border = qp.splu, qp._Base.border
-
-        def spied(base, work, idx):
-            solver = border(base, work, idx)
-            if solver is not None:
-                borders.append(np.count_nonzero(work != base.work))
-            return solver
+        calls = []
+        splu = qp.splu
         monkeypatch.setattr(qp, "splu", lambda *a, **k: calls.append(a) or splu(*a, **k))
-        monkeypatch.setattr(qp._Base, "border", spied)
         report = ws.solve(tol=1e-9)
-        assert report.status == "optimal" and report.iterations > qp._MAX_BORDER
-        assert len(calls) > 1 and 0 < max(borders) <= qp._MAX_BORDER
+        assert report.status == "optimal" and report.iterations > 64
+        assert len(calls) == 1
         y = report.y_stacked
         at_upper, at_lower = ~ws._eq & (y > 0.0), ~ws._eq & (y < 0.0)
-        assert np.array_equal(np.flatnonzero(ws._eq | at_upper | at_lower), ws._kept[1])
+        assert np.array_equal(ws._eq | at_upper | at_lower, ws._schur.work)
+        assert ws._schur.rows.size == np.count_nonzero(at_upper | at_lower) > 64
         assert agrees_with_dense(ws, at_upper, at_lower, report.x, y)
 
-    def test_dependent_added_row_is_factored_directly(self, monkeypatch):
+    def test_dependent_added_row_has_no_solve(self, monkeypatch):
         # Row 1 repeats row 0: the Schur pivot of adding it to a set that
-        # holds row 0 is zero, so the set gets the direct factor a fresh
-        # workspace gives it.
+        # holds row 0 is zero, so the set has no solve, and nothing is
+        # factored again.
         rng = np.random.default_rng(19)
         kw = random_qp(rng, 5, 4)
         kw["A_in"][1], kw["b_in"][1] = kw["A_in"][0], kw["b_in"][0]
@@ -543,11 +541,36 @@ class TestBorderedSolve:
         base[0] = both[0] = both[1] = True
         assert ws._pinned_solve(base, none) is not None
         assert len(calls) == 1
-        assert not isinstance(ws._factor(both)[1], qp._Bordered)
-        assert len(calls) == 2
-        got = ws._pinned_solve(both, none)
-        fresh = QpWorkspace(ConvexProgram(**kw))._pinned_solve(both, none)
-        assert all(np.array_equal(a, b) for a, b in zip(got, fresh))
+        assert ws._pinned_solve(both, none) is None
+        assert len(calls) == 1
+        # The set without the copy still solves from the same factor.
+        assert agrees_with_dense(ws, base, none, *ws._pinned_solve(base, none))
+        assert len(calls) == 1
+
+    def test_warm_seed_with_dependent_rows_is_repaired(self, monkeypatch):
+        # The warm seed pins a copy of row 0 and a sum of rows 2 and 3
+        # scaled by 1 + 1e-15: its own KKT matrix is singular, so the load
+        # borders the equality rows' factor, the seed's dependent rows stay
+        # out of S, and the solve certifies the optimum from what is left.
+        rng = np.random.default_rng(21)
+        kw = random_qp(rng, 7, 8, 1)
+        A, b = kw["A_in"], kw["b_in"]
+        A[1], b[1] = A[0], b[0]
+        A[4], b[4] = (A[2] + A[3]) * (1.0 + 1e-15), b[2] + b[3]
+        ws = QpWorkspace(ConvexProgram(**kw))
+        y0 = np.zeros(ws.m)
+        y0[1:6] = 1.0                       # rows 0 to 4 of A_in
+        calls = []
+        splu = qp.splu
+        monkeypatch.setattr(qp, "splu", lambda *a, **k: calls.append(a) or splu(*a, **k))
+        report = ws.solve(tol=1e-9, y0=y0)
+        assert report.status == "optimal"
+        A_all, b_all = oracle_rows(kw)
+        expected = enumerate_qp_oracle(kw["curvature"], kw["q"], A_all, b_all,
+                                       kw["A_eq"], kw["b_eq"])
+        assert np.max(np.abs(report.x - expected)) <= 1e-7
+        # The seed's own factor, then K0's: no restart and no third factor.
+        assert len(calls) == 2 and np.array_equal(ws._schur.base, ws._eq)
 
 
 @st.composite

@@ -8,9 +8,11 @@ is set to it in this process only (four buses per area), the ring scenario
 of `--seed` is parsed from its text, and its centralized controller runs
 the first `--steps` control steps of the closed loop.  One line per ring:
 its buses, the seconds of the cold step 0 and the median of the warm steps
-after it, the SuperLU factors of the cold step, the largest border (rows of
-a bordered working set that differ from its base factor's set, over all
-steps) and the solves applied without a certificate.
+after it, the SuperLU factors and SQP iterations of the cold step, the
+largest Schur complement bordering a load's factor (rows, over all steps),
+the rows its pivot test kept out of a working set as dependent (over all
+steps; in practice the cold seeds' dependent rows) and the solves applied
+without a certificate.
 """
 
 from __future__ import annotations
@@ -35,18 +37,18 @@ def ring_steps(areas: int, seed: int, steps: int) -> dict:
     from essmpc.scenario import parse_scenario
     from perfbench import ring
 
-    factors, borders, seconds = [], [0], []
-    splu, border = qp.splu, qp._Base.border
+    factors, sizes, skipped, seconds = [], [0], [0], []
+    splu, border = qp.splu, qp._Schur.border
 
     def counted(*args, **kwargs):
         factors[-1] += 1
         return splu(*args, **kwargs)
 
-    def spied(base, work, idx):
-        solver = border(base, work, idx)
-        if solver is not None:
-            borders.append(int(np.count_nonzero(work != base.work)))
-        return solver
+    def spied(schur, work):
+        got = border(schur, work)
+        sizes.append(schur.rows.size)
+        skipped[0] += int(np.count_nonzero(work & ~got))
+        return got
 
     with mock.patch.object(ring, "AREAS", areas):
         scenario = parse_scenario(ring.ring_text(seed))
@@ -60,13 +62,14 @@ def ring_steps(areas: int, seed: int, steps: int) -> dict:
         return u
 
     with mock.patch.object(qp, "splu", counted), \
-            mock.patch.object(qp._Base, "border", spied):
+            mock.patch.object(qp._Schur, "border", spied):
         simulate(scenario.grid, scenario.initial_state(), timed,
                  steps * scenario.sim_step, scenario.sim_step, scenario.events,
                  scenario.clamp_storage_power_at_energy_limit)
     return {"buses": scenario.grid.n_buses, "cold_s": seconds[0],
             "warm_s": statistics.median(seconds[1:]) if steps > 1 else None,
-            "cold_splu": factors[0], "max_border": max(borders),
+            "cold_splu": factors[0], "cold_sqp": controller.log[0].sqp_iterations,
+            "largest_s": max(sizes), "skipped": skipped[0],
             "non_optimal": sum(r.non_optimal_solves for r in controller.log)}
 
 
@@ -74,7 +77,8 @@ def line(got: dict, steps: int) -> str:
     warm = "-" if got["warm_s"] is None else f"{got['warm_s']:.4f} s"
     return (f"buses {got['buses']}  cold {got['cold_s']:.4f} s"
             f"  warm median {warm} ({steps - 1} steps)"
-            f"  cold splu {got['cold_splu']}  max border {got['max_border']}"
+            f"  cold splu {got['cold_splu']}  cold sqp {got['cold_sqp']}"
+            f"  largest S {got['largest_s']}  skipped {got['skipped']}"
             f"  non-optimal {got['non_optimal']}")
 
 
