@@ -238,8 +238,8 @@ class _Schur:
         k = int(np.flatnonzero(self.rows == r)[0])
         if self.base[r] and not abs(self._s(np.eye(1, self.rows.size, k)[0])[k]) > _PIVOT:
             return
-        self.Q, self.R = qr_delete(self.Q, self.R, k, 1, "row", check_finite=False)
-        self.Q, self.R = qr_delete(self.Q, self.R, k, 1, "col", check_finite=False)
+        self.Q, self.R = qr_delete(self.Q, self.R, k, 1, "row", True, False)
+        self.Q, self.R = qr_delete(self.Q, self.R, k, 1, "col", True, False)
         at, col, val = self.nz
         self.nz = (at[at != k] - (at[at != k] > k), col[at != k], val[at != k])
         self.rows = np.delete(self.rows, k)
