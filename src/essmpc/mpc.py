@@ -30,8 +30,8 @@ linearization's values go, and a distributed area's consensus hooks.  A
 fill writes one linearization's values into a new program of that
 structure.  A controller keeps one structure and one `QpWorkspace` per
 area for its own lifetime, so an SQP iteration computes values only: the
-workspace factors one KKT matrix per loaded program, laid out from its
-non-zeros, and borders that factor for every other working set.
+workspace factors one KKT matrix per loaded program as a rule, laid out
+from its non-zeros, and borders that factor for every other working set.
 The linearization differentiates its K Euler steps as one stack.
 """
 

@@ -7,22 +7,24 @@ as l <= C x <= u.  A working set W pins rows at one of their bounds, and
 its KKT system [[diag(c), C_W'], [C_W, 0]] is solved exactly, unshifted.  A
 point is accepted only when its exactly recomputed KKT residuals meet the
 tolerance.
-SuperLU factors one working set per load, the base: a warm seed's own set,
-or else K0, the equality rows alone.  Every other set borders the base with
-the Schur complement S of the rows it adds and drops (Bartlett and
-Biegler's QPSchur, Optim. Eng. 2006), which lasts the load: its QR factor
-changes by one row and column per row that enters or leaves.  The one
-dependence test is a row's scaled pivot against the other rows, as it
-enters S or, for the base, as a solve with its factor shows it: at or
-below `_PIVOT`, the row is dependent.
+SuperLU factors one working set per load, the base: the seed's own set
+of the load's first solve, or K0, the equality rows alone, when SuperLU
+finds that set singular or the walk on it certifies no point.  Every
+other set borders the base with the Schur complement S of the rows it
+adds and drops (Bartlett and Biegler's QPSchur, Optim. Eng. 2006), which
+lasts the load: its QR factor changes by one row and column per row that
+enters or leaves.  The dependence test is the scaled pivot of a row
+entering S, or a step's row, against the set: at or below `_PIVOT`, the
+row is dependent.  The base's own rows are tested by the certificate.
 
 A solve is one sequence: seed, dual active set, settle.
 
 * The seed is the rows with non-zero warm multipliers y0.  Without y0 it
   is the rows of the HiGHS optimum of the linear part when max c <= tol
   (the quadratic term a tie-break; HiGHS proving the rows infeasible ends
-  the solve "infeasible"), and otherwise the equality rows.  A dependent
-  seed row is left out: the seed is repaired, not restarted.
+  the solve "infeasible"), and otherwise the equality rows.  Bordered on
+  K0, a dependent seed row is left out: the seed is repaired, not
+  restarted.
 * The Goldfarb-Idnani dual active set (Math. Prog. 27, 1983) starts at
   the minimum on the seed rows, less any of wrong sign, and adds one
   violated row at a time, dropping a working row whose multiplier reaches
@@ -49,15 +51,22 @@ import numpy as np
 # Unused here; perfbench/tests/test_trace.py:66 asserts qp.lu_factor is scipy's.
 from scipy.linalg import get_lapack_funcs, lu_factor, qr_delete, qr_insert  # noqa: F401
 from scipy.optimize import linprog
-from scipy.sparse import csc_array, csr_array
+from scipy.sparse import csc_array
 from scipy.sparse.linalg import SuperLU, splu
 
-__all__ = ["QpError", "ConvexProgram", "DualSet", "SolveReport", "QpWorkspace",
-           "kkt_residual"]
+__all__ = [
+    "QpError",
+    "ConvexProgram",
+    "DualSet",
+    "SolveReport",
+    "QpWorkspace",
+    "kkt_residual",
+]
 
 # A scaled pivot at or below this marks a row dependent, or so nearly that a
 # solve with it would lose half its digits.
 _PIVOT = np.sqrt(np.finfo(float).eps)
+_NONE = np.empty(0, dtype=int)
 _geqrf, _orgqr, _pstrf, _trtrs = get_lapack_funcs(("geqrf", "orgqr", "pstrf", "trtrs"),
                                                   dtype=float)
 
@@ -169,15 +178,31 @@ def kkt_residual(prog: ConvexProgram, x: np.ndarray, duals: DualSet
     x = np.asarray(x, dtype=float).ravel()
     if x.shape != (prog.n,):
         raise QpError(f"x has shape {x.shape}, expected ({prog.n},)")
-    grad = (prog.curvature * x + prog.q + prog.A_eq.T @ duals.eq + prog.A_in.T @ duals.ineq
-            - duals.lower + duals.upper)
-    slack = prog.A_in @ x - prog.b_in
-    lo = np.where(np.isfinite(prog.lb), prog.lb - x, 0.0)
-    hi = np.where(np.isfinite(prog.ub), x - prog.ub, 0.0)
-    feas = np.concatenate([np.abs(prog.A_eq @ x - prog.b_eq), slack, lo, hi])
-    comp = np.concatenate([duals.ineq * slack, duals.lower * lo, duals.upper * hi])
-    return (float(np.abs(grad).max(initial=0.0)), float(feas.max(initial=0.0)),
-            float(np.abs(comp).max(initial=0.0)))
+    grad = prog.curvature * x + prog.q
+    if prog.A_eq.shape[0]:
+        grad = grad + prog.A_eq.T @ duals.eq
+    if prog.A_in.shape[0]:
+        grad = grad + prog.A_in.T @ duals.ineq
+    grad = grad - duals.lower + duals.upper
+    stationarity = float(np.max(np.abs(grad))) if grad.size else 0.0
+
+    feas = [0.0]
+    comp = [0.0]
+    if prog.A_eq.shape[0]:
+        feas.append(float(np.max(np.abs(prog.A_eq @ x - prog.b_eq))))
+    if prog.A_in.shape[0]:
+        slack = prog.A_in @ x - prog.b_in
+        feas.append(float(np.max(np.maximum(slack, 0.0))))
+        comp.append(float(np.max(np.abs(duals.ineq * slack))))
+    lo = np.where(np.isfinite(prog.lb), prog.lb - x, -np.inf)
+    hi = np.where(np.isfinite(prog.ub), x - prog.ub, -np.inf)
+    feas.append(float(np.max(np.maximum(lo, 0.0), initial=0.0)))
+    feas.append(float(np.max(np.maximum(hi, 0.0), initial=0.0)))
+    comp.append(float(np.max(np.abs(duals.lower * np.where(np.isfinite(prog.lb), lo, 0.0)),
+                             initial=0.0)))
+    comp.append(float(np.max(np.abs(duals.upper * np.where(np.isfinite(prog.ub), hi, 0.0)),
+                             initial=0.0)))
+    return stationarity, max(feas), max(comp)
 
 
 def _unit(h: np.ndarray) -> np.ndarray:
@@ -189,35 +214,33 @@ def _unit(h: np.ndarray) -> np.ndarray:
 def _times(at: np.ndarray, col: np.ndarray, val: np.ndarray, z: np.ndarray,
            rows: int) -> np.ndarray:
     """M z for the rows x len(z) matrix M of non-zeros (at, col, val)."""
-    if z.ndim == 2 and z.shape[1] > 1:
-        return csr_array((val, (at, col)), shape=(rows, z.shape[0])) @ z
-    return np.bincount(at, val * z[col].ravel(), minlength=rows).reshape((rows,) + z.shape[1:])
+    k = z[0].size
+    terms = (val[:, None] * z[col].reshape(col.size, k)).ravel()
+    places = (k * at[:, None] + np.arange(k)).ravel()
+    return np.bincount(places, terms, minlength=rows * k).reshape((rows,) + z.shape[1:])
 
 
 class _Schur:
-    """A load's one SuperLU factor K0, bordered to any working set.
+    """A load's one SuperLU factor, of the base set B, bordered to any set.
 
-    K0 is the KKT matrix of a base set B, each row scaled by a power of two
-    near h^-1/2, h_r = a_r'diag(c)^-1 a_r.  A set W is K0 bordered by a row
-    and column per row of W ^ B: an added row brings its scaled [a_r; 0] and
-    its multiplier, a dropped base row the unit vector of its multiplier,
-    which pins it to zero and frees the row's equation.  So the pivots of
-    the border's Schur complement S = -U K0^-1 U' are relative to one: in
-    [-2, 0] for an added row, minus its relative curvature, and at least 1/2
-    for a dropped one.  S's QR factor lasts the load and changes by a row
-    and column per row in or out; a row whose pivot is at or below
-    `_PIVOT` stays out.
+    A set W is K0, B's KKT matrix, bordered by a row and column per row of
+    W ^ B: an added row brings [a_r; 0] and its multiplier, a dropped base
+    row the unit vector of its multiplier, which pins it to zero and frees
+    the row's equation.  Each is scaled by a power of two near h^-1/2 (added)
+    or h^1/2 (dropped), h_r = a_r'diag(c)^-1 a_r, so the pivots of the
+    border's Schur complement S = -U K0^-1 U' are relative to one: in [-2, 0]
+    for an added row, minus its relative curvature, and at least 1/2 for a
+    dropped one.  S's QR factor lasts the load and changes by a row and
+    column per row in or out; a row whose pivot is at or below `_PIVOT`
+    stays out.
     """
 
-    def __init__(self, base: np.ndarray, kkt: csc_array, lu: SuperLU, scale: np.ndarray,
-                 C: np.ndarray, c: np.ndarray):
-        self.base, self.work, self.kkt, self.lu, self.C = base, base.copy(), kkt, lu, C
-        self.c_inv, self.scale = 1.0 / c, np.zeros(base.size)
-        self.scale[base] = scale                    # then S's rows' too
-        self.at = c.size - 1 + np.cumsum(base)      # base rows' multipliers in K0
-        self.rows = np.empty(0, dtype=int)          # S's rows, in its order
+    def __init__(self, base: np.ndarray, kkt: csc_array, lu: SuperLU, C: np.ndarray,
+                 c: np.ndarray):
+        self.base, self.work, self.kkt, self.lu, self.C, self.c = base, base.copy(), kkt, lu, C, c
+        self.rows, self.scale = _NONE, _NONE.astype(float)  # S's rows in order, their scales
         self.Q = self.R = np.empty((0, 0))
-        self.nz = (self.rows, self.rows, np.empty(0))   # U's (row of S, column, value)
+        self.nz = (_NONE, _NONE, self.scale)        # U's (row of S, column, value)
 
     def border(self, work: np.ndarray) -> np.ndarray:
         """Border K0 to `work`, rows that leave first: the set bordered,
@@ -238,11 +261,14 @@ class _Schur:
         k = int(np.flatnonzero(self.rows == r)[0])
         if self.base[r] and not abs(self._s(np.eye(1, self.rows.size, k)[0])[k]) > _PIVOT:
             return
-        self.Q, self.R = qr_delete(self.Q, self.R, k, 1, "row", True, False)
-        self.Q, self.R = qr_delete(self.Q, self.R, k, 1, "col", True, False)
+        if self.rows.size > 1:      # scipy's qr_delete crashes on a 0 x 1 R
+            self.Q, self.R = qr_delete(self.Q, self.R, k, 1, "row", True, False)
+            self.Q, self.R = qr_delete(self.Q, self.R, k, 1, "col", True, False)
+        else:
+            self.Q = self.R = np.empty((0, 0))
         at, col, val = self.nz
         self.nz = (at[at != k] - (at[at != k] > k), col[at != k], val[at != k])
-        self.rows = np.delete(self.rows, k)
+        self.rows, self.scale = np.delete(self.rows, k), np.delete(self.scale, k)
         self.work[r] = self.base[r]
 
     def _enter(self, rows: np.ndarray, added: bool) -> None:
@@ -250,24 +276,23 @@ class _Schur:
         complement's pivoted Cholesky factor leaves out each dependent row."""
         if not rows.size:
             return
+        a = self.C[rows]
+        s = _unit(a * a @ (1.0 / self.c))
         if added:
-            a = self.C[rows]
-            self.scale[rows] = s = _unit(a * a @ self.c_inv)
             i, j = np.nonzero(a)
             val = a[i, j] * s[i]
-        else:
-            i, j, val = np.arange(rows.size), self.at[rows], np.ones(rows.size)
+        else:       # the unit vectors of the rows' multipliers in K0
+            i, j, val = np.arange(rows.size), self.c.size - 1 + np.cumsum(self.base)[rows], 1 / s
         u = np.zeros((self.lu.shape[0], rows.size), order="F")
         u[j, i] = val
         z = self.lu.solve(u)
-        # S's new columns, in the rows already in and in the new ones (a
-        # dropped row's u picks its multiplier).
-        b, own = self.rows.size, -(_times(i, j, val, z, rows.size) if added else z[j])
-        cross = -_times(*self.nz, z, b) if b else z[:0]
+        # S's new columns, in the rows already in and in the new ones.
+        b, own = self.rows.size, -_times(i, j, val, z, rows.size)
+        cross = -_times(*self.nz, z, b)
         sign = -1.0 if added else 1.0
         factor, piv, rank, _ = _pstrf(sign * (own - cross.T @ self._s(cross) if b else own),
                                       tol=_PIVOT)
-        if not factor[0, 0] ** 2 > _PIVOT:      # pstrf tests only the later pivots
+        if not (rank and factor[0, 0] ** 2 > _PIVOT):   # pstrf tests the later pivots
             return
         keep = piv[:rank] - 1
         cross, own = cross[:, keep], own[np.ix_(keep, keep)]
@@ -283,6 +308,7 @@ class _Schur:
         on = at[i] >= 0
         self.nz = tuple(np.concatenate(p) for p in zip(self.nz, (at[i][on], j[on], val[on])))
         self.rows = np.concatenate([self.rows, rows[keep]])
+        self.scale = np.concatenate([self.scale, s[keep]])
         self.work[rows[keep]] = added
 
     def _s(self, t: np.ndarray) -> np.ndarray:
@@ -297,19 +323,17 @@ class _Schur:
         """The bordered set's KKT solution: x, then one multiplier per row
         of the set in stacked order, for rhs laid out alike.  A bordered
         solve is refined once against the bordered matrix."""
-        n, s = self.c_inv.size, self.scale[self.work]
         if not self.rows.size:                      # the set is B
-            z = self.lu.solve(np.concatenate([rhs[:n], s * rhs[n:]]))
-            z[n:] *= s
-            return z
+            return self.lu.solve(rhs)
+        n = self.c.size
         y = np.zeros(self.work.size)
-        y[self.work] = s * rhs[n:]
-        r, t = np.concatenate([rhs[:n], y[self.base]]), y[self.rows]
+        y[self.work] = rhs[n:]
+        r, t = np.concatenate([rhs[:n], y[self.base]]), self.scale * y[self.rows]
         z, w = self._once(r, t)
         dz, dw = self._once(r - self.kkt @ z - self._ut(w), t - _times(*self.nz, z, t.size))
         z, w = z + dz, w + dw
-        y[self.base], y[self.rows] = z[n:], w      # dropped rows' w is not kept below
-        return np.concatenate([z[:n], (self.scale * y)[self.work]])
+        y[self.base], y[self.rows] = z[n:], self.scale * w     # a dropped row's is not kept
+        return np.concatenate([z[:n], y[self.work]])
 
     def _once(self, r: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         w = self._s(t - _times(*self.nz, self.lu.solve(r), t.size))
@@ -326,8 +350,9 @@ class QpWorkspace:
     so a loaded program is never written to.  A KKT matrix holds the
     loaded program's non-zeros: an entry exactly zero is left out.  Every
     solve is of one system, the unshifted KKT matrix of a working set; it
-    does not depend on q.  The load's base factor and its bordering, the
-    last set's, last until the next load (see `_Schur`).
+    does not depend on q.  The load's base factor, its first solve's seed
+    set's or else the equality rows', and its bordering, the last set's,
+    last until the next load (see `_Schur`).
     """
 
     def __init__(self, prog: ConvexProgram):
@@ -388,17 +413,24 @@ class QpWorkspace:
     # -- reporting -------------------------------------------------------------
 
     def _split_duals(self, y: np.ndarray) -> DualSet:
+        prog = self.prog
         m_eq, m_in = self._m_eq, self._m_in
-        lower, upper, y_box = np.zeros(self.prog.n), np.zeros(self.prog.n), y[m_eq + m_in:]
+        lam = y[:m_eq].copy()
+        mu = np.maximum(y[m_eq:m_eq + m_in], 0.0)
+        lower = np.zeros(prog.n)
+        upper = np.zeros(prog.n)
+        y_box = y[m_eq + m_in:]
         lower[self._box_vars] = np.maximum(-y_box, 0.0)
         upper[self._box_vars] = np.maximum(y_box, 0.0)
-        return DualSet(y[:m_eq].copy(), np.maximum(y[m_eq:m_eq + m_in], 0.0), lower, upper)
+        return DualSet(lam, mu, lower, upper)
 
     def _residuals(self, x: np.ndarray, y: np.ndarray, cx: np.ndarray
                    ) -> tuple[float, float, float]:
-        """`kkt_residual` of (x, y) from the stacked rows, given cx = C x, with
-        the multipliers `_split_duals` states: an inequality row's clipped at
-        zero, a box row's sign picking its side."""
+        """`kkt_residual` of (x, y) from the stacked rows, given cx = C x.
+
+        The multipliers are those `_split_duals` states: an inequality
+        row's is clipped at zero, a box row's sign picks its side.
+        """
         m_eq, m_in = self._m_eq, self._m_in
         mult = y.copy()
         mult[m_eq:m_eq + m_in] = np.maximum(mult[m_eq:m_eq + m_in], 0.0)
@@ -426,7 +458,11 @@ class QpWorkspace:
         bound, however small the program's cost scale.
         """
         prog = self.prog
-        res = linprog(self.q, A_ub=prog.A_in, b_ub=prog.b_in, A_eq=prog.A_eq, b_eq=prog.b_eq,
+        res = linprog(self.q,
+                      A_ub=prog.A_in if self._m_in else None,
+                      b_ub=prog.b_in if self._m_in else None,
+                      A_eq=prog.A_eq if self._m_eq else None,
+                      b_eq=prog.b_eq if self._m_eq else None,
                       bounds=np.column_stack([prog.lb, prog.ub]),
                       method="highs", options=_HIGHS_OPTIONS)
         if res.status != 0:
@@ -448,13 +484,12 @@ class QpWorkspace:
             return self._schur
         return None
 
-    def _direct(self, work: np.ndarray) -> Optional[_Schur]:
-        """The set's KKT matrix, rows scaled as `_Schur` says, factored by
-        SuperLU as the load's base; None if a row's scaled pivot is at or
-        below `_PIVOT`.  A set of more rows than variables is singular
-        unfactored: SuperLU can crash on one.  The layout, from the rows'
-        non-zeros in the loaded program, is kept for a repeat of the set
-        and non-zeros."""
+    def _direct(self, work: np.ndarray, warm: bool = False) -> Optional[_Schur]:
+        """SuperLU of the set's unshifted KKT matrix as the load's base, None
+        if SuperLU finds it singular.  A set of more rows than variables is
+        singular unfactored: SuperLU can corrupt memory on one.  The layout,
+        from the rows' non-zeros in the loaded program, is kept for a repeat
+        of the set and non-zeros."""
         if np.count_nonzero(work) > self.prog.n:
             return None
         n, c, rows = self.prog.n, self.prog.curvature, self.C[work]
@@ -462,8 +497,9 @@ class QpWorkspace:
         key = (work.tobytes(), live.tobytes())
         if key != self._csc[0]:
             # The entries: c_j at (j, j), and C_W's e-th non-zero (r, j) at
-            # (n + r, j) and (j, n + r), each one's value at `src` in (c, C_W's
-            # non-zeros row by row).  CSC orders them by column, rows ascending.
+            # (n + r, j) and (j, n + r); each one's value is at `src` in
+            # (c, C_W's non-zeros row by row).  CSC orders them by column,
+            # rows ascending.
             r, j = np.divmod(np.flatnonzero(live), n)
             diag, e = np.arange(n), n + np.arange(r.size)
             row, col = np.concatenate([diag, n + r, j]), np.concatenate([diag, j, n + r])
@@ -472,23 +508,18 @@ class QpWorkspace:
             indptr[1:] = np.cumsum(np.bincount(col, minlength=indptr.size - 1))
             kkt = csc_array((np.empty(order.size), row[order].astype(np.intc), indptr),
                             shape=(indptr.size - 1,) * 2)
-            self._csc = (key, kkt, np.concatenate([diag, e, e])[order], r, j)
-        kkt, src, r, j = self._csc[1:]
-        values = rows[live]
-        scale = _unit(np.bincount(r, values * values / c[j], minlength=len(rows)))
-        kkt.data[:] = np.concatenate([c, values * scale[r]])[src]
+            self._csc = (key, kkt, np.concatenate([diag, e, e])[order])
+        kkt, src = self._csc[1:]
+        kkt.data[:] = np.concatenate([c, rows[live]])[src]
         try:
-            # One-column panels, no relaxed supernodes: 15-30% faster here.
-            lu = splu(kkt, panel_size=1, relax=1)
+            # One-column panels and relaxed supernodes: 15-30% faster here.
+            # SuperLU prints BLAS errors on some singular matrices with
+            # supernodes of one column, not with two: only a warm seed, the
+            # set of a certified solve, is factored with one.
+            lu = splu(kkt, panel_size=1, relax=1 if warm else 2)
         except RuntimeError:    # "Factor is exactly singular"
             return None
-        # Row r's scaled pivot against the other rows is 1 / |K^-1_rr| on the
-        # scaled multipliers: a solve there with a generic vector shows one
-        # at or below _PIVOT as an entry of order its inverse.
-        probe = lu.solve(np.concatenate([np.zeros(n), np.cos(np.arange(len(rows)))]))
-        if not np.abs(probe[n:]).max(initial=0.0) < 1.0 / _PIVOT:
-            return None
-        return _Schur(work.copy(), kkt, lu, scale, self.C, c)
+        return _Schur(work.copy(), kkt, lu, self.C, c)
 
     # -- exact solves ------------------------------------------------------------------
 
@@ -508,29 +539,39 @@ class QpWorkspace:
     # -- dual active set -------------------------------------------------------------
 
     def _dual_active_set(self, y_seed: np.ndarray, tol: float, warm: bool) -> SolveReport:
-        """Goldfarb-Idnani dual active set from the rows the seed marks.
+        """The walk from the seed on the load's base: a load's first solve
+        factors the seed's own set, and K0 only if SuperLU finds that set
+        singular or the walk on it certifies no point."""
+        eq = self._eq
+        at_upper = ~eq & (y_seed > 0.0) & self._finite_u
+        at_lower = ~eq & (y_seed < 0.0) & self._finite_l
+        if self._schur is None:
+            self._schur = self._direct(eq | at_upper | at_lower, warm)
+        done = self._schur and self._walk(at_upper.copy(), at_lower.copy(), tol)
+        if (done is None or done.status != "optimal") \
+                and (self._schur.base if self._schur else at_upper | at_lower)[~eq].any():
+            self._schur = self._direct(eq)
+            done = self._schur and self._walk(at_upper, at_lower, tol)
+        return done or self._finish(np.zeros(self.prog.n), np.zeros(self.m), "max_iter", 0)
 
-        Every iterate minimizes the objective on its working set with
-        multipliers of the right sign.  Each iteration moves toward the most
-        violated row: a full step makes it active and adds it, a partial
-        step stops where a working multiplier reaches zero and drops that
-        row.  The objective rises monotonically, so no working set repeats.
+    def _walk(self, at_upper: np.ndarray, at_lower: np.ndarray, tol: float) -> SolveReport:
+        """Goldfarb-Idnani dual active set from the seed rows pinned.
+
+        The seed's rows dependent on the rest stay out of the set.  Every
+        iterate minimizes the objective on its working set with multipliers
+        of the right sign.  Each iteration moves toward the most violated
+        row: a full step makes it active and adds it, a partial step stops
+        where a working multiplier reaches zero and drops that row.  The
+        objective rises monotonically, so no working set repeats.
         """
         n, m = self.prog.n, self.m
         eq, C, c = self._eq, self.C, self.prog.curvature
-        at_upper = ~eq & (y_seed > 0.0) & self._finite_u
-        at_lower = ~eq & (y_seed < 0.0) & self._finite_l
         x, y = np.zeros(n), np.zeros(m)
-        # A load's first solve factors a warm seed's own set, or K0.  The
-        # seed's independent rows enter S, and the start drops wrong-sign
-        # rows until the working set is dual feasible.
-        if self._schur is None:
-            self._schur = warm and self._direct(eq | at_upper | at_lower) or self._direct(eq)
-        if self._schur is None:
-            return self._finish(x, y, "max_iter", 0)
         kept = self._schur.border(eq | at_upper | at_lower)
         at_upper &= kept
         at_lower &= kept
+        # Start at the minimum on the seed rows and drop wrong-sign rows
+        # until the working set is dual feasible.
         while True:
             solved = self._pinned_solve(at_upper, at_lower)
             if solved is None:

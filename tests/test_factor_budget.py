@@ -1,8 +1,9 @@
 """SuperLU factors per CLI command: one per loaded program.
 
-A workspace factors one working set per load, a warm seed's own or the
-equality rows', and solves every other set of that load by bordering that
-factor with a Schur complement that rows enter and leave.  The counts come
+A workspace factors one working set per load, its first solve's seed set
+(the equality rows' if that set is singular or certifies nothing), and
+solves every other set of that load by bordering that factor with a Schur
+complement that rows enter and leave.  The counts come
 from spies on `qp.splu`, `QpWorkspace.load` (which the constructor calls
 too), `_Schur._enter` (rows entering the Schur complement) and
 `qp.csc_array`, which builds each new KKT layout.
@@ -36,8 +37,7 @@ def run(tmp_path, command, scenario, *rest):
 @pytest.mark.parametrize("argv, factors", [
     # Ten steps of three areas, one SQP iteration each: 30 programs.
     (("dmpc", "twelve_bus", "--ttotal", "0.2"), 30),
-    # One step of the n = 252 program: its HiGHS seed and dual steps are
-    # bordered.
+    # One step of the n = 252 program; its two dual steps are bordered.
     (("mpc", "twelve_bus", "--ttotal", "0.02"), 1),
 ], ids=["dmpc_twelve_bus", "mpc_twelve_bus"])
 def test_one_factor_per_loaded_program(events, tmp_path, argv, factors):
@@ -58,9 +58,8 @@ def test_compare_borders_the_working_set_flips(events, tmp_path):
 
 def test_kkt_layouts_are_kept_across_loads(events, tmp_path):
     # Each area's direct factors mostly repeat the last one's working set
-    # and non-zeros, so they refill its layout (24 built for 300 loads; an
-    # entry of about 1e-18 that is exactly zero in another load is a new
-    # non-zero); a layout built per factor would make 300.
+    # and non-zeros, so they refill its layout (16 built for 300 loads);
+    # a layout built per factor would make 300.
     run(tmp_path, "dmpc", "twelve_bus", "--ttotal", "2.0")
     assert events.count("load") == events.count("splu") == 300
-    assert 0 < events.count("csc_array") <= 30
+    assert 0 < events.count("csc_array") <= 20

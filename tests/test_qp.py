@@ -572,6 +572,28 @@ class TestBorderedSolve:
         # The seed's own factor, then K0's: no restart and no third factor.
         assert len(calls) == 2 and np.array_equal(ws._schur.base, ws._eq)
 
+    def test_warm_seed_dependent_along_any_direction_is_repaired(self):
+        # Row 4 of A_in is w rows 2 and 3, w chosen so that the seed set's
+        # null vector (0, 0, 0, w2, w3, -1) on its multipliers is orthogonal
+        # to cos(0..5): a test that solves once with that right-hand side
+        # would see no dependence.  The base's certificate does.
+        rng = np.random.default_rng(21)
+        kw = random_qp(rng, 7, 8, 1)
+        A, b = kw["A_in"], kw["b_in"]
+        w2, w3 = (np.cos(5.0) - np.cos(4.0)) / np.cos(3.0), 1.0
+        A[4], b[4] = (w2 * A[2] + w3 * A[3]) * (1.0 + 1e-15), w2 * b[2] + w3 * b[3]
+        ws = QpWorkspace(ConvexProgram(**kw))
+        y0 = np.zeros(ws.m)
+        y0[1:6] = 1.0                       # rows 0 to 4 of A_in
+        report = ws.solve(tol=1e-9, y0=y0)
+        assert report.status == "optimal"
+        A_all, b_all = oracle_rows(kw)
+        expected = enumerate_qp_oracle(kw["curvature"], kw["q"], A_all, b_all,
+                                       kw["A_eq"], kw["b_eq"])
+        assert np.max(np.abs(report.x - expected)) <= 1e-7
+        assert np.max(np.abs(report.y_stacked)) < 1e6
+        assert np.array_equal(ws._schur.base, ws._eq)
+
 
 @st.composite
 def points_on_rows(draw):
