@@ -7,24 +7,25 @@ as l <= C x <= u.  A working set W pins rows at one of their bounds, and
 its KKT system [[diag(c), C_W'], [C_W, 0]] is solved exactly, unshifted.  A
 point is accepted only when its exactly recomputed KKT residuals meet the
 tolerance.
-SuperLU factors one working set per load, the base: the seed's own set
-of the load's first solve, or K0, the equality rows alone, when SuperLU
-finds that set singular or the walk on it certifies no point.  Every
-other set borders the base with the Schur complement S of the rows it
-adds and drops (Bartlett and Biegler's QPSchur, Optim. Eng. 2006), which
-lasts the load: its QR factor changes by one row and column per row that
-enters or leaves.  The dependence test is the scaled pivot of a row
-entering S, or a step's row, against the set: at or below `_PIVOT`, the
-row is dependent.  The base's own rows are tested by the certificate.
+SuperLU factors one working set per load, the base: the set the load's
+first walk starts from.  A walk that certifies no point, SuperLU finding
+its first set singular among the causes, starts again from its seed
+repaired, and that set's factor is the base.  Every other set borders
+the base with the Schur complement S of the rows it adds and drops
+(Bartlett and Biegler's QPSchur, Optim. Eng. 2006), which lasts the
+load: its QR factor changes by one row and column per row that enters or
+leaves.  The dependence test is the scaled pivot of a row entering S, or
+a step's row, against the set: at or below `_PIVOT`, the row is
+dependent.  The base's own rows are tested by the certificate.
 
 A solve is one sequence: seed, dual active set, settle.
 
 * The seed is the rows with non-zero warm multipliers y0.  Without y0 it
   is the rows of the HiGHS optimum of the linear part when max c <= tol
   (the quadratic term a tie-break; HiGHS proving the rows infeasible ends
-  the solve "infeasible"), and otherwise the equality rows.  Bordered on
-  K0, a dependent seed row is left out: the seed is repaired, not
-  restarted.
+  the solve "infeasible"), and otherwise the equality rows.  The repair
+  borders K0, the equality rows' factor, to the seed, which leaves out
+  each dependent row: the seed is repaired, not restarted.
 * The Goldfarb-Idnani dual active set (Math. Prog. 27, 1983) starts at
   the minimum on the seed rows, less any of wrong sign, and adds one
   violated row at a time, dropping a working row whose multiplier reaches
@@ -223,16 +224,17 @@ def _times(at: np.ndarray, col: np.ndarray, val: np.ndarray, z: np.ndarray,
 class _Schur:
     """A load's one SuperLU factor, of the base set B, bordered to any set.
 
-    A set W is K0, B's KKT matrix, bordered by a row and column per row of
+    A set W is K, B's KKT matrix, bordered by a row and column per row of
     W ^ B: an added row brings [a_r; 0] and its multiplier, a dropped base
     row the unit vector of its multiplier, which pins it to zero and frees
     the row's equation.  Each is scaled by a power of two near h^-1/2 (added)
     or h^1/2 (dropped), h_r = a_r'diag(c)^-1 a_r, so the pivots of the
-    border's Schur complement S = -U K0^-1 U' are relative to one: in [-2, 0]
+    border's Schur complement S = -U K^-1 U' are relative to one: in [-2, 0]
     for an added row, minus its relative curvature, and at least 1/2 for a
     dropped one.  S's QR factor lasts the load and changes by a row and
     column per row in or out; a row whose pivot is at or below `_PIVOT`
-    stays out.
+    stays out.  B is the set a load's first walk, or a repair, starts from;
+    K0, the equality rows' factor, takes a whole seed into S only to repair.
     """
 
     def __init__(self, base: np.ndarray, kkt: csc_array, lu: SuperLU, C: np.ndarray,
@@ -243,7 +245,7 @@ class _Schur:
         self.nz = (_NONE, _NONE, self.scale)        # U's (row of S, column, value)
 
     def border(self, work: np.ndarray) -> np.ndarray:
-        """Border K0 to `work`, rows that leave first: the set bordered,
+        """Border K to `work`, rows that leave first: the set bordered,
         `work` less the rows that are dependent on the rest."""
         if work.tobytes() != self.work.tobytes():
             now, base = self.work.copy(), self.base
@@ -281,7 +283,7 @@ class _Schur:
         if added:
             i, j = np.nonzero(a)
             val = a[i, j] * s[i]
-        else:       # the unit vectors of the rows' multipliers in K0
+        else:       # the unit vectors of the rows' multipliers in K
             i, j, val = np.arange(rows.size), self.c.size - 1 + np.cumsum(self.base)[rows], 1 / s
         u = np.zeros((self.lu.shape[0], rows.size), order="F")
         u[j, i] = val
@@ -350,8 +352,8 @@ class QpWorkspace:
     so a loaded program is never written to.  A KKT matrix holds the
     loaded program's non-zeros: an entry exactly zero is left out.  Every
     solve is of one system, the unshifted KKT matrix of a working set; it
-    does not depend on q.  The load's base factor, its first solve's seed
-    set's or else the equality rows', and its bordering, the last set's,
+    does not depend on q.  The load's base factor, of its first solve's
+    seed set or of a seed repaired, and its bordering, the last set's,
     last until the next load (see `_Schur`).
     """
 
@@ -408,7 +410,7 @@ class QpWorkspace:
                 return self._finish(np.zeros(self.prog.n), y_seed, "infeasible", 0)
             if status == 0:
                 y_seed = y_lp
-        return self._dual_active_set(y_seed, tol, warm)
+        return self._dual_active_set(y_seed, tol)
 
     # -- reporting -------------------------------------------------------------
 
@@ -477,19 +479,19 @@ class QpWorkspace:
     # -- KKT factor ------------------------------------------------------------------
 
     def _factor(self, work: np.ndarray) -> Optional[_Schur]:
-        """The solver of [[diag(c), C_W'], [C_W, 0]]: the load's base, K0 if
-        no solve made one, bordered to W; None if a row of W is dependent."""
-        self._schur = self._schur or self._direct(self._eq)
+        """The solver of [[diag(c), C_W'], [C_W, 0]]: the load's base, or W's
+        own factor as the base, bordered to W; None if a row of W is dependent."""
+        self._schur = self._schur or self._direct(work)
         if self._schur and self._schur.border(work).tobytes() == work.tobytes():
             return self._schur
         return None
 
-    def _direct(self, work: np.ndarray, warm: bool = False) -> Optional[_Schur]:
-        """SuperLU of the set's unshifted KKT matrix as the load's base, None
-        if SuperLU finds it singular.  A set of more rows than variables is
-        singular unfactored: SuperLU can corrupt memory on one.  The layout,
-        from the rows' non-zeros in the loaded program, is kept for a repeat
-        of the set and non-zeros."""
+    def _direct(self, work: np.ndarray) -> Optional[_Schur]:
+        """SuperLU of the set's unshifted KKT matrix: the load's base, or K0
+        to repair a seed; None if SuperLU finds it singular.  A set of more
+        rows than variables is singular unfactored: SuperLU can corrupt
+        memory on one.  The layout, from the rows' non-zeros in the loaded
+        program, is kept for a repeat of the set and non-zeros."""
         if np.count_nonzero(work) > self.prog.n:
             return None
         n, c, rows = self.prog.n, self.prog.curvature, self.C[work]
@@ -512,11 +514,10 @@ class QpWorkspace:
         kkt, src = self._csc[1:]
         kkt.data[:] = np.concatenate([c, rows[live]])[src]
         try:
-            # One-column panels and relaxed supernodes: 15-30% faster here.
-            # SuperLU prints BLAS errors on some singular matrices with
-            # supernodes of one column, not with two: only a warm seed, the
-            # set of a certified solve, is factored with one.
-            lu = splu(kkt, panel_size=1, relax=1 if warm else 2)
+            # One-column panels: 15-30% faster here.  Supernodes relaxed to
+            # two columns, because with one SuperLU prints BLAS errors on
+            # some singular matrices.
+            lu = splu(kkt, panel_size=1, relax=2)
         except RuntimeError:    # "Factor is exactly singular"
             return None
         return _Schur(work.copy(), kkt, lu, self.C, c)
@@ -538,38 +539,36 @@ class QpWorkspace:
 
     # -- dual active set -------------------------------------------------------------
 
-    def _dual_active_set(self, y_seed: np.ndarray, tol: float, warm: bool) -> SolveReport:
-        """The walk from the seed on the load's base: a load's first solve
-        factors the seed's own set, and K0 only if SuperLU finds that set
-        singular or the walk on it certifies no point."""
+    def _dual_active_set(self, y_seed: np.ndarray, tol: float) -> SolveReport:
+        """The walk from the seed on the load's base, which a load's first
+        walk factors from its own first set.  If the walk certifies no point,
+        K0 bordered to the seed repairs it, leaving out each dependent row,
+        and the walk starts again from the repaired seed on its own factor."""
         eq = self._eq
         at_upper = ~eq & (y_seed > 0.0) & self._finite_u
         at_lower = ~eq & (y_seed < 0.0) & self._finite_l
-        if self._schur is None:
-            self._schur = self._direct(eq | at_upper | at_lower, warm)
-        done = self._schur and self._walk(at_upper.copy(), at_lower.copy(), tol)
-        if (done is None or done.status != "optimal") \
-                and (self._schur.base if self._schur else at_upper | at_lower)[~eq].any():
-            self._schur = self._direct(eq)
-            done = self._schur and self._walk(at_upper, at_lower, tol)
-        return done or self._finish(np.zeros(self.prog.n), np.zeros(self.m), "max_iter", 0)
+        done = self._walk(at_upper.copy(), at_lower.copy(), tol)
+        # With the seed and the base both K0, a repair would repeat the walk.
+        rows = at_upper | at_lower | (self._schur.base if self._schur else eq)
+        k0 = done.status != "optimal" and rows[~eq].any() and self._direct(eq)
+        if k0:
+            kept = k0.border(eq | at_upper | at_lower)
+            self._schur = None
+            done = self._walk(at_upper & kept, at_lower & kept, tol)
+        return done
 
     def _walk(self, at_upper: np.ndarray, at_lower: np.ndarray, tol: float) -> SolveReport:
         """Goldfarb-Idnani dual active set from the seed rows pinned.
 
-        The seed's rows dependent on the rest stay out of the set.  Every
-        iterate minimizes the objective on its working set with multipliers
-        of the right sign.  Each iteration moves toward the most violated
-        row: a full step makes it active and adds it, a partial step stops
-        where a working multiplier reaches zero and drops that row.  The
-        objective rises monotonically, so no working set repeats.
+        Every iterate minimizes the objective on its working set with
+        multipliers of the right sign.  Each iteration moves toward the most
+        violated row: a full step makes it active and adds it, a partial step
+        stops where a working multiplier reaches zero and drops that row.
+        The objective rises monotonically, so no working set repeats.
         """
         n, m = self.prog.n, self.m
         eq, C, c = self._eq, self.C, self.prog.curvature
         x, y = np.zeros(n), np.zeros(m)
-        kept = self._schur.border(eq | at_upper | at_lower)
-        at_upper &= kept
-        at_lower &= kept
         # Start at the minimum on the seed rows and drop wrong-sign rows
         # until the working set is dual feasible.
         while True:

@@ -498,11 +498,11 @@ class TestBorderedSolve:
             solved = ws._pinned_solve(at_upper, at_lower)
             assert agrees_with_dense(ws, at_upper, at_lower, *solved)
         assert len(calls) == 1
-        # Without a solve, the base is K0, the equality rows' factor; the
-        # last set borders it with its own rows.
+        # Without a solve, the base is the first set's own factor; the last
+        # set borders it with its own rows and base row 3 dropped.
         schur = ws._factor(ws._eq | work)
-        assert np.array_equal(schur.base, ws._eq)
-        assert sorted(schur.rows.tolist()) == [4, 7, 9, 12]
+        assert np.flatnonzero(schur.base & ~ws._eq).tolist() == [3]
+        assert sorted(schur.rows.tolist()) == [3, 4, 7, 9, 12]
 
     def test_long_walk_borders_one_factor(self, monkeypatch):
         # A cold solve that pushes 80-odd of 90 variables onto their bounds
@@ -547,17 +547,22 @@ class TestBorderedSolve:
         assert agrees_with_dense(ws, base, none, *ws._pinned_solve(base, none))
         assert len(calls) == 1
 
-    def test_warm_seed_with_dependent_rows_is_repaired(self, monkeypatch):
+    @pytest.mark.parametrize("later", [False, True], ids=["first_solve", "later_solve"])
+    def test_warm_seed_with_dependent_rows_is_repaired(self, monkeypatch, later):
         # The warm seed pins a copy of row 0 and a sum of rows 2 and 3
-        # scaled by 1 + 1e-15: its own KKT matrix is singular, so the load
-        # borders the equality rows' factor, the seed's dependent rows stay
-        # out of S, and the solve certifies the optimum from what is left.
+        # scaled by 1 + 1e-15: its own KKT matrix is singular, so the
+        # equality rows' factor bordered to the seed leaves its dependent
+        # rows out, and the rows left are factored as the base.  A later
+        # solve of the load borders the seed on the cold solve's base, finds
+        # it dependent there, and is repaired the same way.
         rng = np.random.default_rng(21)
         kw = random_qp(rng, 7, 8, 1)
         A, b = kw["A_in"], kw["b_in"]
         A[1], b[1] = A[0], b[0]
         A[4], b[4] = (A[2] + A[3]) * (1.0 + 1e-15), b[2] + b[3]
         ws = QpWorkspace(ConvexProgram(**kw))
+        if later:
+            assert ws.solve(tol=1e-9).status == "optimal"
         y0 = np.zeros(ws.m)
         y0[1:6] = 1.0                       # rows 0 to 4 of A_in
         calls = []
@@ -569,14 +574,17 @@ class TestBorderedSolve:
         expected = enumerate_qp_oracle(kw["curvature"], kw["q"], A_all, b_all,
                                        kw["A_eq"], kw["b_eq"])
         assert np.max(np.abs(report.x - expected)) <= 1e-7
-        # The seed's own factor, then K0's: no restart and no third factor.
-        assert len(calls) == 2 and np.array_equal(ws._schur.base, ws._eq)
+        # The seed's own factor unless the load has a base, then K0's and the
+        # repaired set's: no restart.
+        assert len(calls) == (2 if later else 3)
+        assert ws._schur.base[~ws._eq].sum() == 3 and not ws._schur.base[6:].any()
 
     def test_warm_seed_dependent_along_any_direction_is_repaired(self):
         # Row 4 of A_in is w rows 2 and 3, w chosen so that the seed set's
         # null vector (0, 0, 0, w2, w3, -1) on its multipliers is orthogonal
         # to cos(0..5): a test that solves once with that right-hand side
-        # would see no dependence.  The base's certificate does.
+        # would see no dependence.  The base's certificate does, and the
+        # repair leaves one of the three rows out of the base.
         rng = np.random.default_rng(21)
         kw = random_qp(rng, 7, 8, 1)
         A, b = kw["A_in"], kw["b_in"]
@@ -592,7 +600,8 @@ class TestBorderedSolve:
                                        kw["A_eq"], kw["b_eq"])
         assert np.max(np.abs(report.x - expected)) <= 1e-7
         assert np.max(np.abs(report.y_stacked)) < 1e6
-        assert np.array_equal(ws._schur.base, ws._eq)
+        base = ws._schur.base
+        assert base[~ws._eq].sum() == 4 and base[1:3].all() and not base[6:].any()
 
 
 @st.composite

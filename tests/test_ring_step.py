@@ -29,13 +29,15 @@ def test_one_cold_step_of_the_three_area_ring(ring_step, capfd):
     assert fields[0] == "buses 12"
     assert fields[1].startswith("cold ") and fields[1].endswith(" s")
     assert fields[2] == "warm median - (0 steps)"
-    # One factor per SQP iteration, and one more for the first's HiGHS seed,
-    # whose own set SuperLU finds singular: the seed borders the equality
-    # rows' factor instead, and the later iterations factor warm seeds.
+    # One factor per SQP iteration, and two more for the first's HiGHS seed,
+    # whose own set SuperLU finds singular: the equality rows' factor,
+    # bordered to the seed, repairs it, and the repaired set is factored as
+    # the base.  The later iterations factor warm seeds.
     splu, sqp = (int(f.split()[-1]) for f in fields[3:5])
     assert fields[3].startswith("cold splu ") and fields[4].startswith("cold sqp ")
-    assert splu == sqp + 1 >= 2
-    # The HiGHS seed holds 2 dependent rows of 146; they stay out of S.
+    assert splu == sqp + 2 >= 3
+    # The HiGHS seed holds 2 dependent rows of 146; the repair pass leaves
+    # them out of S.
     assert int(fields[5].removeprefix("largest S ")) >= 140
     assert int(fields[6].removeprefix("skipped ")) >= 1
     assert fields[7] == "non-optimal 0"

@@ -9,10 +9,11 @@ of `--seed` is parsed from its text, and its centralized controller runs
 the first `--steps` control steps of the closed loop.  One line per ring:
 its buses, the seconds of the cold step 0 and the median of the warm steps
 after it, the SuperLU factors and SQP iterations of the cold step, the
-largest Schur complement bordering a load's factor (rows, over all steps),
-the rows its pivot test kept out of a working set as dependent (over all
-steps; in practice the cold seeds' dependent rows) and the solves applied
-without a certificate.
+largest Schur complement bordering a load's factor (rows, over all steps;
+in practice the repair pass, which borders the equality rows' factor to a
+whole seed that SuperLU finds singular), the rows its pivot test kept out
+of a working set as dependent (over all steps; in practice the cold seeds'
+dependent rows) and the solves applied without a certificate.
 """
 
 from __future__ import annotations
