@@ -11,11 +11,10 @@ from .qp import (ConvexProgram, DualSet, QpError, QpWorkspace, SolveReport,
                  kkt_residual)
 from .mpc import (HorizonProgram, LtvModel, MpcConfig, MpcConfigError,
                   MpcController, SqpSettings, StepRecord, StorageRegime,
-                  assemble_horizon_program, linearize_dynamics,
-                  receding_horizon_run)
+                  assemble_horizon_program, linearize_dynamics)
 from .dmpc import (AdmmSettings, AreaPartition, AreaProgram, ConsensusState,
                    DistributedMpcController, PartitionError, area_subproblem_solve,
-                   distributed_mpc_run, partition_grid, pdc_admm_step)
+                   partition_grid, pdc_admm_step)
 from .scenario import (Scenario, ScenarioError, bundled_scenario_path,
                        parse_scenario, write_scenario)
 

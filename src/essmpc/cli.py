@@ -13,16 +13,17 @@ import os
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import outputs
-from .dmpc import PartitionError, distributed_mpc_run, partition_grid
-from .dynamics import SimulationAbort, constant_policy, monitor_constraints, simulate
+from .dmpc import DistributedMpcController, PartitionError, partition_grid
+from .dynamics import (SimulationAbort, Trajectory, constant_policy, monitor_constraints,
+                       simulate)
 from .grid import EquilibriumError, GridError
-from .mpc import (MpcConfig, MpcConfigError, StorageRegime, horizon_objective,
-                  receding_horizon_run)
+from .mpc import (MpcConfig, MpcConfigError, MpcController, StorageRegime,
+                  horizon_objective)
 from .qp import QpError
 from .scenario import Scenario, ScenarioError, parse_scenario
 
@@ -82,28 +83,32 @@ def _outdir(args, scenario: Scenario, kind: str) -> Path:
     return out
 
 
-def _emit_common(out: Path, scenario: Scenario, traj, effort: float,
-                 performance: float, extra: Optional[dict] = None,
-                 tag: str = "run") -> None:
-    grid = scenario.grid
-    outputs.write_text(out / f"{tag}_trajectory.csv",
-                       outputs.trajectory_to_csv(grid, traj))
-    report = monitor_constraints(grid, traj, scenario.mpc.omega_limits)
-    outputs.write_text(out / f"{tag}_constraints.txt",
-                       outputs.constraint_report_text(report))
-    extra = dict(extra or {})
-    extra.setdefault("frequency_integral", traj.frequency_integral())
-    outputs.write_text(out / f"{tag}_objective.txt",
-                       outputs.objective_summary_text(effort, performance, extra))
+def _close_loop(out: Path, scenario: Scenario, cfg: MpcConfig, controller, tag: str,
+                name: str, stats: Callable[[], dict] = dict) -> Trajectory:
+    """Run `controller` in closed loop on the scenario and write its three files.
 
-
-def _closed_loop_objective(scenario: Scenario, traj) -> tuple[float, float]:
-    """Stage cost accumulated along an executed trajectory."""
+    The trajectory, its constraint report and its objective go to files
+    named after `tag`.  The objective is `cfg`'s stage cost accumulated
+    along the executed trajectory; `stats`, called after the run, gives
+    the objective file's extra lines.
+    """
     grid = scenario.grid
+    traj = simulate(grid, scenario.initial_state(), controller, scenario.sim_duration,
+                    scenario.sim_step, scenario.events,
+                    scenario.clamp_storage_power_at_energy_limit, name=name)
     controls = np.hstack([traj.power_matrix(), traj.inertia_matrix()])
     n = max(len(traj) - 1, 0)
-    return horizon_objective(grid, scenario.mpc, traj.states[: n + 1],
-                             controls[:n])
+    effort, performance = horizon_objective(grid, cfg, traj.states[: n + 1],
+                                            controls[:n])
+    outputs.write_text(out / f"{tag}_trajectory.csv",
+                       outputs.trajectory_to_csv(grid, traj))
+    report = monitor_constraints(grid, traj, cfg.omega_limits)
+    outputs.write_text(out / f"{tag}_constraints.txt",
+                       outputs.constraint_report_text(report))
+    extra = {**stats(), "frequency_integral": traj.frequency_integral()}
+    outputs.write_text(out / f"{tag}_objective.txt",
+                       outputs.objective_summary_text(effort, performance, extra))
+    return traj
 
 
 def _non_optimal_solves(log, label: str) -> int:
@@ -119,14 +124,8 @@ def cmd_simulate(args) -> int:
     scenario = _load(args)
     cfg = _with_regime(scenario.mpc, args.regime or "cc")
     out = _outdir(args, scenario, "simulate")
-    traj = simulate(scenario.grid, scenario.initial_state(),
-                    constant_policy(scenario.reference_controls()),
-                    scenario.sim_duration, scenario.sim_step, scenario.events,
-                    scenario.clamp_storage_power_at_energy_limit,
-                    name=scenario.name)
-    effort, performance = _closed_loop_objective(
-        replace(scenario, mpc=cfg), traj)
-    _emit_common(out, scenario, traj, effort, performance, tag="simulate")
+    _close_loop(out, scenario, cfg, constant_policy(scenario.reference_controls()),
+                "simulate", scenario.name)
     logger.info("simulate: wrote %s", out)
     return EXIT_OK
 
@@ -135,17 +134,11 @@ def cmd_mpc(args) -> int:
     scenario = _load(args)
     cfg = _with_regime(scenario.mpc, args.regime)
     out = _outdir(args, scenario, "mpc")
-    traj, log = receding_horizon_run(
-        scenario.grid, scenario.initial_state(), cfg, scenario.sim_duration,
-        scenario.events, scenario.clamp_storage_power_at_energy_limit,
-        name=scenario.name)
-    effort, performance = _closed_loop_objective(replace(scenario, mpc=cfg), traj)
-    _emit_common(out, scenario, traj, effort, performance,
-                 extra={"mean_sqp_iterations":
-                        float(np.mean([r.sqp_iterations for r in log]))
-                        if log else 0.0,
-                        "non_optimal_solves": _non_optimal_solves(log, "mpc")},
-                 tag="mpc")
+    ctrl = MpcController(scenario.grid, cfg, scenario.events)
+    _close_loop(out, scenario, cfg, ctrl, "mpc", scenario.name, lambda: {
+        "mean_sqp_iterations": float(np.mean([r.sqp_iterations for r in ctrl.log]))
+        if ctrl.log else 0.0,
+        "non_optimal_solves": _non_optimal_solves(ctrl.log, "mpc")})
     logger.info("mpc: wrote %s", out)
     return EXIT_OK
 
@@ -156,16 +149,12 @@ def cmd_dmpc(args) -> int:
         raise ScenarioError("distributed.areas: required for the dmpc command")
     cfg = _with_regime(scenario.mpc, args.regime)
     out = _outdir(args, scenario, "dmpc")
-    partition = partition_grid(scenario.grid, scenario.areas)
-    traj, reports = distributed_mpc_run(
-        scenario.grid, partition, cfg, scenario.initial_state(),
-        scenario.sim_duration, scenario.admm, scenario.events,
-        scenario.clamp_storage_power_at_energy_limit, name=scenario.name)
-    effort, performance = _closed_loop_objective(replace(scenario, mpc=cfg), traj)
-    _emit_common(out, scenario, traj, effort, performance,
-                 extra={"non_optimal_solves": _non_optimal_solves(reports, "dmpc")},
-                 tag="dmpc")
-    outputs.write_text(out / "dmpc_admm.csv", outputs.admm_log_csv(reports))
+    ctrl = DistributedMpcController(scenario.grid, cfg,
+                                    partition_grid(scenario.grid, scenario.areas),
+                                    scenario.admm, scenario.events)
+    _close_loop(out, scenario, cfg, ctrl, "dmpc", scenario.name, lambda: {
+        "non_optimal_solves": _non_optimal_solves(ctrl.log, "dmpc")})
+    outputs.write_text(out / "dmpc_admm.csv", outputs.admm_log_csv(ctrl.log))
     logger.info("dmpc: wrote %s", out)
     return EXIT_OK
 
@@ -176,17 +165,10 @@ def cmd_compare(args) -> int:
     results = {}
     for key in ("cc", "cv", "vc", "vv"):
         cfg = _with_regime(scenario.mpc, key)
-        traj, log = receding_horizon_run(
-            scenario.grid, scenario.initial_state(), cfg,
-            scenario.sim_duration, scenario.events,
-            scenario.clamp_storage_power_at_energy_limit,
-            name=f"{scenario.name}_{key}")
-        effort, performance = _closed_loop_objective(
-            replace(scenario, mpc=cfg), traj)
-        _emit_common(out, scenario, traj, effort, performance,
-                     extra={"non_optimal_solves":
-                            _non_optimal_solves(log, f"compare {key}")},
-                     tag=key)
+        ctrl = MpcController(scenario.grid, cfg, scenario.events)
+        traj = _close_loop(out, scenario, cfg, ctrl, key, f"{scenario.name}_{key}",
+                           lambda: {"non_optimal_solves":
+                                    _non_optimal_solves(ctrl.log, f"compare {key}")})
         results[key] = traj.frequency_integral()
         logger.info("compare: regime %s frequency integral %.6g", key, results[key])
     ranking = sorted(results, key=results.get)

@@ -29,7 +29,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .dynamics import SystemState, Trajectory, simulate
+from .dynamics import SystemState
 from .grid import DisturbanceEvent, GridModel
 from .mpc import (HorizonProgram, LtvModel, MpcConfig, StepRecord, _SqpController,
                   _assemble_program)
@@ -45,7 +45,6 @@ __all__ = [
     "area_subproblem_solve",
     "pdc_admm_step",
     "DistributedMpcController",
-    "distributed_mpc_run",
 ]
 
 
@@ -58,11 +57,10 @@ class AreaPartition:
     """Non-overlapping cover of the buses."""
 
     assignment: tuple[int, ...]                 # bus -> area, areas 0..A-1
-    owned: tuple[tuple[int, ...], ...]          # per area: its buses
 
 
 def partition_grid(grid: GridModel, assignment: Sequence[int]) -> AreaPartition:
-    """Validate a bus->area map and list each area's buses."""
+    """Validate a bus->area map: every bus in one area, area ids 0..A-1."""
     assignment = tuple(int(a) for a in assignment)
     if len(assignment) != grid.n_buses:
         raise PartitionError(
@@ -70,13 +68,7 @@ def partition_grid(grid: GridModel, assignment: Sequence[int]) -> AreaPartition:
     areas = sorted(set(assignment))
     if areas != list(range(len(areas))):
         raise PartitionError(f"area ids must be contiguous from 0, got {areas}")
-    owned: list[list[int]] = [[] for _ in areas]
-    for bus, a in enumerate(assignment):
-        owned[a].append(bus)
-    for a, buses in enumerate(owned):
-        if not buses:
-            raise PartitionError(f"area {a} owns no buses")
-    return AreaPartition(assignment, tuple(tuple(b) for b in owned))
+    return AreaPartition(assignment)
 
 
 @dataclass
@@ -262,7 +254,6 @@ class DistributedMpcController(_SqpController):
                         (step_first + area.foreign - grid.n_buses).ravel())
                        for area in self.areas]
         self._consensus: Optional[ConsensusState] = None
-        self._warm: dict[int, dict] = {a.index: {} for a in self.areas}
 
     def _start(self, state: SystemState) -> None:
         if self._consensus is None:
@@ -294,14 +285,17 @@ class DistributedMpcController(_SqpController):
                                       self._structure(area), (settings.rho, settings.tau))
                     for area, ltv in zip(self.areas, ltvs)]
         programs = [self._area_program(hp) for hp in horizons]
-        workspaces = {hp.area.index: self._workspace(hp) for hp in horizons}
+        workspaces: dict[int, QpWorkspace] = {}
+        warm: dict[int, dict] = {}
+        for hp in horizons:
+            workspaces[hp.area.index], warm[hp.area.index] = self._workspace(hp)
         x_prev: dict[int, np.ndarray] = {p.area: np.zeros(p.prog.n)
                                          for p in programs}
         z_prev = self._consensus.consensus_values()
         while record.iterations < settings.max_iterations:
             x_prev, resid = pdc_admm_step(programs, self._consensus, x_prev,
-                                          workspaces, self._warm, tol=self.cfg.qp_tol)
-            record.non_optimal_solves += sum(self._warm[p.area]["status"] != "optimal"
+                                          workspaces, warm, tol=self.cfg.qp_tol)
+            record.non_optimal_solves += sum(warm[p.area]["status"] != "optimal"
                                              for p in programs)
             z_new = self._consensus.consensus_values()
             dual_move = settings.rho * float(np.max(np.abs(z_new - z_prev), initial=0.0))
@@ -318,16 +312,3 @@ class DistributedMpcController(_SqpController):
         # The consensus verdict: the boundary angles agreed in the last round.
         return bool(record.residual_history) \
             and record.final_residual < self.settings.tolerance
-
-
-def distributed_mpc_run(grid: GridModel, partition: AreaPartition, cfg: MpcConfig,
-                        initial: SystemState, t_total: float,
-                        settings: AdmmSettings = AdmmSettings(),
-                        events: Sequence[DisturbanceEvent] = (),
-                        clamp_storage_power_at_energy_limit: bool = True,
-                        name: str = "") -> tuple[Trajectory, list[StepRecord]]:
-    """Closed-loop simulation with the distributed controller in the loop."""
-    controller = DistributedMpcController(grid, cfg, partition, settings, events)
-    traj = simulate(grid, initial, controller, t_total, cfg.step, events,
-                    clamp_storage_power_at_energy_limit, name)
-    return traj, controller.log

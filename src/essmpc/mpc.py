@@ -28,8 +28,8 @@ depends only on the area, the configuration and which storages are
 saturated: column offsets, costs, constant rows, and where each
 linearization's values go, and a distributed area's consensus hooks.  A
 fill writes one linearization's values into a new program of that
-structure.  A controller keeps one structure and one `QpWorkspace` per
-area for its own lifetime, so an SQP iteration computes values only: the
+structure.  A controller keeps one structure, `QpWorkspace` and warm start
+per area for its own lifetime, so an SQP iteration computes values only: the
 workspace factors one KKT matrix per loaded program as a rule, laid out
 from its non-zeros, and borders that factor for every other working set.
 The linearization differentiates its K Euler steps as one stack.
@@ -42,10 +42,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .dynamics import (ControlInput, SystemState, Trajectory, _first_outside,
-                       euler_step, simulate, swing_jacobian)
+from .dynamics import (ControlInput, SystemState, _first_outside, euler_step,
+                       swing_jacobian)
 from .grid import DisturbanceEvent, GridModel
-from .qp import ConvexProgram, QpWorkspace, SolveReport
+from .qp import TIE_BREAK, ConvexProgram, QpWorkspace, SolveReport
 
 __all__ = [
     "MpcConfigError",
@@ -58,14 +58,13 @@ __all__ = [
     "linearize_dynamics",
     "assemble_horizon_program",
     "MpcController",
-    "receding_horizon_run",
 ]
 
 # Tiny diagonal cost keeping the subproblem strictly convex, so a non-unique
 # LP optimum resolves to one deterministic point; qp.py's dual active set
-# requires every curvature > 0.  At or below qp_tol it also makes a cold solve
-# seed the dual active set from the HiGHS vertex of the linear part.
-_REGULARIZATION = 1e-8
+# requires every curvature > 0.  As qp.py's tie-break, it also makes a cold
+# solve seed the dual active set from the HiGHS vertex of the linear part.
+_REGULARIZATION = TIE_BREAK
 
 
 class MpcConfigError(ValueError):
@@ -729,7 +728,7 @@ class _SqpController:
     """
 
     def __init__(self, grid: GridModel, cfg: MpcConfig,
-                 events: Sequence[DisturbanceEvent],
+                 events: Sequence[DisturbanceEvent] = (),
                  assignment: Optional[Sequence[int]] = None):
         cfg.validate(grid)
         self.grid = grid
@@ -751,9 +750,10 @@ class _SqpController:
                       for a, buses in enumerate(owned)]
         self.log: list[StepRecord] = []
         self._plan: Optional[np.ndarray] = None
-        # Per area index: the structure of its last program and the
-        # workspace laid out for it, kept for the controller's lifetime.
-        self._kept: dict[int, tuple[_HorizonStructure, QpWorkspace]] = {}
+        # Per area index: the structure of its last program, the workspace
+        # laid out for it and the workspace's warm-start record, kept for
+        # the controller's lifetime.
+        self._kept: dict[int, tuple[_HorizonStructure, QpWorkspace, dict]] = {}
 
     def _start(self, state: SystemState) -> None:
         """Set-up of one control step, before its first linearization."""
@@ -779,19 +779,20 @@ class _SqpController:
         kept = self._kept.get(area.index)
         return None if kept is None else kept[0]
 
-    def _workspace(self, hp: HorizonProgram) -> QpWorkspace:
-        """The area's workspace loaded with `hp.prog`.
+    def _workspace(self, hp: HorizonProgram) -> tuple[QpWorkspace, dict]:
+        """The area's workspace loaded with `hp.prog`, and its warm-start record.
 
-        A new structure gets a new workspace; its KKT layouts come from the
-        loaded program's non-zeros.
+        The record holds the multipliers `y` and the `status` of the
+        workspace's last solve.  A new structure gets a new workspace, its
+        KKT layouts from the loaded program's non-zeros, and an empty
+        record: its first solve starts cold.
         """
         kept = self._kept.get(hp.area.index)
         if kept is not None and kept[0] is hp.structure:
             kept[1].load(hp.prog)
-            return kept[1]
-        workspace = QpWorkspace(hp.prog)
-        self._kept[hp.area.index] = (hp.structure, workspace)
-        return workspace
+        else:
+            kept = self._kept[hp.area.index] = (hp.structure, QpWorkspace(hp.prog), {})
+        return kept[1], kept[2]
 
     def __call__(self, step: int, state: SystemState) -> ControlInput:
         grid, cfg = self.grid, self.cfg
@@ -839,35 +840,18 @@ class _SqpController:
 class MpcController(_SqpController):
     """Centralized controller: one warm-started solve of the whole-grid program.
 
-    The last multipliers warm-start the next solve; the solver drops
-    multipliers whose row count no longer matches.
+    The last multipliers warm-start the next solve of the same structure.
     """
-
-    def __init__(self, grid: GridModel, cfg: MpcConfig,
-                 events: Sequence[DisturbanceEvent] = ()):
-        super().__init__(grid, cfg, events)
-        self._warm_y: Optional[np.ndarray] = None
 
     def _solve(self, ltvs: list[LtvModel], record: StepRecord
                ) -> list[tuple[HorizonProgram, np.ndarray]]:
         hp = assemble_horizon_program(self.grid, ltvs[0], self.cfg,
                                       self._structure(self.areas[0]))
-        report = self._workspace(hp).solve(tol=self.cfg.qp_tol, y0=self._warm_y)
+        workspace, warm = self._workspace(hp)
+        report = workspace.solve(tol=self.cfg.qp_tol, y0=warm.get("y"))
         if report.status == "infeasible":
             raise RuntimeError("horizon subproblem reported infeasible")
         record.non_optimal_solves += report.status != "optimal"
         record.qp_report = report
-        self._warm_y = report.y_stacked
+        warm.update(y=report.y_stacked, status=report.status)
         return [(hp, report.x)]
-
-
-def receding_horizon_run(grid: GridModel, initial: SystemState, cfg: MpcConfig,
-                         t_total: float,
-                         events: Sequence[DisturbanceEvent] = (),
-                         clamp_storage_power_at_energy_limit: bool = True,
-                         name: str = "") -> tuple[Trajectory, list[StepRecord]]:
-    """Closed-loop simulation with the centralized controller in the loop."""
-    controller = MpcController(grid, cfg, events)
-    traj = simulate(grid, initial, controller, t_total, cfg.step, events,
-                    clamp_storage_power_at_energy_limit, name)
-    return traj, controller.log

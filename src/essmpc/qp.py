@@ -21,11 +21,11 @@ dependent.  The base's own rows are tested by the certificate.
 A solve is one sequence: seed, dual active set, settle.
 
 * The seed is the rows with non-zero warm multipliers y0.  Without y0 it
-  is the rows of the HiGHS optimum of the linear part when max c <= tol
-  (the quadratic term a tie-break; HiGHS proving the rows infeasible ends
-  the solve "infeasible"), and otherwise the equality rows.  The repair
-  borders K0, the equality rows' factor, to the seed, which leaves out
-  each dependent row: the seed is repaired, not restarted.
+  is the rows of the HiGHS optimum of the linear part when max c <=
+  TIE_BREAK (the quadratic term a tie-break; HiGHS proving the rows
+  infeasible ends the solve "infeasible"), and otherwise the equality
+  rows.  The repair borders K0, the equality rows' factor, to the seed,
+  which leaves out each dependent row: the seed is repaired, not restarted.
 * The Goldfarb-Idnani dual active set (Math. Prog. 27, 1983) starts at
   the minimum on the seed rows, less any of wrong sign, and adds one
   violated row at a time, dropping a working row whose multiplier reaches
@@ -70,6 +70,10 @@ _PIVOT = np.sqrt(np.finfo(float).eps)
 _NONE = np.empty(0, dtype=int)
 _geqrf, _orgqr, _pstrf, _trtrs = get_lapack_funcs(("geqrf", "orgqr", "pstrf", "trtrs"),
                                                   dtype=float)
+
+# Curvatures all at or below this make the quadratic term a tie-break, whatever
+# the solve's tolerance: the exact LP vertex carries the program's active set.
+TIE_BREAK = 1e-8
 
 # HiGHS's default 1e-7 feasibility tolerances leave a primal residual the
 # exact step cannot certify at 1e-8; the seed has to be tighter than tol.
@@ -397,14 +401,12 @@ class QpWorkspace:
 
         The working set is seeded from the rows with non-zero warm
         multipliers y0; without y0, from the HiGHS optimum of the linear part
-        if max curvature <= tol, else from the equality rows.  The dual
+        if max curvature <= TIE_BREAK, else from the equality rows.  The dual
         active set finishes the solve from there.
         """
         warm = y0 is not None and np.asarray(y0).shape == (self.m,)
         y_seed = np.asarray(y0, dtype=float) if warm else np.zeros(self.m)
-        if not warm and np.max(self.prog.curvature, initial=0.0) <= tol:
-            # A quadratic term at or below tol is a tie-break: the exact LP
-            # vertex carries the active set of the program up to it.
+        if not warm and np.max(self.prog.curvature, initial=0.0) <= TIE_BREAK:
             status, y_lp = self._lp_seed()
             if status == 2:
                 return self._finish(np.zeros(self.prog.n), y_seed, "infeasible", 0)

@@ -39,7 +39,9 @@ class ScenarioError(ValueError):
     """Parse or validation failure, addressed by field path."""
 
 
-def _check_keys(mapping: dict, allowed: set[str], path: str) -> None:
+def _check_keys(mapping: Any, allowed: set[str], path: str) -> None:
+    if not isinstance(mapping, dict):
+        raise ScenarioError(f"{path}: expected a mapping")
     unknown = sorted(set(mapping) - allowed)
     if unknown:
         raise ScenarioError(f"{path}: unknown key(s) {unknown}")
@@ -141,7 +143,7 @@ def _parse_bus(entry: Any, path: str) -> tuple[int, object, dict]:
     if not isinstance(entry, dict):
         raise ScenarioError(f"{path}: expected a mapping")
     role = _require(entry, "role", path)
-    if role not in _BUS_KEYS:
+    if not isinstance(role, str) or role not in _BUS_KEYS:
         raise ScenarioError(f"{path}.role: unknown role {role!r}")
     _check_keys(entry, _BUS_KEYS[role], path)
     bus_id = _int(_require(entry, "id", path), path + ".id")
@@ -172,8 +174,6 @@ def _parse_bus(entry: Any, path: str) -> tuple[int, object, dict]:
 
 
 def _parse_line(entry: Any, path: str) -> Line:
-    if not isinstance(entry, dict):
-        raise ScenarioError(f"{path}: expected a mapping")
     allowed = {"from", "to", "susceptance", "reactance_per_km", "length_km",
                "transformer_reactance"}
     _check_keys(entry, allowed, path)
@@ -197,8 +197,6 @@ def _parse_line(entry: Any, path: str) -> Line:
 
 def _parse_injections(section: Any, n_buses: int) -> np.ndarray:
     path = "injections"
-    if not isinstance(section, dict):
-        raise ScenarioError(f"{path}: expected a mapping")
     _check_keys(section, {"unit", "values", "base_mva"}, path)
     unit = section.get("unit", "pu")
     values = _require(section, "values", path)
@@ -225,8 +223,6 @@ _REGIME_WORDS = {"free": True, "fixed": False}
 def _parse_regimes(section: Any, n_storage: int, path: str) -> tuple[StorageRegime, ...]:
     if section is None:
         return tuple(StorageRegime() for _ in range(n_storage))
-    if not isinstance(section, dict):
-        raise ScenarioError(f"{path}: expected a mapping")
     _check_keys(section, {"power", "inertia"}, path)
 
     def flag(key: str) -> bool:
@@ -291,10 +287,11 @@ def parse_scenario(source: str | Path) -> Scenario:
         raise ScenarioError(f"grid: {exc}") from exc
 
     events = []
-    for i, entry in enumerate(doc.get("disturbances") or []):
+    event_entries = doc.get("disturbances") or []
+    if not isinstance(event_entries, list):
+        raise ScenarioError("disturbances: expected a list")
+    for i, entry in enumerate(event_entries):
         path = f"disturbances[{i}]"
-        if not isinstance(entry, dict):
-            raise ScenarioError(f"{path}: expected a mapping")
         _check_keys(entry, {"bus", "time", "delta_p"}, path)
         ev = DisturbanceEvent(_int(_require(entry, "bus", path), path + ".bus"),
                               _num(_require(entry, "time", path), path + ".time"),
@@ -336,7 +333,10 @@ def parse_scenario(source: str | Path) -> Scenario:
     _check_keys(sqp_sec, _field_names(SqpSettings), "mpc.sqp")
     sqp = _settings(SqpSettings, sqp_sec, "mpc.sqp")
     omega_limits = {}
-    for key, value in (mpc_sec.get("omega_limits") or {}).items():
+    limits_sec = mpc_sec.get("omega_limits") or {}
+    if not isinstance(limits_sec, dict):
+        raise ScenarioError("mpc.omega_limits: expected a mapping")
+    for key, value in limits_sec.items():
         if not isinstance(key, int) or isinstance(key, bool):
             raise ScenarioError("mpc.omega_limits: keys must be bus ids")
         omega_limits[key] = _num(value, f"mpc.omega_limits[{key}]")

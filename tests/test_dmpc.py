@@ -7,11 +7,10 @@ import pytest
 
 from essmpc.dmpc import (AdmmSettings, AreaProgram, ConsensusState,
                          DistributedMpcController, PartitionError, _Hooks,
-                         area_subproblem_solve, distributed_mpc_run, partition_grid,
-                         pdc_admm_step)
-from essmpc.dynamics import ControlInput, SystemState, euler_step, swing_jacobian
+                         area_subproblem_solve, partition_grid, pdc_admm_step)
+from essmpc.dynamics import ControlInput, SystemState, euler_step, simulate, swing_jacobian
 from essmpc.grid import solve_equilibrium
-from essmpc.mpc import MpcConfig, SqpSettings, linearize_dynamics, receding_horizon_run
+from essmpc.mpc import MpcConfig, MpcController, SqpSettings, linearize_dynamics
 from essmpc.qp import ConvexProgram, QpWorkspace
 
 
@@ -22,23 +21,25 @@ def equilibrium_state(grid, storage_power):
     return SystemState(angles, np.zeros(len(grid.inertia_buses)), energy, 0.0)
 
 
+def owned(grid, cfg, assignment):
+    """Each area's buses, as the controller of `assignment` groups them."""
+    controller = DistributedMpcController(grid, cfg, partition_grid(grid, assignment))
+    return [tuple(area.buses) for area in controller.areas]
+
+
 class TestPartition:
     def test_twelve_bus_three_areas(self, twelve_bus_scenario):
         sc = twelve_bus_scenario
-        partition = partition_grid(sc.grid, sc.areas)
-        assert len(partition.owned) == 3
-        assert partition.owned[0] == (0, 1, 2, 3)
-        assert partition.owned[1] == (4, 5, 6, 7)
-        assert partition.owned[2] == (8, 9, 10, 11)
+        assert owned(sc.grid, sc.mpc, sc.areas) == [(0, 1, 2, 3), (4, 5, 6, 7),
+                                                    (8, 9, 10, 11)]
 
-    def test_single_area_owns_every_bus(self, two_bus_grid):
-        partition = partition_grid(two_bus_grid, [0, 0])
-        assert len(partition.owned) == 1
-        assert partition.owned == ((0, 1),)
+    def test_single_area_owns_every_bus(self, two_bus_scenario):
+        sc = two_bus_scenario
+        assert owned(sc.grid, sc.mpc, [0, 0]) == [(0, 1)]
 
-    def test_two_bus_split(self, two_bus_grid):
-        partition = partition_grid(two_bus_grid, [0, 1])
-        assert partition.owned == ((0,), (1,))
+    def test_two_bus_split(self, two_bus_scenario):
+        sc = two_bus_scenario
+        assert owned(sc.grid, sc.mpc, [0, 1]) == [(0,), (1,)]
 
     def test_missing_bus_rejected(self, two_bus_grid):
         with pytest.raises(PartitionError, match="covers"):
@@ -257,40 +258,43 @@ class TestAreaSubproblem:
 
 
 class TestClosedLoopEquivalence:
-    @pytest.mark.parametrize("absolute_effort", [False, True])
-    def test_single_area_matches_centralized(self, two_bus_scenario, absolute_effort):
-        sc = two_bus_scenario
+    @pytest.mark.parametrize("case, absolute_effort, t_total", [
+        ("two_bus", False, 1.0), ("two_bus", True, 1.0), ("twelve_bus", False, 0.4)])
+    def test_single_area_matches_centralized(self, two_bus_scenario, twelve_bus_scenario,
+                                             case, absolute_effort, t_total):
+        sc = two_bus_scenario if case == "two_bus" else twelve_bus_scenario
         st = sc.initial_state()
         cfg = replace(sc.mpc, absolute_effort=absolute_effort)
-        traj_c, log_c = receding_horizon_run(sc.grid, st, cfg, 1.0, sc.events)
-        partition = partition_grid(sc.grid, [0, 0])
-        traj_d, reports = distributed_mpc_run(sc.grid, partition, cfg, st, 1.0,
-                                              sc.admm, sc.events)
-        # Both controllers run the same SQP loop: step by step it takes the
-        # same iterations, certifies every solve and saturates the same
-        # storages.
-        assert len(log_c) == len(reports)
-        for c, d in zip(log_c, reports):
+        central = MpcController(sc.grid, cfg, sc.events)
+        traj_c = simulate(sc.grid, st, central, t_total, cfg.step, sc.events)
+        partition = partition_grid(sc.grid, [0] * sc.grid.n_buses)
+        one_area = DistributedMpcController(sc.grid, cfg, partition, sc.admm, sc.events)
+        traj_d = simulate(sc.grid, st, one_area, t_total, cfg.step, sc.events)
+        # Both controllers run the same SQP loop on the same program: step by
+        # step it takes the same iterations, certifies every solve, saturates
+        # the same storages and applies the same set-points, to the bit.
+        assert len(central.log) == len(one_area.log)
+        for c, d in zip(central.log, one_area.log):
             assert d.sqp_iterations == c.sqp_iterations
             assert d.non_optimal_solves == c.non_optimal_solves == 0
             assert d.saturated == c.saturated
         for a, b in zip(traj_c.states, traj_d.states):
-            assert np.max(np.abs(a.angles - b.angles)) <= 1e-8
-            assert np.max(np.abs(a.omega - b.omega)) <= 1e-8
-            assert np.max(np.abs(a.energy - b.energy)) <= 1e-8
-        # The storage bus starts balanced, so its inertia barely moves the
-        # states: compare the applied set-points too.
-        assert np.max(np.abs(traj_c.power_matrix() - traj_d.power_matrix())) <= 1e-8
-        assert np.max(np.abs(traj_c.inertia_matrix()
-                             - traj_d.inertia_matrix())) <= 1e-8
+            assert np.array_equal(a.angles, b.angles)
+            assert np.array_equal(a.omega, b.omega)
+            assert np.array_equal(a.energy, b.energy)
+        assert np.array_equal(traj_c.power_matrix(), traj_d.power_matrix())
+        assert np.array_equal(traj_c.inertia_matrix(), traj_d.inertia_matrix())
 
     def test_two_area_split_tracks_centralized(self, two_bus_scenario):
         sc = two_bus_scenario
         st = sc.initial_state()
-        traj_c, _ = receding_horizon_run(sc.grid, st, sc.mpc, 2.0, sc.events)
+        traj_c = simulate(sc.grid, st, MpcController(sc.grid, sc.mpc, sc.events), 2.0,
+                          sc.mpc.step, sc.events)
         partition = partition_grid(sc.grid, [0, 1])
-        traj_d, reports = distributed_mpc_run(sc.grid, partition, sc.mpc, st,
-                                              2.0, sc.admm, sc.events)
+        controller = DistributedMpcController(sc.grid, sc.mpc, partition, sc.admm,
+                                              sc.events)
+        traj_d = simulate(sc.grid, st, controller, 2.0, sc.mpc.step, sc.events)
+        reports = controller.log
         assert all(r.final_residual < sc.admm.tolerance for r in reports)
         assert all(r.iterations <= sc.admm.max_iterations for r in reports)
         j_c = traj_c.frequency_integral()
@@ -304,8 +308,9 @@ class TestClosedLoopEquivalence:
         sc = two_bus_scenario
         st = sc.initial_state()
         partition = partition_grid(sc.grid, [0, 1])
-        traj, _ = distributed_mpc_run(sc.grid, partition, sc.mpc, st, 0.5,
-                                      sc.admm, sc.events)
+        traj = simulate(sc.grid, st, DistributedMpcController(sc.grid, sc.mpc, partition,
+                                                              sc.admm, sc.events),
+                        0.5, sc.mpc.step, sc.events)
         for k in range(len(traj) - 1):
             nxt = euler_step(sc.grid, traj.states[k], traj.inputs[k],
                              traj.ts, sc.events)
@@ -346,11 +351,12 @@ class TestAreaPrograms:
         post_init = ConvexProgram.__post_init__
         monkeypatch.setattr(ConvexProgram, "__post_init__",
                             lambda self: built.append(self) or post_init(self))
-        partition = partition_grid(sc.grid, sc.areas)
-        _traj, log = distributed_mpc_run(sc.grid, partition, sc.mpc, sc.initial_state(),
-                                         0.1, sc.admm, sc.events)
-        assert len(partition.owned) == 3
-        assert len(built) == 3 * sum(r.sqp_iterations for r in log) > 0
+        controller = DistributedMpcController(sc.grid, sc.mpc,
+                                              partition_grid(sc.grid, sc.areas),
+                                              sc.admm, sc.events)
+        simulate(sc.grid, sc.initial_state(), controller, 0.1, sc.mpc.step, sc.events)
+        assert len(controller.areas) == 3
+        assert len(built) == 3 * sum(r.sqp_iterations for r in controller.log) > 0
 
 
 def reference_area_model(grid, state, controls, ts, events, owned, foreign, forcing):
@@ -407,12 +413,13 @@ class TestSharedLinearization:
         forcing = state.angles[ghost_bus] \
             + rng.uniform(-0.02, 0.02, (cfg.k_steps, ghost_bus.size))
         models = shared_linearization(controller, state, plan, forcing)
-        assert len(models) == len(partition.owned)
+        assert len(models) == len(foreign)
         for a, (area, ltv) in enumerate(zip(controller.areas, models)):
             ghosts = area.foreign - grid.n_buses
             assert tuple(ghost_bus[ghosts]) == foreign[a]
+            buses = [b for b, owner in enumerate(partition.assignment) if owner == a]
             want = reference_area_model(grid, state, plan, cfg.step, sc.events,
-                                        partition.owned[a], foreign[a], forcing[:, ghosts])
+                                        buses, foreign[a], forcing[:, ghosts])
             for name, value in want.items():
                 got = getattr(ltv, name)
                 assert got.shape == value.shape, (a, name)
@@ -426,12 +433,14 @@ class TestSharedLinearization:
         jacobian = mpc.swing_jacobian
         monkeypatch.setattr(mpc, "swing_jacobian",
                             lambda *a, **k: calls.append(a[0]) or jacobian(*a, **k))
-        partition = partition_grid(sc.grid, sc.areas)
-        _traj, log = distributed_mpc_run(sc.grid, partition, sc.mpc, sc.initial_state(),
-                                         0.1, sc.admm, sc.events)
+        controller = DistributedMpcController(sc.grid, sc.mpc,
+                                              partition_grid(sc.grid, sc.areas),
+                                              sc.admm, sc.events)
+        simulate(sc.grid, sc.initial_state(), controller, 0.1, sc.mpc.step, sc.events)
+        log = controller.log
         # The round budget is never spent, so every linearization is solved.
         assert all(r.iterations < sc.admm.max_iterations for r in log)
-        assert len(partition.owned) == 3
+        assert len(controller.areas) == 3
         assert len(calls) == sum(r.sqp_iterations for r in log)
         assert all(g.n_buses > sc.grid.n_buses for g in calls)
 
@@ -456,7 +465,7 @@ class TestSharedLinearization:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(models) == len(partition.owned) == 100
+        assert len(models) == len(controller.areas) == 100
         # One area of the whole grid alone took 90 ms and peaked at 172 MB.
         assert elapsed < 1.0
         assert peak < 172e6

@@ -12,8 +12,7 @@ from essmpc.grid import DisturbanceEvent, solve_equilibrium
 from essmpc.dmpc import DistributedMpcController, partition_grid
 from essmpc.mpc import (_REGULARIZATION, MpcConfig, MpcConfigError, MpcController,
                         SqpSettings, StorageRegime, _AreaView, _assemble_program,
-                        _stage_cost, assemble_horizon_program, linearize_dynamics,
-                        receding_horizon_run)
+                        _stage_cost, assemble_horizon_program, linearize_dynamics)
 from essmpc.qp import QpWorkspace, kkt_residual
 
 
@@ -315,8 +314,7 @@ class TestProgramMeaning:
         state.omega = state.omega + rng.uniform(-0.05, 0.05, state.omega.size)
         area = _AreaView(grid)
         if case != "two_bus":
-            partition = partition_grid(grid, sc.areas)
-            area = _AreaView(grid, partition.owned[1],
+            area = _AreaView(grid, [b for b, a in enumerate(sc.areas) if a == 1],
                              foreign_buses(grid, sc.areas)[1], 1)
         k_steps = cfg.k_steps
         forcing = state.angles[area.foreign] \
@@ -410,16 +408,20 @@ class TestSolveHorizon:
 
 
 class TestTwelveBusHorizon:
-    def test_step_zero_solve_is_certified(self, twelve_bus_scenario):
+    # A tolerance below the regularization still seeds the cold solve from
+    # the HiGHS vertex, so it takes a few dual steps, not a walk of 166.
+    @pytest.mark.parametrize("qp_tol", [1e-8, 1e-9])
+    def test_step_zero_solve_is_certified(self, twelve_bus_scenario, qp_tol):
         sc = twelve_bus_scenario
-        result = first_step(sc.grid, sc.initial_state(), sc.mpc, sc.events)
+        cfg = replace(sc.mpc, qp_tol=qp_tol)
+        result = first_step(sc.grid, sc.initial_state(), cfg, sc.events)
         rep = result.qp_report
-        assert rep.status == "optimal"
+        assert rep.status == "optimal" and rep.iterations <= 10
         hp = assemble_horizon_program(
             sc.grid, linearize_dynamics(sc.grid, sc.initial_state(),
-                                        sc.mpc.reference_matrix(), sc.mpc.step,
-                                        sc.events), sc.mpc)
-        assert max(kkt_residual(hp.prog, rep.x, rep.duals)) <= sc.mpc.qp_tol
+                                        cfg.reference_matrix(), cfg.step,
+                                        sc.events), cfg)
+        assert max(kkt_residual(hp.prog, rep.x, rep.duals)) <= qp_tol
         # The optimum pushes every storage to the edge of its inertia trust
         # region below the 7 s reference.
         assert np.allclose(result.applied.inertia, 5.0, rtol=0.0, atol=1e-6)
@@ -429,10 +431,10 @@ class TestTwelveBusHorizon:
         # The bulk exact step cycles on step 3 from both its warm and its
         # HiGHS seed; the dual active set has to certify it.
         sc = twelve_bus_scenario
-        _, log = receding_horizon_run(sc.grid, sc.initial_state(), sc.mpc,
-                                      4 * sc.mpc.step, sc.events,
-                                      sc.clamp_storage_power_at_energy_limit)
-        assert [r.non_optimal_solves for r in log] == [0, 0, 0, 0]
+        ctrl = MpcController(sc.grid, sc.mpc, sc.events)
+        simulate(sc.grid, sc.initial_state(), ctrl, 4 * sc.mpc.step, sc.mpc.step,
+                 sc.events, sc.clamp_storage_power_at_energy_limit)
+        assert [r.non_optimal_solves for r in ctrl.log] == [0, 0, 0, 0]
 
 
 def _lp_solution(prog):
@@ -484,7 +486,8 @@ class TestClosedLoop:
         from essmpc.dynamics import constant_policy
         st = equilibrium_state(two_bus_grid, np.array([-3.0]))
         cfg = base_config(two_bus_grid)
-        traj_mpc, _ = receding_horizon_run(two_bus_grid, st, cfg, 1.0)
+        traj_mpc = simulate(two_bus_grid, st, MpcController(two_bus_grid, cfg), 1.0,
+                            cfg.step)
         u = ControlInput(np.array([-3.0]), np.array([8.0]))
         traj_ref = simulate(two_bus_grid, st, constant_policy(u), 1.0, 0.01)
         for a, b in zip(traj_mpc.states, traj_ref.states):
@@ -519,7 +522,8 @@ class TestClosedLoop:
                           regimes=(StorageRegime(power_free=True,
                                                  inertia_free=False),),
                           sqp=SqpSettings(outer_iterations=2, tolerance=1e-5))
-        traj, _ = receding_horizon_run(two_bus_grid, st, cfg, 6.0, events)
+        traj = simulate(two_bus_grid, st, MpcController(two_bus_grid, cfg, events), 6.0,
+                        cfg.step, events)
         tail = traj.power_matrix()[-200:, 0]
         assert np.mean(tail) == pytest.approx(-3.2, abs=0.05)
         assert np.max(np.abs(traj.states[-1].omega)) < 2e-2
@@ -536,11 +540,12 @@ class TestClosedLoop:
         from essmpc.dynamics import monitor_constraints
         sc = two_bus_scenario
         cfg = replace(sc.mpc, **option)
-        runs = [receding_horizon_run(sc.grid, sc.initial_state(), c, 30 * c.step, sc.events,
-                                     sc.clamp_storage_power_at_energy_limit)
-                for c in (sc.mpc, cfg)]
-        (_, plain), (traj, log) = runs
-        assert plain[0].qp_report.y_stacked.size < log[0].qp_report.y_stacked.size
+        plain, ctrl = (MpcController(sc.grid, c, sc.events) for c in (sc.mpc, cfg))
+        for c in (plain, ctrl):
+            traj = simulate(sc.grid, sc.initial_state(), c, 30 * cfg.step, cfg.step,
+                            sc.events, sc.clamp_storage_power_at_energy_limit)
+        log = ctrl.log
+        assert plain.log[0].qp_report.y_stacked.size < log[0].qp_report.y_stacked.size
         assert len(log) == 30 and sum(r.non_optimal_solves for r in log) == 0
         report = monitor_constraints(sc.grid, traj, cfg.omega_limits)
         assert not [v for v in report.violations if v.kind == "frequency"]
@@ -579,10 +584,32 @@ class TestKeptStructure:
         # At least one fill per area and control step, of the one structure.
         assert len(fills) == 3 and min(fills.values()) >= 10
 
-    def test_controller_dies_with_its_run(self, monkeypatch, two_bus_grid):
+    @pytest.mark.parametrize("split", [None, [0, 1]], ids=["centralized", "two_area"])
+    def test_a_new_workspace_starts_cold(self, monkeypatch, two_bus_grid, split):
+        # Pinned charging 0.4 p.u.*s above the lower energy bound saturates
+        # the storage from step 4 on: a new structure and a new workspace,
+        # whose first solve has no multipliers of its own rows to start from.
+        solves = []
+        solve = QpWorkspace.solve
+        monkeypatch.setattr(QpWorkspace, "solve", lambda self, tol=1e-8, y0=None: (
+            solves.append((self, y0 is None)) or solve(self, tol=tol, y0=y0)))
+        angles = solve_equilibrium(two_bus_grid, np.array([-3.0]))
+        st = SystemState(angles, np.zeros(2), np.array([-44.6]), 0.0)
+        cfg = base_config(two_bus_grid, regimes=(StorageRegime(power_free=False),))
+        ctrl = MpcController(two_bus_grid, cfg) if split is None else \
+            DistributedMpcController(two_bus_grid, cfg, partition_grid(two_bus_grid, split))
+        simulate(two_bus_grid, st, ctrl, 10 * cfg.step, cfg.step)
+        assert [r.saturated for r in ctrl.log] == [()] * 4 + [(0,)] * 6
+        first = {}
+        for workspace, cold in solves:      # the spy keeps each workspace alive
+            first.setdefault(id(workspace), cold)
+        assert len(first) > len(ctrl.areas) and all(first.values())
+
+    def test_controller_dies_with_its_run(self, monkeypatch, tmp_path):
         import weakref
 
-        from essmpc import mpc
+        from essmpc import cli
+        from essmpc.scenario import bundled_scenario_path
         refs = []
 
         class Watched(MpcController):
@@ -590,11 +617,12 @@ class TestKeptStructure:
                 super().__init__(*args, **kwargs)
                 refs.append(weakref.ref(self))
 
-        monkeypatch.setattr(mpc, "MpcController", Watched)
-        st = equilibrium_state(two_bus_grid, np.array([-3.0]))
-        traj, log = mpc.receding_horizon_run(two_bus_grid, st, base_config(two_bus_grid),
-                                             0.05, [DisturbanceEvent(0, 0.0, 0.2)])
-        assert len(refs) == 1 and len(log) == 5
+        monkeypatch.setattr(cli, "MpcController", Watched)
+        assert cli.main(["mpc", str(bundled_scenario_path("two_bus")), f"--out={tmp_path}",
+                         "--ttotal=0.05"]) == 0
+        # Five steps ran: a header and six states in the trajectory.
+        assert len((tmp_path / "mpc_trajectory.csv").read_text().splitlines()) == 7
+        assert len(refs) == 1
         assert refs[0]() is None
 
     def test_repeated_commands_hold_no_memory(self, tmp_path):

@@ -174,6 +174,18 @@ class TestValidationErrors:
         ("inertia_trust_region: 2.0", "inertia_trust_region: 0.0",
          "mpc.sqp.inertia_trust_region"),
         ("    tolerance: 1.0e-5", "    tolerance: -1.0", "mpc.sqp.tolerance"),
+        # A section or entry of the wrong kind; a repeated key overrides the
+        # first, so each section is replaced at the end of the document.
+        ("absolute_effort: false", "absolute_effort: false\nsim: 5", "sim"),
+        ("absolute_effort: false", "absolute_effort: false\nflags: 5", "flags"),
+        ("absolute_effort: false", "absolute_effort: false\ngrid: 5", "grid"),
+        ("absolute_effort: false", "absolute_effort: false\ndistributed: 5",
+         "distributed"),
+        ("absolute_effort: false", "absolute_effort: false\ndisturbances: 5",
+         "disturbances"),
+        ("frequency_cost: 1.0", "frequency_cost: 1.0\n  omega_limits: [1]",
+         "mpc.omega_limits"),
+        ("role: generator", "role: [x]", "grid.buses[0].role"),
     ])
     def test_mistyped_count_or_flag_rejected_with_path(self, old, new, field,
                                                        tmp_path):

@@ -12,6 +12,12 @@ first warm-up pair is not counted.  SCENARIO is a bundled scenario
 name, taken from each tree's own package, or a path.  Outputs go to a
 temporary directory and stdout is discarded.
 
+Pairs timed in one process can hide a cost that separate processes show:
+on `compare two_bus --ttotal 0.5`, a change of SuperLU options read median
+ratios of 1.01-1.02 here and +10-13% `total_s` from `perfbench/run.py`.
+Evidence of no regression therefore comes from alternated
+`perfbench/run.py` runs of both trees, not from this tool.
+
 Prints each tree's median and quartiles in seconds and its SuperLU
 factorizations per command (counted by a spy on that tree's own
 `qp.splu`), the median of the paired ratios NEW/OLD, and in how many pairs
