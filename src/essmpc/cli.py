@@ -34,17 +34,13 @@ EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
 EXIT_IO = 4
 
+# Per --regime key (c = constant, v = variant, in (inertia, power) order):
+# the regime's name in compare's ranking, and the storage regime.
 REGIMES = {
-    "cc": StorageRegime(power_free=False, inertia_free=False),
-    "cv": StorageRegime(power_free=True, inertia_free=False),
-    "vc": StorageRegime(power_free=False, inertia_free=True),
-    "vv": StorageRegime(power_free=True, inertia_free=True),
-}
-REGIME_NAMES = {
-    "cc": "const-M const-P",
-    "cv": "const-M var-P",
-    "vc": "var-M const-P",
-    "vv": "var-M var-P",
+    "cc": ("const-M const-P", StorageRegime(power_free=False, inertia_free=False)),
+    "cv": ("const-M var-P", StorageRegime(power_free=True, inertia_free=False)),
+    "vc": ("var-M const-P", StorageRegime(power_free=False, inertia_free=True)),
+    "vv": ("var-M var-P", StorageRegime(power_free=True, inertia_free=True)),
 }
 
 
@@ -54,11 +50,8 @@ def _setup_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _with_regime(cfg: MpcConfig, regime: Optional[str]) -> MpcConfig:
-    if regime is None:
-        return cfg
-    chosen = REGIMES[regime]
-    return replace(cfg, regimes=tuple(chosen for _ in cfg.regimes))
+def _with_regime(cfg: MpcConfig, key: Optional[str]) -> MpcConfig:
+    return cfg if key is None else replace(cfg, regime=REGIMES[key][1])
 
 
 def _load(args) -> Scenario:
@@ -84,7 +77,7 @@ def _outdir(args, scenario: Scenario, kind: str) -> Path:
 
 
 def _close_loop(out: Path, scenario: Scenario, cfg: MpcConfig, controller, tag: str,
-                name: str, stats: Callable[[], dict] = dict) -> Trajectory:
+                stats: Callable[[], dict] = dict) -> Trajectory:
     """Run `controller` in closed loop on the scenario and write its three files.
 
     The trajectory, its constraint report and its objective go to files
@@ -95,7 +88,7 @@ def _close_loop(out: Path, scenario: Scenario, cfg: MpcConfig, controller, tag: 
     grid = scenario.grid
     traj = simulate(grid, scenario.initial_state(), controller, scenario.sim_duration,
                     scenario.sim_step, scenario.events,
-                    scenario.clamp_storage_power_at_energy_limit, name=name)
+                    scenario.clamp_storage_power_at_energy_limit)
     controls = np.hstack([traj.power_matrix(), traj.inertia_matrix()])
     n = max(len(traj) - 1, 0)
     effort, performance = horizon_objective(grid, cfg, traj.states[: n + 1],
@@ -122,10 +115,10 @@ def _non_optimal_solves(log, label: str) -> int:
 
 def cmd_simulate(args) -> int:
     scenario = _load(args)
-    cfg = _with_regime(scenario.mpc, args.regime or "cc")
+    cfg = _with_regime(scenario.mpc, args.regime)
     out = _outdir(args, scenario, "simulate")
     _close_loop(out, scenario, cfg, constant_policy(scenario.reference_controls()),
-                "simulate", scenario.name)
+                "simulate")
     logger.info("simulate: wrote %s", out)
     return EXIT_OK
 
@@ -135,7 +128,7 @@ def cmd_mpc(args) -> int:
     cfg = _with_regime(scenario.mpc, args.regime)
     out = _outdir(args, scenario, "mpc")
     ctrl = MpcController(scenario.grid, cfg, scenario.events)
-    _close_loop(out, scenario, cfg, ctrl, "mpc", scenario.name, lambda: {
+    _close_loop(out, scenario, cfg, ctrl, "mpc", lambda: {
         "mean_sqp_iterations": float(np.mean([r.sqp_iterations for r in ctrl.log]))
         if ctrl.log else 0.0,
         "non_optimal_solves": _non_optimal_solves(ctrl.log, "mpc")})
@@ -152,7 +145,7 @@ def cmd_dmpc(args) -> int:
     ctrl = DistributedMpcController(scenario.grid, cfg,
                                     partition_grid(scenario.grid, scenario.areas),
                                     scenario.admm, scenario.events)
-    _close_loop(out, scenario, cfg, ctrl, "dmpc", scenario.name, lambda: {
+    _close_loop(out, scenario, cfg, ctrl, "dmpc", lambda: {
         "non_optimal_solves": _non_optimal_solves(ctrl.log, "dmpc")})
     outputs.write_text(out / "dmpc_admm.csv", outputs.admm_log_csv(ctrl.log))
     logger.info("dmpc: wrote %s", out)
@@ -163,18 +156,17 @@ def cmd_compare(args) -> int:
     scenario = _load(args)
     out = _outdir(args, scenario, "compare")
     results = {}
-    for key in ("cc", "cv", "vc", "vv"):
+    for key in REGIMES:
         cfg = _with_regime(scenario.mpc, key)
         ctrl = MpcController(scenario.grid, cfg, scenario.events)
-        traj = _close_loop(out, scenario, cfg, ctrl, key, f"{scenario.name}_{key}",
-                           lambda: {"non_optimal_solves":
-                                    _non_optimal_solves(ctrl.log, f"compare {key}")})
+        traj = _close_loop(out, scenario, cfg, ctrl, key, lambda: {
+            "non_optimal_solves": _non_optimal_solves(ctrl.log, f"compare {key}")})
         results[key] = traj.frequency_integral()
         logger.info("compare: regime %s frequency integral %.6g", key, results[key])
     ranking = sorted(results, key=results.get)
     lines = ["rank,regime,name,frequency_integral"]
     for rank, key in enumerate(ranking, start=1):
-        lines.append(f"{rank},{key},{REGIME_NAMES[key]},{repr(results[key])}")
+        lines.append(f"{rank},{key},{REGIMES[key][0]},{repr(results[key])}")
     outputs.write_text(out / "ranking.csv", "\n".join(lines) + "\n")
     return EXIT_OK
 

@@ -300,7 +300,6 @@ class DistributedMpcController(_SqpController):
             z_new = self._consensus.consensus_values()
             dual_move = settings.rho * float(np.max(np.abs(z_new - z_prev), initial=0.0))
             z_prev = z_new
-            record.iterations += 1
             record.residual_history.append(resid)
             # Two-block stopping: boundary disagreement (primal) and the
             # movement of the agreed values (dual) both below tolerance.

@@ -98,7 +98,6 @@ class Trajectory:
     states: list[SystemState]
     inputs: list[ControlInput]
     ts: float
-    name: str = ""
 
     def __len__(self) -> int:
         return len(self.states)
@@ -256,8 +255,7 @@ def simulate(grid: GridModel, initial: SystemState,
              controller: Callable[[int, SystemState], ControlInput],
              t_total: float, ts: float,
              events: Sequence[DisturbanceEvent] = (),
-             clamp_storage_power_at_energy_limit: bool = True,
-             name: str = "") -> Trajectory:
+             clamp_storage_power_at_energy_limit: bool = True) -> Trajectory:
     """Run floor(t_total/ts) Euler steps under the given control policy.
 
     The controller is invoked once per step with the step index and current
@@ -276,7 +274,7 @@ def simulate(grid: GridModel, initial: SystemState,
             u.validate(grid)
         except Exception as exc:
             paired = inputs + [inputs[-1].copy()] if inputs else []
-            partial = Trajectory(states, paired, ts, name)
+            partial = Trajectory(states, paired, ts)
             raise SimulationAbort(
                 f"controller failed at step {k} (t={state.t:.6g}): {exc}",
                 partial, k) from exc
@@ -294,7 +292,7 @@ def simulate(grid: GridModel, initial: SystemState,
         u0 = controller(0, state)
         u0.validate(grid)
         inputs = [u0]
-    return Trajectory(states, inputs, ts, name)
+    return Trajectory(states, inputs, ts)
 
 
 def monitor_constraints(grid: GridModel, traj: Trajectory,

@@ -99,7 +99,8 @@ class StorageRegime:
 
 @dataclass
 class MpcConfig:
-    """Horizon, costs, bases, regimes, and solver settings for one controller."""
+    """Horizon, costs, bases, solver settings and one storage regime, which
+    every storage of the controller follows."""
 
     horizon: float                     # T_h, seconds
     step: float                        # T_s, seconds
@@ -111,7 +112,7 @@ class MpcConfig:
     power_base: Optional[float] = None     # P_b; default max |power bound|
     inertia_base: Optional[float] = None   # M_b; default max M_e_max
     omega_limits: dict[int, float] = field(default_factory=dict)
-    regimes: tuple[StorageRegime, ...] = ()
+    regime: StorageRegime = StorageRegime()
     sqp: SqpSettings = field(default_factory=SqpSettings)
     absolute_effort: bool = False
     qp_tol: float = 1e-8
@@ -132,13 +133,11 @@ class MpcConfig:
             a = np.asarray(v, dtype=float)
             return np.full(n_s, float(a)) if a.ndim == 0 else a.copy()
 
-        regimes = kwargs.pop("regimes", None)
-        regimes = (StorageRegime(),) * n_s if regimes is None else tuple(regimes)
         cfg = cls(horizon=horizon, step=step,
                   reference_power=arr(reference_power),
                   reference_inertia=arr(reference_inertia),
                   power_cost=arr(power_cost), inertia_cost=arr(inertia_cost),
-                  frequency_cost=float(frequency_cost), regimes=regimes, **kwargs)
+                  frequency_cost=float(frequency_cost), **kwargs)
         cfg.validate(grid)
         return cfg
 
@@ -152,8 +151,6 @@ class MpcConfig:
             v = getattr(self, name)
             if np.asarray(v).shape != (n_s,):
                 raise MpcConfigError(f"{name} must have one entry per storage bus")
-        if len(self.regimes) != n_s:
-            raise MpcConfigError("regimes must have one entry per storage bus")
         if np.any(self.power_cost < 0.0) or np.any(self.inertia_cost < 0.0) \
                 or self.frequency_cost < 0.0:
             raise MpcConfigError("cost coefficients must be >= 0")
@@ -346,7 +343,7 @@ def _energy_key(grid: GridModel, area: _AreaView, ltv: LtvModel, cfg: MpcConfig
         p_lo, p_hi = power_bounds[:, j]
         e_bounds = energy_bounds[:, j]
         e0 = float(ltv.energies[0, j])
-        if cfg.regimes[s].power_free:
+        if cfg.regime.power_free:
             nomin = ltv.controls[:, j]
             r_p = cfg.sqp.power_trust_region
             box_lo = np.maximum(p_lo, nomin - r_p)
@@ -421,17 +418,16 @@ class _HorizonStructure:
         self.curvature = _frozen(curvature)
 
         # -- equalities: dynamics, then pinned power and fixed inertia ---------
-        pinned = {j: min(max(0.0, power_bounds[0, j]), power_bounds[1, j])
-                  if j in saturated else float(cfg.reference_power[s])
-                  for j, s in enumerate(area.storages)
-                  if j in saturated or not cfg.regimes[s].power_free}
-        fixed = [(j, pinned[j]) for j in sorted(pinned)] \
-            + [(n_s + j, cfg.reference_inertia[s]) for j, s in enumerate(area.storages)
-               if not cfg.regimes[s].inertia_free]
-        self.fixed_cols = np.array([c for c, _ in fixed], dtype=int)
-        self.target = np.array([v for _, v in fixed])
+        # A saturated storage's power is pinned at the zero nearest its bounds.
+        sat = np.isin(np.arange(n_s), saturated)
+        pinned = np.flatnonzero(sat | (not cfg.regime.power_free))
+        fixed = np.arange(0 if cfg.regime.inertia_free else n_s)
+        self.fixed_cols = np.concatenate([pinned, n_s + fixed])
+        p_pin = np.where(sat, np.clip(0.0, *power_bounds), cfg.reference_power[area.storages])
+        m_fix = cfg.reference_inertia[area.storages]
+        self.target = np.concatenate([p_pin[pinned], m_fix[fixed]])
         self.n_dyn = n_dyn = k_steps * n_x
-        self.eq_shape = (n_dyn + k_steps * len(fixed), n_total)
+        self.eq_shape = (n_dyn + k_steps * self.fixed_cols.size, n_total)
         # Flat positions in A_eq of the ones: the identity on dx, then the pins.
         self.ones_at = np.concatenate([
             np.arange(n_dyn) * (n_total + 1) + off_x,
@@ -692,9 +688,9 @@ def horizon_objective(grid: GridModel, cfg: MpcConfig, states: list[SystemState]
 class StepRecord:
     """What one control step of either controller did.
 
-    The consensus fields (`iterations`, `residual_history`) stay empty for
-    the centralized controller, and `qp_report` stays None for the
-    distributed one.
+    `residual_history`, one residual per consensus round (`iterations`
+    counts them), stays empty for the centralized controller, and
+    `qp_report` stays None for the distributed one.
     """
 
     applied: Optional[ControlInput] = None
@@ -706,10 +702,13 @@ class StepRecord:
     converged: bool = False
     non_optimal_solves: int = 0            # solves applied without a certificate
     saturated: tuple[int, ...] = ()        # grid storage indices whose energy rows were dropped
-    iterations: int = 0                    # consensus rounds
     residual_history: list[float] = field(default_factory=list)
     area_objectives: list[float] = field(default_factory=list)  # F_a per area
     qp_report: Optional[SolveReport] = None    # the whole-grid solve's report
+
+    @property
+    def iterations(self) -> int:           # consensus rounds
+        return len(self.residual_history)
 
     @property
     def final_residual(self) -> float:

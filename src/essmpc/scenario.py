@@ -47,6 +47,16 @@ def _check_keys(mapping: Any, allowed: set[str], path: str) -> None:
         raise ScenarioError(f"{path}: unknown key(s) {unknown}")
 
 
+def _optional(mapping: dict, key: str, kind: type, path: str) -> Any:
+    """The optional `kind` (dict or list) at `key`; absent or null is empty."""
+    value = mapping.get(key)
+    if value is None:
+        return kind()
+    if not isinstance(value, kind):
+        raise ScenarioError(f"{path}: expected a {'mapping' if kind is dict else 'list'}")
+    return value
+
+
 def _require(mapping: dict, key: str, path: str) -> Any:
     if key not in mapping:
         raise ScenarioError(f"{path}: missing required key '{key}'")
@@ -220,9 +230,7 @@ def _parse_injections(section: Any, n_buses: int) -> np.ndarray:
 _REGIME_WORDS = {"free": True, "fixed": False}
 
 
-def _parse_regimes(section: Any, n_storage: int, path: str) -> tuple[StorageRegime, ...]:
-    if section is None:
-        return tuple(StorageRegime() for _ in range(n_storage))
+def _parse_regime(section: dict, path: str) -> StorageRegime:
     _check_keys(section, {"power", "inertia"}, path)
 
     def flag(key: str) -> bool:
@@ -231,8 +239,7 @@ def _parse_regimes(section: Any, n_storage: int, path: str) -> tuple[StorageRegi
             raise ScenarioError(f"{path}.{key}: expected 'free' or 'fixed'")
         return _REGIME_WORDS[word]
 
-    regime = StorageRegime(power_free=flag("power"), inertia_free=flag("inertia"))
-    return tuple(regime for _ in range(n_storage))
+    return StorageRegime(power_free=flag("power"), inertia_free=flag("inertia"))
 
 
 def parse_scenario(source: str | Path) -> Scenario:
@@ -271,10 +278,8 @@ def parse_scenario(source: str | Path) -> Scenario:
     roles = [by_id[i][1] for i in range(len(ids))]
     extras = [by_id[i][2] for i in range(len(ids))]
 
-    line_entries = grid_sec.get("lines", [])
-    if not isinstance(line_entries, list):
-        raise ScenarioError("grid.lines: expected a list")
-    lines = [_parse_line(ln, f"grid.lines[{i}]") for i, ln in enumerate(line_entries)]
+    lines = [_parse_line(ln, f"grid.lines[{i}]")
+             for i, ln in enumerate(_optional(grid_sec, "lines", list, "grid.lines"))]
 
     injections = _parse_injections(_require(doc, "injections", "document"),
                                    len(roles))
@@ -287,10 +292,7 @@ def parse_scenario(source: str | Path) -> Scenario:
         raise ScenarioError(f"grid: {exc}") from exc
 
     events = []
-    event_entries = doc.get("disturbances") or []
-    if not isinstance(event_entries, list):
-        raise ScenarioError("disturbances: expected a list")
-    for i, entry in enumerate(event_entries):
+    for i, entry in enumerate(_optional(doc, "disturbances", list, "disturbances")):
         path = f"disturbances[{i}]"
         _check_keys(entry, {"bus", "time", "delta_p"}, path)
         ev = DisturbanceEvent(_int(_require(entry, "bus", path), path + ".bus"),
@@ -310,7 +312,7 @@ def parse_scenario(source: str | Path) -> Scenario:
     if sim_step <= 0 or sim_duration < 0:
         raise ScenarioError("sim: step must be > 0 and duration >= 0")
 
-    flags = doc.get("flags") or {}
+    flags = _optional(doc, "flags", dict, "flags")
     _check_keys(flags, {"clamp_storage_power_at_energy_limit",
                         "absolute_effort"}, "flags")
     clamp = _bool(flags.get("clamp_storage_power_at_energy_limit", True),
@@ -329,14 +331,11 @@ def parse_scenario(source: str | Path) -> Scenario:
                           "frequency_cost", "power_base", "inertia_base",
                           "omega_limits", "regimes", "sqp", "qp_tolerance"},
                 "mpc")
-    sqp_sec = mpc_sec.get("sqp") or {}
+    sqp_sec = _optional(mpc_sec, "sqp", dict, "mpc.sqp")
     _check_keys(sqp_sec, _field_names(SqpSettings), "mpc.sqp")
     sqp = _settings(SqpSettings, sqp_sec, "mpc.sqp")
     omega_limits = {}
-    limits_sec = mpc_sec.get("omega_limits") or {}
-    if not isinstance(limits_sec, dict):
-        raise ScenarioError("mpc.omega_limits: expected a mapping")
-    for key, value in limits_sec.items():
+    for key, value in _optional(mpc_sec, "omega_limits", dict, "mpc.omega_limits").items():
         if not isinstance(key, int) or isinstance(key, bool):
             raise ScenarioError("mpc.omega_limits: keys must be bus ids")
         omega_limits[key] = _num(value, f"mpc.omega_limits[{key}]")
@@ -370,8 +369,8 @@ def parse_scenario(source: str | Path) -> Scenario:
             inertia_base=(None if "inertia_base" not in mpc_sec
                           else _num(mpc_sec["inertia_base"], "mpc.inertia_base")),
             omega_limits=omega_limits,
-            regimes=_parse_regimes(mpc_sec.get("regimes"), n_storage,
-                                   "mpc.regimes"),
+            regime=_parse_regime(_optional(mpc_sec, "regimes", dict, "mpc.regimes"),
+                                 "mpc.regimes"),
             sqp=sqp,
             absolute_effort=absolute_effort,
             qp_tol=qp_tol,
@@ -381,7 +380,7 @@ def parse_scenario(source: str | Path) -> Scenario:
     except Exception as exc:
         raise ScenarioError(f"mpc: {exc}") from exc
 
-    dist_sec = doc.get("distributed") or {}
+    dist_sec = _optional(doc, "distributed", dict, "distributed")
     _check_keys(dist_sec, _field_names(AdmmSettings) | {"areas"}, "distributed")
     areas: Optional[tuple[int, ...]] = None
     if "areas" in dist_sec:
@@ -405,8 +404,8 @@ def parse_scenario(source: str | Path) -> Scenario:
 def write_scenario(scenario: Scenario) -> str:
     """Serialize a validated scenario back to document text.
 
-    The document holds one regime for all storages, so a scenario whose
-    storages have different regimes raises `ScenarioError`.
+    `mpc.regimes` holds the controller's one regime, which every storage
+    follows.
     """
     grid = scenario.grid
     buses = []
@@ -427,11 +426,7 @@ def write_scenario(scenario: Scenario) -> str:
                 "reference_power": float(scenario.reference_power[s]),
                 "reference_inertia": float(scenario.reference_inertia[s]),
             })
-    regimes = set(scenario.mpc.regimes)
-    if len(regimes) > 1:
-        raise ScenarioError(f"mpc.regimes: a scenario file holds one regime for every "
-                            f"storage, got {len(regimes)} different ones")
-    regime = regimes.pop() if regimes else StorageRegime()
+    regime = scenario.mpc.regime
     doc = {
         "schema_version": SCHEMA_VERSION,
         "name": scenario.name,

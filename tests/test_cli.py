@@ -72,6 +72,25 @@ class TestMpcCommand:
         assert "non_optimal_solves 0" in lines
 
 
+class TestRepeatedRuns:
+    @pytest.mark.parametrize("command, scenario, ttotal",
+                             [("simulate", "two_bus", "0.2"),
+                              ("mpc", "twelve_bus", "0.2"),
+                              ("dmpc", "twelve_bus", "0.2"),
+                              ("compare", "two_bus", "0.2")])
+    def test_second_run_in_process_writes_the_same_files(self, command, scenario,
+                                                         ttotal, tmp_path):
+        # A command keeps no state across runs in one process, as the
+        # benchmark's repeated in-process commands assume.
+        trees = []
+        for run in ("first", "second"):
+            out = tmp_path / run
+            assert main([command, str(bundled_scenario_path(scenario)),
+                         f"--out={out}", f"--ttotal={ttotal}"]) == 0
+            trees.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*")})
+        assert trees[0] == trees[1] and len(trees[0]) >= 3
+
+
 class TestExitCodes:
     def test_missing_file_is_io_error(self, tmp_path):
         assert main(["simulate", str(tmp_path / "nope.scn")]) == 4

@@ -14,6 +14,7 @@ from essmpc.mpc import (_REGULARIZATION, MpcConfig, MpcConfigError, MpcControlle
                         SqpSettings, StorageRegime, _AreaView, _assemble_program,
                         _stage_cost, assemble_horizon_program, linearize_dynamics)
 from essmpc.qp import QpWorkspace, kkt_residual
+from essmpc.scenario import bundled_scenario_path, parse_scenario
 
 
 def equilibrium_state(grid, storage_power):
@@ -43,6 +44,21 @@ def first_step(grid, state, cfg, events=()):
     ctrl = MpcController(grid, cfg, events)
     ctrl(0, state)
     return ctrl.log[-1]
+
+
+def close_two_bus_loop(*edits):
+    """The bundled two-bus scenario, each (old, new) text edit applied, run
+    for 0.2 s under the centralized controller; every solve is certified."""
+    text = bundled_scenario_path("two_bus").read_text()
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    sc = parse_scenario(text)
+    ctrl = MpcController(sc.grid, sc.mpc, sc.events)
+    traj = simulate(sc.grid, sc.initial_state(), ctrl, 0.2, sc.sim_step, sc.events,
+                    sc.clamp_storage_power_at_energy_limit)
+    assert len(ctrl.log) == 20 and sum(r.non_optimal_solves for r in ctrl.log) == 0
+    return ctrl, traj
 
 
 def rollout(grid, state, plan, ts, events=()):
@@ -224,7 +240,7 @@ class TestAssemble:
         angles = solve_equilibrium(two_bus_grid, np.array([-3.0]))
         st = SystemState(angles, np.array([0.05, -0.02]), np.zeros(1), 0.0)
         events = [DisturbanceEvent(0, 0.0, 0.2)]
-        cfg = base_config(two_bus_grid, regimes=(regime,))
+        cfg = base_config(two_bus_grid, regime=regime)
         ltv = linearize_dynamics(two_bus_grid, st, cfg.reference_matrix(), 0.01,
                                  events)
         hp = assemble_horizon_program(two_bus_grid, ltv, cfg)
@@ -252,8 +268,7 @@ class TestAssemble:
         angles = solve_equilibrium(two_bus_grid, np.array([-3.0]))
         st = SystemState(angles, np.zeros(2), np.array([-45.0]), 0.0)
         cfg = base_config(two_bus_grid,
-                          regimes=(StorageRegime(power_free=False,
-                                                 inertia_free=False),))
+                          regime=StorageRegime(power_free=False, inertia_free=False))
         if split is None:
             ctrl = MpcController(two_bus_grid, cfg)
         else:
@@ -397,7 +412,7 @@ class TestSolveHorizon:
             "cc": StorageRegime(False, False), "cv": StorageRegime(True, False),
             "vc": StorageRegime(False, True), "vv": StorageRegime(True, True),
         }.items():
-            cfg = base_config(two_bus_grid, regimes=(regime,),
+            cfg = base_config(two_bus_grid, regime=regime,
                               sqp=SqpSettings(outer_iterations=1))
             result = first_step(two_bus_grid, st, cfg, events)
             objectives[key] = result.qp_report.objective
@@ -460,7 +475,7 @@ class TestLpSeededSolve:
             self, two_bus_scenario, twelve_bus_scenario, twelve, regime,
             omega_amp, disturbance_scale, seed):
         sc = twelve_bus_scenario if twelve else two_bus_scenario
-        cfg = replace(sc.mpc, regimes=tuple(regime for _ in sc.mpc.regimes))
+        cfg = replace(sc.mpc, regime=regime)
         state = sc.initial_state()
         rng = np.random.default_rng(seed)
         state.omega = state.omega + omega_amp * rng.uniform(-1.0, 1.0,
@@ -507,8 +522,8 @@ class TestClosedLoop:
         st = SystemState(angles, np.zeros(2), np.zeros(1), 0.0)
         cfg = MpcConfig.create(two_bus_grid, horizon=0.01, step=0.01,
                                reference_power=-3.0, reference_inertia=8.0,
-                               regimes=(StorageRegime(power_free=True,
-                                                      inertia_free=False),))
+                               regime=StorageRegime(power_free=True,
+                                                    inertia_free=False))
         result = first_step(two_bus_grid, st, cfg, events)
         assert result.applied.power[0] == pytest.approx(-3.2, abs=1e-3)
 
@@ -519,8 +534,7 @@ class TestClosedLoop:
         st = equilibrium_state(two_bus_grid, np.array([-3.0]))
         events = [DisturbanceEvent(0, 0.0, 0.2)]
         cfg = base_config(two_bus_grid,
-                          regimes=(StorageRegime(power_free=True,
-                                                 inertia_free=False),),
+                          regime=StorageRegime(power_free=True, inertia_free=False),
                           sqp=SqpSettings(outer_iterations=2, tolerance=1e-5))
         traj = simulate(two_bus_grid, st, MpcController(two_bus_grid, cfg, events), 6.0,
                         cfg.step, events)
@@ -549,6 +563,29 @@ class TestClosedLoop:
         assert len(log) == 30 and sum(r.non_optimal_solves for r in log) == 0
         report = monitor_constraints(sc.grid, traj, cfg.omega_limits)
         assert not [v for v in report.violations if v.kind == "frequency"]
+
+    @pytest.mark.parametrize("absolute, inertia", [("false", 4.0), ("true", 8.0)])
+    def test_absolute_effort_flag_keeps_inertia_at_reference(self, absolute, inertia):
+        # A signed effort cost pays for lowering the inertia, so the first
+        # step moves it down both SQP trust regions (2 x 2 s) from its 8 s
+        # reference; an absolute one charges any move, and it stays.
+        _, traj = close_two_bus_loop(
+            ("power_cost: 0.0", "power_cost: 0.01"),
+            ("inertia_cost: 0.0", "inertia_cost: 0.01"),
+            ("absolute_effort: false", f"absolute_effort: {absolute}"))
+        assert traj.inputs[0].inertia[0] == pytest.approx(inertia, abs=1e-9)
+
+    def test_slack_omega_limit_leaves_the_run_unchanged(self):
+        # The run peaks at |w_0| = 0.0117, so limit rows at 0.02 are posed
+        # but never bind.
+        plain_ctrl, plain = close_two_bus_loop()
+        ctrl, traj = close_two_bus_loop(
+            ("frequency_cost: 1.0", "frequency_cost: 1.0\n  omega_limits: {0: 0.02}"))
+        assert np.max(np.abs(plain.omega_matrix()[:, 0])) == pytest.approx(0.0117, abs=1e-4)
+        assert plain_ctrl.log[0].qp_report.y_stacked.size \
+            < ctrl.log[0].qp_report.y_stacked.size
+        for matrix in ("omega_matrix", "power_matrix", "inertia_matrix"):
+            assert np.array_equal(getattr(plain, matrix)(), getattr(traj, matrix)())
 
 
 class TestKeptStructure:
@@ -595,7 +632,7 @@ class TestKeptStructure:
             solves.append((self, y0 is None)) or solve(self, tol=tol, y0=y0)))
         angles = solve_equilibrium(two_bus_grid, np.array([-3.0]))
         st = SystemState(angles, np.zeros(2), np.array([-44.6]), 0.0)
-        cfg = base_config(two_bus_grid, regimes=(StorageRegime(power_free=False),))
+        cfg = base_config(two_bus_grid, regime=StorageRegime(power_free=False))
         ctrl = MpcController(two_bus_grid, cfg) if split is None else \
             DistributedMpcController(two_bus_grid, cfg, partition_grid(two_bus_grid, split))
         simulate(two_bus_grid, st, ctrl, 10 * cfg.step, cfg.step)

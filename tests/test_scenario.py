@@ -1,7 +1,7 @@
 """Scenario files: shipped cases, strict validation, round-trip."""
 
 import re
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -185,6 +185,16 @@ class TestValidationErrors:
          "disturbances"),
         ("frequency_cost: 1.0", "frequency_cost: 1.0\n  omega_limits: [1]",
          "mpc.omega_limits"),
+        # A falsy value of the wrong kind is no empty section; only null is.
+        ("absolute_effort: false", "absolute_effort: false\ndisturbances: 0",
+         "disturbances"),
+        ("absolute_effort: false", "absolute_effort: false\ndistributed: false",
+         "distributed"),
+        ("absolute_effort: false", "absolute_effort: false\nflags: 0", "flags"),
+        ("absolute_effort: false", "absolute_effort: false\nflags: []", "flags"),
+        ("frequency_cost: 1.0", "frequency_cost: 1.0\n  omega_limits: 0",
+         "mpc.omega_limits"),
+        ("    tolerance: 1.0e-5", "    tolerance: 1.0e-5\n  sqp: 0", "mpc.sqp"),
         ("role: generator", "role: [x]", "grid.buses[0].role"),
     ])
     def test_mistyped_count_or_flag_rejected_with_path(self, old, new, field,
@@ -219,7 +229,8 @@ def non_default_two_bus() -> str:
     """The two-bus scenario with every optional `mpc` field away from its default."""
     doc = yaml.safe_load(TWO_BUS)
     doc["mpc"].update(frequency_cost=2.5, inertia_cost=0.3, power_base=3.0,
-                      inertia_base=4.0, omega_limits={0: 0.05}, qp_tolerance=1.0e-9)
+                      inertia_base=4.0, omega_limits={0: 0.05}, qp_tolerance=1.0e-9,
+                      regimes={"power": "fixed", "inertia": "free"})
     doc["flags"]["absolute_effort"] = True
     return yaml.safe_dump(doc, sort_keys=False)
 
@@ -253,13 +264,6 @@ class TestRoundTrip:
         # and the writer is a fixed point after one pass
         assert write_scenario(second) == write_scenario(first)
 
-    def test_mixed_regimes_are_not_written_as_one(self, twelve_bus_scenario):
-        sc = twelve_bus_scenario
-        regimes = (StorageRegime(), StorageRegime(power_free=False), StorageRegime())
-        mixed = replace(sc, mpc=replace(sc.mpc, regimes=regimes))
-        with pytest.raises(ScenarioError, match=re.escape("mpc.regimes")):
-            write_scenario(mixed)
-
     def test_absent_settings_sections_take_the_dataclass_defaults(self):
         doc = yaml.safe_load(TWO_BUS)
         del doc["mpc"]["sqp"]
@@ -267,6 +271,16 @@ class TestRoundTrip:
         sc = parse_scenario(yaml.safe_dump(doc))
         assert sc.mpc.sqp == SqpSettings()
         assert sc.admm == AdmmSettings()
+
+    def test_null_sections_read_as_absent(self):
+        doc = yaml.safe_load(TWO_BUS)
+        doc.update(disturbances=None, distributed=None, flags=None)
+        doc["mpc"].update(sqp=None, omega_limits=None, regimes=None)
+        sc = parse_scenario(yaml.safe_dump(doc))
+        assert sc.events == () and sc.areas is None and sc.admm == AdmmSettings()
+        assert sc.mpc.sqp == SqpSettings() and sc.mpc.omega_limits == {}
+        assert sc.mpc.regime == StorageRegime()
+        assert sc.clamp_storage_power_at_energy_limit and not sc.mpc.absolute_effort
 
     def test_initial_state_energies(self, twelve_bus_scenario):
         st = twelve_bus_scenario.initial_state()
