@@ -83,7 +83,8 @@ def _close_loop(out: Path, scenario: Scenario, cfg: MpcConfig, controller, tag: 
     The trajectory, its constraint report and its objective go to files
     named after `tag`.  The objective is `cfg`'s stage cost accumulated
     along the executed trajectory; `stats`, called after the run, gives
-    the objective file's extra lines.
+    the objective file's extra lines.  A controller's `StepRecord` log gets
+    one warning if its plans relaxed a soft limit by more than `cfg.qp_tol`.
     """
     grid = scenario.grid
     traj = simulate(grid, scenario.initial_state(), controller, scenario.sim_duration,
@@ -98,6 +99,10 @@ def _close_loop(out: Path, scenario: Scenario, cfg: MpcConfig, controller, tag: 
     report = monitor_constraints(grid, traj, cfg.omega_limits)
     outputs.write_text(out / f"{tag}_constraints.txt",
                        outputs.constraint_report_text(report))
+    relaxed = [r.slack for r in getattr(controller, "log", ()) if r.slack > cfg.qp_tol]
+    if relaxed:
+        logger.warning("%s: %d steps relaxed an energy or frequency limit, by up to %.3g",
+                       tag, len(relaxed), max(relaxed))
     extra = {**stats(), "frequency_integral": traj.frequency_integral()}
     outputs.write_text(out / f"{tag}_objective.txt",
                        outputs.objective_summary_text(effort, performance, extra))

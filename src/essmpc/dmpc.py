@@ -31,8 +31,7 @@ import numpy as np
 
 from .dynamics import SystemState
 from .grid import DisturbanceEvent, GridModel
-from .mpc import (HorizonProgram, LtvModel, MpcConfig, StepRecord, _SqpController,
-                  _assemble_program)
+from .mpc import HorizonProgram, LtvModel, MpcConfig, StepRecord, _SqpController
 from .qp import ConvexProgram, QpWorkspace
 
 __all__ = [
@@ -245,8 +244,9 @@ class DistributedMpcController(_SqpController):
     def __init__(self, grid: GridModel, cfg: MpcConfig, partition: AreaPartition,
                  settings: AdmmSettings = AdmmSettings(),
                  events: Sequence[DisturbanceEvent] = ()):
-        super().__init__(grid, cfg, events, partition.assignment)
         settings.validate()
+        super().__init__(grid, cfg, events, partition.assignment,
+                         (settings.rho, settings.tau))
         self.settings = settings
         # Per area, record entries by step: the ghosts copying its buses, then its own.
         step_first = len(self._ghosts) * np.arange(cfg.k_steps)[:, None]
@@ -281,9 +281,7 @@ class DistributedMpcController(_SqpController):
         settings = self.settings
         if record.iterations >= settings.max_iterations:
             return None
-        horizons = [_assemble_program(self.grid, area, ltv, self.cfg,
-                                      self._structure(area), (settings.rho, settings.tau))
-                    for area, ltv in zip(self.areas, ltvs)]
+        horizons = [structure.fill(ltv) for structure, ltv in zip(self._structures, ltvs)]
         programs = [self._area_program(hp) for hp in horizons]
         workspaces: dict[int, QpWorkspace] = {}
         warm: dict[int, dict] = {}

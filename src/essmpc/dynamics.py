@@ -242,13 +242,11 @@ def euler_step(grid: GridModel, state: SystemState, u: ControlInput, ts: float,
     )
 
 
-def _clamp_power(grid: GridModel, state: SystemState, u: ControlInput) -> ControlInput:
-    """Zero any storage power that keeps pushing energy past its bound."""
-    power = u.power.copy()
-    e_lo, e_hi = grid.energy_bounds
-    power[((power < 0.0) & (state.energy <= e_lo + ENERGY_CLAMP_TOL))
-          | ((power > 0.0) & (state.energy >= e_hi - ENERGY_CLAMP_TOL))] = 0.0
-    return ControlInput(power, u.inertia.copy())
+def _clamp_power(power, energy, energy_bounds) -> np.ndarray:
+    """`power` zeroed wherever it keeps pushing `energy` past its bound (broadcast)."""
+    e_lo, e_hi = energy_bounds
+    return np.where(((power < 0.0) & (energy <= e_lo + ENERGY_CLAMP_TOL))
+                    | ((power > 0.0) & (energy >= e_hi - ENERGY_CLAMP_TOL)), 0.0, power)
 
 
 def simulate(grid: GridModel, initial: SystemState,
@@ -279,7 +277,8 @@ def simulate(grid: GridModel, initial: SystemState,
                 f"controller failed at step {k} (t={state.t:.6g}): {exc}",
                 partial, k) from exc
         if clamp_storage_power_at_energy_limit:
-            u = _clamp_power(grid, state, u)
+            u = ControlInput(_clamp_power(u.power, state.energy, grid.energy_bounds),
+                             u.inertia.copy())
         state = euler_step(grid, state, u, ts, events)
         state.t = (k + 1) * ts + initial.t
         inputs.append(u)

@@ -3,8 +3,9 @@
 Each control step linearizes the discretized dynamics around a nominal
 rollout, solves a convex program for the storage set-points over K steps
 (sequential linearization with trust regions), applies the first step, and
-repeats.  Frequency magnitudes enter the cost through epigraph slacks; the
-energy allowance is enforced with running-sum rows.
+repeats.  Frequency magnitudes enter the cost through epigraph slacks.  The
+energy allowance (running-sum rows) and any frequency limits are soft, so
+every horizon program is feasible; only the energy penalty is exact.
 
 The horizon program is posed for an area: a set of own buses, plus the
 foreign buses at the far end of its tie lines, whose angles drive it as a
@@ -24,12 +25,12 @@ would get alone; each area's `LtvModel` is a slice of it.  Without tie
 lines the split grid is the grid.
 
 A horizon program is built in two parts.  Its structure (`_HorizonStructure`)
-depends only on the area, the configuration and which storages are
-saturated: column offsets, costs, constant rows, and where each
-linearization's values go, and a distributed area's consensus hooks.  A
-fill writes one linearization's values into a new program of that
-structure.  A controller keeps one structure, `QpWorkspace` and warm start
-per area for its own lifetime, so an SQP iteration computes values only: the
+depends only on the area and the configuration: column offsets, costs,
+constant rows, and where each linearization's values go, and a distributed
+area's consensus hooks.  A fill writes one linearization's values into a
+new program of that structure.  A controller builds one structure per area
+and keeps it, with one `QpWorkspace` and warm start per area, for its own
+lifetime, so an SQP iteration computes values only: the
 workspace factors one KKT matrix per loaded program as a rule, laid out
 from its non-zeros, and borders that factor for every other working set.
 The linearization differentiates its K Euler steps as one stack.
@@ -38,12 +39,13 @@ The linearization differentiates its K Euler steps as one stack.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .dynamics import (ControlInput, SystemState, _first_outside, euler_step,
-                       swing_jacobian)
+from .dynamics import (ControlInput, SystemState, _clamp_power, _first_outside,
+                       euler_step, swing_jacobian)
 from .grid import DisturbanceEvent, GridModel
 from .qp import TIE_BREAK, ConvexProgram, QpWorkspace, SolveReport
 
@@ -65,6 +67,12 @@ __all__ = [
 # requires every curvature > 0.  As qp.py's tie-break, it also makes a cold
 # solve seed the dual active set from the HiGHS vertex of the linear part.
 _REGULARIZATION = TIE_BREAK
+# Cost per unit of a soft slack, as a multiple of the program's largest linear
+# cost (of the tie-break when every cost is 0): above a storage's energy-row
+# multiplier sum (under 3 times that cost on the bundled runs), so exact there,
+# but below a binding frequency limit's (72 times at two-bus step 0), which the
+# solve relaxes.  At 100 and 1000 times such warm solves end uncertified.
+_PENALTY = 10.0
 
 
 class MpcConfigError(ValueError):
@@ -308,62 +316,8 @@ def linearize_dynamics(grid: GridModel, state: SystemState,
     return models[0] if area is None else models
 
 
-def _energy_rows_feasible(e0: float, bounds: tuple[float, float],
-                          lo: np.ndarray, hi: np.ndarray, ts: float) -> bool:
-    """Interval arithmetic over the horizon: can the running sum stay in bounds?"""
-    e_lo, e_hi = bounds
-    reach_lo, reach_hi = e0, e0
-    for k in range(lo.size):
-        reach_lo = max(reach_lo + ts * lo[k], e_lo)
-        reach_hi = min(reach_hi + ts * hi[k], e_hi)
-        if reach_lo > reach_hi + 1e-12:
-            return False
-    return True
-
-
-def _energy_key(grid: GridModel, area: _AreaView, ltv: LtvModel, cfg: MpcConfig
-                ) -> tuple[tuple[int, ...], tuple]:
-    """(widened, key) of one linearization of an area.
-
-    `widened` are the area storages whose power trust region is dropped:
-    the power channel is linear in the model, so trust regions never get to
-    make the energy rows infeasible.  Storages no power can keep feasible
-    are saturated: their energy rows are dropped and their power is pinned.
-    The key is everything the program's structure depends on beyond the
-    area and the configuration: the step, the saturated storages, and any
-    widened storage with an infinite power bound, whose box side then has
-    no row.
-    """
-    k_steps, ts = cfg.k_steps, ltv.ts
-    power_bounds = grid.power_bounds[:, area.storages]
-    energy_bounds = grid.energy_bounds[:, area.storages]
-    widened: list[int] = []
-    saturated: list[int] = []
-    for j, s in enumerate(area.storages):
-        p_lo, p_hi = power_bounds[:, j]
-        e_bounds = energy_bounds[:, j]
-        e0 = float(ltv.energies[0, j])
-        if cfg.regime.power_free:
-            nomin = ltv.controls[:, j]
-            r_p = cfg.sqp.power_trust_region
-            box_lo = np.maximum(p_lo, nomin - r_p)
-            box_hi = np.minimum(p_hi, nomin + r_p)
-            if not _energy_rows_feasible(e0, e_bounds, box_lo, box_hi, ts):
-                widened.append(j)
-                if not _energy_rows_feasible(e0, e_bounds, np.full(k_steps, p_lo),
-                                             np.full(k_steps, p_hi), ts):
-                    saturated.append(j)
-        else:
-            pin = float(cfg.reference_power[s])
-            if not _energy_rows_feasible(e0, e_bounds, np.full(k_steps, pin),
-                                         np.full(k_steps, pin), ts):
-                saturated.append(j)
-    unbounded = tuple(j for j in widened if not np.all(np.isfinite(power_bounds[:, j])))
-    return tuple(widened), (ts, tuple(saturated), unbounded)
-
-
 class _HorizonStructure:
-    """What every program of one area and key shares: all but the values.
+    """What every program of one area shares: all but the values.
 
     Holds the column offsets, the costs, the inequality rows, the identity
     and pin entries of the equality rows, and where each linearization's
@@ -375,18 +329,27 @@ class _HorizonStructure:
     (`own_cols`) and its ghosts' copies (`copy_cols`); with a consensus
     `penalty` (rho, tau) and hooks, the curvature holds tau on every column
     and rho per hook, the quadratic part of the consensus terms.
+
+    Energy allowances and frequency limits are soft: one slack column per
+    storage relaxes all its energy rows, and one per limited bus all its
+    limit rows, at `_PENALTY` times the largest linear cost per unit, so
+    every program is feasible.  The penalty is exact where that price exceeds
+    the hard rows' multipliers (Kerrigan and Maciejowski, UKACC Control 2000):
+    for the energy rows, whose slacks are 0 where the rows can hold, but not
+    for a binding frequency limit, whose slack says how far it is exceeded.
     """
 
-    def __init__(self, grid: GridModel, area: _AreaView, cfg: MpcConfig, key: tuple,
+    def __init__(self, grid: GridModel, area: _AreaView, cfg: MpcConfig,
                  penalty: Optional[tuple[float, float]] = None):
-        ts, saturated, _unbounded = key
-        self.area, self.cfg, self.key, self.saturated = area, cfg, key, saturated
-        k_steps = cfg.k_steps
+        self.area, self.cfg = area, cfg
+        k_steps, ts = cfg.k_steps, cfg.step
         n_s, n_u, n_x, n_f, n_mon = area.n_s, area.nu, area.nx, area.n_f, area.n_w
         power_bounds = grid.power_bounds[:, area.storages]
         inertia_bounds = grid.inertia_bounds[:, area.storages]
-        energy_bounds = grid.energy_bounds[:, area.storages]
+        self.energy_bounds = energy_bounds = grid.energy_bounds[:, area.storages]
         p_base, m_base = cfg.resolved_bases(grid)
+        # Per monitored bus: its |w| limit, or 0 for none (a limit is > 0).
+        limit = np.array([cfg.omega_limits.get(bus, 0.0) for bus in area.monitored])
 
         self.n_u, self.n_x = n_u, n_x
         self.off_x = off_x = k_steps * n_u
@@ -394,18 +357,20 @@ class _HorizonStructure:
         off_slack = off_copy + k_steps * n_f
         off_ep = off_slack + k_steps * n_mon
         off_em = off_ep + k_steps * n_s
-        n_total = off_em + k_steps * n_s if cfg.absolute_effort else off_ep
+        self.off_soft = off_soft = off_em + k_steps * n_s if cfg.absolute_effort else off_ep
+        n_total = off_soft + n_s + np.count_nonzero(limit)
 
         # -- cost -------------------------------------------------------------
-        step = cfg.step
-        c_p = cfg.power_cost[area.storages] * step / p_base
-        c_m = cfg.inertia_cost[area.storages] * step / m_base
+        c_p = cfg.power_cost[area.storages] * ts / p_base
+        c_m = cfg.inertia_cost[area.storages] * ts / m_base
         q = np.zeros(n_total)
         if cfg.absolute_effort:
-            q[off_ep:] = np.concatenate([np.tile(c_p, k_steps), np.tile(c_m, k_steps)])
+            q[off_ep:off_soft] = np.concatenate([np.tile(c_p, k_steps),
+                                                 np.tile(c_m, k_steps)])
         else:
             q[:off_x] = np.tile(np.concatenate([c_p, c_m]), k_steps)
-        q[off_slack:off_ep] = cfg.frequency_cost * step
+        q[off_slack:off_ep] = cfg.frequency_cost * ts
+        q[off_soft:] = _PENALTY * max(np.max(np.abs(q)), _REGULARIZATION)
         self.q = _frozen(q)
         k = np.arange(1, k_steps + 1)[:, None]
         self.own_cols = self.x_col(k, area.copied).ravel()
@@ -418,14 +383,9 @@ class _HorizonStructure:
         self.curvature = _frozen(curvature)
 
         # -- equalities: dynamics, then pinned power and fixed inertia ---------
-        # A saturated storage's power is pinned at the zero nearest its bounds.
-        sat = np.isin(np.arange(n_s), saturated)
-        pinned = np.flatnonzero(sat | (not cfg.regime.power_free))
-        fixed = np.arange(0 if cfg.regime.inertia_free else n_s)
-        self.fixed_cols = np.concatenate([pinned, n_s + fixed])
-        p_pin = np.where(sat, np.clip(0.0, *power_bounds), cfg.reference_power[area.storages])
-        m_fix = cfg.reference_inertia[area.storages]
-        self.target = np.concatenate([p_pin[pinned], m_fix[fixed]])
+        self.fixed_cols = np.flatnonzero(np.repeat([not cfg.regime.power_free,
+                                                    not cfg.regime.inertia_free], n_s))
+        self.reference = cfg.reference_matrix()[:, area.u_cols]
         self.n_dyn = n_dyn = k_steps * n_x
         self.eq_shape = (n_dyn + k_steps * self.fixed_cols.size, n_total)
         # Flat positions in A_eq of the ones: the identity on dx, then the pins.
@@ -455,35 +415,35 @@ class _HorizonStructure:
             self.rhs.append(rhs)
             m_in += size
 
-        # Per step and monitored bus: |w| <= slack, then |w| <= limit if set.
+        # Per step and monitored bus: |w| <= epigraph slack, then |w| <= limit
+        # + soft slack if the bus is limited.
         per_step = []    # (monitored index, sign, epigraph row?) for one step
-        limit = np.zeros(n_mon)
-        for i, bus in enumerate(area.monitored):
+        for i in range(n_mon):
             per_step += [(i, 1.0, True), (i, -1.0, True)]
-            if bus in cfg.omega_limits:
-                limit[i] = cfg.omega_limits[bus]
+            if limit[i]:
                 per_step += [(i, 1.0, False), (i, -1.0, False)]
         if per_step:
             i_mon, sign, epi = (np.tile(np.array(v), k_steps) for v in zip(*per_step))
             k = np.repeat(np.arange(k_steps), len(per_step))     # step k + 1
             r = np.arange(i_mon.size)
+            soft_col = off_soft + n_s + np.cumsum(limit > 0.0) - 1
 
             def frequency_rhs(ltv: LtvModel, at=(k + 1, area.n + i_mon), sign=sign,
                               epi=epi, limit=limit[i_mon]) -> np.ndarray:
                 w_nom = ltv.states[at]
                 return np.where(epi, -sign * w_nom, limit - sign * w_nom)
 
-            add_block(np.concatenate([r, r[epi]]),
+            add_block(np.concatenate([r, r]),
                       np.concatenate([off_x + k * n_x + area.n + i_mon,
-                                      off_slack + (k * n_mon + i_mon)[epi]]),
-                      np.concatenate([sign, -np.ones(int(epi.sum()))]),
+                                      np.where(epi, off_slack + k * n_mon + i_mon,
+                                               soft_col[i_mon])]),
+                      np.concatenate([sign, -np.ones(r.size)]),
                       i_mon.size, frequency_rhs)
 
-        # Per storage and step k: +-ts * sum(du_p(0..k-1)) <= +-(E bound - E_nom(k)).
+        # Per storage and step k: +-ts * sum(du_p(0..k-1)) - soft slack
+        # <= +-(E bound - E_nom(k)).
         k_row, k_term = np.tril_indices(k_steps)
         for j in range(n_s):
-            if j in saturated:
-                continue
             e_lo, e_hi = energy_bounds[:, j]
             sides = [(sgn, e) for sgn, e in ((1.0, e_hi), (-1.0, e_lo)) if np.isfinite(e)]
             if not sides:
@@ -493,10 +453,13 @@ class _HorizonStructure:
             def energy_rhs(ltv: LtvModel, j=j, sign=sign, bound=bound) -> np.ndarray:
                 return (sign * (bound - ltv.energies[1:, j, None])).ravel()
 
-            add_block((k_row[:, None] * sign.size + np.arange(sign.size)).ravel(),
-                      np.repeat(k_term * n_u + j, sign.size),
-                      np.tile(sign * ts, k_row.size),
-                      k_steps * sign.size, energy_rhs)
+            size = k_steps * sign.size
+            add_block(np.concatenate([(k_row[:, None] * sign.size
+                                       + np.arange(sign.size)).ravel(), np.arange(size)]),
+                      np.concatenate([np.repeat(k_term * n_u + j, sign.size),
+                                      np.full(size, off_soft + j)]),
+                      np.concatenate([np.tile(sign * ts, k_row.size), -np.ones(size)]),
+                      size, energy_rhs)
 
         # Per step and storage: |p| <= e_p and |m - m_ref| <= e_m.
         if cfg.absolute_effort:
@@ -540,23 +503,29 @@ class _HorizonStructure:
             raise IndexError("foreign-angle copies start at k=1")
         return self.off_copy + (k - 1) * self.area.n_f + f
 
-    def fill(self, ltv: LtvModel, widened: Sequence[int]) -> "HorizonProgram":
-        """A new program of this structure holding the linearization's values."""
-        cfg, n_s = self.cfg, self.area.n_s
+    def fill(self, ltv: LtvModel) -> "HorizonProgram":
+        """A new program of this structure holding the linearization's values.
+
+        A pinned power follows the plant's clamp (`dynamics._clamp_power`)
+        along the nominal energies, so the model commands what the plant
+        applies at an exhausted allowance.
+        """
+        sqp, n_s = self.cfg.sqp, self.area.n_s
         a_eq = np.zeros(self.eq_shape)
         a_eq.reshape(-1)[self.ones_at] = 1.0
         a_eq.reshape(-1)[self.dynamics_at] = -np.concatenate(
             [ltv.A[1:].ravel(), ltv.A_foreign[1:].ravel(), ltv.B.ravel()])
+        target = self.reference.copy()
+        target[:, :n_s] = _clamp_power(target[:, :n_s], ltv.energies[:-1],
+                                       self.energy_bounds)
         b_eq = np.zeros(a_eq.shape[0])
-        b_eq[self.n_dyn:] = (self.target[:, None]
-                             - ltv.controls[:, self.fixed_cols].T).ravel()
+        b_eq[self.n_dyn:] = (target - ltv.controls)[:, self.fixed_cols].T.ravel()
         b_in = np.concatenate([rhs(ltv) for rhs in self.rhs]) if self.rhs \
             else np.zeros(0)
 
         nom = ltv.controls
         phys_lo, phys_hi = self.phys
-        radius = np.array([np.inf if j in widened else cfg.sqp.power_trust_region
-                           for j in range(n_s)] + [cfg.sqp.inertia_trust_region] * n_s)
+        radius = np.repeat([sqp.power_trust_region, sqp.inertia_trust_region], n_s)
         box_lo = np.maximum(phys_lo - nom, -radius)
         box_hi = np.minimum(phys_hi - nom, radius)
         # A fixed column is pinned by its equality rows alone: an lb == ub box
@@ -583,9 +552,10 @@ class HorizonProgram:
     """Assembled convex subproblem of one area plus the index maps back to physical names.
 
     Columns: [controls du(0..K-1) | own states dx(1..K) | foreign-angle
-    copies df(1..K) | frequency slacks | effort slacks (absolute effort only)].
+    copies df(1..K) | frequency slacks | effort slacks (absolute effort only)
+    | soft slacks: one per storage, then one per limited bus].
     `prog` holds one linearization's values; `structure` is what it shares
-    with the other programs of its area and key.
+    with the other programs of its area.
     """
 
     prog: ConvexProgram
@@ -596,8 +566,6 @@ class HorizonProgram:
     cfg = property(lambda self: self.structure.cfg)
     n_u = property(lambda self: self.structure.n_u)
     off_x = property(lambda self: self.structure.off_x)
-    # Area storage indices whose energy rows were dropped.
-    saturated = property(lambda self: self.structure.saturated)
     x_col = property(lambda self: self.structure.x_col)
     copy_col = property(lambda self: self.structure.copy_col)
 
@@ -610,6 +578,11 @@ class HorizonProgram:
         du = z[: k_steps * self.n_u].reshape(k_steps, self.n_u)
         return self.ltv.controls + du
 
+    def soft_slack(self, z: np.ndarray) -> float:
+        """The largest soft slack of a solution vector: how far it relaxes
+        an energy allowance (p.u.*s) or a frequency limit."""
+        return float(np.max(z[self.structure.off_soft:], initial=0.0))
+
     def omega_from(self, z: np.ndarray) -> np.ndarray:
         """Predicted frequency deviations (K, n_mon) at steps 1..K from a solution vector."""
         dx = z[self.off_x: self.structure.off_copy].reshape(self.cfg.k_steps,
@@ -617,11 +590,11 @@ class HorizonProgram:
         return (self.ltv.states[1:] + dx)[:, self.area.n:]
 
 
-def _assemble_program(grid: GridModel, area: _AreaView, ltv: LtvModel,
-                      cfg: MpcConfig,
-                      structure: Optional[_HorizonStructure] = None,
-                      penalty: Optional[tuple[float, float]] = None) -> HorizonProgram:
-    """Build the K-step convex program of one area in deviation variables.
+def assemble_horizon_program(grid: GridModel, ltv: LtvModel, cfg: MpcConfig,
+                             structure: Optional[_HorizonStructure] = None
+                             ) -> HorizonProgram:
+    """Build the centralized K-step convex program in deviation variables:
+    the one area that is the whole grid.
 
     Dynamics enter as one equality row per own state per step, and each
     pinned set-point as one equality per step, its column left unboxed.
@@ -629,26 +602,12 @@ def _assemble_program(grid: GridModel, area: _AreaView, ltv: LtvModel,
     (by step, then monitored bus), energy running sums (by storage, then
     step), and absolute-effort epigraph rows (by step, then storage).
 
-    `structure`, that of an earlier program of the same area and
-    configuration, is filled again if the linearization has its key;
-    otherwise a new one is built first.
+    A controller passes its structure, of the same grid and configuration,
+    to fill it again.
     """
-    widened, key = _energy_key(grid, area, ltv, cfg)
-    if structure is None or structure.key != key or structure.area is not area \
-            or structure.cfg is not cfg:
-        structure = _HorizonStructure(grid, area, cfg, key, penalty)
-    return structure.fill(ltv, widened)
-
-
-def assemble_horizon_program(grid: GridModel, ltv: LtvModel, cfg: MpcConfig,
-                             structure: Optional[_HorizonStructure] = None
-                             ) -> HorizonProgram:
-    """Build the centralized K-step program: the one area that is the whole grid.
-
-    A controller passes the structure of its last program to fill it again.
-    """
-    area = _AreaView(grid) if structure is None else structure.area
-    return _assemble_program(grid, area, ltv, cfg, structure)
+    if structure is None:
+        structure = _HorizonStructure(grid, _AreaView(grid), cfg)
+    return structure.fill(ltv)
 
 
 def _project_controls(grid: GridModel, controls: np.ndarray) -> np.ndarray:
@@ -701,7 +660,7 @@ class StepRecord:
     # residual is below AdmmSettings.tolerance, whatever the SQP did.
     converged: bool = False
     non_optimal_solves: int = 0            # solves applied without a certificate
-    saturated: tuple[int, ...] = ()        # grid storage indices whose energy rows were dropped
+    slack: float = 0.0                     # largest `HorizonProgram.soft_slack` solved
     residual_history: list[float] = field(default_factory=list)
     area_objectives: list[float] = field(default_factory=list)  # F_a per area
     qp_report: Optional[SolveReport] = None    # the whole-grid solve's report
@@ -720,15 +679,17 @@ class _SqpController:
 
     The areas live on the split grid of `assignment` (default: one area,
     the whole grid), where each area's foreign buses are ghosts.  Each
-    iteration linearizes all areas at once against the forcing of the
-    ghosts, has `_solve` return one (program, solution) pair per area, or
-    None to keep the last plan, and writes the areas' controls back into
-    the projected plan.
+    area's program structure is built once, with the consensus `penalty`
+    (rho, tau) of a distributed controller.  Each iteration linearizes all
+    areas at once against the forcing of the ghosts, has `_solve` return one
+    (program, solution) pair per area, or None to keep the last plan, and
+    writes the areas' controls back into the projected plan.
     """
 
     def __init__(self, grid: GridModel, cfg: MpcConfig,
                  events: Sequence[DisturbanceEvent] = (),
-                 assignment: Optional[Sequence[int]] = None):
+                 assignment: Optional[Sequence[int]] = None,
+                 penalty: Optional[tuple[float, float]] = None):
         cfg.validate(grid)
         self.grid = grid
         self.cfg = cfg
@@ -749,10 +710,16 @@ class _SqpController:
                       for a, buses in enumerate(owned)]
         self.log: list[StepRecord] = []
         self._plan: Optional[np.ndarray] = None
-        # Per area index: the structure of its last program, the workspace
-        # laid out for it and the workspace's warm-start record, kept for
-        # the controller's lifetime.
-        self._kept: dict[int, tuple[_HorizonStructure, QpWorkspace, dict]] = {}
+        self._penalty = penalty
+        # Per area index, from its first program on: the workspace laid out
+        # for it and the workspace's warm-start record.
+        self._kept: dict[int, tuple[QpWorkspace, dict]] = {}
+
+    @cached_property
+    def _structures(self) -> list[_HorizonStructure]:
+        """Each area's program structure, built at the first solve and kept."""
+        return [_HorizonStructure(self.grid, area, self.cfg, self._penalty)
+                for area in self.areas]
 
     def _start(self, state: SystemState) -> None:
         """Set-up of one control step, before its first linearization."""
@@ -773,25 +740,20 @@ class _SqpController:
     def _converged(self, record: StepRecord, sqp_converged: bool) -> bool:
         return sqp_converged
 
-    def _structure(self, area: _AreaView) -> Optional[_HorizonStructure]:
-        """The structure of the area's last program, to fill again."""
-        kept = self._kept.get(area.index)
-        return None if kept is None else kept[0]
-
     def _workspace(self, hp: HorizonProgram) -> tuple[QpWorkspace, dict]:
         """The area's workspace loaded with `hp.prog`, and its warm-start record.
 
         The record holds the multipliers `y` and the `status` of the
-        workspace's last solve.  A new structure gets a new workspace, its
-        KKT layouts from the loaded program's non-zeros, and an empty
-        record: its first solve starts cold.
+        workspace's last solve.  The area's first program gets the
+        workspace, its KKT layouts from the program's non-zeros, and an
+        empty record: its first solve starts cold.
         """
         kept = self._kept.get(hp.area.index)
-        if kept is not None and kept[0] is hp.structure:
-            kept[1].load(hp.prog)
+        if kept is None:
+            kept = self._kept[hp.area.index] = (QpWorkspace(hp.prog), {})
         else:
-            kept = self._kept[hp.area.index] = (hp.structure, QpWorkspace(hp.prog), {})
-        return kept[1], kept[2]
+            kept[0].load(hp.prog)
+        return kept
 
     def __call__(self, step: int, state: SystemState) -> ControlInput:
         grid, cfg = self.grid, self.cfg
@@ -820,8 +782,7 @@ class _SqpController:
                 break
 
         record.converged = self._converged(record, sqp_converged)
-        record.saturated = tuple(sorted(int(hp.area.storages[j])
-                                        for hp, _ in solved for j in hp.saturated))
+        record.slack = max((hp.soft_slack(x) for hp, x in solved), default=0.0)
         # F_a on the area's solved horizon: the accepted plan and the
         # QP-predicted frequencies.
         record.area_objectives = [
@@ -839,17 +800,14 @@ class _SqpController:
 class MpcController(_SqpController):
     """Centralized controller: one warm-started solve of the whole-grid program.
 
-    The last multipliers warm-start the next solve of the same structure.
+    The last multipliers warm-start the next solve.
     """
 
     def _solve(self, ltvs: list[LtvModel], record: StepRecord
                ) -> list[tuple[HorizonProgram, np.ndarray]]:
-        hp = assemble_horizon_program(self.grid, ltvs[0], self.cfg,
-                                      self._structure(self.areas[0]))
+        hp = assemble_horizon_program(self.grid, ltvs[0], self.cfg, self._structures[0])
         workspace, warm = self._workspace(hp)
         report = workspace.solve(tol=self.cfg.qp_tol, y0=warm.get("y"))
-        if report.status == "infeasible":
-            raise RuntimeError("horizon subproblem reported infeasible")
         record.non_optimal_solves += report.status != "optimal"
         record.qp_report = report
         warm.update(y=report.y_stacked, status=report.status)

@@ -5,7 +5,7 @@ import io
 import numpy as np
 import pytest
 
-from essmpc.cli import main
+from essmpc.cli import REGIMES, main
 from essmpc.outputs import emit_plot_table, trajectory_columns, trajectory_to_csv
 from essmpc.dynamics import constant_policy, simulate
 from essmpc.scenario import bundled_scenario_path
@@ -70,6 +70,23 @@ class TestMpcCommand:
                      f"--out={out}", f"--ttotal={ttotal}"]) == 0
         lines = (out / f"{command}_objective.txt").read_text().splitlines()
         assert "non_optimal_solves 0" in lines
+
+    @pytest.mark.parametrize("command, limit, warnings", [
+        ("mpc", 0.011, 1), ("mpc", 0.016, 0), ("dmpc", 0.011, 1), ("dmpc", 0.016, 0),
+        ("compare", 0.011, len(REGIMES))])
+    def test_relaxed_limit_is_warned(self, command, limit, warnings, tmp_path, caplog):
+        # The run peaks at |w_0| = 0.015: a 0.011 limit is relaxed on some
+        # steps, and each run warns of it once, beside the non-optimal count.
+        text = bundled_scenario_path("two_bus").read_text().replace(
+            "frequency_cost: 1.0", f"frequency_cost: 1.0\n  omega_limits: {{0: {limit}}}")
+        path = tmp_path / "limited.scn"
+        path.write_text(text)
+        out = tmp_path / "run"
+        with caplog.at_level("WARNING", logger="essmpc"):
+            assert main([command, str(path), f"--out={out}", "--ttotal=0.3"]) == 0
+        warned = [r.getMessage() for r in caplog.records
+                  if "relaxed an energy or frequency limit" in r.getMessage()]
+        assert len(warned) == warnings
 
 
 class TestRepeatedRuns:
