@@ -3,10 +3,9 @@
 from .grid import (DisturbanceEvent, EquilibriumError, GeneratorBus, GridError,
                    GridModel, Line, LoadBus, StorageBus, line_susceptance,
                    solve_equilibrium)
-from .dynamics import (ConstraintReport, ControlInput, SimulationAbort,
-                       SystemState, Trajectory, Violation, constant_policy,
-                       euler_step, monitor_constraints, simulate,
-                       swing_jacobian, swing_rhs)
+from .dynamics import (ControlInput, SimulationAbort, SystemState, Trajectory,
+                       Violation, constant_policy, euler_step, monitor_constraints,
+                       simulate, swing_jacobian, swing_rhs)
 from .qp import (ConvexProgram, DualSet, QpError, QpWorkspace, SolveReport,
                  kkt_residual)
 from .mpc import (HorizonProgram, LtvModel, MpcConfig, MpcConfigError,

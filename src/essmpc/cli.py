@@ -90,15 +90,13 @@ def _close_loop(out: Path, scenario: Scenario, cfg: MpcConfig, controller, tag: 
     traj = simulate(grid, scenario.initial_state(), controller, scenario.sim_duration,
                     scenario.sim_step, scenario.events,
                     scenario.clamp_storage_power_at_energy_limit)
-    controls = np.hstack([traj.power_matrix(), traj.inertia_matrix()])
-    n = max(len(traj) - 1, 0)
-    effort, performance = horizon_objective(grid, cfg, traj.states[: n + 1],
-                                            controls[:n])
+    effort, performance = horizon_objective(
+        grid, cfg, np.hstack([traj.power, traj.inertia])[:-1], traj.omega[1:])
     outputs.write_text(out / f"{tag}_trajectory.csv",
                        outputs.trajectory_to_csv(grid, traj))
-    report = monitor_constraints(grid, traj, cfg.omega_limits)
+    violations = monitor_constraints(grid, traj, cfg.omega_limits)
     outputs.write_text(out / f"{tag}_constraints.txt",
-                       outputs.constraint_report_text(report))
+                       outputs.constraint_report_text(violations))
     relaxed = [r.slack for r in getattr(controller, "log", ()) if r.slack > cfg.qp_tol]
     if relaxed:
         logger.warning("%s: %d steps relaxed an energy or frequency limit, by up to %.3g",
@@ -120,10 +118,9 @@ def _non_optimal_solves(log, label: str) -> int:
 
 def cmd_simulate(args) -> int:
     scenario = _load(args)
-    cfg = _with_regime(scenario.mpc, args.regime)
     out = _outdir(args, scenario, "simulate")
-    _close_loop(out, scenario, cfg, constant_policy(scenario.reference_controls()),
-                "simulate")
+    _close_loop(out, scenario, scenario.mpc,
+                constant_policy(scenario.reference_controls()), "simulate")
     logger.info("simulate: wrote %s", out)
     return EXIT_OK
 
@@ -211,31 +208,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Swing-equation simulation and storage power/inertia MPC")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, regime_default=None):
+    for name, func, text in (
+            ("simulate", cmd_simulate, "open-loop run with reference controls"),
+            ("mpc", cmd_mpc, "centralized receding-horizon run"),
+            ("dmpc", cmd_dmpc, "distributed (consensus) receding run"),
+            ("compare", cmd_compare, "run all four regimes and rank them")):
+        p = sub.add_parser(name, help=text)
         p.add_argument("scenario", help="scenario file (.scn)")
-        p.add_argument("--regime", choices=sorted(REGIMES),
-                       default=regime_default,
-                       help="storage regime: c=constant, v=variant, "
-                            "(inertia, power) order")
+        if func in (cmd_mpc, cmd_dmpc):
+            p.add_argument("--regime", choices=sorted(REGIMES),
+                           help="storage regime: c=constant, v=variant, "
+                                "(inertia, power) order")
         p.add_argument("--out", help="output directory")
         p.add_argument("--ts", type=float, help="override simulation step")
         p.add_argument("--ttotal", type=float, help="override run duration")
-
-    p_sim = sub.add_parser("simulate", help="open-loop run with reference controls")
-    common(p_sim, regime_default="cc")
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_mpc = sub.add_parser("mpc", help="centralized receding-horizon run")
-    common(p_mpc)
-    p_mpc.set_defaults(func=cmd_mpc)
-
-    p_dmpc = sub.add_parser("dmpc", help="distributed (consensus) receding run")
-    common(p_dmpc)
-    p_dmpc.set_defaults(func=cmd_dmpc)
-
-    p_cmp = sub.add_parser("compare", help="run all four regimes and rank them")
-    common(p_cmp)
-    p_cmp.set_defaults(func=cmd_compare)
+        p.set_defaults(func=func)
 
     p_plot = sub.add_parser("plot-data",
                             help="extract gnuplot-style columns from a trajectory CSV")

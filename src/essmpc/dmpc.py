@@ -128,11 +128,11 @@ class AdmmSettings:
     max_iterations: int = 500
 
     def validate(self) -> None:
-        """Reject an out-of-range setting; the message starts with its name."""
+        """Reject an out-of-range (or NaN) setting; the message starts with its name."""
         for name in ("rho", "tau", "tolerance"):
-            if getattr(self, name) <= 0.0:
+            if not getattr(self, name) > 0.0:
                 raise PartitionError(f"{name}: must be > 0")
-        if self.max_iterations < 1:
+        if not self.max_iterations >= 1:
             raise PartitionError("max_iterations: must be >= 1")
 
 

@@ -11,7 +11,7 @@ arrays live in `GridModel`; the functions here are array expressions over them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -23,7 +23,6 @@ __all__ = [
     "ControlInput",
     "Trajectory",
     "Violation",
-    "ConstraintReport",
     "SimulationAbort",
     "swing_rhs",
     "swing_jacobian",
@@ -93,30 +92,27 @@ def _first_outside(values: np.ndarray, bounds: np.ndarray,
 
 @dataclass
 class Trajectory:
-    """Uniformly spaced closed- or open-loop run: states and applied inputs."""
+    """Uniformly spaced closed- or open-loop run, one array per quantity.
 
-    states: list[SystemState]
-    inputs: list[ControlInput]
+    Row k holds the state at t[k] and the input applied from it; the last
+    row repeats the last input.  A run aborted at its first step has no
+    input rows.
+    """
+
+    t: np.ndarray         # (T+1,)
+    angles: np.ndarray    # (T+1, N)
+    omega: np.ndarray     # (T+1, n_w)
+    energy: np.ndarray    # (T+1, n_s)
+    power: np.ndarray     # (T+1, n_s)
+    inertia: np.ndarray   # (T+1, n_s)
     ts: float
 
     def __len__(self) -> int:
-        return len(self.states)
-
-    def omega_matrix(self) -> np.ndarray:
-        return np.array([s.omega for s in self.states])
-
-    def power_matrix(self) -> np.ndarray:
-        return np.array([u.power for u in self.inputs])
-
-    def inertia_matrix(self) -> np.ndarray:
-        return np.array([u.inertia for u in self.inputs])
+        return len(self.t)
 
     def frequency_integral(self) -> float:
         """Left Riemann sum of sum_i |omega_i| dt over the whole run."""
-        w = self.omega_matrix()
-        if len(w) <= 1:
-            return 0.0
-        return float(np.sum(np.abs(w[:-1])) * self.ts)
+        return float(np.sum(np.abs(self.omega[:-1])) * self.ts)
 
 
 @dataclass(frozen=True)
@@ -127,16 +123,6 @@ class Violation:
     bus: int
     value: float
     limit: float
-
-
-@dataclass
-class ConstraintReport:
-    """Every step/bus pair at which a frequency, power, or energy bound fails."""
-
-    violations: list[Violation] = field(default_factory=list)
-
-    def __bool__(self) -> bool:
-        return bool(self.violations)
 
 
 class SimulationAbort(RuntimeError):
@@ -271,11 +257,9 @@ def simulate(grid: GridModel, initial: SystemState,
             u = controller(k, state)
             u.validate(grid)
         except Exception as exc:
-            paired = inputs + [inputs[-1].copy()] if inputs else []
-            partial = Trajectory(states, paired, ts)
             raise SimulationAbort(
                 f"controller failed at step {k} (t={state.t:.6g}): {exc}",
-                partial, k) from exc
+                _stack(states, inputs, ts), k) from exc
         if clamp_storage_power_at_energy_limit:
             u = ControlInput(_clamp_power(u.power, state.energy, grid.energy_bounds),
                              u.inertia.copy())
@@ -283,49 +267,57 @@ def simulate(grid: GridModel, initial: SystemState,
         state.t = (k + 1) * ts + initial.t
         inputs.append(u)
         states.append(state)
-    # Pair the final state with the last applied input for uniform export; a
-    # zero-step run pairs the initial state with the controller's first input.
-    if inputs:
-        inputs = inputs + [inputs[-1].copy()]
-    else:
+    # A zero-step run pairs the initial state with the controller's first input.
+    if not inputs:
         u0 = controller(0, state)
         u0.validate(grid)
         inputs = [u0]
-    return Trajectory(states, inputs, ts)
+    return _stack(states, inputs, ts)
+
+
+def _stack(states: list[SystemState], inputs: list[ControlInput], ts: float) -> Trajectory:
+    """The run as one array per quantity, the last input repeated up to the last state."""
+    inputs = inputs + inputs[-1:] * (len(states) - len(inputs))
+    shape = (len(inputs), len(states[0].energy))
+    return Trajectory(np.array([s.t for s in states]), np.array([s.angles for s in states]),
+                      np.array([s.omega for s in states]), np.array([s.energy for s in states]),
+                      np.reshape([u.power for u in inputs], shape),
+                      np.reshape([u.inertia for u in inputs], shape), ts)
 
 
 def monitor_constraints(grid: GridModel, traj: Trajectory,
-                        omega_limits: Optional[dict[int, float]] = None) -> ConstraintReport:
-    """List every frequency/power violation and energy saturation.
+                        omega_limits: Optional[dict[int, float]] = None) -> list[Violation]:
+    """Every frequency/power violation and energy saturation, by step.
 
-    Touching an energy bound (within the clamp tolerance) counts as
-    saturation: a clamped storage sits exactly on its bound, and that is the
-    condition worth reporting.
+    Within a step the frequency limits come first, then each storage's
+    energy and power.  Touching an energy bound (within the clamp
+    tolerance) counts as saturation: a clamped storage sits exactly on its
+    bound, and that is the condition worth reporting.
     """
-    report = ConstraintReport()
+    violations = []
     omega_limits = omega_limits or {}
     inertia_pos = {bus: k for k, bus in enumerate(grid.inertia_buses)}
     (e_lo, e_hi), (p_lo, p_hi) = grid.energy_bounds.tolist(), grid.power_bounds.tolist()
-    for step, state in enumerate(traj.states):
+    power = traj.power.tolist()
+    for step, (t, omega, energy) in enumerate(zip(traj.t.tolist(), traj.omega.tolist(),
+                                                  traj.energy.tolist())):
         for bus, limit in omega_limits.items():
-            if bus in inertia_pos:
-                w = float(state.omega[inertia_pos[bus]])
-                if abs(w) > limit:
-                    report.violations.append(
-                        Violation(step, state.t, "frequency", bus, w, limit))
+            if bus in inertia_pos and abs(omega[inertia_pos[bus]]) > limit:
+                violations.append(
+                    Violation(step, t, "frequency", bus, omega[inertia_pos[bus]], limit))
         for s, bus in enumerate(grid.storage_buses):
-            e = float(state.energy[s])
+            e = energy[s]
             if e <= e_lo[s] + ENERGY_CLAMP_TOL or e >= e_hi[s] - ENERGY_CLAMP_TOL:
-                report.violations.append(
-                    Violation(step, state.t, "energy", bus, e,
+                violations.append(
+                    Violation(step, t, "energy", bus, e,
                               e_lo[s] if e - e_lo[s] <= e_hi[s] - e else e_hi[s]))
-            if step < len(traj.inputs):
-                p = float(traj.inputs[step].power[s])
+            if step < len(power):
+                p = power[step][s]
                 if p < p_lo[s] - 1e-9 or p > p_hi[s] + 1e-9:
-                    report.violations.append(
-                        Violation(step, state.t, "power", bus, p,
+                    violations.append(
+                        Violation(step, t, "power", bus, p,
                                   p_lo[s] if p < p_lo[s] else p_hi[s]))
-    return report
+    return violations
 
 
 def constant_policy(u: ControlInput) -> Callable[[int, SystemState], ControlInput]:

@@ -87,13 +87,13 @@ class SqpSettings:
     tolerance: float = 1e-6            # control change declaring convergence
 
     def validate(self) -> None:
-        """Reject an out-of-range setting; the message starts with its name."""
-        if self.outer_iterations < 1:
+        """Reject an out-of-range (or NaN) setting; the message starts with its name."""
+        if not self.outer_iterations >= 1:
             raise MpcConfigError("outer_iterations: must be >= 1")
         for name in ("power_trust_region", "inertia_trust_region"):
-            if getattr(self, name) <= 0.0:
+            if not getattr(self, name) > 0.0:
                 raise MpcConfigError(f"{name}: must be > 0")
-        if self.tolerance < 0.0:
+        if not self.tolerance >= 0.0:
             raise MpcConfigError("tolerance: must be >= 0")
 
 
@@ -159,13 +159,15 @@ class MpcConfig:
             v = getattr(self, name)
             if np.asarray(v).shape != (n_s,):
                 raise MpcConfigError(f"{name} must have one entry per storage bus")
-        if np.any(self.power_cost < 0.0) or np.any(self.inertia_cost < 0.0) \
-                or self.frequency_cost < 0.0:
+        if not (np.all(self.power_cost >= 0.0) and np.all(self.inertia_cost >= 0.0)
+                and self.frequency_cost >= 0.0):
             raise MpcConfigError("cost coefficients must be >= 0")
-        if self.power_base is not None and self.power_base <= 0.0:
+        if self.power_base is not None and not self.power_base > 0.0:
             raise MpcConfigError("power base must be > 0")
-        if self.inertia_base is not None and self.inertia_base <= 0.0:
+        if self.inertia_base is not None and not self.inertia_base > 0.0:
             raise MpcConfigError("inertia base must be > 0")
+        if not self.qp_tol > 0.0:
+            raise MpcConfigError("qp_tol: must be > 0")
         self.sqp.validate()
         for what, values, bounds in (("power", self.reference_power, grid.power_bounds),
                                      ("inertia", self.reference_inertia,
@@ -179,7 +181,7 @@ class MpcConfig:
             if bus not in grid.inertia_buses:
                 raise MpcConfigError(f"omega limit on bus {bus}, which has no "
                                      "frequency state")
-            if lim <= 0.0:
+            if not lim > 0.0:
                 raise MpcConfigError(f"omega limit at bus {bus} must be > 0")
 
     def resolved_bases(self, grid: GridModel) -> tuple[float, float]:
@@ -615,7 +617,7 @@ def _project_controls(grid: GridModel, controls: np.ndarray) -> np.ndarray:
 
 
 def _stage_cost(grid: GridModel, cfg: MpcConfig, area: _AreaView,
-                controls: np.ndarray, omega) -> tuple[float, float]:
+                controls: np.ndarray, omega: np.ndarray) -> tuple[float, float]:
     """(effort, performance) terms of the stage cost of one area over a horizon.
 
     `controls` (K, 2*n_s) are the area's [power, inertia] set-points and
@@ -631,16 +633,15 @@ def _stage_cost(grid: GridModel, cfg: MpcConfig, area: _AreaView,
     if cfg.absolute_effort:
         p, m = np.abs(p), np.abs(m - cfg.reference_inertia[area.storages])
     effort = np.sum(c_p * p, axis=1) / p_base * ts + np.sum(c_m * m, axis=1) / m_base * ts
-    w = np.abs(np.asarray(omega, dtype=float)).reshape(len(omega), area.n_w)
-    performance = cfg.frequency_cost * ts * sum(np.sum(w, axis=1).tolist(), 0.0)
+    performance = cfg.frequency_cost * ts * sum(np.sum(np.abs(omega), axis=1).tolist(), 0.0)
     return sum(effort.tolist(), 0.0), performance
 
 
-def horizon_objective(grid: GridModel, cfg: MpcConfig, states: list[SystemState],
-                      controls: np.ndarray) -> tuple[float, float]:
-    """(effort, performance) terms of the stage cost on a whole-grid rollout."""
-    return _stage_cost(grid, cfg, _AreaView(grid), controls,
-                       [st.omega for st in states[1:]])
+def horizon_objective(grid: GridModel, cfg: MpcConfig, controls: np.ndarray,
+                      omega: np.ndarray) -> tuple[float, float]:
+    """(effort, performance) terms of the stage cost on a whole-grid run:
+    `controls` (K, 2*n_s) and the frequencies `omega` (K, n_w) after each step."""
+    return _stage_cost(grid, cfg, _AreaView(grid), controls, omega)
 
 
 @dataclass

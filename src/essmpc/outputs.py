@@ -7,7 +7,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dynamics import ConstraintReport, Trajectory
+from .dynamics import Trajectory, Violation
 from .grid import GridModel
 
 __all__ = [
@@ -35,19 +35,12 @@ def trajectory_columns(grid: GridModel) -> list[str]:
     return cols
 
 
-def _trajectory_table(grid: GridModel, traj: Trajectory) -> np.ndarray:
-    rows = []
-    for state, u in zip(traj.states, traj.inputs):
-        rows.append(np.concatenate([[state.t], state.angles, state.omega,
-                                    u.power, u.inertia, state.energy]))
-    return np.array(rows) if rows else np.zeros((0, len(trajectory_columns(grid))))
-
-
 def trajectory_to_csv(grid: GridModel, traj: Trajectory) -> str:
     """Header plus one full-precision row per stored step."""
+    table = np.hstack([traj.t[:, None], traj.angles, traj.omega, traj.power,
+                       traj.inertia, traj.energy])
     lines = [",".join(trajectory_columns(grid))]
-    for row in _trajectory_table(grid, traj):
-        lines.append(",".join(_fmt(v) for v in row))
+    lines += [",".join(map(_fmt, row)) for row in table.tolist()]
     return "\n".join(lines) + "\n"
 
 
@@ -72,11 +65,11 @@ def emit_plot_table(grid: GridModel, table: np.ndarray,
     return "\n".join(lines) + "\n"
 
 
-def constraint_report_text(report: ConstraintReport) -> str:
-    if not report.violations:
+def constraint_report_text(violations: list[Violation]) -> str:
+    if not violations:
         return "no constraint violations\n"
-    lines = [f"{len(report.violations)} constraint violation(s)"]
-    for v in report.violations:
+    lines = [f"{len(violations)} constraint violation(s)"]
+    for v in violations:
         lines.append(
             f"step {v.step} t={v.t:.6g} {v.kind} bus {v.bus}: "
             f"value {v.value:.9g} vs limit {v.limit:.9g}")

@@ -402,9 +402,12 @@ class QpWorkspace:
         The working set is seeded from the rows with non-zero warm
         multipliers y0; without y0, from the HiGHS optimum of the linear part
         if max curvature <= TIE_BREAK, else from the equality rows.  The dual
-        active set finishes the solve from there.
+        active set finishes the solve from there.  A y0 of another shape than
+        (m,) is a QpError.
         """
-        warm = y0 is not None and np.asarray(y0).shape == (self.m,)
+        warm = y0 is not None
+        if warm and np.shape(y0) != (self.m,):
+            raise QpError(f"y0 has shape {np.shape(y0)}, expected ({self.m},)")
         y_seed = np.asarray(y0, dtype=float) if warm else np.zeros(self.m)
         if not warm and np.max(self.prog.curvature, initial=0.0) <= TIE_BREAK:
             status, y_lp = self._lp_seed()

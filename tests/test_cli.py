@@ -27,8 +27,7 @@ class TestSimulateCommand:
     def test_energy_column_crosses_allowance_at_fifteen_seconds(
             self, two_bus_path, tmp_path):
         out = tmp_path / "run"
-        code = main(["simulate", two_bus_path, "--regime=cc",
-                     f"--out={out}", "--ttotal=16"])
+        code = main(["simulate", two_bus_path, f"--out={out}", "--ttotal=16"])
         assert code == 0
         header, data = read_csv(out / "simulate_trajectory.csv")
         e_col = header.index("E_1")
@@ -121,6 +120,17 @@ class TestExitCodes:
         bad = tmp_path / "mangled.scn"
         bad.write_text("{::not yaml::")
         assert main(["simulate", str(bad)]) == 2
+
+    @pytest.mark.parametrize("command, regime", [("simulate", "cc"), ("compare", "vv")])
+    def test_regime_is_only_an_option_of_the_controllers(self, command, regime,
+                                                         two_bus_path, tmp_path):
+        # simulate runs the reference controls and compare runs all four
+        # regimes, so neither takes --regime: argparse rejects it.
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as info:
+            main([command, two_bus_path, f"--out={out}", "--regime", regime])
+        assert info.value.code == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "mpc"])
     @pytest.mark.parametrize("flag", ["--ts=0", "--ts=-0.01", "--ttotal=-1"])

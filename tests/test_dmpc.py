@@ -279,12 +279,8 @@ class TestClosedLoopEquivalence:
             assert d.sqp_iterations == c.sqp_iterations
             assert d.non_optimal_solves == c.non_optimal_solves == 0
             assert d.slack == c.slack
-        for a, b in zip(traj_c.states, traj_d.states):
-            assert np.array_equal(a.angles, b.angles)
-            assert np.array_equal(a.omega, b.omega)
-            assert np.array_equal(a.energy, b.energy)
-        assert np.array_equal(traj_c.power_matrix(), traj_d.power_matrix())
-        assert np.array_equal(traj_c.inertia_matrix(), traj_d.inertia_matrix())
+        for name in ("angles", "omega", "energy", "power", "inertia"):
+            assert np.array_equal(getattr(traj_c, name), getattr(traj_d, name))
 
     def test_two_area_split_tracks_centralized(self, two_bus_scenario):
         sc = two_bus_scenario
@@ -305,7 +301,7 @@ class TestClosedLoopEquivalence:
     def test_consensus_stitching_satisfies_network_dynamics(self, two_bus_scenario):
         # At convergence the stitched closed-loop trajectory obeys the full
         # network model: re-simulating with the applied inputs reproduces it.
-        from essmpc.dynamics import euler_step, ControlInput
+        from essmpc.dynamics import euler_step, ControlInput, SystemState
         sc = two_bus_scenario
         st = sc.initial_state()
         partition = partition_grid(sc.grid, [0, 1])
@@ -313,13 +309,21 @@ class TestClosedLoopEquivalence:
                                                               sc.admm, sc.events),
                         0.5, sc.mpc.step, sc.events)
         for k in range(len(traj) - 1):
-            nxt = euler_step(sc.grid, traj.states[k], traj.inputs[k],
+            state = SystemState(traj.angles[k], traj.omega[k], traj.energy[k], traj.t[k])
+            nxt = euler_step(sc.grid, state, ControlInput(traj.power[k], traj.inertia[k]),
                              traj.ts, sc.events)
-            assert np.max(np.abs(nxt.angles - traj.states[k + 1].angles)) < 1e-12
-            assert np.max(np.abs(nxt.omega - traj.states[k + 1].omega)) < 1e-12
+            assert np.max(np.abs(nxt.angles - traj.angles[k + 1])) < 1e-12
+            assert np.max(np.abs(nxt.omega - traj.omega[k + 1])) < 1e-12
 
 
 class TestRoundBudget:
+    @pytest.mark.parametrize("field", ["rho", "tau", "tolerance", "max_iterations"])
+    def test_nan_setting_is_rejected(self, two_bus_scenario, field):
+        sc = two_bus_scenario
+        with pytest.raises(PartitionError, match=f"^{field}: "):
+            DistributedMpcController(sc.grid, sc.mpc, partition_grid(sc.grid, [0, 1]),
+                                     replace(sc.admm, **{field: np.nan}))
+
     def test_spent_budget_applies_the_last_solved_plan(self, two_bus_scenario):
         # One round in total: later SQP iterations have nothing to solve
         # with, so they must not move the applied set-points.

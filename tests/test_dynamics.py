@@ -95,7 +95,7 @@ class TestSimulate:
         u = ControlInput(np.array([-3.0]), np.array([8.0]))
         traj = simulate(two_bus_grid, st, constant_policy(u), 1.0, 0.01)
         assert len(traj) == 101
-        assert max(np.max(np.abs(s.omega)) for s in traj.states) < 1e-12
+        assert np.max(np.abs(traj.omega)) < 1e-12
 
     def test_energy_crosses_allowance_near_fifteen_seconds(self, two_bus_grid):
         st = equilibrium_state(two_bus_grid, np.array([-3.0]))
@@ -103,13 +103,12 @@ class TestSimulate:
         events = [DisturbanceEvent(0, 0.0, 0.2)]
         traj = simulate(two_bus_grid, st, constant_policy(u), 16.0, 0.01,
                         events, clamp_storage_power_at_energy_limit=True)
-        energy = np.array([s.energy[0] for s in traj.states])
-        hit = np.argmax(energy <= -45.0 + 1e-9)
-        t_hit = traj.states[hit].t
+        hit = np.argmax(traj.energy[:, 0] <= -45.0 + 1e-9)
+        t_hit = traj.t[hit]
         assert 14.9 <= t_hit <= 15.1
         # After the clamp engages the generator surplus has no sink:
         # frequencies rise.
-        assert traj.states[-1].omega[0] > 0.01
+        assert traj.omega[-1, 0] > 0.01
 
     def test_euler_first_order_convergence(self, two_bus_grid):
         st = equilibrium_state(two_bus_grid, np.array([-3.0]))
@@ -119,8 +118,7 @@ class TestSimulate:
         def terminal(ts):
             traj = simulate(two_bus_grid, st, constant_policy(u), 1.0, ts,
                             events, clamp_storage_power_at_energy_limit=False)
-            end = traj.states[-1]
-            return np.concatenate([end.angles, end.omega])
+            return np.concatenate([traj.angles[-1], traj.omega[-1]])
 
         ref = terminal(1e-5)
         err_h = np.linalg.norm(terminal(0.004) - ref)
@@ -135,8 +133,7 @@ class TestSimulate:
         inertias = np.array([3.0, 8.0])
         traj = simulate(two_bus_grid, st, constant_policy(u), 0.5, 1e-4,
                         clamp_storage_power_at_energy_limit=False)
-        kinetic = np.array([float(np.sum(inertias * s.omega ** 2))
-                            for s in traj.states])
+        kinetic = np.sum(inertias * traj.omega ** 2, axis=1)
         assert np.all(np.diff(kinetic) <= 1e-15)
 
     def test_disturbance_time_rounds_down_to_step(self, two_bus_grid):
@@ -145,7 +142,7 @@ class TestSimulate:
         # Event between grid points becomes active at the step containing it.
         events = [DisturbanceEvent(0, 0.014, 0.2)]
         traj = simulate(two_bus_grid, st, constant_policy(u), 0.05, 0.01, events)
-        omegas = traj.omega_matrix()[:, 0]
+        omegas = traj.omega[:, 0]
         assert omegas[1] == 0.0          # state after step over [0, 0.01)
         assert omegas[2] == 0.0          # [0.01, 0.02) evaluated at t=0.01 < 0.014
         assert omegas[3] > 0.0           # [0.02, 0.03) sees the event
@@ -162,17 +159,18 @@ class TestSimulate:
         with pytest.raises(SimulationAbort) as info:
             simulate(two_bus_grid, st, controller, 1.0, 0.01)
         assert info.value.step == 3
-        assert len(info.value.partial.states) == 4
+        partial = info.value.partial
+        assert len(partial) == 4 and partial.power.shape == (4, 1)
 
     def test_zero_duration_run(self, two_bus_grid):
         st = equilibrium_state(two_bus_grid, np.array([-3.0]))
         u = ControlInput(np.array([-3.0]), np.array([8.0]))
         traj = simulate(two_bus_grid, st, constant_policy(u), 0.0, 0.01)
-        assert len(traj.states) == 1 and len(traj.inputs) == 1
+        assert len(traj) == 1 and traj.power.shape == (1, 1)
 
 
-def of_kind(report, kind):
-    return [v for v in report.violations if v.kind == kind]
+def of_kind(violations, kind):
+    return [v for v in violations if v.kind == kind]
 
 
 class TestMonitorConstraints:
@@ -180,16 +178,16 @@ class TestMonitorConstraints:
         st = equilibrium_state(two_bus_grid, np.array([-3.0]))
         u = ControlInput(np.array([-3.0]), np.array([8.0]))
         traj = simulate(two_bus_grid, st, constant_policy(u), 1.0, 0.01)
-        report = monitor_constraints(two_bus_grid, traj, {0: 0.5, 1: 0.5})
-        assert not report
+        violations = monitor_constraints(two_bus_grid, traj, {0: 0.5, 1: 0.5})
+        assert not violations
 
     def test_single_frequency_spike_flagged_once(self, two_bus_grid):
         st = equilibrium_state(two_bus_grid, np.array([-3.0]))
         u = ControlInput(np.array([-3.0]), np.array([8.0]))
         traj = simulate(two_bus_grid, st, constant_policy(u), 0.02, 0.01)
-        traj.states[1].omega[0] = 0.6
-        report = monitor_constraints(two_bus_grid, traj, {0: 0.5})
-        freq = of_kind(report, "frequency")
+        traj.omega[1, 0] = 0.6
+        violations = monitor_constraints(two_bus_grid, traj, {0: 0.5})
+        freq = of_kind(violations, "frequency")
         assert len(freq) == 1
         assert freq[0].bus == 0 and freq[0].value == 0.6 and freq[0].limit == 0.5
 
@@ -198,16 +196,16 @@ class TestMonitorConstraints:
         u = ControlInput(np.array([-3.0]), np.array([8.0]))
         events = [DisturbanceEvent(0, 0.0, 0.2)]
         traj = simulate(two_bus_grid, st, constant_policy(u), 20.0, 0.01, events)
-        report = monitor_constraints(two_bus_grid, traj)
-        energy = of_kind(report, "energy")
+        violations = monitor_constraints(two_bus_grid, traj)
+        energy = of_kind(violations, "energy")
         assert energy[0].t == pytest.approx(15.0, abs=0.01)
         # saturated for every step afterwards
-        assert len(energy) == len(traj.states) - 1500
+        assert len(energy) == len(traj) - 1500
 
     def test_power_outside_box_flagged(self, two_bus_grid):
         st = equilibrium_state(two_bus_grid, np.array([-3.0]))
         u = ControlInput(np.array([-3.0]), np.array([8.0]))
         traj = simulate(two_bus_grid, st, constant_policy(u), 0.02, 0.01)
-        traj.inputs[0].power[0] = -4.5
-        report = monitor_constraints(two_bus_grid, traj)
-        assert len(of_kind(report, "power")) == 1
+        traj.power[0, 0] = -4.5
+        violations = monitor_constraints(two_bus_grid, traj)
+        assert len(of_kind(violations, "power")) == 1

@@ -216,10 +216,9 @@ class TestAssemble:
                                power_base=1.0)
         st = equilibrium_state(two_bus_grid, np.array([-3.0]))
         controls = np.array([[-3.0, 8.0]])
-        states = [st, euler_step(two_bus_grid, st,
-                                 ControlInput(np.array([-3.0]),
-                                              np.array([8.0])), 0.01)]
-        effort, _perf = horizon_objective(two_bus_grid, cfg, states, controls)
+        omega = euler_step(two_bus_grid, st, ControlInput(np.array([-3.0]),
+                                                          np.array([8.0])), 0.01).omega
+        effort, _perf = horizon_objective(two_bus_grid, cfg, controls, omega[None])
         assert effort == pytest.approx(-0.03, abs=1e-12)
 
     @pytest.mark.parametrize("energy, overshoot", [(-44.72, 0.0), (-44.9, 0.05)])
@@ -265,6 +264,29 @@ class TestAssemble:
             MpcConfig.create(two_bus_grid, horizon=0.1, step=0.01,
                              reference_power=-5.0, reference_inertia=8.0)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("qp_tol", 0.0, "qp_tol"), ("qp_tol", np.nan, "qp_tol"),
+        ("power_cost", np.array([np.nan]), "cost coefficients"),
+        ("inertia_cost", np.array([np.nan]), "cost coefficients"),
+        ("frequency_cost", np.nan, "cost coefficients"),
+        ("power_base", np.nan, "power base"), ("inertia_base", np.nan, "inertia base"),
+        ("omega_limits", {0: np.nan}, "omega limit")])
+    def test_config_built_in_code_meets_the_range_checks(self, two_bus_grid, field,
+                                                          value, message):
+        # The parser rejects these values; a config replaced in code must be
+        # rejected as well, NaN included, before any solve runs with it.
+        cfg = replace(base_config(two_bus_grid), **{field: value})
+        with pytest.raises(MpcConfigError, match=message):
+            MpcController(two_bus_grid, cfg)
+
+    @pytest.mark.parametrize("field, value", [
+        ("outer_iterations", 0), ("power_trust_region", np.nan),
+        ("inertia_trust_region", np.nan), ("tolerance", np.nan)])
+    def test_sqp_setting_out_of_range_is_rejected(self, two_bus_grid, field, value):
+        cfg = replace(base_config(two_bus_grid), sqp=SqpSettings(**{field: value}))
+        with pytest.raises(MpcConfigError, match=f"^{field}: "):
+            MpcController(two_bus_grid, cfg)
+
     @pytest.mark.parametrize("split", [None, [0, 1]],
                              ids=["centralized", "two_area"])
     def test_pinned_storage_at_its_bound_is_commanded_what_the_plant_clamp_applies(
@@ -285,8 +307,8 @@ class TestAssemble:
         traj = simulate(two_bus_grid, st, ctrl, 5 * cfg.step, cfg.step)
         commanded = [r.applied.power[0] for r in ctrl.log]
         assert commanded == pytest.approx([-3.0, 0.0, 0.0, 0.0, 0.0], abs=1e-9)
-        assert commanded == pytest.approx(traj.power_matrix()[:-1, 0].tolist(), abs=1e-9)
-        assert traj.states[-1].energy[0] == pytest.approx(-45.02, abs=1e-12)
+        assert commanded == pytest.approx(traj.power[:-1, 0].tolist(), abs=1e-9)
+        assert traj.energy[-1, 0] == pytest.approx(-45.02, abs=1e-12)
         assert [r.slack for r in ctrl.log] == pytest.approx([0.02] * 5, abs=1e-9)
         assert sum(r.non_optimal_solves for r in ctrl.log) == 0
 
@@ -495,9 +517,8 @@ class TestClosedLoop:
                             cfg.step)
         u = ControlInput(np.array([-3.0]), np.array([8.0]))
         traj_ref = simulate(two_bus_grid, st, constant_policy(u), 1.0, 0.01)
-        for a, b in zip(traj_mpc.states, traj_ref.states):
-            assert np.max(np.abs(a.angles - b.angles)) < 1e-9
-            assert np.max(np.abs(a.omega - b.omega)) < 1e-9
+        assert np.max(np.abs(traj_mpc.angles - traj_ref.angles)) < 1e-9
+        assert np.max(np.abs(traj_mpc.omega - traj_ref.omega)) < 1e-9
 
     def test_one_step_optimum_is_disturbance_balance(self, two_bus_grid):
         # Oracle: the only zero-frequency stationary point with the +0.2 step
@@ -528,9 +549,9 @@ class TestClosedLoop:
                           sqp=SqpSettings(outer_iterations=2, tolerance=1e-5))
         traj = simulate(two_bus_grid, st, MpcController(two_bus_grid, cfg, events), 6.0,
                         cfg.step, events)
-        tail = traj.power_matrix()[-200:, 0]
+        tail = traj.power[-200:, 0]
         assert np.mean(tail) == pytest.approx(-3.2, abs=0.05)
-        assert np.max(np.abs(traj.states[-1].omega)) < 2e-2
+        assert np.max(np.abs(traj.omega[-1])) < 2e-2
 
     @pytest.mark.parametrize("option", [{"absolute_effort": True},
                                         {"omega_limits": {0: 0.016}}],
@@ -551,8 +572,8 @@ class TestClosedLoop:
         log = ctrl.log
         assert plain.log[0].qp_report.y_stacked.size < log[0].qp_report.y_stacked.size
         assert len(log) == 30 and sum(r.non_optimal_solves for r in log) == 0
-        report = monitor_constraints(sc.grid, traj, cfg.omega_limits)
-        assert not [v for v in report.violations if v.kind == "frequency"]
+        violations = monitor_constraints(sc.grid, traj, cfg.omega_limits)
+        assert not [v for v in violations if v.kind == "frequency"]
 
     @pytest.mark.parametrize("absolute, inertia", [("false", 4.0), ("true", 8.0)])
     def test_absolute_effort_flag_keeps_inertia_at_reference(self, absolute, inertia):
@@ -563,7 +584,7 @@ class TestClosedLoop:
             ("power_cost: 0.0", "power_cost: 0.01"),
             ("inertia_cost: 0.0", "inertia_cost: 0.01"),
             ("absolute_effort: false", f"absolute_effort: {absolute}"))
-        assert traj.inputs[0].inertia[0] == pytest.approx(inertia, abs=1e-9)
+        assert traj.inertia[0, 0] == pytest.approx(inertia, abs=1e-9)
 
     def test_slack_omega_limit_leaves_the_run_unchanged(self):
         # The run peaks at |w_0| = 0.0117, so limit rows at 0.02 are posed
@@ -571,11 +592,11 @@ class TestClosedLoop:
         plain_ctrl, plain = close_two_bus_loop()
         ctrl, traj = close_two_bus_loop(
             ("frequency_cost: 1.0", "frequency_cost: 1.0\n  omega_limits: {0: 0.02}"))
-        assert np.max(np.abs(plain.omega_matrix()[:, 0])) == pytest.approx(0.0117, abs=1e-4)
+        assert np.max(np.abs(plain.omega[:, 0])) == pytest.approx(0.0117, abs=1e-4)
         assert plain_ctrl.log[0].qp_report.y_stacked.size \
             < ctrl.log[0].qp_report.y_stacked.size
-        for matrix in ("omega_matrix", "power_matrix", "inertia_matrix"):
-            assert np.array_equal(getattr(plain, matrix)(), getattr(traj, matrix)())
+        for name in ("omega", "power", "inertia"):
+            assert np.array_equal(getattr(plain, name), getattr(traj, name))
 
 
 FOUND_LIMITS = [0.005, 0.01, 0.0105, 0.011, 0.0113, 0.0116, 0.0118, 0.012]
@@ -718,7 +739,7 @@ class TestKeptStructure:
         ctrl = MpcController(two_bus_grid, cfg) if split is None else \
             DistributedMpcController(two_bus_grid, cfg, partition_grid(two_bus_grid, split))
         traj = simulate(two_bus_grid, st, ctrl, 12 * cfg.step, cfg.step)
-        assert traj.power_matrix()[:-1, 0].tolist() == pytest.approx(
+        assert traj.power[:-1, 0].tolist() == pytest.approx(
             [-3.0] * 7 + [0.0] * 5, abs=1e-9)
         assert sum(r.non_optimal_solves for r in ctrl.log) == 0
         assert len(builds) == len(ctrl.areas)

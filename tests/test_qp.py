@@ -1,6 +1,7 @@
 """QP solver against hand cases and an exhaustive active-set oracle."""
 
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -727,7 +728,47 @@ class TestValidation:
             ConvexProgram(q=np.zeros(1), curvature=np.full(1, 1e-8),
                           lb=np.array([1.0]), ub=np.array([0.0]))
 
+    @pytest.mark.parametrize("extra", [3, -1])
+    def test_wrong_shape_warm_start_rejected(self, extra):
+        # A warm start of another program's rows is an error, not a cold solve.
+        kw = random_qp(np.random.default_rng(14), 5, 5)
+        ws = QpWorkspace(ConvexProgram(**kw))
+        with pytest.raises(QpError, match="y0 has shape"):
+            ws.solve(y0=np.ones(ws.m + extra))
+
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(QpError, match="incompatible"):
             ConvexProgram(q=np.zeros(2), curvature=np.full(2, 1e-8),
                           A_in=np.ones((1, 3)), b_in=np.ones(1))
+
+
+class TestCapturedProgram:
+    """Step 426 of `mpc twelve_bus.scn --ttotal 10`: its horizon program and
+    warm multipliers, taken from a spy on `QpWorkspace.solve` in that run.
+
+    Both solves replay on a fresh workspace.  The warm one shows the Schur
+    pivot test refusing an independent row on the 1e-8 tie-break curvature.
+    """
+
+    @pytest.fixture(scope="class")
+    def captured(self):
+        with np.load(Path(__file__).parent / "twelve_bus_step426.npz") as data:
+            y0 = data["y0"]
+            prog = ConvexProgram(**{k: data[k] for k in data.files if k != "y0"})
+        assert (prog.n, prog.A_eq.shape[0], prog.A_in.shape[0]) == (255, 144, 180)
+        return prog, y0
+
+    def test_cold_solve_certifies(self, captured):
+        prog, _y0 = captured
+        report = QpWorkspace(prog).solve(tol=1e-8)
+        assert (report.status, report.iterations) == ("optimal", 0)
+        assert max(kkt_residual(prog, report.x, report.duals)) <= 1e-8
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the warm walk ends max_iter after 35 dual steps, "
+                              "primal residual 0.52")
+    def test_warm_solve_certifies(self, captured):
+        prog, y0 = captured
+        report = QpWorkspace(prog).solve(tol=1e-8, y0=y0)
+        assert report.status == "optimal"
+        assert max(kkt_residual(prog, report.x, report.duals)) <= 1e-8
