@@ -27,12 +27,15 @@ lines the split grid is the grid.
 A horizon program is built in two parts.  Its structure (`_HorizonStructure`)
 depends only on the area and the configuration: column offsets, costs,
 constant rows, and where each linearization's values go, and a distributed
-area's consensus hooks.  A fill writes one linearization's values into a
-new program of that structure.  A controller builds one structure per area
-and keeps it, with one `QpWorkspace` and warm start per area, for its own
-lifetime, so an SQP iteration computes values only: the
-workspace factors one KKT matrix per loaded program as a rule, laid out
-from its non-zeros, and borders that factor for every other working set.
+area's consensus hooks.  Every inequality row's right-hand side is the one
+formula sign * (c - v[at]): per row a sign, a constant and an index into the
+vector v of the linearization's nominal frequencies, energies and controls.
+A fill writes one linearization's values into a new program of that
+structure.  A controller builds one structure per area and keeps it, with
+one `QpWorkspace` and warm start per area, for its own lifetime, so an SQP
+iteration computes values only: the workspace factors one KKT matrix per
+loaded program as a rule, laid out from its non-zeros, and borders that
+factor for every other working set.
 The linearization differentiates its K Euler steps as one stack.
 """
 
@@ -40,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -151,6 +154,9 @@ class MpcConfig:
 
     def validate(self, grid: GridModel) -> None:
         n_s = len(grid.storage_buses)
+        for name in ("horizon", "step"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise MpcConfigError(f"{name}: must be finite and > 0")
         if self.k_steps < 1:
             raise MpcConfigError(
                 f"horizon {self.horizon} with step {self.step} yields no stages")
@@ -332,6 +338,13 @@ class _HorizonStructure:
     `penalty` (rho, tau) and hooks, the curvature holds tau on every column
     and rho per hook, the quadratic part of the consensus terms.
 
+    Inequality row i has the right-hand side b_in[i] = in_sign[i] *
+    (in_c[i] - v[in_at[i]]), where v = [the area's omega at steps 1..K |
+    its storage energies at steps 1..K | its controls at steps 0..K-1], each
+    part step-major.  The constant `in_c` is 0 for epigraph and power-effort
+    rows, sign * limit for frequency-limit rows, the bound for energy rows and
+    m_ref for inertia-effort rows.
+
     Energy allowances and frequency limits are soft: one slack column per
     storage relaxes all its energy rows, and one per limited bus all its
     limit rows, at `_PENALTY` times the largest linear cost per unit, so
@@ -405,88 +418,59 @@ class _HorizonStructure:
             (row + k * n_u + np.arange(n_u)).ravel()])
 
         # -- inequalities, one block at a time from index arrays ---------------
-        # Per block: entries (row, col, value) and its right-hand side as a
-        # function of the linearization.
-        entries: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        self.rhs: list[Callable[[LtvModel], np.ndarray]] = []
+        v_energy = k_steps * n_mon
+        v_controls = v_energy + k_steps * n_s
+        entries, per_row = [], []
         m_in = 0
 
-        def add_block(rows, cols, values, size, rhs) -> None:
+        def add_block(row, col, value, slack_col, sign, c, at) -> None:
+            """Row i of a block holds the entries (col, value) where row == i
+            and -1 at slack_col[i]; its right-hand side is sign[i] * (c[i] -
+            v[at[i]]) (see `fill`)."""
             nonlocal m_in
-            entries.append((m_in + rows, cols, values))
-            self.rhs.append(rhs)
-            m_in += size
+            r = m_in + np.arange(sign.size)
+            entries.append((np.concatenate([m_in + row, r]), np.concatenate([col, slack_col]),
+                            np.concatenate([value, -np.ones(r.size)])))
+            per_row.append((sign, c, at))
+            m_in += sign.size
 
         # Per step and monitored bus: |w| <= epigraph slack, then |w| <= limit
         # + soft slack if the bus is limited.
-        per_step = []    # (monitored index, sign, epigraph row?) for one step
-        for i in range(n_mon):
-            per_step += [(i, 1.0, True), (i, -1.0, True)]
-            if limit[i]:
-                per_step += [(i, 1.0, False), (i, -1.0, False)]
-        if per_step:
-            i_mon, sign, epi = (np.tile(np.array(v), k_steps) for v in zip(*per_step))
-            k = np.repeat(np.arange(k_steps), len(per_step))     # step k + 1
-            r = np.arange(i_mon.size)
-            soft_col = off_soft + n_s + np.cumsum(limit > 0.0) - 1
+        k, i_mon, t = np.indices((k_steps, n_mon, 4)).reshape(3, -1)
+        keep = (t < 2) | (limit[i_mon] > 0.0)
+        k, i_mon, t = k[keep], i_mon[keep], t[keep]
+        sign, epi = np.where(t % 2 == 0, 1.0, -1.0), t < 2
+        soft_col = off_soft + n_s + np.cumsum(limit > 0.0) - 1
+        add_block(np.arange(k.size), off_x + k * n_x + area.n + i_mon, sign,
+                  np.where(epi, off_slack + k * n_mon + i_mon, soft_col[i_mon]),
+                  sign, np.where(epi, 0.0, sign * limit[i_mon]), k * n_mon + i_mon)
 
-            def frequency_rhs(ltv: LtvModel, at=(k + 1, area.n + i_mon), sign=sign,
-                              epi=epi, limit=limit[i_mon]) -> np.ndarray:
-                w_nom = ltv.states[at]
-                return np.where(epi, -sign * w_nom, limit - sign * w_nom)
-
-            add_block(np.concatenate([r, r]),
-                      np.concatenate([off_x + k * n_x + area.n + i_mon,
-                                      np.where(epi, off_slack + k * n_mon + i_mon,
-                                               soft_col[i_mon])]),
-                      np.concatenate([sign, -np.ones(r.size)]),
-                      i_mon.size, frequency_rhs)
-
-        # Per storage and step k: +-ts * sum(du_p(0..k-1)) - soft slack
-        # <= +-(E bound - E_nom(k)).
-        k_row, k_term = np.tril_indices(k_steps)
-        for j in range(n_s):
-            e_lo, e_hi = energy_bounds[:, j]
-            sides = [(sgn, e) for sgn, e in ((1.0, e_hi), (-1.0, e_lo)) if np.isfinite(e)]
-            if not sides:
-                continue
-            sign, bound = np.array(sides).T
-
-            def energy_rhs(ltv: LtvModel, j=j, sign=sign, bound=bound) -> np.ndarray:
-                return (sign * (bound - ltv.energies[1:, j, None])).ravel()
-
-            size = k_steps * sign.size
-            add_block(np.concatenate([(k_row[:, None] * sign.size
-                                       + np.arange(sign.size)).ravel(), np.arange(size)]),
-                      np.concatenate([np.repeat(k_term * n_u + j, sign.size),
-                                      np.full(size, off_soft + j)]),
-                      np.concatenate([np.tile(sign * ts, k_row.size), -np.ones(size)]),
-                      size, energy_rhs)
+        # Per storage, step k and finite side: +-ts * sum(du_p(0..k)) - soft
+        # slack <= +-(E bound - E_nom(k + 1)).
+        j, k, side = np.indices((n_s, k_steps, 2)).reshape(3, -1)
+        bound = energy_bounds[1 - side, j]
+        keep = np.isfinite(bound)
+        j, k, side, bound = j[keep], k[keep], side[keep], bound[keep]
+        sign = np.where(side == 0, 1.0, -1.0)
+        row, term = np.nonzero(np.arange(k_steps) <= k[:, None])
+        add_block(row, term * n_u + j[row], sign[row] * ts, off_soft + j,
+                  sign, bound, v_energy + k * n_s + j)
 
         # Per step and storage: |p| <= e_p and |m - m_ref| <= e_m.
         if cfg.absolute_effort:
-            k, j, t = (a.ravel() for a in np.meshgrid(
-                np.arange(k_steps), np.arange(n_s), np.arange(4), indexing="ij"))
-            inertia = t >= 2
-            sign = np.where(t % 2 == 0, 1.0, -1.0)
-            r = np.arange(k.size)
-
-            def effort_rhs(ltv: LtvModel, k=k, j=j, inertia=inertia, sign=sign,
-                           m_ref=cfg.reference_inertia[area.storages][j]) -> np.ndarray:
-                nominal = np.where(inertia, ltv.controls[k, n_s + j] - m_ref,
-                                   ltv.controls[k, j])
-                return -sign * nominal
-
-            add_block(np.concatenate([r, r]),
-                      np.concatenate([k * n_u + j + n_s * inertia,
-                                      np.where(inertia, off_em, off_ep) + k * n_s + j]),
-                      np.concatenate([sign, -np.ones(r.size)]),
-                      k.size, effort_rhs)
+            k, j, t = np.indices((k_steps, n_s, 4)).reshape(3, -1)
+            inertia, sign = t >= 2, np.where(t % 2 == 0, 1.0, -1.0)
+            col = k * n_u + j + n_s * inertia
+            add_block(np.arange(k.size), col, sign,
+                      np.where(inertia, off_em, off_ep) + k * n_s + j, sign,
+                      np.where(inertia, cfg.reference_inertia[area.storages][j], 0.0),
+                      v_controls + col)
 
         a_in = np.zeros((m_in, n_total))
         for rows, cols, values in entries:
             a_in[rows, cols] = values
         self.a_in = _frozen(a_in)
+        self.in_sign, self.in_c, self.in_at = (np.concatenate(x) for x in zip(*per_row))
 
         # -- boxes ------------------------------------------------------------------
         self.phys = np.hstack([power_bounds, inertia_bounds])
@@ -522,8 +506,9 @@ class _HorizonStructure:
                                        self.energy_bounds)
         b_eq = np.zeros(a_eq.shape[0])
         b_eq[self.n_dyn:] = (target - ltv.controls)[:, self.fixed_cols].T.ravel()
-        b_in = np.concatenate([rhs(ltv) for rhs in self.rhs]) if self.rhs \
-            else np.zeros(0)
+        v = np.concatenate([ltv.states[1:, self.area.n:].ravel(), ltv.energies[1:].ravel(),
+                            ltv.controls.ravel()])
+        b_in = self.in_sign * (self.in_c - v[self.in_at])
 
         nom = ltv.controls
         phys_lo, phys_hi = self.phys

@@ -5,9 +5,10 @@ import io
 import numpy as np
 import pytest
 
-from essmpc.cli import REGIMES, main
+from essmpc.cli import REGIMES, _load, build_parser, main
 from essmpc.outputs import emit_plot_table, trajectory_columns, trajectory_to_csv
 from essmpc.dynamics import constant_policy, simulate
+from essmpc.mpc import MpcController
 from essmpc.scenario import bundled_scenario_path
 
 
@@ -140,6 +141,33 @@ class TestExitCodes:
         assert main([command, two_bus_path, f"--out={out}", flag]) == 2
         assert flag.split("=")[0] in capsys.readouterr().err
         assert not out.exists()
+
+    def test_solver_failure_is_exit_code_3(self, two_bus_path, tmp_path, monkeypatch,
+                                           capsys):
+        def fail(self, ltvs, record):
+            raise RuntimeError("no horizon solve")
+
+        monkeypatch.setattr(MpcController, "_solve", fail)
+        assert main(["mpc", two_bus_path, f"--out={tmp_path}", "--ttotal=0.02"]) == 3
+        assert capsys.readouterr().err.startswith("solver error:")
+
+
+class TestStepOverride:
+    def test_simulate_writes_a_row_per_given_step(self, two_bus_path, tmp_path):
+        assert main(["simulate", two_bus_path, f"--out={tmp_path}", "--ts=0.02",
+                     "--ttotal=0.1"]) == 0
+        header, data = read_csv(tmp_path / "simulate_trajectory.csv")
+        assert data[:, header.index("t")] == pytest.approx(0.02 * np.arange(6), abs=1e-12)
+
+    def test_mpc_steps_and_plans_at_the_given_step(self, two_bus_path, tmp_path):
+        assert main(["mpc", two_bus_path, f"--out={tmp_path}", "--ts=0.02",
+                     "--ttotal=0.04"]) == 0
+        header, data = read_csv(tmp_path / "mpc_trajectory.csv")
+        assert data[:, header.index("t")] == pytest.approx([0.0, 0.02, 0.04], abs=1e-12)
+        # The 0.1 s horizon of the scenario is 5 stages of the new step.
+        scenario = _load(build_parser().parse_args(["mpc", two_bus_path, "--ts=0.02"]))
+        assert scenario.sim_step == scenario.mpc.step == 0.02
+        assert scenario.mpc.k_steps == 5
 
 
 def plot_text(grid, traj, selection):

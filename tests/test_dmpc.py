@@ -9,7 +9,7 @@ from essmpc.dmpc import (AdmmSettings, AreaProgram, ConsensusState,
                          DistributedMpcController, PartitionError, _Hooks,
                          area_subproblem_solve, partition_grid, pdc_admm_step)
 from essmpc.dynamics import ControlInput, SystemState, euler_step, simulate, swing_jacobian
-from essmpc.grid import solve_equilibrium
+from essmpc.grid import DisturbanceEvent, solve_equilibrium
 from essmpc.mpc import MpcConfig, MpcController, SqpSettings, linearize_dynamics
 from essmpc.qp import ConvexProgram, QpWorkspace
 
@@ -396,6 +396,23 @@ def shared_linearization(controller, state, plan, forcing):
     return linearize_dynamics(controller.split, controller._split_state(state), plan,
                               controller.cfg.step, controller.events, controller.areas,
                               forcing)
+
+
+class TestAreaWithoutInequalities:
+    def test_lone_load_bus_area_closes_the_loop(self, three_bus_grid):
+        # Area 1 is the middle load bus: no frequency state and no storage,
+        # so its program has no inequality rows.
+        grid = three_bus_grid
+        cfg = MpcConfig.create(grid, horizon=0.1, step=0.01, reference_power=0.5,
+                               reference_inertia=8.0)
+        events = [DisturbanceEvent(1, 0.0, 0.2)]
+        ctrl = DistributedMpcController(grid, cfg, partition_grid(grid, [0, 1, 0]),
+                                        events=events)
+        simulate(grid, equilibrium_state(grid, np.array([0.5])), ctrl, 0.05, cfg.step,
+                 events)
+        assert [s.a_in.shape[0] for s in ctrl._structures] == [60, 0]
+        assert len(ctrl.log) == 5
+        assert sum(r.non_optimal_solves for r in ctrl.log) == 0
 
 
 class TestSharedLinearization:

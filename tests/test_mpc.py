@@ -270,7 +270,9 @@ class TestAssemble:
         ("inertia_cost", np.array([np.nan]), "cost coefficients"),
         ("frequency_cost", np.nan, "cost coefficients"),
         ("power_base", np.nan, "power base"), ("inertia_base", np.nan, "inertia base"),
-        ("omega_limits", {0: np.nan}, "omega limit")])
+        ("omega_limits", {0: np.nan}, "omega limit"),
+        ("horizon", np.nan, "^horizon: "), ("step", np.nan, "^step: "),
+        ("step", 0.0, "^step: "), ("horizon", np.inf, "^horizon: ")])
     def test_config_built_in_code_meets_the_range_checks(self, two_bus_grid, field,
                                                           value, message):
         # The parser rejects these values; a config replaced in code must be
@@ -322,7 +324,7 @@ class TestProgramMeaning:
     """
 
     @pytest.mark.parametrize("absolute_effort", [False, True])
-    @pytest.mark.parametrize("case", ["two_bus", "twelve_bus_area_1"])
+    @pytest.mark.parametrize("case", ["two_bus", "twelve_bus", "twelve_bus_area_1"])
     def test_predicted_trajectory_satisfies_rows_and_prices_stage_cost(
             self, two_bus_scenario, twelve_bus_scenario, foreign_buses, case,
             absolute_effort):
@@ -335,8 +337,9 @@ class TestProgramMeaning:
                       inertia_cost=rng.uniform(0.1, 1.0, n_s))
         state = sc.initial_state()
         state.omega = state.omega + rng.uniform(-0.05, 0.05, state.omega.size)
+        state.energy = state.energy - rng.uniform(0.0, 5.0, n_s)    # one per storage
         area = _AreaView(grid)
-        if case != "two_bus":
+        if case == "twelve_bus_area_1":
             area = _AreaView(grid, [b for b, a in enumerate(sc.areas) if a == 1],
                              foreign_buses(grid, sc.areas)[1], 1)
         k_steps = cfg.k_steps
@@ -346,6 +349,15 @@ class TestProgramMeaning:
                                    sc.events, [area], forcing)
         hp = _HorizonStructure(grid, area, cfg).fill(ltv)
         prog = hp.prog
+
+        # Each storage's energy rows (-1 in its soft slack column) bound its
+        # nominal energy at steps 1..K: per step the upper, then the lower side.
+        for j, s in enumerate(area.storages):
+            rows = prog.A_in[:, hp.structure.off_soft + j] == -1.0
+            e_lo, e_hi = grid.energy_bounds[:, s]
+            e = ltv.energies[1:, j]
+            assert np.array_equal(prog.b_in[rows],
+                                  np.column_stack([e_hi - e, e - e_lo]).ravel())
 
         z = np.full(prog.n, np.nan)
         dx = np.zeros(area.nx)
@@ -605,10 +617,19 @@ FOUND_LIMITS = [0.005, 0.01, 0.0105, 0.011, 0.0113, 0.0116, 0.0118, 0.012]
 def limited_two_bus_run(monkeypatch, tmp_path, command, limit):
     """`command` on two_bus for 0.3 s with |w_0| <= limit, through the CLI:
     (exit code, non-optimal solves from the objective file, controller)."""
+    return edited_two_bus_run(monkeypatch, tmp_path, command, 0.3, (
+        "frequency_cost: 1.0", f"frequency_cost: 1.0\n  omega_limits: {{0: {limit}}}"))
+
+
+def edited_two_bus_run(monkeypatch, tmp_path, command, ttotal, edit):
+    """`command` for `ttotal` s through the CLI on two_bus with the text
+    edit (old, new) applied: (exit code, non-optimal solves from the
+    objective file, controller)."""
     from essmpc import cli
-    text = bundled_scenario_path("two_bus").read_text().replace(
-        "frequency_cost: 1.0", f"frequency_cost: 1.0\n  omega_limits: {{0: {limit}}}")
-    path = tmp_path / "limited.scn"
+    text = bundled_scenario_path("two_bus").read_text()
+    assert edit[0] in text
+    text = text.replace(*edit)
+    path = tmp_path / "edited.scn"
     path.write_text(text)
     name = "MpcController" if command == "mpc" else "DistributedMpcController"
     built = []
@@ -619,7 +640,7 @@ def limited_two_bus_run(monkeypatch, tmp_path, command, limit):
             built.append(self)
 
     monkeypatch.setattr(cli, name, Kept)
-    code = cli.main([command, str(path), f"--out={tmp_path}", "--ttotal=0.3"])
+    code = cli.main([command, str(path), f"--out={tmp_path}", f"--ttotal={ttotal}"])
     lines = (tmp_path / f"{command}_objective.txt").read_text().splitlines()
     [count] = [int(ln.split()[1]) for ln in lines if ln.startswith("non_optimal_solves")]
     return code, count, built[0]
@@ -683,6 +704,21 @@ class TestSoftLimits:
         assert np.all(report.x[hp.structure.off_soft:] == 0.0)
         _best, low, high = oracle.optimal_first_inputs(hard_program(hp))
         assert oracle.input_gap(hp.controls_from(report.x)[0], low, high) <= 1e-9
+
+
+class TestInfiniteEnergySides:
+    @pytest.mark.parametrize("bounds, sides", [("[-.inf, .inf]", 0), ("[-45.0, .inf]", 1)])
+    @pytest.mark.parametrize("command", ["mpc", "dmpc"])
+    def test_only_finite_sides_have_energy_rows(self, monkeypatch, tmp_path, command,
+                                                bounds, sides):
+        code, non_optimal, ctrl = edited_two_bus_run(
+            monkeypatch, tmp_path, command, 0.2,
+            ("energy_bounds: [-45.0, 10.0]", f"energy_bounds: {bounds}"))
+        assert code == 0 and non_optimal == 0
+        # The storage's energy rows are the rows of its soft slack column.
+        [structure] = [s for s in ctrl._structures if s.area.n_s]
+        rows = np.count_nonzero(structure.a_in[:, structure.off_soft])
+        assert rows == sides * ctrl.cfg.k_steps
 
 
 class TestKeptStructure:

@@ -10,7 +10,7 @@ import yaml
 from essmpc import scenario
 from essmpc.cli import main
 from essmpc.dmpc import AdmmSettings
-from essmpc.grid import GeneratorBus, StorageBus
+from essmpc.grid import GeneratorBus, LoadBus, StorageBus
 from essmpc.mpc import MpcConfig, SqpSettings, StorageRegime
 from essmpc.scenario import (ScenarioError, bundled_scenario_path, parse_scenario,
                              write_scenario)
@@ -235,15 +235,34 @@ def non_default_two_bus() -> str:
     return yaml.safe_dump(doc, sort_keys=False)
 
 
+def three_bus_with_load() -> str:
+    """The two-bus scenario with a load bus inserted on its line: generator,
+    load, storage.  Neither bundled scenario has a load bus."""
+    doc = yaml.safe_load(TWO_BUS)
+    gen, storage = doc["grid"]["buses"]
+    storage["id"] = 2
+    doc["grid"].update(reference_bus=2, buses=[gen, {"id": 1, "role": "load", "damping": 2.0},
+                                               storage],
+                       lines=[{"from": 0, "to": 1, "susceptance": 50.0},
+                              {"from": 1, "to": 2, "susceptance": 40.0}])
+    doc["injections"]["values"] = [3.0, 0.0, 0.0]
+    doc["distributed"]["areas"] = [1, 1, 2]
+    return yaml.safe_dump(doc, sort_keys=False)
+
+
+EDITED = {"two_bus_non_default": non_default_two_bus, "three_bus_load": three_bus_with_load}
+
+
 class TestRoundTrip:
-    @pytest.mark.parametrize("name", ["two_bus", "twelve_bus", "two_bus_non_default"])
+    @pytest.mark.parametrize("name", ["two_bus", "twelve_bus", *EDITED])
     def test_parse_write_parse_identity(self, name):
-        text = non_default_two_bus() if name == "two_bus_non_default" \
-            else bundled_scenario_path(name).read_text()
+        text = EDITED[name]() if name in EDITED else bundled_scenario_path(name).read_text()
         first = parse_scenario(text)
         if name == "two_bus_non_default":
             assert (first.mpc.qp_tol, first.mpc.power_base, first.mpc.absolute_effort) \
                 == (1.0e-9, 3.0, True)
+        if name == "three_bus_load":
+            assert first.grid.roles[1] == LoadBus(2.0)
         second = parse_scenario(write_scenario(first))
         assert second.grid.roles == first.grid.roles
         assert second.grid.lines == first.grid.lines
