@@ -132,11 +132,20 @@ class Line:
 
 @dataclass(frozen=True)
 class DisturbanceEvent:
-    """Step change of the nominal injection at one bus, active from `time` on."""
+    """Step change of the nominal injection at one bus, active from `time` on.
+
+    A time a few ulps short of `time` has reached it (`onset`): the plant's
+    clock, (k + 1) ts + t0, and a rollout's, t + j ts, round one step's
+    time apart.
+    """
 
     bus: int
     time: float      # seconds
     delta_p: float   # p.u., added to P_i^0
+
+    @property
+    def onset(self) -> float:
+        return self.time - 4 * np.spacing(self.time)
 
     def validate(self, n_buses: int) -> None:
         if not 0 <= self.bus < n_buses:
@@ -314,11 +323,11 @@ class GridModel:
         if isinstance(t, np.ndarray):
             p = np.tile(self.injections, t.shape + (1,))
             for ev in events:
-                p[t >= ev.time, ev.bus] += ev.delta_p
+                p[t >= ev.onset, ev.bus] += ev.delta_p
             return p
         p = self.injections.copy()
         for ev in events:
-            if t >= ev.time:
+            if t >= ev.onset:
                 p[ev.bus] += ev.delta_p
         return p
 

@@ -301,6 +301,7 @@ def linearize_dynamics(grid: GridModel, state: SystemState,
         times[k] = current.t
         u = ControlInput(controls[k, :n_s], controls[k, n_s:])
         current = euler_step(grid, current, u, ts, events)
+        current.t = (k + 1) * ts + state.t      # the plant's clock, not a running sum
         current.angles[foreign] = forcing[k]
         states[k + 1] = np.concatenate([current.angles, current.omega])
         energies[k + 1] = current.energy

@@ -10,13 +10,16 @@ tolerance.
 SuperLU factors one working set per load, the base: the set the load's
 first walk starts from.  A walk that certifies no point, SuperLU finding
 its first set singular among the causes, starts again from its seed
-repaired, and that set's factor is the base.  Every other set borders
-the base with the Schur complement S of the rows it adds and drops
-(Bartlett and Biegler's QPSchur, Optim. Eng. 2006), which lasts the
-load: its QR factor changes by one row and column per row that enters or
-leaves.  The dependence test is the scaled pivot of a row entering S, or
-a step's row, against the set: at or below `_PIVOT`, the row is
-dependent.  The base's own rows are tested by the certificate.
+repaired, and that set's factor is the base.  A factor that repeats the
+last one's KKT layout keeps the column order of the layout's first factor
+instead of ordering again (X. S. Li, ACM TOMS 31(3), 2005, on reusing
+Pc).  Every other set borders the base with the Schur complement S of the
+rows it adds and drops (Bartlett and Biegler's QPSchur, Optim. Eng.
+2006), which lasts the load: its QR factor changes by one row and column
+per row that enters or leaves.  The dependence test is the scaled pivot
+of a row entering S, or a step's row, against the set: at or below
+`_PIVOT`, the row is dependent.  The base's own rows are tested by the
+certificate.
 
 A solve is one sequence: seed, dual active set, settle.
 
@@ -225,6 +228,17 @@ def _times(at: np.ndarray, col: np.ndarray, val: np.ndarray, z: np.ndarray,
     return np.bincount(places, terms, minlength=rows * k).reshape((rows,) + z.shape[1:])
 
 
+class _Ordered:
+    """SuperLU of K P, P's column perm[k] the unit vector e_k, solving with
+    K: x = P y for (K P) y = rhs, of one or more columns."""
+
+    def __init__(self, lu: SuperLU, perm: np.ndarray):
+        self.lu, self.perm, self.shape = lu, perm, lu.shape
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        return self.lu.solve(rhs)[self.perm]
+
+
 class _Schur:
     """A load's one SuperLU factor, of the base set B, bordered to any set.
 
@@ -241,8 +255,8 @@ class _Schur:
     K0, the equality rows' factor, takes a whole seed into S only to repair.
     """
 
-    def __init__(self, base: np.ndarray, kkt: csc_array, lu: SuperLU, C: np.ndarray,
-                 c: np.ndarray):
+    def __init__(self, base: np.ndarray, kkt: csc_array, lu: SuperLU | _Ordered,
+                 C: np.ndarray, c: np.ndarray):
         self.base, self.work, self.kkt, self.lu, self.C, self.c = base, base.copy(), kkt, lu, C, c
         self.rows, self.scale = _NONE, _NONE.astype(float)  # S's rows in order, their scales
         self.Q = self.R = np.empty((0, 0))
@@ -369,7 +383,7 @@ class QpWorkspace:
         self.C = np.zeros((self.m, prog.n))
         self.C[m_eq + m_in + np.arange(m_box), self._box_vars] = 1.0
         self._eq = np.arange(self.m) < m_eq
-        self._csc = (None,)                # the last direct factor's layout, keyed
+        self._csc = (None,)     # the last direct factor's layout, keyed, and its order
         self.load(prog)
 
     def load(self, prog: ConvexProgram) -> None:
@@ -496,7 +510,9 @@ class QpWorkspace:
         to repair a seed; None if SuperLU finds it singular.  A set of more
         rows than variables is singular unfactored: SuperLU can corrupt
         memory on one.  The layout, from the rows' non-zeros in the loaded
-        program, is kept for a repeat of the set and non-zeros."""
+        program, is kept for a repeat of the set and non-zeros, and so is
+        the column order perm of its first factor: a repeat factors the
+        columns permuted, K P, in their order and solves through `_Ordered`."""
         if np.count_nonzero(work) > self.prog.n:
             return None
         n, c, rows = self.prog.n, self.prog.curvature, self.C[work]
@@ -515,14 +531,27 @@ class QpWorkspace:
             indptr[1:] = np.cumsum(np.bincount(col, minlength=indptr.size - 1))
             kkt = csc_array((np.empty(order.size), row[order].astype(np.intc), indptr),
                             shape=(indptr.size - 1,) * 2)
-            self._csc = (key, kkt, np.concatenate([diag, e, e])[order])
-        kkt, src = self._csc[1:]
+            self._csc = (key, kkt, np.concatenate([diag, e, e])[order], None, None, None)
+        key, kkt, src, perm, kept, at = self._csc
         kkt.data[:] = np.concatenate([c, rows[live]])[src]
         try:
             # One-column panels: 15-30% faster here.  Supernodes relaxed to
             # two columns, because with one SuperLU prints BLAS errors on
             # some singular matrices.
-            lu = splu(kkt, panel_size=1, relax=2)
+            if perm is None:        # the layout's first factor orders its columns
+                lu = splu(kkt, panel_size=1, relax=2)
+                self._csc = (key, kkt, src, lu.perm_c.copy(), None, None)
+            else:                   # a repeat: K P, K's column k moved to perm[k]
+                if kept is None:
+                    counts = np.diff(kkt.indptr)
+                    at = np.argsort(np.repeat(perm, counts), kind="stable")
+                    kept = kkt.copy()
+                    kept.indices = kkt.indices[at]
+                    kept.indptr[1:] = np.cumsum(counts[np.argsort(perm)])
+                    self._csc = (key, kkt, src, perm, kept, at)
+                kept.data[:] = kkt.data[at]
+                lu = _Ordered(splu(kept, permc_spec="NATURAL", panel_size=1, relax=2),
+                              perm)
         except RuntimeError:    # "Factor is exactly singular"
             return None
         return _Schur(work.copy(), kkt, lu, self.C, c)

@@ -350,9 +350,6 @@ def parse_scenario(source: str | Path) -> Scenario:
                              for i, v in enumerate(value)])
         return np.full(n_storage, _num(value, f"mpc.{key}"))
 
-    qp_tol = _num(mpc_sec.get("qp_tolerance", 1e-8), "mpc.qp_tolerance")
-    if qp_tol <= 0.0:
-        raise ScenarioError("mpc.qp_tolerance: must be > 0")
     try:
         mpc = MpcConfig.create(
             grid,
@@ -373,11 +370,14 @@ def parse_scenario(source: str | Path) -> Scenario:
                                  "mpc.regimes"),
             sqp=sqp,
             absolute_effort=absolute_effort,
-            qp_tol=qp_tol,
+            qp_tol=_num(mpc_sec.get("qp_tolerance", 1e-8), "mpc.qp_tolerance"),
         )
     except ScenarioError:
         raise
     except Exception as exc:
+        field, _, rest = str(exc).partition(": ")
+        if field == "qp_tol":       # the config's name for mpc.qp_tolerance
+            raise ScenarioError(f"mpc.qp_tolerance: {rest}") from exc
         raise ScenarioError(f"mpc: {exc}") from exc
 
     dist_sec = _optional(doc, "distributed", dict, "distributed")

@@ -6,8 +6,11 @@ solves every other set of that load by bordering that factor with a Schur
 complement that rows enter and leave.  The counts come
 from spies on `qp.splu`, `QpWorkspace.load` (which the constructor calls
 too), `_Schur._enter` (rows entering the Schur complement) and
-`qp.csc_array`, which builds each new KKT layout.  Every factor takes the
-same SuperLU options.
+`qp.csc_array`, which builds each new KKT layout.  Every factor takes
+one-column panels and supernodes relaxed to two columns; a layout's first
+factor takes SuperLU's default column order, and every repeat of the
+layout the order that first factor chose (`permc_spec="NATURAL"` on the
+columns permuted).
 """
 
 import pytest
@@ -38,8 +41,20 @@ def events(monkeypatch, splu_options):
     return seen
 
 
-def one_option_set(options):
-    return bool(options) and all(kw == options[0] for kw in options)
+FIRST = {"panel_size": 1, "relax": 2}
+REPEAT = {"permc_spec": "NATURAL", **FIRST}
+
+
+def kept_order_options(events, options):
+    """Each factor's options: FIRST right after its layout is built, else REPEAT."""
+    first, fresh = [], False
+    for name in events:
+        if name == "splu":
+            first.append(fresh)
+        if name in ("csc_array", "splu"):
+            fresh = name == "csc_array"
+    return bool(options) and all(kw == (FIRST if f else REPEAT)
+                                 for kw, f in zip(options, first, strict=True))
 
 
 def run(tmp_path, command, scenario, *rest):
@@ -57,7 +72,7 @@ def test_one_factor_per_loaded_program(events, splu_options, tmp_path, argv, fac
     run(tmp_path, *argv)
     assert events.count("splu") == events.count("load") == factors
     assert events.count("_enter") > 0
-    assert one_option_set(splu_options)
+    assert kept_order_options(events, splu_options)
 
 
 def test_compare_borders_the_working_set_flips(events, splu_options, tmp_path):
@@ -68,14 +83,16 @@ def test_compare_borders_the_working_set_flips(events, splu_options, tmp_path):
     loads = events.count("load")
     assert loads and events.count("splu") <= loads + 1
     assert events.count("_enter") > 0
-    assert one_option_set(splu_options)
+    assert kept_order_options(events, splu_options)
 
 
 def test_kkt_layouts_are_kept_across_loads(events, splu_options, tmp_path):
     # Each area's direct factors mostly repeat the last one's working set
     # and non-zeros, so they refill its layout (16 built for 300 loads);
-    # a layout built per factor would make 300.
+    # a layout built per factor would make 300.  Each repeat factors in
+    # its layout's kept column order.
     run(tmp_path, "dmpc", "twelve_bus", "--ttotal", "2.0")
     assert events.count("load") == events.count("splu") == 300
     assert 0 < events.count("csc_array") <= 20
-    assert one_option_set(splu_options)
+    assert sum(kw == REPEAT for kw in splu_options) >= 280
+    assert kept_order_options(events, splu_options)

@@ -172,6 +172,30 @@ class TestLinearize:
             assert one_x.tobytes() == j_x[i].tobytes()
             assert one_u.tobytes() == j_u[i].tobytes()
 
+    @pytest.mark.parametrize("bus", [0, 1], ids=["generator", "storage"])
+    def test_on_grid_disturbance_enters_the_model_with_the_plant(self, two_bus_scenario,
+                                                                 bus):
+        # From the plant's state at t = 0.09, 0.09 + 0.01 rounds to one ulp
+        # below 0.1; the rollout and the Jacobians still see the step at
+        # t = 0.1 from its plant step on.
+        from essmpc.dynamics import constant_policy, swing_jacobian
+        sc = two_bus_scenario
+        events = (DisturbanceEvent(bus, 0.1, 0.2),)
+        plan, n_s = sc.mpc.reference_matrix(), len(sc.grid.storage_buses)
+        u = ControlInput(plan[0, :n_s], plan[0, n_s:])
+        traj = simulate(sc.grid, sc.initial_state(), constant_policy(u), 0.2, sc.sim_step,
+                        events)
+        start = SystemState(traj.angles[9], traj.omega[9], traj.energy[9], traj.t[9])
+        ltv = linearize_dynamics(sc.grid, start, plan, sc.sim_step, events)
+        rows = np.arange(9, 20)
+        assert ltv.states.shape[0] == rows.size
+        np.testing.assert_allclose(ltv.states, np.hstack([traj.angles, traj.omega])[rows],
+                                   rtol=0.0, atol=1e-12)
+        for k, row in enumerate(rows[:-1]):
+            plant = SystemState(traj.angles[row], traj.omega[row], traj.energy[row])
+            _, j_u = swing_jacobian(sc.grid, plant, u, traj.t[row], events)
+            np.testing.assert_allclose(ltv.B[k], sc.sim_step * j_u, rtol=0.0, atol=1e-12)
+
     @pytest.mark.parametrize("forcing, got", [
         (None, "no forcing"),
         (np.zeros((10, 2)), r"forcing of shape \(10, 2\)"),

@@ -642,11 +642,11 @@ class TestStackedResiduals:
             assert abs(g - w) <= 1e-12 * max(1.0, abs(w))
 
 
-def patterned_pair(rng, n=7, m_eq=2, m_in=9):
+def patterned_pair(rng, n=7, m_eq=2, m_in=9, zeros=0.35):
     """Two feasible programs with non-zeros on one pattern of [A_eq; A_in].
 
     Both have the same boxed columns; the second has other values and an
-    exact zero at about a third of the pattern's positions.
+    exact zero at about a `zeros` share of the pattern's positions.
     """
     pattern = rng.random((m_eq + m_in, n)) < 0.6
     boxed = rng.random(n) < 0.5
@@ -663,7 +663,7 @@ def patterned_pair(rng, n=7, m_eq=2, m_in=9):
                     ub=np.where(boxed, x_feas + rng.uniform(0.05, 1.0, n), np.inf))
 
     first = program(np.zeros(pattern.shape, dtype=bool))
-    second = program(pattern & (rng.random(pattern.shape) < 0.35))
+    second = program(pattern & (rng.random(pattern.shape) < zeros))
     return first, second
 
 
@@ -699,6 +699,66 @@ class TestReload:
         second["ub"] = np.full(second["q"].size, np.inf)
         with pytest.raises(QpError, match="box columns"):
             ws.load(ConvexProgram(**second))
+
+
+FIRST = {"panel_size": 1, "relax": 2}
+REPEAT = {"permc_spec": "NATURAL", **FIRST}
+
+
+class TestKeptColumnOrder:
+    """A layout's first factor keeps SuperLU's column order; a repeat of the
+    layout factors its KKT matrix K with the columns in that order."""
+
+    @staticmethod
+    def reloaded(monkeypatch, first, second):
+        """A workspace that solved `first` cold, loaded with `second`; and
+        the options of each `splu` call from the first solve on."""
+        options, splu = [], qp.splu
+        monkeypatch.setattr(qp, "splu", lambda *a, **k: options.append(k) or splu(*a, **k))
+        ws = QpWorkspace(ConvexProgram(**first))
+        assert ws.solve(tol=1e-9).status == "optimal"
+        ws.load(ConvexProgram(**second))
+        return ws, options
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_repeat_solves_as_a_fresh_workspace(self, monkeypatch, seed):
+        # Both cold solves factor the equality rows first: one layout.
+        first, second = patterned_pair(np.random.default_rng(seed), zeros=0.0)
+        ws, options = self.reloaded(monkeypatch, first, second)
+        got = ws.solve(tol=1e-9)
+        assert options == [FIRST, REPEAT]
+        perm = ws._schur.lu.perm
+        assert not np.array_equal(perm, np.arange(perm.size))
+        fresh = QpWorkspace(ConvexProgram(**second)).solve(tol=1e-9)
+        assert got.status == fresh.status == "optimal"
+        for a, b in ((got.x, fresh.x), (got.y_stacked, fresh.y_stacked)):
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+    def test_two_dimensional_solve_in_the_kept_order(self, monkeypatch):
+        # Bordering rows passes one right-hand side column per row.
+        first, second = patterned_pair(np.random.default_rng(1), zeros=0.0)
+        ws, _ = self.reloaded(monkeypatch, first, second)
+        schur = ws._factor(ws._eq.copy())
+        assert isinstance(schur.lu, qp._Ordered)
+        rhs = np.random.default_rng(2).normal(size=(schur.kkt.shape[0], 3))
+        got, want = schur.lu.solve(rhs), qp.splu(schur.kkt).solve(rhs)
+        assert got.shape == rhs.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        at_upper = ~ws._eq & np.isfinite(ws.u) & (np.arange(ws.m) < 6)
+        none = np.zeros(ws.m, dtype=bool)
+        assert agrees_with_dense(ws, at_upper, none, *ws._pinned_solve(at_upper, none))
+        assert schur.rows.size == np.count_nonzero(at_upper)
+
+    def test_repeat_made_singular_has_no_factor(self, monkeypatch):
+        # The second program repeats the first equality row, on the same
+        # dense pattern: the set's KKT matrix is exactly singular.
+        first = dict(q=np.ones(4), curvature=np.ones(4), b_eq=np.ones(2),
+                     A_eq=np.array([[1.0, 2.0, 3.0, 4.0], [4.0, 1.0, 2.0, 1.0]]))
+        ws, options = self.reloaded(monkeypatch, first, {**first, "A_eq": np.ones((2, 4))})
+        assert ws._direct(ws._eq) is None
+        report = ws.solve(tol=1e-9)
+        assert report.status == "max_iter"
+        assert options == [FIRST, REPEAT, REPEAT]
 
 
 class TestValidation:

@@ -20,8 +20,9 @@ Evidence of no regression therefore comes from alternated
 
 Prints each tree's median and quartiles in seconds and its SuperLU
 factorizations per command (counted by a spy on that tree's own
-`qp.splu`), the median of the paired ratios NEW/OLD, and in how many pairs
-NEW was faster.
+`qp.splu`), with how many of them reused a kept column order (the spy
+seeing `permc_spec="NATURAL"`), the median of the paired ratios NEW/OLD,
+and in how many pairs NEW was faster.
 """
 
 from __future__ import annotations
@@ -58,20 +59,22 @@ def load_tree(root: Path, name: str) -> ModuleType:
 
 def command_runner(root: Path, cli: ModuleType, argv: list[str]):
     """A function running `argv` once through `cli.main`; returns (seconds,
-    SuperLU factorizations), the latter counted on the tree's `qp.splu`."""
+    (SuperLU factorizations, those in a kept column order)), counted on the
+    tree's `qp.splu`."""
     command, scenario, *rest = argv
     bundled = root / "src" / "essmpc" / "scenarios" / f"{scenario}.scn"
     path = bundled if bundled.is_file() else Path(scenario)
     qp = importlib.import_module(f"{cli.__package__}.qp")
-    splu, factors = qp.splu, [0]
+    splu, factors = qp.splu, [0, 0]
 
     def counted(*args, **kwargs):
         factors[0] += 1
+        factors[1] += kwargs.get("permc_spec") == "NATURAL"
         return splu(*args, **kwargs)
     qp.splu = counted
 
-    def run() -> tuple[float, int]:
-        factors[0] = 0
+    def run() -> tuple[float, tuple[int, int]]:
+        factors[:] = [0, 0]
         with tempfile.TemporaryDirectory() as out, \
                 contextlib.redirect_stdout(io.StringIO()):
             t0 = perf_counter()
@@ -79,7 +82,7 @@ def command_runner(root: Path, cli: ModuleType, argv: list[str]):
             elapsed = perf_counter() - t0
         if code != 0:
             raise SystemExit(f"error: {root}: {' '.join(argv)} exited {code}")
-        return elapsed, factors[0]
+        return elapsed, (factors[0], factors[1])
     return run
 
 
@@ -90,12 +93,15 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+Counts = tuple[int, int]     # SuperLU factorizations, those in a kept order
+
+
 def compare(runs, pairs: int) -> tuple[tuple[list[float], list[float]],
-                                      tuple[list[int], list[int]]]:
-    """((old, new) times, (old, new) factorizations) over `pairs` counted
+                                      tuple[list[Counts], list[Counts]]]:
+    """((old, new) times, (old, new) factor counts) over `pairs` counted
     pairs, order alternating."""
     times: tuple[list[float], list[float]] = ([], [])
-    factors: tuple[list[int], list[int]] = ([], [])
+    factors: tuple[list[Counts], list[Counts]] = ([], [])
     for p in range(WARMUP + pairs):
         order = (0, 1) if p % 2 == 0 else (1, 0)
         got = {i: runs[i]() for i in order}
@@ -107,12 +113,13 @@ def compare(runs, pairs: int) -> tuple[tuple[list[float], list[float]],
 
 
 def report(old: list[float], new: list[float],
-           factors: tuple[list[int], list[int]]) -> str:
+           factors: tuple[list[Counts], list[Counts]]) -> str:
     lines = []
     for label, values, counts in (("old", old, factors[0]), ("new", new, factors[1])):
         q1, q2, q3 = quartiles(values)
+        total, kept = (statistics.median(c) for c in zip(*counts))
         lines.append(f"{label}: median {q2:.4f} s  quartiles {q1:.4f} / {q3:.4f} s"
-                     f"  splu {statistics.median(counts):g} per command"
+                     f"  splu {total:g} per command, {kept:g} in a kept order"
                      f"  (n = {len(values)})")
     ratios = [b / a for a, b in zip(old, new)]
     wins = sum(b < a for a, b in zip(old, new))
