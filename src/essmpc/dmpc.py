@@ -32,7 +32,7 @@ import numpy as np
 from .dynamics import SystemState
 from .grid import DisturbanceEvent, GridModel
 from .mpc import HorizonProgram, LtvModel, MpcConfig, StepRecord, _SqpController
-from .qp import ConvexProgram, QpWorkspace
+from .qp import ConvexProgram, QpWorkspace, WarmStart
 
 __all__ = [
     "PartitionError",
@@ -186,25 +186,25 @@ def _round_linear_term(program: AreaProgram, consensus: ConsensusState,
 
 
 def area_subproblem_solve(program: AreaProgram, consensus: ConsensusState,
-                          x_prev: np.ndarray, workspace: QpWorkspace, warm: dict,
+                          x_prev: np.ndarray, workspace: QpWorkspace, warm: WarmStart,
                           tol: float = 1e-8) -> np.ndarray:
     """Minimize F_a plus coupling dual, penalty, and proximal terms.
 
     `x_prev` is the area's last solution, the proximal centre.  `workspace`
     holds the area's program; `warm` seeds the solve with its multipliers y
-    and records the solve's y and status.
+    and takes the solve's y and status, so each round starts from the last.
     """
     workspace.update_linear(q=_round_linear_term(program, consensus, x_prev))
-    report = workspace.solve(tol=tol, y0=warm.get("y"))
+    report = workspace.solve(tol=tol, y0=warm.y)
     if report.status == "infeasible":
         raise RuntimeError(f"area {program.area} subproblem reported infeasible")
-    warm.update(y=report.y_stacked.copy(), status=report.status)
+    warm.y, warm.status = report.y_stacked, report.status
     return report.x
 
 
 def pdc_admm_step(programs: Sequence[AreaProgram], consensus: ConsensusState,
                   x_prev: dict[int, np.ndarray], workspaces: dict[int, QpWorkspace],
-                  warm: dict[int, dict],
+                  warm: dict[int, WarmStart],
                   tol: float = 1e-8) -> tuple[dict[int, np.ndarray], float]:
     """One synchronous round: all areas solve, then values and duals update.
 
@@ -284,16 +284,17 @@ class DistributedMpcController(_SqpController):
         horizons = [structure.fill(ltv) for structure, ltv in zip(self._structures, ltvs)]
         programs = [self._area_program(hp) for hp in horizons]
         workspaces: dict[int, QpWorkspace] = {}
-        warm: dict[int, dict] = {}
+        warm: dict[int, WarmStart] = {}
         for hp in horizons:
-            workspaces[hp.area.index], warm[hp.area.index] = self._workspace(hp)
+            workspaces[hp.area.index], warm[hp.area.index] = self._workspace(
+                hp, record.sqp_iterations)
         x_prev: dict[int, np.ndarray] = {p.area: np.zeros(p.prog.n)
                                          for p in programs}
         z_prev = self._consensus.consensus_values()
         while record.iterations < settings.max_iterations:
             x_prev, resid = pdc_admm_step(programs, self._consensus, x_prev,
                                           workspaces, warm, tol=self.cfg.qp_tol)
-            record.non_optimal_solves += sum(warm[p.area]["status"] != "optimal"
+            record.non_optimal_solves += sum(warm[p.area].status != "optimal"
                                              for p in programs)
             z_new = self._consensus.consensus_values()
             dual_move = settings.rho * float(np.max(np.abs(z_new - z_prev), initial=0.0))

@@ -32,10 +32,10 @@ formula sign * (c - v[at]): per row a sign, a constant and an index into the
 vector v of the linearization's nominal frequencies, energies and controls.
 A fill writes one linearization's values into a new program of that
 structure.  A controller builds one structure per area and keeps it, with
-one `QpWorkspace` and warm start per area, for its own lifetime, so an SQP
-iteration computes values only: the workspace factors one KKT matrix per
-loaded program as a rule, laid out from its non-zeros, and borders that
-factor for every other working set.
+one `QpWorkspace` per area and one warm start per area and SQP iteration,
+for its own lifetime, so an SQP iteration computes values only: the
+workspace factors one KKT matrix per loaded program as a rule, laid out
+from its non-zeros, and borders that factor for every other working set.
 The linearization differentiates its K Euler steps as one stack.
 """
 
@@ -50,7 +50,7 @@ import numpy as np
 from .dynamics import (ControlInput, SystemState, _clamp_power, _first_outside,
                        euler_step, swing_jacobian)
 from .grid import DisturbanceEvent, GridModel
-from .qp import TIE_BREAK, ConvexProgram, QpWorkspace, SolveReport
+from .qp import TIE_BREAK, ConvexProgram, QpWorkspace, SolveReport, WarmStart
 
 __all__ = [
     "MpcConfigError",
@@ -159,21 +159,19 @@ class MpcConfig:
                 raise MpcConfigError(f"{name}: must be finite and > 0")
         if self.k_steps < 1:
             raise MpcConfigError(
-                f"horizon {self.horizon} with step {self.step} yields no stages")
+                f"horizon: {self.horizon} with step {self.step} yields no stages")
         for name in ("reference_power", "reference_inertia", "power_cost",
                      "inertia_cost"):
             v = getattr(self, name)
             if np.asarray(v).shape != (n_s,):
-                raise MpcConfigError(f"{name} must have one entry per storage bus")
-        if not (np.all(self.power_cost >= 0.0) and np.all(self.inertia_cost >= 0.0)
-                and self.frequency_cost >= 0.0):
-            raise MpcConfigError("cost coefficients must be >= 0")
-        if self.power_base is not None and not self.power_base > 0.0:
-            raise MpcConfigError("power base must be > 0")
-        if self.inertia_base is not None and not self.inertia_base > 0.0:
-            raise MpcConfigError("inertia base must be > 0")
-        if not self.qp_tol > 0.0:
-            raise MpcConfigError("qp_tol: must be > 0")
+                raise MpcConfigError(f"{name}: must have one entry per storage bus")
+        for name in ("power_cost", "inertia_cost", "frequency_cost"):
+            if not np.all(np.asarray(getattr(self, name)) >= 0.0):
+                raise MpcConfigError(f"{name}: must be >= 0")
+        for name in ("power_base", "inertia_base", "qp_tol"):
+            value = getattr(self, name)
+            if value is not None and not value > 0.0:
+                raise MpcConfigError(f"{name}: must be > 0")
         self.sqp.validate()
         for what, values, bounds in (("power", self.reference_power, grid.power_bounds),
                                      ("inertia", self.reference_inertia,
@@ -185,10 +183,9 @@ class MpcConfig:
                     f"outside bounds [{bounds[0, s]}, {bounds[1, s]}]")
         for bus, lim in self.omega_limits.items():
             if bus not in grid.inertia_buses:
-                raise MpcConfigError(f"omega limit on bus {bus}, which has no "
-                                     "frequency state")
+                raise MpcConfigError(f"omega_limits[{bus}]: bus has no frequency state")
             if not lim > 0.0:
-                raise MpcConfigError(f"omega limit at bus {bus} must be > 0")
+                raise MpcConfigError(f"omega_limits[{bus}]: must be > 0")
 
     def resolved_bases(self, grid: GridModel) -> tuple[float, float]:
         p_b = self.power_base
@@ -699,8 +696,8 @@ class _SqpController:
         self._plan: Optional[np.ndarray] = None
         self._penalty = penalty
         # Per area index, from its first program on: the workspace laid out
-        # for it and the workspace's warm-start record.
-        self._kept: dict[int, tuple[QpWorkspace, dict]] = {}
+        # for it and one warm start per SQP iteration reached.
+        self._kept: dict[int, tuple[QpWorkspace, list[WarmStart]]] = {}
 
     @cached_property
     def _structures(self) -> list[_HorizonStructure]:
@@ -727,20 +724,29 @@ class _SqpController:
     def _converged(self, record: StepRecord, sqp_converged: bool) -> bool:
         return sqp_converged
 
-    def _workspace(self, hp: HorizonProgram) -> tuple[QpWorkspace, dict]:
-        """The area's workspace loaded with `hp.prog`, and its warm-start record.
+    def _workspace(self, hp: HorizonProgram, iteration: int
+                   ) -> tuple[QpWorkspace, WarmStart]:
+        """The area's workspace loaded with `hp.prog`, and the warm start of
+        SQP iteration `iteration`, whose KKT layout the workspace takes.
 
-        The record holds the multipliers `y` and the `status` of the
-        workspace's last solve.  The area's first program gets the
-        workspace, its KKT layouts from the program's non-zeros, and an
-        empty record: its first solve starts cold.
+        Iteration i of a control step starts from what iteration i of the
+        step before left: its multipliers and its KKT layout with their
+        kept column order.  An iteration reached for the first time starts
+        from the area's latest multipliers, those of iteration i - 1 in
+        this step, with no layout.  The area's first program gets the
+        workspace, laid out from the program's non-zeros, and its first
+        solve starts cold.
         """
         kept = self._kept.get(hp.area.index)
         if kept is None:
-            kept = self._kept[hp.area.index] = (QpWorkspace(hp.prog), {})
+            kept = self._kept[hp.area.index] = (QpWorkspace(hp.prog), [])
         else:
             kept[0].load(hp.prog)
-        return kept
+        workspace, starts = kept
+        if iteration == len(starts):
+            starts.append(WarmStart(starts[-1].y if starts else None))
+        workspace.layout = starts[iteration].layout
+        return workspace, starts[iteration]
 
     def __call__(self, step: int, state: SystemState) -> ControlInput:
         grid, cfg = self.grid, self.cfg
@@ -787,15 +793,16 @@ class _SqpController:
 class MpcController(_SqpController):
     """Centralized controller: one warm-started solve of the whole-grid program.
 
-    The last multipliers warm-start the next solve.
+    Each SQP iteration's solve starts from the same iteration's one control
+    step earlier (see `_workspace`).
     """
 
     def _solve(self, ltvs: list[LtvModel], record: StepRecord
                ) -> list[tuple[HorizonProgram, np.ndarray]]:
         hp = assemble_horizon_program(self.grid, ltvs[0], self.cfg, self._structures[0])
-        workspace, warm = self._workspace(hp)
-        report = workspace.solve(tol=self.cfg.qp_tol, y0=warm.get("y"))
+        workspace, start = self._workspace(hp, record.sqp_iterations)
+        report = workspace.solve(tol=self.cfg.qp_tol, y0=start.y)
         record.non_optimal_solves += report.status != "optimal"
         record.qp_report = report
-        warm.update(y=report.y_stacked, status=report.status)
+        start.y, start.status = report.y_stacked, report.status
         return [(hp, report.x)]

@@ -10,16 +10,19 @@ tolerance.
 SuperLU factors one working set per load, the base: the set the load's
 first walk starts from.  A walk that certifies no point, SuperLU finding
 its first set singular among the causes, starts again from its seed
-repaired, and that set's factor is the base.  A factor that repeats the
-last one's KKT layout keeps the column order of the layout's first factor
-instead of ordering again (X. S. Li, ACM TOMS 31(3), 2005, on reusing
-Pc).  Every other set borders the base with the Schur complement S of the
-rows it adds and drops (Bartlett and Biegler's QPSchur, Optim. Eng.
-2006), which lasts the load: its QR factor changes by one row and column
-per row that enters or leaves.  The dependence test is the scaled pivot
-of a row entering S, or a step's row, against the set: at or below
-`_PIVOT`, the row is dependent.  The base's own rows are tested by the
-certificate.
+repaired, and that set's factor is the base.  A factor's KKT layout is
+kept with the multipliers in a `WarmStart`, one per kind of solve: the
+controllers keep one per SQP iteration, so iteration i of a control step
+starts from what iteration i of the step before left.  A factor that
+repeats its warm start's layout keeps the column order of the layout's
+first factor instead of ordering again (X. S. Li, ACM TOMS 31(3), 2005,
+on reusing Pc).  Every other set borders the base with the Schur
+complement S of the rows it adds and drops (Bartlett and Biegler's
+QPSchur, Optim. Eng. 2006), which lasts the load: its QR factor changes
+by one row and column per row that enters or leaves.  The dependence
+test is the scaled pivot of a row entering S, or a step's row, against
+the set: at or below `_PIVOT`, the row is dependent.  The base's own
+rows are tested by the certificate.
 
 A solve is one sequence: seed, dual active set, settle.
 
@@ -64,6 +67,8 @@ __all__ = [
     "DualSet",
     "SolveReport",
     "QpWorkspace",
+    "KktLayout",
+    "WarmStart",
     "kkt_residual",
 ]
 
@@ -239,6 +244,68 @@ class _Ordered:
         return self.lu.solve(rhs)[self.perm]
 
 
+class KktLayout:
+    """The KKT matrix K of one working set in CSC, laid out from its rows'
+    non-zeros and kept for a repeat of the set and non-zeros, with the
+    column order perm of its first factor: a repeat factors the columns
+    permuted, K P, in their order and solves through `_Ordered`.  Another
+    set or pattern replaces it."""
+
+    def __init__(self) -> None:
+        self.key: Optional[tuple[bytes, bytes]] = None
+
+    def factor(self, work: np.ndarray, rows: np.ndarray, c: np.ndarray
+               ) -> tuple[csc_array, SuperLU | _Ordered]:
+        """K of the set `work`, whose rows are `rows`, with curvatures c, and
+        its SuperLU factor; RuntimeError if SuperLU finds K singular."""
+        n, live = c.size, rows != 0.0
+        key = (work.tobytes(), live.tobytes())
+        if key != self.key:
+            # The entries: c_j at (j, j), and C_W's e-th non-zero (r, j) at
+            # (n + r, j) and (j, n + r); each one's value is at `src` in
+            # (c, C_W's non-zeros row by row).  CSC orders them by column,
+            # rows ascending.
+            r, j = np.divmod(np.flatnonzero(live), n)
+            diag, e = np.arange(n), n + np.arange(r.size)
+            row, col = np.concatenate([diag, n + r, j]), np.concatenate([diag, j, n + r])
+            order = np.lexsort((row, col))
+            indptr = np.zeros(n + len(rows) + 1, dtype=np.intc)
+            indptr[1:] = np.cumsum(np.bincount(col, minlength=indptr.size - 1))
+            self.kkt = csc_array((np.empty(order.size), row[order].astype(np.intc), indptr),
+                                 shape=(indptr.size - 1,) * 2)
+            self.key, self.src = key, np.concatenate([diag, e, e])[order]
+            self.perm = self.kept = self.at = None
+        kkt = self.kkt
+        kkt.data[:] = np.concatenate([c, rows[live]])[self.src]
+        # One-column panels: 15-30% faster here.  Supernodes relaxed to two
+        # columns, because with one SuperLU prints BLAS errors on some
+        # singular matrices.
+        if self.perm is None:       # the layout's first factor orders its columns
+            lu = splu(kkt, panel_size=1, relax=2)
+            self.perm = lu.perm_c.copy()
+            return kkt, lu
+        if self.kept is None:       # K P, K's column k moved to perm[k]
+            counts = np.diff(kkt.indptr)
+            self.at = np.argsort(np.repeat(self.perm, counts), kind="stable")
+            self.kept = kkt.copy()
+            self.kept.indices = kkt.indices[self.at]
+            self.kept.indptr[1:] = np.cumsum(counts[np.argsort(self.perm)])
+        self.kept.data[:] = kkt.data[self.at]
+        return kkt, _Ordered(splu(self.kept, permc_spec="NATURAL", panel_size=1, relax=2),
+                             self.perm)
+
+
+@dataclass
+class WarmStart:
+    """What a solve leaves for the next solve of its kind: its stacked
+    multipliers `y` (None before the first, a cold start), its `status`,
+    and the KKT `layout` of its last direct factor."""
+
+    y: Optional[np.ndarray] = None
+    status: str = ""
+    layout: KktLayout = field(default_factory=KktLayout)
+
+
 class _Schur:
     """A load's one SuperLU factor, of the base set B, bordered to any set.
 
@@ -372,7 +439,9 @@ class QpWorkspace:
     solve is of one system, the unshifted KKT matrix of a working set; it
     does not depend on q.  The load's base factor, of its first solve's
     seed set or of a seed repaired, and its bordering, the last set's,
-    last until the next load (see `_Schur`).
+    last until the next load (see `_Schur`).  A direct factor lays out its
+    matrix in `layout`, which a caller may swap for one it keeps in a
+    `WarmStart`.
     """
 
     def __init__(self, prog: ConvexProgram):
@@ -383,7 +452,7 @@ class QpWorkspace:
         self.C = np.zeros((self.m, prog.n))
         self.C[m_eq + m_in + np.arange(m_box), self._box_vars] = 1.0
         self._eq = np.arange(self.m) < m_eq
-        self._csc = (None,)     # the last direct factor's layout, keyed, and its order
+        self.layout = KktLayout()
         self.load(prog)
 
     def load(self, prog: ConvexProgram) -> None:
@@ -506,52 +575,15 @@ class QpWorkspace:
         return None
 
     def _direct(self, work: np.ndarray) -> Optional[_Schur]:
-        """SuperLU of the set's unshifted KKT matrix: the load's base, or K0
-        to repair a seed; None if SuperLU finds it singular.  A set of more
-        rows than variables is singular unfactored: SuperLU can corrupt
-        memory on one.  The layout, from the rows' non-zeros in the loaded
-        program, is kept for a repeat of the set and non-zeros, and so is
-        the column order perm of its first factor: a repeat factors the
-        columns permuted, K P, in their order and solves through `_Ordered`."""
+        """SuperLU of the set's unshifted KKT matrix, in `layout`: the load's
+        base, or K0 to repair a seed; None if SuperLU finds it singular.  A
+        set of more rows than variables is singular unfactored: SuperLU can
+        corrupt memory on one."""
         if np.count_nonzero(work) > self.prog.n:
             return None
-        n, c, rows = self.prog.n, self.prog.curvature, self.C[work]
-        live = rows != 0.0
-        key = (work.tobytes(), live.tobytes())
-        if key != self._csc[0]:
-            # The entries: c_j at (j, j), and C_W's e-th non-zero (r, j) at
-            # (n + r, j) and (j, n + r); each one's value is at `src` in
-            # (c, C_W's non-zeros row by row).  CSC orders them by column,
-            # rows ascending.
-            r, j = np.divmod(np.flatnonzero(live), n)
-            diag, e = np.arange(n), n + np.arange(r.size)
-            row, col = np.concatenate([diag, n + r, j]), np.concatenate([diag, j, n + r])
-            order = np.lexsort((row, col))
-            indptr = np.zeros(n + len(rows) + 1, dtype=np.intc)
-            indptr[1:] = np.cumsum(np.bincount(col, minlength=indptr.size - 1))
-            kkt = csc_array((np.empty(order.size), row[order].astype(np.intc), indptr),
-                            shape=(indptr.size - 1,) * 2)
-            self._csc = (key, kkt, np.concatenate([diag, e, e])[order], None, None, None)
-        key, kkt, src, perm, kept, at = self._csc
-        kkt.data[:] = np.concatenate([c, rows[live]])[src]
+        c = self.prog.curvature
         try:
-            # One-column panels: 15-30% faster here.  Supernodes relaxed to
-            # two columns, because with one SuperLU prints BLAS errors on
-            # some singular matrices.
-            if perm is None:        # the layout's first factor orders its columns
-                lu = splu(kkt, panel_size=1, relax=2)
-                self._csc = (key, kkt, src, lu.perm_c.copy(), None, None)
-            else:                   # a repeat: K P, K's column k moved to perm[k]
-                if kept is None:
-                    counts = np.diff(kkt.indptr)
-                    at = np.argsort(np.repeat(perm, counts), kind="stable")
-                    kept = kkt.copy()
-                    kept.indices = kkt.indices[at]
-                    kept.indptr[1:] = np.cumsum(counts[np.argsort(perm)])
-                    self._csc = (key, kkt, src, perm, kept, at)
-                kept.data[:] = kkt.data[at]
-                lu = _Ordered(splu(kept, permc_spec="NATURAL", panel_size=1, relax=2),
-                              perm)
+            kkt, lu = self.layout.factor(work, self.C[work], c)
         except RuntimeError:    # "Factor is exactly singular"
             return None
         return _Schur(work.copy(), kkt, lu, self.C, c)

@@ -327,10 +327,9 @@ def parse_scenario(source: str | Path) -> Scenario:
                             for b in grid.storage_buses]) if n_storage else np.zeros(0)
 
     mpc_sec = _require(doc, "mpc", "document")
-    _check_keys(mpc_sec, {"horizon", "power_cost", "inertia_cost",
-                          "frequency_cost", "power_base", "inertia_base",
-                          "omega_limits", "regimes", "sqp", "qp_tolerance"},
-                "mpc")
+    mpc_keys = {"horizon", "power_cost", "inertia_cost", "frequency_cost", "power_base",
+                "inertia_base", "omega_limits", "regimes", "sqp", "qp_tolerance"}
+    _check_keys(mpc_sec, mpc_keys, "mpc")
     sqp_sec = _optional(mpc_sec, "sqp", dict, "mpc.sqp")
     _check_keys(sqp_sec, _field_names(SqpSettings), "mpc.sqp")
     sqp = _settings(SqpSettings, sqp_sec, "mpc.sqp")
@@ -375,9 +374,13 @@ def parse_scenario(source: str | Path) -> Scenario:
     except ScenarioError:
         raise
     except Exception as exc:
-        field, _, rest = str(exc).partition(": ")
-        if field == "qp_tol":       # the config's name for mpc.qp_tolerance
-            raise ScenarioError(f"mpc.qp_tolerance: {rest}") from exc
+        # A range error starts with the config's field, maybe indexed; a field
+        # of the section is named by its path (qp_tol is mpc.qp_tolerance).
+        field, colon, rest = str(exc).partition(": ")
+        name = field.partition("[")[0]
+        key = "qp_tolerance" if name == "qp_tol" else name
+        if colon and key in mpc_keys:
+            raise ScenarioError(f"mpc.{key}{field[len(name):]}: {rest}") from exc
         raise ScenarioError(f"mpc: {exc}") from exc
 
     dist_sec = _optional(doc, "distributed", dict, "distributed")

@@ -11,7 +11,7 @@ from essmpc.dmpc import (AdmmSettings, AreaProgram, ConsensusState,
 from essmpc.dynamics import ControlInput, SystemState, euler_step, simulate, swing_jacobian
 from essmpc.grid import DisturbanceEvent, solve_equilibrium
 from essmpc.mpc import MpcConfig, MpcController, SqpSettings, linearize_dynamics
-from essmpc.qp import ConvexProgram, QpWorkspace
+from essmpc.qp import ConvexProgram, QpWorkspace, WarmStart
 
 
 def equilibrium_state(grid, storage_power):
@@ -100,8 +100,8 @@ def scalar_toy(a1, t1, a2, t2, rho, tau):
 
 
 def kept(programs):
-    """Per area: a workspace and a warm record, kept across rounds as a controller does."""
-    return {p.area: QpWorkspace(p.prog) for p in programs}, {p.area: {} for p in programs}
+    """Per area: a workspace and a warm start, kept across rounds as a controller does."""
+    return {p.area: QpWorkspace(p.prog) for p in programs}, {p.area: WarmStart() for p in programs}
 
 
 def toy_reference_iteration(a1, t1, a2, t2, rho, tau, rounds):
@@ -245,7 +245,7 @@ class TestAreaSubproblem:
         # With zero duals and neighbour copies at the optimum, the solution
         # is pulled off 1.0 only by the proximal term anchored at x_prev.
         x = area_subproblem_solve(programs[0], consensus, np.array([0.0]),
-                                  QpWorkspace(programs[0].prog), {})
+                                  QpWorkspace(programs[0].prog), WarmStart())
         expected_own = (2.0 * 1.0 + 1.0 * 1.0) / (2.0 + 1.0 + 0.5)
         assert x[0] == pytest.approx(expected_own, abs=1e-8)
 
@@ -253,7 +253,8 @@ class TestAreaSubproblem:
         prog = AreaProgram(0, ConvexProgram(q=np.array([-2.0]),
                                             curvature=np.array([2.0])))
         consensus = ConsensusState(0, np.zeros(0), np.zeros(0), np.zeros(0), 1.0, 0.1)
-        x = area_subproblem_solve(prog, consensus, np.zeros(1), QpWorkspace(prog.prog), {})
+        x = area_subproblem_solve(prog, consensus, np.zeros(1), QpWorkspace(prog.prog),
+                                  WarmStart())
         assert x[0] == pytest.approx(1.0, abs=1e-8)
 
 

@@ -289,12 +289,13 @@ class TestAssemble:
                              reference_power=-5.0, reference_inertia=8.0)
 
     @pytest.mark.parametrize("field, value, message", [
-        ("qp_tol", 0.0, "qp_tol"), ("qp_tol", np.nan, "qp_tol"),
-        ("power_cost", np.array([np.nan]), "cost coefficients"),
-        ("inertia_cost", np.array([np.nan]), "cost coefficients"),
-        ("frequency_cost", np.nan, "cost coefficients"),
-        ("power_base", np.nan, "power base"), ("inertia_base", np.nan, "inertia base"),
-        ("omega_limits", {0: np.nan}, "omega limit"),
+        ("qp_tol", 0.0, "^qp_tol: "), ("qp_tol", np.nan, "^qp_tol: "),
+        ("power_cost", np.array([np.nan]), "^power_cost: "),
+        ("inertia_cost", np.array([np.nan]), "^inertia_cost: "),
+        ("frequency_cost", np.nan, "^frequency_cost: "),
+        ("power_base", np.nan, "^power_base: "), ("inertia_base", np.nan, "^inertia_base: "),
+        ("omega_limits", {0: np.nan}, r"^omega_limits\[0\]: "),
+        ("omega_limits", {5: 0.1}, r"^omega_limits\[5\]: bus has no frequency state"),
         ("horizon", np.nan, "^horizon: "), ("step", np.nan, "^step: "),
         ("step", 0.0, "^step: "), ("horizon", np.inf, "^horizon: ")])
     def test_config_built_in_code_meets_the_range_checks(self, two_bus_grid, field,
@@ -808,6 +809,53 @@ class TestKeptStructure:
             cold.setdefault(id(workspace), []).append(starts_cold)
         assert len(cold) == len(ctrl.areas)
         assert all(c[0] and not any(c[1:]) for c in cold.values())
+
+    @pytest.mark.parametrize("split", [None, [0, 1]], ids=["centralized", "two_area"])
+    def test_each_sqp_iteration_starts_from_its_own_last_step(self, monkeypatch,
+                                                              two_bus_scenario, split):
+        # The disturbance at 0.1 s enters the 0.1 s horizon at step 3, the
+        # first step that needs a second SQP iteration: that iteration is
+        # reached for the first time mid-run.
+        from essmpc import mpc
+        sc = two_bus_scenario
+        events = [DisturbanceEvent(0, 0.1, 0.2)]
+        at = {}         # per workspace: (area, SQP iteration) of its load
+        workspace = mpc._SqpController._workspace
+
+        def workspace_spy(self, hp, iteration):
+            got = workspace(self, hp, iteration)
+            at[id(got[0])] = (hp.area.index, iteration)
+            return got
+        solves = []
+        solve = QpWorkspace.solve
+        monkeypatch.setattr(mpc._SqpController, "_workspace", workspace_spy)
+        monkeypatch.setattr(QpWorkspace, "solve", lambda self, tol=1e-8, y0=None: (
+            lambda report: solves.append((len(ctrl.log), at[id(self)], self.layout, y0,
+                                          report.y_stacked)) or report)(
+                solve(self, tol=tol, y0=y0)))
+        ctrl = MpcController(sc.grid, sc.mpc, events) if split is None else \
+            DistributedMpcController(sc.grid, sc.mpc, partition_grid(sc.grid, split),
+                                     sc.admm, events)
+        simulate(sc.grid, sc.initial_state(), ctrl, 0.3, sc.sim_step, events)
+        iterations = [r.sqp_iterations for r in ctrl.log]
+        assert iterations[:3] == [1, 1, 1] and iterations[3] == 2
+        assert sum(r.non_optimal_solves for r in ctrl.log) == 0
+        # Per area, its last solve's y; per (area, iteration), the step and
+        # y of its last solve, and the one KKT layout it holds.
+        latest, last, layouts = {}, {}, {}
+        for step, (area, i), layout, y0, y in solves:
+            if area not in latest:
+                assert y0 is None                   # the area's first solve
+            elif (area, i) in last and last[area, i][0] < step:
+                # The iteration's first solve of a step starts where the same
+                # iteration ended one step earlier.
+                assert np.array_equal(y0, last[area, i][1])
+            else:   # a later round, or an iteration reached for the first time
+                assert np.array_equal(y0, latest[area])
+            assert layout is layouts.setdefault((area, i), layout)
+            latest[area], last[area, i] = y, (step, y)
+        assert sorted(layouts) == [(a, i) for a in range(len(ctrl.areas)) for i in (0, 1)]
+        assert len({id(v) for v in layouts.values()}) == len(layouts)
 
     def test_controller_dies_with_its_run(self, monkeypatch, tmp_path):
         import weakref

@@ -174,6 +174,17 @@ class TestValidationErrors:
         ("inertia_trust_region: 2.0", "inertia_trust_region: 0.0",
          "mpc.sqp.inertia_trust_region"),
         ("    tolerance: 1.0e-5", "    tolerance: -1.0", "mpc.sqp.tolerance"),
+        ("power_cost: 0.0", "power_cost: -2.0", "mpc.power_cost: must be >= 0"),
+        ("inertia_cost: 0.0", "inertia_cost: [-1.0]", "mpc.inertia_cost: must be >= 0"),
+        ("frequency_cost: 1.0", "frequency_cost: -1.0", "mpc.frequency_cost: must be >= 0"),
+        ("frequency_cost: 1.0", "frequency_cost: 1.0\n  power_base: -2.0",
+         "mpc.power_base: must be > 0"),
+        ("frequency_cost: 1.0", "frequency_cost: 1.0\n  inertia_base: 0.0",
+         "mpc.inertia_base: must be > 0"),
+        ("frequency_cost: 1.0", "frequency_cost: 1.0\n  omega_limits: {0: -1.0}",
+         "mpc.omega_limits[0]: must be > 0"),
+        ("horizon: 0.1 ", "horizon: -0.1 ", "mpc.horizon: must be finite and > 0"),
+        ("horizon: 0.1 ", "horizon: 0.001 ", "mpc.horizon: 0.001 with step 0.01 yields"),
         # A section or entry of the wrong kind; a repeated key overrides the
         # first, so each section is replaced at the end of the document.
         ("absolute_effort: false", "absolute_effort: false\nsim: 5", "sim"),

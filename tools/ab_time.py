@@ -18,11 +18,13 @@ ratios of 1.01-1.02 here and +10-13% `total_s` from `perfbench/run.py`.
 Evidence of no regression therefore comes from alternated
 `perfbench/run.py` runs of both trees, not from this tool.
 
-Prints each tree's median and quartiles in seconds and its SuperLU
-factorizations per command (counted by a spy on that tree's own
-`qp.splu`), with how many of them reused a kept column order (the spy
-seeing `permc_spec="NATURAL"`), the median of the paired ratios NEW/OLD,
-and in how many pairs NEW was faster.
+Prints each tree's median and quartiles in seconds and its exact work
+counts per command, from spies on that tree's own modules: SuperLU
+factorizations (`qp.splu`), how many of them reused a kept column order
+(the spy seeing `permc_spec="NATURAL"`), KKT layouts built
+(`qp.csc_array`) and dual active-set steps (the `iterations` of each
+`qp.QpWorkspace.solve` report).  Then the median of the paired ratios
+NEW/OLD, and in how many pairs NEW was faster.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ import tempfile
 from pathlib import Path
 from time import perf_counter
 from types import ModuleType
+from typing import NamedTuple
 
 # Pairs run first and not counted: a tree's first run pays for lazy set-up
 # in the libraries it imports.
@@ -57,24 +60,42 @@ def load_tree(root: Path, name: str) -> ModuleType:
     return importlib.import_module(f"{name}.cli")
 
 
+class Counts(NamedTuple):
+    """One command's work."""
+
+    splu: int           # SuperLU factorizations
+    kept: int           # those in a kept column order
+    layouts: int        # KKT layouts built
+    dual_steps: int     # dual active-set steps
+
+
 def command_runner(root: Path, cli: ModuleType, argv: list[str]):
     """A function running `argv` once through `cli.main`; returns (seconds,
-    (SuperLU factorizations, those in a kept column order)), counted on the
-    tree's `qp.splu`."""
+    `Counts`), counted by spies on the tree's `qp` module."""
     command, scenario, *rest = argv
     bundled = root / "src" / "essmpc" / "scenarios" / f"{scenario}.scn"
     path = bundled if bundled.is_file() else Path(scenario)
     qp = importlib.import_module(f"{cli.__package__}.qp")
-    splu, factors = qp.splu, [0, 0]
+    splu, csc_array, solve = qp.splu, qp.csc_array, qp.QpWorkspace.solve
+    counts = [0, 0, 0, 0]
 
-    def counted(*args, **kwargs):
-        factors[0] += 1
-        factors[1] += kwargs.get("permc_spec") == "NATURAL"
+    def counted_splu(*args, **kwargs):
+        counts[0] += 1
+        counts[1] += kwargs.get("permc_spec") == "NATURAL"
         return splu(*args, **kwargs)
-    qp.splu = counted
 
-    def run() -> tuple[float, tuple[int, int]]:
-        factors[:] = [0, 0]
+    def counted_csc_array(*args, **kwargs):
+        counts[2] += 1
+        return csc_array(*args, **kwargs)
+
+    def counted_solve(*args, **kwargs):
+        got = solve(*args, **kwargs)
+        counts[3] += got.iterations
+        return got
+    qp.splu, qp.csc_array, qp.QpWorkspace.solve = counted_splu, counted_csc_array, counted_solve
+
+    def run() -> tuple[float, Counts]:
+        counts[:] = [0, 0, 0, 0]
         with tempfile.TemporaryDirectory() as out, \
                 contextlib.redirect_stdout(io.StringIO()):
             t0 = perf_counter()
@@ -82,7 +103,7 @@ def command_runner(root: Path, cli: ModuleType, argv: list[str]):
             elapsed = perf_counter() - t0
         if code != 0:
             raise SystemExit(f"error: {root}: {' '.join(argv)} exited {code}")
-        return elapsed, (factors[0], factors[1])
+        return elapsed, Counts(*counts)
     return run
 
 
@@ -93,34 +114,31 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-Counts = tuple[int, int]     # SuperLU factorizations, those in a kept order
-
-
 def compare(runs, pairs: int) -> tuple[tuple[list[float], list[float]],
                                       tuple[list[Counts], list[Counts]]]:
-    """((old, new) times, (old, new) factor counts) over `pairs` counted
+    """((old, new) times, (old, new) work counts) over `pairs` counted
     pairs, order alternating."""
     times: tuple[list[float], list[float]] = ([], [])
-    factors: tuple[list[Counts], list[Counts]] = ([], [])
+    counts: tuple[list[Counts], list[Counts]] = ([], [])
     for p in range(WARMUP + pairs):
         order = (0, 1) if p % 2 == 0 else (1, 0)
         got = {i: runs[i]() for i in order}
         if p >= WARMUP:
             for i in (0, 1):
                 times[i].append(got[i][0])
-                factors[i].append(got[i][1])
-    return times, factors
+                counts[i].append(got[i][1])
+    return times, counts
 
 
 def report(old: list[float], new: list[float],
-           factors: tuple[list[Counts], list[Counts]]) -> str:
+           counts: tuple[list[Counts], list[Counts]]) -> str:
     lines = []
-    for label, values, counts in (("old", old, factors[0]), ("new", new, factors[1])):
+    for label, values, work in (("old", old, counts[0]), ("new", new, counts[1])):
         q1, q2, q3 = quartiles(values)
-        total, kept = (statistics.median(c) for c in zip(*counts))
+        splu, kept, layouts, steps = (statistics.median(c) for c in zip(*work))
         lines.append(f"{label}: median {q2:.4f} s  quartiles {q1:.4f} / {q3:.4f} s"
-                     f"  splu {total:g} per command, {kept:g} in a kept order"
-                     f"  (n = {len(values)})")
+                     f"  splu {splu:g} per command, {kept:g} in a kept order,"
+                     f" {layouts:g} KKT layouts built, {steps:g} dual steps  (n = {len(values)})")
     ratios = [b / a for a, b in zip(old, new)]
     wins = sum(b < a for a, b in zip(old, new))
     lines.append(f"new/old: median paired ratio {statistics.median(ratios):.4f}"
@@ -141,8 +159,8 @@ def main(argv=None) -> int:
         parser.error("need a command and a scenario, and --pairs >= 1")
     runs = [command_runner(root, load_tree(root.resolve(), f"essmpc_ab{i}"), command)
             for i, root in enumerate((args.old, args.new))]
-    times, factors = compare(runs, args.pairs)
-    print(report(*times, factors))
+    times, counts = compare(runs, args.pairs)
+    print(report(*times, counts))
     return 0
 
 
